@@ -173,8 +173,7 @@ def cmd_solve(args) -> int:
             if found == 0:
                 print("UNSATISFIABLE")
             return EXIT_OK
-        atoms = sorted(a for a in model.true_atoms()
-                       if a in set(program.atom_names))
+        atoms = sorted(a for a in model.true_atoms() if a in program.atom_set)
         ranks = {name[len("__x_"):]: value for name, value in model.ints
                  if name.startswith("__x_")}
         print(json.dumps({"model": atoms, "ranks": ranks}))

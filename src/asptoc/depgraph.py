@@ -10,6 +10,7 @@ with ties broken by the smallest member name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .program import Polarity, Program, Rule, def_of
 
@@ -19,21 +20,24 @@ class DepGraph:
     vertices: tuple[str, ...]
     edges: frozenset  # pairs (head, body_atom)
 
+    @cached_property
+    def _adjacency(self) -> dict[str, list[str]]:
+        adjacency: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            adjacency.setdefault(a, []).append(b)
+        for targets in adjacency.values():
+            targets.sort()
+        return adjacency
+
     def successors(self, atom: str) -> list[str]:
-        return sorted(b for (a, b) in self.edges if a == atom)
+        return list(self._adjacency.get(atom, ()))
 
 
 @dataclass(frozen=True)
 class SccPartition:
     components: tuple[frozenset, ...]
 
-    def index_of(self, atom: str) -> int:
-        for i, comp in enumerate(self.components):
-            if atom in comp:
-                return i
-        raise KeyError(atom)
-
-    @property
+    @cached_property
     def index(self) -> dict:
         return {a: i for i, comp in enumerate(self.components) for a in comp}
 

@@ -261,20 +261,23 @@ def _collect(formula: Formula, atoms: set, ints: set):
 
 @dataclass
 class FormulaSet:
+    """Named formulas plus the vocabulary they may mention.
+
+    ``base_atoms`` and ``aux_atoms`` are ordered sets: dicts whose keys are
+    the declared atoms in first-seen order (values are unused), so a
+    declaration costs O(1) however large the set grows.
+    """
+
     formulas: list = field(default_factory=list)  # (name, Formula) pairs
-    base_atoms: list = field(default_factory=list)
-    aux_atoms: list = field(default_factory=list)
+    base_atoms: dict = field(default_factory=dict)  # name -> None
+    aux_atoms: dict = field(default_factory=dict)  # Aux -> None
     level_bounds: dict = field(default_factory=dict)  # owner -> (lo, hi)
 
     def declare_base(self, *names: str):
-        for n in names:
-            if n not in self.base_atoms:
-                self.base_atoms.append(n)
+        self.base_atoms.update(dict.fromkeys(names))
 
     def declare_aux(self, *refs: Aux):
-        for r in refs:
-            if r not in self.aux_atoms:
-                self.aux_atoms.append(r)
+        self.aux_atoms.update(dict.fromkeys(refs))
 
     def declare_level(self, owner: str, lo: int, hi: int):
         self.level_bounds[owner] = (lo, hi)
@@ -310,8 +313,8 @@ class FormulaSet:
 
     def without(self, prefix: str) -> "FormulaSet":
         """Copy dropping all formulas whose name starts with ``prefix``."""
-        out = FormulaSet(base_atoms=list(self.base_atoms),
-                         aux_atoms=list(self.aux_atoms),
+        out = FormulaSet(base_atoms=dict(self.base_atoms),
+                         aux_atoms=dict(self.aux_atoms),
                          level_bounds=dict(self.level_bounds))
         out.formulas = [(n, f) for (n, f) in self.formulas
                         if not n.startswith(prefix)]

@@ -71,6 +71,15 @@ class Token:
 _SYMBOLS = [(":-", "IF"), ("<=", "LEQ"), (".", "DOT"), (",", "COMMA"),
             ("{", "LBRACE"), ("}", "RBRACE"), ("=", "EQ"), ("|", "PIPE")]
 
+# One alternative per token class, tried in this order at each position.
+# Whitespace other than a newline advances the column by one per character;
+# a comment advances nothing (the newline ending it resets the column).
+_TOKEN_RE = re.compile("|".join(
+    [r"(?P<NEWLINE>\n)", r"(?P<SPACE>[^\S\n]+)", r"(?P<COMMENT>%[^\n]*)"]
+    + [f"(?P<{kind}>{re.escape(sym)})" for sym, kind in _SYMBOLS]
+    + [r"(?P<DIRECTIVE>#[a-z]+)", r"(?P<INT>-?[0-9]+)",
+       r"(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)"]))
+
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
@@ -78,49 +87,24 @@ def _tokenize(text: str) -> list[Token]:
     i = 0
     n = len(text)
     while i < n:
-        ch = text[i]
-        if ch == "\n":
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            if text[i] == "#":
+                raise ParseError("malformed directive", line, col)
+            raise ParseError(f"unexpected character {text[i]!r}", line, col)
+        kind, value = m.lastgroup, m.group()
+        i = m.end()
+        if kind == "NEWLINE":
             line += 1
             col = 1
-            i += 1
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
+        if kind == "COMMENT":
             continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(kind, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            if ch == "#":
-                m = re.match(r"#[a-z]+", text[i:])
-                if not m:
-                    raise ParseError("malformed directive", line, col)
-                tokens.append(Token("DIRECTIVE", m.group(0), line, col))
-                i += m.end()
-                col += m.end()
-            elif ch in "0123456789" or (ch == "-" and i + 1 < n
-                                        and text[i + 1] in "0123456789"):
-                m = re.match(r"-?[0-9]+", text[i:])
-                tokens.append(Token("INT", m.group(0), line, col))
-                i += m.end()
-                col += m.end()
-            elif re.match(r"[A-Za-z_]", ch):
-                m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[i:])
-                word = m.group(0)
-                kind = "NOT" if word == "not" else "IDENT"
-                tokens.append(Token(kind, word, line, col))
-                i += m.end()
-                col += m.end()
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
+        if kind == "WORD":
+            kind = "NOT" if value == "not" else "IDENT"
+        if kind != "SPACE":
+            tokens.append(Token(kind, value, line, col))
+        col += len(value)
     tokens.append(Token("EOF", "", line, col))
     return tokens
 
@@ -265,11 +249,7 @@ class _Parser:
 
 def _canonical_rule(head, choice, conj, agg) -> Rule:
     if agg is None:
-        seen = []
-        for lit in conj:
-            if lit not in seen:
-                seen.append(lit)
-        body = [WeightedLiteral(lit) for lit in seen]
+        body = [WeightedLiteral(lit) for lit in dict.fromkeys(conj)]
         lower = len(body)
         if head is None:
             origin = Origin.CONSTRAINT
@@ -287,21 +267,12 @@ def _canonical_rule(head, choice, conj, agg) -> Rule:
     wlits, lower, upper = agg
     weighted = any(w is not None for _, w in wlits)
     if weighted:
-        merged: dict[Literal, int] = {}
-        order: list[Literal] = []
+        merged: dict[Literal, int] = {}  # first-seen order
         for lit, w in wlits:
-            w = 1 if w is None else w
-            if lit not in merged:
-                merged[lit] = 0
-                order.append(lit)
-            merged[lit] += w
-        body = tuple(WeightedLiteral(lit, merged[lit]) for lit in order if merged[lit] > 0)
+            merged[lit] = merged.get(lit, 0) + (1 if w is None else w)
+        body = tuple(WeightedLiteral(lit, w) for lit, w in merged.items() if w > 0)
     else:
-        seen = []
-        for lit, _ in wlits:
-            if lit not in seen:
-                seen.append(lit)
-        body = tuple(WeightedLiteral(lit) for lit in seen)
+        body = tuple(WeightedLiteral(lit) for lit in dict.fromkeys(lit for lit, _ in wlits))
     if head is None:
         origin = Origin.CONSTRAINT
     elif upper is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 INFINITY = float("inf")
@@ -154,20 +155,35 @@ class Program:
         if missing:
             raise ValueError(f"atoms missing from signature: {sorted(missing)}")
 
-    @property
+    # The indexes below are built once, on first use; the dataclass is
+    # frozen, so they never go stale.
+
+    @cached_property
     def atom_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.signature)
+
+    @cached_property
+    def atom_set(self) -> frozenset:
+        return frozenset(self.atom_names)
+
+    @cached_property
+    def _defining_rules(self) -> dict[str, list[Rule]]:
+        index: dict[str, list[Rule]] = {}
+        for rule in self.rules:
+            if rule.head is not None:
+                index.setdefault(rule.head, []).append(rule)
+        return index
 
     @property
     def visible_atoms(self) -> frozenset:
         return frozenset(a.name for a in self.signature if a.visible)
 
     def heads(self) -> frozenset:
-        return frozenset(r.head for r in self.rules if r.head is not None)
+        return frozenset(self._defining_rules)
 
     def input_atoms(self) -> frozenset:
         """Atoms without defining rules; they vary freely like choice atoms."""
-        return frozenset(self.atom_names) - self.heads()
+        return self.atom_set - self.heads()
 
     def constraints(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.head is None)
@@ -188,10 +204,11 @@ def program_of(rules: Iterable[Rule], extra_atoms: Iterable[str] = (),
 
 
 def def_of(atom: str, program: Program) -> list[Rule]:
-    """Defining rules of ``atom`` in program order."""
-    if atom not in program.atom_names:
+    """Defining rules of ``atom`` in program order, read from the program's
+    head index (built once, so each call costs only its result)."""
+    if atom not in program.atom_set:
         raise KeyError(f"unknown atom {atom!r}")
-    return [r for r in program.rules if r.head == atom]
+    return list(program._defining_rules.get(atom, ()))
 
 
 def weight_sum(interp: frozenset, body: Iterable[WeightedLiteral]) -> int:

@@ -182,16 +182,18 @@ def toc_module(program: Program, scope: frozenset, *,
         if scope not in partition.components:
             raise ValueError(f"{sorted(scope)} is not an SCC of the program")
         ranked = is_recursive_scope(program, scope)
+    atoms = sorted(scope)
+    defs = {a: def_of(a, program) for a in atoms}
     fs = FormulaSet()
-    fs.declare_base(*sorted(scope))
+    fs.declare_base(*atoms)
 
-    scope_rules = [(a, r) for a in sorted(scope) for r in def_of(a, program)]
+    scope_rules = [(a, r) for a in atoms for r in defs[a]]
     for _, rule in scope_rules:
         fs.declare_base(*sorted(set(rule.body_atoms())))
 
     if ranked:
         size = len(scope)
-        for atom in sorted(scope):
+        for atom in atoms:
             fs.declare_level(atom, 1, size + 1)
             fs.extend(mk_bounds(atom, size))
         edges = sorted({(a, b)
@@ -201,8 +203,8 @@ def toc_module(program: Program, scope: frozenset, *,
             fs.declare_aux(Aux("dep", a, b), Aux("gap", a, b))
             fs.extend(mk_dep_gap(a, b))
 
-    for atom in sorted(scope):
-        rules = def_of(atom, program)
+    for atom in atoms:
+        rules = defs[atom]
         if not rules:
             continue
         apps = []

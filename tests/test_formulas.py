@@ -153,3 +153,40 @@ class TestValidation:
         fs.add("def:a", Var(Base("a")))
         kept = fs.without("strong:")
         assert [n for n, _ in kept.formulas] == ["def:a"]
+
+
+class TestDeclarationOrder:
+    def test_declare_keeps_first_seen_order(self):
+        fs = FormulaSet()
+        fs.declare_base("c", "a")
+        fs.declare_base("b", "a", "c", "d")
+        fs.declare_aux(Aux("app", "c", 1), Aux("dep", "a", "b"))
+        fs.declare_aux(Aux("dep", "a", "b"), Aux("app", "a", 1), Aux("app", "c", 1))
+        assert list(fs.base_atoms) == ["c", "a", "b", "d"]
+        assert list(fs.aux_atoms) == [Aux("app", "c", 1), Aux("dep", "a", "b"),
+                                      Aux("app", "a", 1)]
+        assert fs.atom_refs() == [Base("c"), Base("a"), Base("b"), Base("d"),
+                                  Aux("app", "c", 1), Aux("dep", "a", "b"),
+                                  Aux("app", "a", 1)]
+
+    def test_merge_appends_only_unseen(self):
+        left, right = FormulaSet(), FormulaSet()
+        left.declare_base("b", "a")
+        left.declare_aux(Aux("app", "b", 1))
+        right.declare_base("c", "a", "d", "b")
+        right.declare_aux(Aux("app", "a", 1), Aux("app", "b", 1))
+        left.merge(right)
+        assert list(left.base_atoms) == ["b", "a", "c", "d"]
+        assert list(left.aux_atoms) == [Aux("app", "b", 1), Aux("app", "a", 1)]
+        assert list(right.base_atoms) == ["c", "a", "d", "b"]
+
+    def test_without_copies_the_vocabulary(self):
+        fs = FormulaSet()
+        fs.declare_base("b", "a")
+        fs.declare_aux(Aux("gap", "b", "a"), Aux("app", "b", 1))
+        fs.add("strong:b:1", TrueF())
+        kept = fs.without("strong:")
+        assert list(kept.base_atoms) == ["b", "a"]
+        assert list(kept.aux_atoms) == [Aux("gap", "b", "a"), Aux("app", "b", 1)]
+        kept.declare_base("z")
+        assert "z" not in fs.base_atoms

@@ -108,6 +108,32 @@ class TestDiagnostics:
         with pytest.raises(ParseError):
             parse_program("a :- b")
 
+    @pytest.mark.parametrize("text, line, col, message", [
+        # a comment advances no column, so EOF sits where "%" was
+        pytest.param("a :- b % trailing", 1, 8, "expected DOT, found ''",
+                     id="comment-at-eof"),
+        # tabs and carriage returns count one column each
+        pytest.param("a :-\t\r b\t\r@.", 1, 11, "unexpected character '@'",
+                     id="tab-cr-before-bad-char"),
+        pytest.param("#1 a.", 1, 1, "malformed directive", id="directive-digit"),
+        pytest.param("a. #1", 1, 4, "malformed directive", id="directive-digit-late"),
+        pytest.param("-x.", 1, 1, "unexpected character '-'", id="minus-ident"),
+        pytest.param("a :- -x.", 1, 6, "unexpected character '-'", id="minus-ident-body"),
+        pytest.param("a.\n% comment line\nb :- ?.", 3, 6, "unexpected character '?'",
+                     id="line3-after-comment"),
+        pytest.param("a. % one\n% two\nb :- c d.", 3, 8, "expected DOT, found 'd'",
+                     id="line3-after-comments"),
+    ])
+    def test_error_positions(self, text, line, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+        assert str(err.value) == f"{line}:{col}: {message}"
+
+    def test_comment_at_eof_without_newline(self):
+        p = parse_program("a :- b.\n% no newline after the comment")
+        assert [r.head for r in p.rules] == ["a"]
+
 
 class TestRoundTrip:
     def roundtrip(self, src):

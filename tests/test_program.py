@@ -64,6 +64,23 @@ class TestDefOf:
         p = parse_program("a.")
         with pytest.raises(KeyError):
             def_of("zz", p)
+        # a body atom is known even though it heads no rule
+        assert def_of("b", parse_program("a :- b.")) == []
+        with pytest.raises(KeyError):
+            def_of("zz", parse_program("a :- b."))
+
+    def test_interleaved_heads_keep_program_order(self):
+        src = "a :- b. c :- a. a :- c. {b}. a :- 1 <= { b, c }. c :- not b. a."
+        p = parse_program(src)
+        for atom in p.atom_names:
+            assert def_of(atom, p) == [r for r in p.rules if r.head == atom]
+        assert [r.origin for r in def_of("a", p)] == [
+            Origin.NORMAL, Origin.NORMAL, Origin.CARDINALITY, Origin.FACT]
+
+    def test_result_is_a_fresh_list(self):
+        p = parse_program("a :- b. a :- c.")
+        def_of("a", p).clear()
+        assert len(def_of("a", p)) == 2
 
     def test_partitions_non_constraint_rules(self):
         p = parse_program("a :- b. {b}. c :- 1 <= { a, b }. :- a, b.")

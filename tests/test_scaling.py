@@ -1,0 +1,67 @@
+"""Translation time grows linearly with program size.
+
+Parsing, the dependency graph and the completion each index the program
+once, so each of these stages takes about four times as long on a program
+four times as large; a list scan left on any of them makes it about
+sixteen.  Each stage is bounded on its own, so a slow stage cannot hide
+behind the others.  The bound of eight leaves room for the machine's speed
+to drift between runs, which the interleaved best-of-three absorbs only in
+part.
+"""
+
+import gc
+import time
+
+from asptoc.depgraph import build_depgraph, sccs
+from asptoc.parser import parse_program
+from asptoc.toc import toc_program
+
+N = 2000
+RUNS = 3
+GRAPH_REPEATS = 5
+MAX_RATIO = 8.0
+
+
+def chain_source(n: int) -> str:
+    """n rules x1 <- x0, x2 <- x1, ...: the per-component translation meets
+    n singleton components, the global one ranks all n atoms in one scope."""
+    return "{x0}.\n" + "".join(f"x{i} :- x{i - 1}.\n" for i in range(1, n))
+
+
+def seconds(work) -> float:
+    start = time.perf_counter()
+    work()
+    return time.perf_counter() - start
+
+
+def stage_seconds(source: str) -> dict:
+    start = time.perf_counter()
+    program = parse_program(source)
+    parse_s = time.perf_counter() - start
+    # the graph stage takes milliseconds, so one timing of it is mostly noise
+    graph_s = min(seconds(lambda: sccs(build_depgraph(program)))
+                  for _ in range(GRAPH_REPEATS))
+    toc_s = seconds(lambda: (toc_program(program, scope_mode="scc"),
+                             toc_program(program, scope_mode="global")))
+    return {"parse": parse_s, "depgraph": graph_s, "toc": toc_s}
+
+
+def test_translation_time_is_linear():
+    sources = {n: chain_source(n) for n in (N, 4 * N)}
+    best = {n: {} for n in sources}
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()  # a full collection mid-run would charge one size only
+    try:
+        for _ in range(RUNS):
+            for n, source in sources.items():
+                for stage, seconds in stage_seconds(source).items():
+                    best[n][stage] = min(best[n].get(stage, seconds), seconds)
+    finally:
+        if enabled:
+            gc.enable()
+    ratios = {stage: best[4 * N][stage] / best[N][stage] for stage in best[N]}
+    report = ", ".join(f"{stage} {best[N][stage]:.3f}s -> {best[4 * N][stage]:.3f}s"
+                       for stage in best[N])
+    assert max(ratios.values()) <= MAX_RATIO, (
+        f"4x the rules took up to {max(ratios.values()):.1f}x the time ({report})")
