@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 from .dlcheck import DLModel
 from .formulas import Base, Not, Var, conj
-from .fuzz import check_program, fuzz_corpus
+from .fuzz import check_program, fuzz_corpus, generate_weight_rule
 from .normtest import check_proposition
 from .oracle import ResourceError
 from .parser import ParseError, UnsupportedFeatureError, parse_program
@@ -88,24 +89,7 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def _random_weight_rule(rng):
-    import random
-
-    from .parser import parse_program as pp
-
-    n = rng.randint(1, 5)
-    atoms = [f"b{i}" for i in range(1, n + 1)]
-    weights = [rng.randint(1, 8) for _ in atoms]
-    bound = rng.randint(1, 20)
-    items = ", ".join(f"{a}={w}" for a, w in zip(atoms, weights))
-    prog = pp(f"a :- {bound} <= {{ {items} }}.")
-    return prog.rules[0]
-
-
 def cmd_fuzz(args) -> int:
-    import random
-
-    failures = 0
     for index, source, program in fuzz_corpus(args.seed, args.count,
                                               args.max_atoms, args.max_rules):
         report = check_program(program)
@@ -123,7 +107,7 @@ def cmd_fuzz(args) -> int:
     if args.props:
         rng = random.Random(args.seed)
         for i in range(args.props):
-            rule = _random_weight_rule(rng)
+            rule = generate_weight_rule(rng)
             verdict = check_proposition(rule, 3)
             if not verdict.passed:
                 print(json.dumps({"proposition": i, "status": "fail",
@@ -151,6 +135,7 @@ def cmd_solve(args) -> int:
         return EXIT_SOLVER
     fs = toc_program(program,
                      scope_mode="global" if args.global_scope else "scc")
+    visible = program.visible_atoms
     found = 0
     while True:
         text = emit_smtlib(fs, model=True)
@@ -173,7 +158,7 @@ def cmd_solve(args) -> int:
             if found == 0:
                 print("UNSATISFIABLE")
             return EXIT_OK
-        atoms = sorted(a for a in model.true_atoms() if a in program.atom_set)
+        atoms = sorted(model.true_atoms() & visible)
         ranks = {name[len("__x_"):]: value for name, value in model.ints
                  if name.startswith("__x_")}
         print(json.dumps({"model": atoms, "ranks": ranks}))

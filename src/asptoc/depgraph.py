@@ -1,4 +1,4 @@
-"""Positive dependency graph, SCC decomposition and program modules.
+"""Positive dependency graph, SCC decomposition and completion scopes.
 
 Only positive body literals induce edges; double-negated literals from
 choice canonicalization do not, so a lone choice rule never makes its
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .program import Polarity, Program, Rule, def_of
+from .program import Polarity, Program, def_of
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,6 @@ class SccPartition:
     @cached_property
     def index(self) -> dict:
         return {a: i for i, comp in enumerate(self.components) for a in comp}
-
-
-@dataclass(frozen=True)
-class Module:
-    scope: frozenset
-    rules: tuple[Rule, ...]
-    inputs: frozenset  # positive body atoms outside the scope
 
 
 def build_depgraph(program: Program) -> DepGraph:
@@ -150,17 +143,22 @@ def is_recursive_scope(program: Program, scope: frozenset) -> bool:
     return False
 
 
-def module_of(program: Program, scope: frozenset) -> Module:
-    partition = sccs(build_depgraph(program))
-    if scope not in partition.components:
-        raise ValueError(f"{sorted(scope)} is not an SCC of the program")
-    rules = tuple(r for r in program.rules if r.head in scope)
-    inputs = set()
-    for rule in rules:
-        for wl in rule.literals(Polarity.POSITIVE):
-            if wl.literal.atom not in scope:
-                inputs.add(wl.literal.atom)
-    return Module(scope, rules, frozenset(inputs))
+def scopes(program: Program, scope_mode: str) -> list[tuple[frozenset, bool]]:
+    """The completion scopes of the program, each paired with whether it is
+    ranked.
+
+    ``"scc"`` takes every strongly connected component, ranked when
+    recursive; ``"global"`` takes all defined atoms as one ranked scope,
+    while input atoms stay free and unranked, matching their role in the
+    per-component translation.
+    """
+    if scope_mode == "scc":
+        return [(comp, is_recursive_scope(program, comp))
+                for comp in sccs(build_depgraph(program)).components]
+    if scope_mode == "global":
+        defined = program.heads()
+        return [(defined, True)] if defined else []
+    raise ValueError(f"unknown scope mode {scope_mode!r}")
 
 
 def module_program(program: Program, scope: frozenset) -> Program:

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 from . import formulas as F
 from .formulas import Aux, Base, FormulaSet, LevelVar, Z, eval_formula, ref_name, var_name
-from .oracle import ResourceError
-
-
-class ContractError(Exception):
-    pass
+from .oracle import ContractError, ResourceError
 
 
 @dataclass(frozen=True)

@@ -322,8 +322,8 @@ class FormulaSet:
 
 
 # ---------------------------------------------------------------------------
-# reference evaluator (kept naive on purpose; the checker cross-validates
-# its compiled evaluation against this one)
+# reference evaluator (kept naive on purpose; the model finder evaluates
+# with it, and ``dlcheck.recheck`` re-evaluates a found model in full)
 
 def eval_formula(formula: Formula, bools: dict, ints: dict) -> bool:
     if isinstance(formula, Var):

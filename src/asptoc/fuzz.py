@@ -13,11 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .depgraph import build_depgraph, is_recursive_scope, sccs
+from .depgraph import scopes
 from .dlcheck import enumerate_dl_models
 from .oracle import module_ranking, stable_models
 from .parser import parse_program
-from .program import INFINITY, Program
+from .program import INFINITY, Program, Rule
 from .toc import toc_program
 
 ATOM_POOL = "abcdefghijklmn"
@@ -90,6 +90,17 @@ def generate_source(rng: random.Random, max_atoms: int = 7,
     return "\n".join(lines) + "\n"
 
 
+def generate_weight_rule(rng: random.Random) -> Rule:
+    """One positive weight rule ``a :- l <= { b1=w1, ... }`` over one to
+    five body atoms, as ``asptoc fuzz --props`` checks them.  The draws
+    come in a fixed order: the body size, each weight, then the bound."""
+    n = rng.randint(1, 5)
+    weights = [rng.randint(1, 8) for _ in range(n)]
+    bound = rng.randint(1, 20)
+    items = ", ".join(f"b{i}={w}" for i, w in enumerate(weights, 1))
+    return parse_program(f"a :- {bound} <= {{ {items} }}.").rules[0]
+
+
 def generate_program(rng: random.Random, max_atoms: int = 7,
                      max_rules: int = 10, want_recursive: bool = False) -> Program:
     return parse_program(generate_source(rng, max_atoms, max_rules, want_recursive))
@@ -110,10 +121,7 @@ class CheckReport:
 
 
 def ranked_scopes(program: Program, scope_mode: str = "scc") -> list[frozenset]:
-    if scope_mode == "global":
-        return [frozenset(program.heads())] if program.heads() else []
-    partition = sccs(build_depgraph(program))
-    return [c for c in partition.components if is_recursive_scope(program, c)]
+    return [scope for scope, ranked in scopes(program, scope_mode) if ranked]
 
 
 def check_program(program: Program, *, scope_mode: str = "scc",
@@ -142,11 +150,11 @@ def check_program(program: Program, *, scope_mode: str = "scc",
     if not report.ok:
         return report
 
-    scopes = ranked_scopes(program, scope_mode)
+    ranked = ranked_scopes(program, scope_mode)
     for model in models:
         projection = model.true_atoms() & signature
         ints = model.int_map
-        for scope in scopes:
+        for scope in ranked:
             local = module_ranking(program, scope, projection)
             for atom in sorted(scope):
                 expected = local[atom] if atom in projection else INFINITY
@@ -158,7 +166,7 @@ def check_program(program: Program, *, scope_mode: str = "scc",
                                   model=sorted(projection),
                                   expected=expected, actual=actual)
                     return report
-    report.record("ranks", True, scopes=len(scopes))
+    report.record("ranks", True, scopes=len(ranked))
     return report
 
 

@@ -1,4 +1,11 @@
-"""Equisatisfiability harness for the subset-normalized completions.
+"""Alternative completion forms, checked against the weight path.
+
+The translator emits one form per rule, the canonical weight form.  This
+module keeps two other forms of the same completion for the tests and
+the proposition checks: the subset normalization, one positive rule per
+bound-reaching subset of the body, and the extensional form of
+:func:`toc_abstract`, which feeds the translator's support skeleton with
+a family of accepted body subsets instead of a weighted sum.
 
 For a positive in-scope rule, the completion can be written with one
 applicability atom per bound-reaching subset of the body, or with a
@@ -29,13 +36,21 @@ from .formulas import (
     FalseF,
     FormulaSet,
     Iff,
+    Not,
+    TrueF,
     Var,
+    conj,
     disj,
     eval_formula,
     ref_name,
 )
-from .program import Origin, Polarity, Rule, program_of
-from .toc import normalize_subsets, toc_module
+from .oracle import ResourceError
+from .program import Origin, Polarity, Program, Rule, normal_rule, program_of
+from .toc import emit_support, toc_module
+
+
+class ConvexityError(Exception):
+    pass
 
 
 @dataclass(frozen=True)
@@ -46,6 +61,41 @@ class Verdict:
     subset_formula_count: int
     aggregate_formula_count: int
     counterexample: dict | None = None
+
+
+def _check_subset_input(rule: Rule, cap: int = 6):
+    if rule.head is None:
+        raise ValueError("constraints cannot be subset-normalized")
+    if rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED):
+        raise ValueError("subset normalization expects a positive rule")
+    if rule.upper is not None:
+        raise ValueError("subset normalization expects a lower bound only")
+    if len(rule.body) > cap:
+        raise ResourceError(f"{len(rule.body)} body atoms exceed the cap of {cap}")
+
+
+def _minimal(family: set) -> list:
+    return sorted((s for s in family if not any(t < s for t in family)),
+                  key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def normalize_subsets(rule: Rule) -> Program:
+    """One positive rule per bound-reaching subset: the exact-size subsets
+    of a cardinality body, the inclusion-minimal ones of a weight body."""
+    _check_subset_input(rule)
+    atoms = sorted(rule.pos_atoms())
+    weights = {wl.literal.atom: wl.weight for wl in rule.body}
+    if rule.origin is Origin.CARDINALITY or all(w == 1 for w in weights.values()):
+        subsets = list(itertools.combinations(atoms, rule.lower)) \
+            if rule.lower <= len(atoms) else []
+    else:
+        satisfying = {frozenset(combo)
+                      for k in range(len(atoms) + 1)
+                      for combo in itertools.combinations(atoms, k)
+                      if sum(weights[a] for a in combo) >= rule.lower}
+        subsets = [tuple(sorted(s)) for s in _minimal(satisfying)]
+    rules = [normal_rule(rule.head, subset) for subset in subsets]
+    return program_of(rules, extra_atoms=[rule.head, *atoms])
 
 
 def _validate(rule: Rule, variant: int) -> None:
@@ -165,3 +215,105 @@ def check_proposition(rule: Rule, variant: int, *,
                                            "connecting": link})
     return Verdict(True, checked, k,
                    len(side_a.formulas), len(side_b.formulas))
+
+
+# ---------------------------------------------------------------------------
+# extensional convex aggregates
+
+def _upward_closure(family: set, universe: frozenset) -> set:
+    closed = set()
+    for sat in family:
+        for rest in itertools.chain.from_iterable(
+                itertools.combinations(sorted(universe - sat), k)
+                for k in range(len(universe - sat) + 1)):
+            closed.add(sat | frozenset(rest))
+    return closed
+
+
+def _check_convex(family: set, universe: frozenset):
+    fam = set(family)
+    for small in fam:
+        for large in fam:
+            if small < large:
+                extra = sorted(large - small)
+                for k in range(1, len(extra)):
+                    for mid in itertools.combinations(extra, k):
+                        if small | frozenset(mid) not in fam:
+                            raise ConvexityError(
+                                f"family not convex between {sorted(small)} "
+                                f"and {sorted(large)}")
+
+
+def toc_abstract(rule: Rule, scope: frozenset, *, ordinal: int = 1,
+                 family: set | None = None, strong: bool = True,
+                 aux_ns: str = "") -> FormulaSet:
+    """Ordered completion of one rule with its aggregate kept extensional.
+
+    Internal support substitutes in-scope positive atoms by their ``dep``
+    atoms inside the disjunction over inclusion-minimal satisfiers (the
+    upward closure); the strong condition negates the same disjunction
+    with ``gap`` substitutions; external support substitutes in-scope
+    positives by falsity.  Non-monotone aggregates additionally conjoin
+    the exact aggregate over unsubstituted atoms into both supports, so
+    applicability is judged at the candidate model.
+    """
+    if rule.head is None:
+        raise ValueError("constraints have no completion")
+    slots = list(rule.body)
+    if len(slots) > 6:
+        raise ResourceError("extensional aggregates are capped at 6 body atoms")
+    universe = frozenset(range(len(slots)))
+    if family is None:
+        def accepted(js: frozenset) -> bool:
+            total = sum(slots[j].weight for j in js)
+            return total >= rule.lower and (rule.upper is None or total <= rule.upper)
+
+        family = {frozenset(js)
+                  for k in range(len(slots) + 1)
+                  for js in itertools.combinations(sorted(universe), k)
+                  if accepted(frozenset(js))}
+    else:
+        family = {frozenset(s) for s in family}
+        _check_convex(family, universe)
+    minimal = _minimal(family)
+    monotone = family == _upward_closure(family, universe)
+    head = rule.head
+
+    def in_scope_pos(j: int) -> bool:
+        lit = slots[j].literal
+        return lit.polarity is Polarity.POSITIVE and lit.atom in scope
+
+    def plain(j: int):
+        lit = slots[j].literal
+        if lit.polarity is Polarity.NEGATIVE:
+            return Not(Var(Base(lit.atom)))
+        return Var(Base(lit.atom))
+
+    def ordered(j: int, kind: str):
+        if in_scope_pos(j):
+            return Var(Aux(kind, head, slots[j].literal.atom))
+        return plain(j)
+
+    exact = disj(*(conj(*(plain(j) if j in sat else Not(plain(j))
+                          for j in sorted(universe)))
+                   for sat in sorted(family, key=lambda s: tuple(sorted(s)))))
+    bound_check = TrueF() if monotone else exact
+
+    weak = conj(disj(*(conj(*(ordered(j, "dep") for j in sorted(sat)))
+                       for sat in minimal)), bound_check)
+    deny = Not(disj(*(conj(*(ordered(j, "gap") for j in sorted(sat)))
+                      for sat in minimal)))
+    ext_minimal = [sat for sat in minimal if not any(in_scope_pos(j) for j in sat)]
+    ext_def = conj(disj(*(conj(*(plain(j) for j in sorted(sat)))
+                          for sat in ext_minimal)), bound_check)
+
+    fs = FormulaSet()
+    fs.declare_base(*sorted({wl.literal.atom for wl in slots} | {head}))
+    for j in sorted(universe):
+        if in_scope_pos(j):
+            b = slots[j].literal.atom
+            fs.declare_aux(Aux("dep", head, b), Aux("gap", head, b))
+    emit_support(fs, head, ordinal, aux_ns, weak, ext_def, deny,
+                 has_in=any(in_scope_pos(j) for j in universe),
+                 ext_possible=bool(ext_minimal), strong=strong)
+    return fs

@@ -17,10 +17,10 @@ from asptoc.cli import main
 from asptoc.dlcheck import enumerate_dl_models
 from asptoc.formulas import Base, Diff, LevelVar, Not, Var, Z
 from asptoc.fuzz import check_program, fuzz_corpus, ranked_scopes
-from asptoc.normtest import check_proposition
+from asptoc.normtest import check_proposition, normalize_subsets
 from asptoc.oracle import level_numbering, stable_models
 from asptoc.parser import parse_program
-from asptoc.toc import normalize_subsets, toc_module, toc_program
+from asptoc.toc import toc_module, toc_program
 
 STUB = f"{sys.executable} {pathlib.Path(__file__).parent / 'stub_solver.py'}"
 

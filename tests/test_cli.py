@@ -120,6 +120,27 @@ class TestFuzz:
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
         assert lines[-1] == {"status": "pass", "propositions": 5}
 
+    def test_props_rules_draw_order(self):
+        # the draws (body size, weights, bound) are pinned: perfbench's
+        # verify-fuzz workload repeats them to replay ``--props`` traffic
+        import random
+
+        from asptoc.fuzz import generate_weight_rule
+        from asptoc.parser import parse_program
+
+        rng = random.Random(1)
+        drawn = [generate_weight_rule(rng) for _ in range(8)]
+        assert drawn == [parse_program(src).rules[0] for src in [
+            "a :- 4 <= { b1=2, b2=5 }.",
+            "a :- 4 <= { b1=8, b2=8, b3=7, b4=4 }.",
+            "a :- 15 <= { b1=1, b2=7, b3=7, b4=1 }.",
+            "a :- 1 <= { b1=4, b2=2, b3=6 }.",
+            "a :- 18 <= { b1=1 }.",
+            "a :- 7 <= { b1=7 }.",
+            "a :- 18 <= { b1=1, b2=4, b3=8, b4=8 }.",
+            "a :- 8 <= { b1=6, b2=4 }.",
+        ]]
+
     def test_failure_writes_reproduction_file(self, capsys, monkeypatch,
                                               tmp_path):
         import asptoc.cli as cli_mod
@@ -172,6 +193,13 @@ class TestSolve:
         expected = sorted(tuple(sorted(m))
                           for m, _ in stable_models(parse_program(src)))
         assert found == expected
+
+    def test_all_prints_visible_atoms_only(self, tmp_path, capsys):
+        path = write(tmp_path, "{c}. a :- c. #hide c.")
+        assert main(["solve", path, "--solver", STUB, "--all"]) == 0
+        found = sorted(json.loads(l)["model"]
+                       for l in capsys.readouterr().out.splitlines())
+        assert found == [[], ["a"]]
 
     def test_env_solver(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TOC_SOLVER", STUB)

@@ -1,4 +1,5 @@
-"""Dependency graph, SCCs, modules, and per-component model composition."""
+"""Dependency graph, SCCs, completion scopes, and per-component model
+composition."""
 
 import itertools
 import pathlib
@@ -8,9 +9,9 @@ import pytest
 from asptoc.depgraph import (
     build_depgraph,
     is_recursive_scope,
-    module_of,
     module_program,
     sccs,
+    scopes,
 )
 from asptoc.fuzz import fuzz_corpus
 from asptoc.oracle import stable_models
@@ -79,36 +80,14 @@ class TestSccs:
         assert not is_recursive_scope(p, frozenset({"b"}))
         assert is_recursive_scope(p, frozenset({"c", "d"}))
 
-
-class TestModules:
-    def test_basic_module(self):
-        p = parse_program("a :- b. b :- a. b :- c. #atom c.")
-        mod = module_of(p, frozenset({"a", "b"}))
-        assert len(mod.rules) == 3
-        assert mod.inputs == {"c"}
-
-    def test_negative_atoms_are_not_inputs(self):
-        p = parse_program("a :- not b. #atom b.")
-        mod = module_of(p, frozenset({"a"}))
-        assert mod.rules == (p.rules[0],)
-        assert mod.inputs == frozenset()
-
-    def test_cardinality_module_inputs_empty(self):
-        src = "a :- 2 <= { b1, b2, b3, b4 }. " + \
-            " ".join(f"b{i} :- a." for i in range(1, 5))
-        p = parse_program(src)
-        mod = module_of(p, frozenset({"a", "b1", "b2", "b3", "b4"}))
-        assert mod.inputs == frozenset()
-
-    def test_non_component_rejected(self):
-        p = parse_program("a :- b. #atom b.")
+    def test_scopes_per_mode(self):
+        p = parse_program("a :- a. b :- not x. c :- d. d :- c.")
+        assert scopes(p, "scc") == [(frozenset({"a"}), True), (frozenset({"b"}), False),
+                                    (frozenset({"c", "d"}), True), (frozenset({"x"}), False)]
+        assert scopes(p, "global") == [(frozenset({"a", "b", "c", "d"}), True)]
+        assert scopes(parse_program("#atom q."), "global") == []
         with pytest.raises(ValueError):
-            module_of(p, frozenset({"a", "b"}))
-
-    def test_constraints_stay_out_of_modules(self):
-        p = parse_program("a :- a. :- a.")
-        mod = module_of(p, frozenset({"a"}))
-        assert all(r.head is not None for r in mod.rules)
+            scopes(p, "module")
 
 
 def compose_module_models(program):

@@ -1,5 +1,6 @@
 """Translation shape and semantics: worked examples, goldens, both
-upper-bound encodings, subset normalization, extensional aggregates."""
+upper-bound encodings, and the alternative forms of ``asptoc.normtest``
+(subset normalization, extensional aggregates)."""
 
 import math
 import pathlib
@@ -23,17 +24,13 @@ from asptoc.formulas import (
     disj,
     mk_bounds,
     mk_dep_gap,
+    ref_name,
 )
 from asptoc.oracle import ResourceError, stable_models
 from asptoc.parser import parse_program
-from asptoc.smtlib import debug_text
-from asptoc.toc import (
-    ConvexityError,
-    normalize_subsets,
-    toc_abstract,
-    toc_module,
-    toc_program,
-)
+from asptoc.smtlib import debug_text, to_sexpr
+from asptoc.normtest import ConvexityError, normalize_subsets, toc_abstract
+from asptoc.toc import toc_module, toc_program
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -55,7 +52,7 @@ def models_projected(fs, keep):
 class TestWorkedExample:
     def test_self_loop_formula_list(self):
         p = parse_program("a :- a.")
-        fs = toc_module(p, frozenset({"a"}))
+        fs = toc_module(p, frozenset({"a"}), ranked=True)
         assert names(fs) == [
             "bounds:a:min", "bounds:a:max", "bounds:a:false",
             "dep:a:a", "gap:a:a",
@@ -71,9 +68,7 @@ class TestWorkedExample:
 
     def test_non_component_scope_rejected(self):
         p = parse_program("a :- b. #atom b.")
-        with pytest.raises(ValueError):
-            toc_module(p, frozenset({"a", "b"}))
-        # explicit ranking opts into arbitrary scopes
+        # ranking applies to arbitrary scopes, not only to components
         toc_module(p, frozenset({"a", "b"}), ranked=True)
 
     def test_choice_cardinality_golden(self):
@@ -87,7 +82,7 @@ class TestAggregatedForms:
             " ".join(f"b{i} :- a." for i in range(1, 4))
         p = parse_program(src)
         scope = frozenset({"a", "b1", "b2", "b3"})
-        fs = toc_module(p, scope)
+        fs = toc_module(p, scope, ranked=True)
         app_def = dict(fs.formulas)["app:a:1"]
         assert isinstance(app_def, Iff)
         pb = app_def.right
@@ -180,7 +175,7 @@ class TestOrderedCompletionInstantiation:
         parts = sccs(build_depgraph(program))
         scope = next(c for c in parts.components
                      if is_recursive_scope(program, c))
-        general = toc_module(program, scope)
+        general = toc_module(program, scope, ranked=True)
         plain = self.build_plain(program, scope)
         keep = set(general.base_atoms) | {f"__x_{a}" for a in scope}
         assert models_projected(general, keep) == models_projected(plain, keep)
@@ -331,7 +326,45 @@ def assemble_abstract(program, scope, rule_index=0):
     return fs
 
 
+WEIGHT_PATH_RULES = [
+    ("a :- 7 <= { b1=7, b2=5, b3=3, b4=2 }.", "a b1 b2 b3 b4"),
+    ("a :- 2 <= { b1, b2, b3 }.", "a b1 b2 b3"),
+    ("a :- 2 <= { b1=2, b2=1, b3=1 } <= 3.", "a b1 b2 b3"),
+    ("a :- 1 <= { b1=5, b2=1 } <= 4.", "a b1 b2"),
+    ("a :- 2 <= { b1, not b2, b3=2 }.", "a b1 b2 b3"),
+]
+
+# one rule per support shape: split, no in-scope atom, convex with split
+ABSTRACT_SHAPES = [
+    ("a :- 1 <= { b1, c }.", "a b1"),
+    ("a :- 1 <= { b1, b2 }.", "a"),
+    ("a :- 2 <= { b1=2, c=1, d=1 } <= 3.", "a b1"),
+]
+
+
+def abstract_forms_text():
+    """The extensional forms in text: the assembled module of every
+    weight-path rule, then the bare ``toc_abstract`` set of each shape
+    with and without the strong condition."""
+    parts = []
+    for src, scope_atoms in WEIGHT_PATH_RULES:
+        fs = assemble_abstract(parse_program(src), frozenset(scope_atoms.split()))
+        parts.append(f"; module {src} scope {scope_atoms}\n{debug_text(fs)}")
+    for src, scope_atoms in ABSTRACT_SHAPES:
+        for strong in (True, False):
+            fs = toc_abstract(parse_program(src).rules[0],
+                              frozenset(scope_atoms.split()), strong=strong)
+            lines = [f"; rule {src} scope {scope_atoms} strong {strong}"]
+            lines += [f"(aux {ref_name(a)})" for a in fs.aux_atoms]
+            lines += [f"(formula {n} {to_sexpr(f)})" for n, f in fs.formulas]
+            parts.append("\n".join(lines) + "\n")
+    return "".join(parts)
+
+
 class TestAbstractAggregates:
+    def test_abstract_forms_golden(self):
+        assert abstract_forms_text() == (GOLDEN / "abstract_forms.txt").read_text()
+
     def test_all_subsets_family_is_trivially_true(self):
         p = parse_program("a :- 0 <= { b }. b :- a.")
         fs = toc_abstract(p.rules[0], frozenset({"a", "b"}),
@@ -347,13 +380,7 @@ class TestAbstractAggregates:
             toc_abstract(p.rules[0], frozenset({"a", "b", "c"}),
                          family={frozenset(), frozenset({0, 1})})
 
-    @pytest.mark.parametrize("src,scope_atoms", [
-        ("a :- 7 <= { b1=7, b2=5, b3=3, b4=2 }.", "a b1 b2 b3 b4"),
-        ("a :- 2 <= { b1, b2, b3 }.", "a b1 b2 b3"),
-        ("a :- 2 <= { b1=2, b2=1, b3=1 } <= 3.", "a b1 b2 b3"),
-        ("a :- 1 <= { b1=5, b2=1 } <= 4.", "a b1 b2"),
-        ("a :- 2 <= { b1, not b2, b3=2 }.", "a b1 b2 b3"),
-    ])
+    @pytest.mark.parametrize("src,scope_atoms", WEIGHT_PATH_RULES)
     def test_matches_weight_path(self, src, scope_atoms):
         program = parse_program(src)
         scope = frozenset(scope_atoms.split())
