@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 parse error, 2 unsupported feature or size cap,
-3 correctness mismatch, 4 solver invocation failure, 5 solver model parse
-failure.  Reports are line-delimited JSON on stdout.
+Exit codes: 0 success, 1 parse error, 2 unsupported feature, size cap or
+colliding symbols, 3 correctness mismatch, 4 solver invocation failure or
+timeout, 5 solver model parse failure.  Reports are line-delimited JSON on
+stdout.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import random
 import sys
 
 from .dlcheck import DLModel
-from .formulas import Base, Not, Var, conj
+from .formulas import Base, Not, ValidationError, Var, conj
 from .fuzz import check_program, fuzz_corpus, generate_weight_rule
 from .normtest import check_proposition
 from .oracle import ResourceError
 from .parser import ParseError, UnsupportedFeatureError, parse_program
 from .program import Program
 from .smtlib import (
+    EmissionError,
     SolverInvocationError,
     SolverResponseError,
     debug_text,
@@ -143,7 +145,7 @@ def cmd_solve(args) -> int:
             tmp.write(text)
             path = tmp.name
         try:
-            response = run_solver(solver, path)
+            response = run_solver(solver, path, args.timeout)
         except SolverInvocationError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_SOLVER
@@ -210,6 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate models with blocking constraints")
     p.add_argument("--limit", type=int, default=64,
                    help="model cap for --all")
+    p.add_argument("--timeout", type=float, metavar="SECONDS",
+                   help="kill a solver call running longer (default: no limit)")
     p.add_argument("--global-scope", action="store_true")
     p.set_defaults(func=cmd_solve)
     return parser
@@ -219,7 +223,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedFeatureError as exc:
+    except (UnsupportedFeatureError, ValidationError, EmissionError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ParseError as exc:

@@ -14,6 +14,7 @@ variable ``z``, which every complete translation pins to zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -263,21 +264,25 @@ def _collect(formula: Formula, atoms: set, ints: set):
 class FormulaSet:
     """Named formulas plus the vocabulary they may mention.
 
-    ``base_atoms`` and ``aux_atoms`` are ordered sets: dicts whose keys are
-    the declared atoms in first-seen order (values are unused), so a
-    declaration costs O(1) however large the set grows.
+    ``base_atoms`` and ``aux_atoms`` are the set's symbol table: ordered
+    dicts from each declared atom to its emitted symbol (``ref_name``),
+    keys in first-seen order, so a declaration costs O(1) however large
+    the set grows and names its atom once.
     """
 
     formulas: list = field(default_factory=list)  # (name, Formula) pairs
-    base_atoms: dict = field(default_factory=dict)  # name -> None
-    aux_atoms: dict = field(default_factory=dict)  # Aux -> None
+    base_atoms: dict = field(default_factory=dict)  # name -> symbol (the name)
+    aux_atoms: dict = field(default_factory=dict)  # Aux -> symbol
     level_bounds: dict = field(default_factory=dict)  # owner -> (lo, hi)
 
     def declare_base(self, *names: str):
-        self.base_atoms.update(dict.fromkeys(names))
+        self.base_atoms.update(zip(names, names))
 
     def declare_aux(self, *refs: Aux):
-        self.aux_atoms.update(dict.fromkeys(refs))
+        aux = self.aux_atoms
+        for ref in refs:
+            if ref not in aux:
+                aux[ref] = ref_name(ref)
 
     def declare_level(self, owner: str, lo: int, hi: int):
         self.level_bounds[owner] = (lo, hi)
@@ -290,14 +295,26 @@ class FormulaSet:
 
     def merge(self, other: "FormulaSet"):
         self.extend(other.formulas)
-        self.declare_base(*other.base_atoms)
-        self.declare_aux(*other.aux_atoms)
+        self.base_atoms.update(other.base_atoms)
+        self.aux_atoms.update(other.aux_atoms)
         self.level_bounds.update(other.level_bounds)
 
     def atom_refs(self) -> list:
         return [Base(n) for n in self.base_atoms] + list(self.aux_atoms)
 
+    def symbols(self) -> dict:
+        """Every declared symbol, keyed as the emitter looks it up: a base
+        atom by its name, an auxiliary atom by its ``Aux``, a ranking
+        variable by its ``LevelVar`` and ``z`` by ``Z``."""
+        table = {**self.base_atoms, **self.aux_atoms, Z: var_name(Z)}
+        for owner in self.level_bounds:
+            var = LevelVar(owner)
+            table[var] = var_name(var)
+        return table
+
     def validate(self):
+        """Reference check, one naive walk: every mentioned atom and
+        variable is declared, and no two declarations share a symbol."""
         declared_atoms = set(self.atom_refs())
         declared_ints = {LevelVar(o) for o in self.level_bounds} | {Z}
         atoms: set = set()
@@ -310,6 +327,11 @@ class FormulaSet:
         bad_ints = ints - declared_ints
         if bad_ints:
             raise ValidationError(f"undeclared variables: {sorted(map(var_name, bad_ints))}")
+        table = self.symbols()
+        uses = Counter(table.values())
+        if len(uses) < len(table):
+            clashes = sorted(s for s, n in uses.items() if n > 1)
+            raise ValidationError(f"colliding symbols: {clashes}")
 
     def without(self, prefix: str) -> "FormulaSet":
         """Copy dropping all formulas whose name starts with ``prefix``."""

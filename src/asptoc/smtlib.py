@@ -7,17 +7,26 @@ sums of conditional terms, so any linear-integer-arithmetic solver can
 consume the output; difference atoms keep their subtraction shape for
 solvers that specialize them.  Output is byte-deterministic for a given
 formula set and option choice.
+
+Validation happens during emission, in the one walk that writes each
+formula: every atom and variable resolves through the formula set's
+symbol table (:meth:`asptoc.formulas.FormulaSet.symbols`).  A lookup miss
+or two declarations sharing a symbol means the set is invalid; only then
+does :meth:`~asptoc.formulas.FormulaSet.validate` run, to name the fault.
 """
 
 from __future__ import annotations
 
 import re
+import shlex
 import subprocess
 import warnings
 
 from .dlcheck import DLModel
 from .formulas import (
     And,
+    Aux,
+    Base,
     Diff,
     FalseF,
     FormulaSet,
@@ -28,6 +37,7 @@ from .formulas import (
     Or,
     PB,
     TrueF,
+    ValidationError,
     Var,
     Z,
     ZPin,
@@ -46,14 +56,24 @@ class SolverResponseError(Exception):
         self.line = line
 
 
+class _AnyName(dict):
+    """Symbol table that names every reference, declared or not."""
+
+    def __missing__(self, key):
+        if type(key) is str:
+            return key
+        return ref_name(key) if type(key) is Aux else var_name(key)
+
+
 def _int(k: int) -> str:
     return str(k) if k >= 0 else f"(- {-k})"
 
 
-def _sum_text(terms) -> str:
+def _sum_text(terms, table) -> str:
     parts = []
     for t in terms:
-        lit = ref_name(t.atom)
+        atom = t.atom
+        lit = table[atom.name if type(atom) is Base else atom]
         if t.negated:
             lit = f"(not {lit})"
         parts.append(f"(ite {lit} {t.coef} 0)")
@@ -73,65 +93,92 @@ def _pb_bounds(pb: PB, sum_text: str) -> list[str]:
     return out
 
 
-def to_sexpr(formula) -> str:
-    if isinstance(formula, Var):
-        return ref_name(formula.atom)
-    if isinstance(formula, Not):
-        return f"(not {to_sexpr(formula.sub)})"
-    if isinstance(formula, And):
-        return "(and " + " ".join(to_sexpr(s) for s in formula.subs) + ")"
-    if isinstance(formula, Or):
-        return "(or " + " ".join(to_sexpr(s) for s in formula.subs) + ")"
-    if isinstance(formula, Implies):
-        return f"(=> {to_sexpr(formula.left)} {to_sexpr(formula.right)})"
-    if isinstance(formula, Iff):
-        return f"(= {to_sexpr(formula.left)} {to_sexpr(formula.right)})"
-    if isinstance(formula, TrueF):
-        return "true"
-    if isinstance(formula, FalseF):
-        return "false"
-    if isinstance(formula, Diff):
-        return f"(<= (- {var_name(formula.lhs)} {var_name(formula.rhs)}) {_int(formula.k)})"
-    if isinstance(formula, PB):
-        checks = _pb_bounds(formula, _sum_text(formula.terms))
+def to_sexpr(formula, table=None) -> str:
+    """One formula as an SMT-LIB term.  Symbols resolve through ``table``
+    (see ``FormulaSet.symbols``), raising ``KeyError`` on a miss; without
+    a table every reference is named by ``ref_name``/``var_name``."""
+    if table is None:
+        table = _AnyName()
+    t = type(formula)
+    if t is Var:
+        atom = formula.atom
+        return table[atom.name if type(atom) is Base else atom]
+    if t is Iff:
+        return f"(= {to_sexpr(formula.left, table)} {to_sexpr(formula.right, table)})"
+    if t is And:
+        return "(and " + " ".join(to_sexpr(s, table) for s in formula.subs) + ")"
+    if t is Or:
+        return "(or " + " ".join(to_sexpr(s, table) for s in formula.subs) + ")"
+    if t is Not:
+        return f"(not {to_sexpr(formula.sub, table)})"
+    if t is Implies:
+        return f"(=> {to_sexpr(formula.left, table)} {to_sexpr(formula.right, table)})"
+    if t is Diff:
+        return (f"(<= (- {table[formula.lhs]} {table[formula.rhs]}) "
+                f"{_int(formula.k)})")
+    if t is PB:
+        checks = _pb_bounds(formula, _sum_text(formula.terms, table))
         return checks[0] if len(checks) == 1 else "(and " + " ".join(checks) + ")"
-    if isinstance(formula, ZPin):
-        return f"(= {var_name(Z)} 0)"
+    if t is TrueF:
+        return "true"
+    if t is FalseF:
+        return "false"
+    if t is ZPin:
+        return f"(= {table[Z]} 0)"
     raise EmissionError(f"cannot serialize {formula!r}")
 
 
-def _needs_z(fs: FormulaSet) -> bool:
-    if fs.level_bounds:
-        return True
-    return any(isinstance(f, ZPin) for _, f in fs.formulas)
+def _resolved(fs: FormulaSet, write):
+    """``write(table)`` over the symbol table of ``fs``.  A lookup miss or
+    a shared symbol means the set is invalid; ``validate`` then raises
+    ``ValidationError`` naming the fault."""
+    table = fs.symbols()
+    try:
+        if len(set(table.values())) < len(table):
+            raise KeyError("colliding symbols")
+        return write(table)
+    except KeyError:
+        fs.validate()
+        raise
+
+
+def _assertions(formulas, table):
+    """Comment and assert lines of every formula, and whether one of them
+    is the zero pin."""
+    lines = []
+    pinned = False
+    for name, formula in formulas:
+        lines.append(f"; {name}")
+        if type(formula) is PB and formula.lower is not None \
+                and formula.upper is not None:
+            # a top-level two-bound sum splits into two assertions
+            for check in _pb_bounds(formula, _sum_text(formula.terms, table)):
+                lines.append(f"(assert {check})")
+        else:
+            pinned = pinned or type(formula) is ZPin
+            lines.append(f"(assert {to_sexpr(formula, table)})")
+    return lines, pinned
 
 
 def emit_smtlib(fs: FormulaSet, *, model: bool = False) -> str:
     """Serialize the formula set; ``model`` appends ``(get-model)``."""
     try:
-        fs.validate()
-    except Exception as exc:
+        body, pinned = _resolved(fs, lambda table: _assertions(fs.formulas, table))
+    except ValidationError as exc:
         raise EmissionError(str(exc)) from exc
+    needs_z = bool(fs.level_bounds) or pinned
     lines = ["(set-logic QF_LIA)"]
     for name in sorted(fs.base_atoms):
         lines.append(f"(declare-const {name} Bool)")
-    for name in sorted(ref_name(a) for a in fs.aux_atoms):
+    for name in sorted(fs.aux_atoms.values()):
         lines.append(f"(declare-const {name} Bool)")
-    if _needs_z(fs):
+    if needs_z:
         lines.append(f"(declare-const {var_name(Z)} Int)")
     for owner in sorted(fs.level_bounds):
         lines.append(f"(declare-const {var_name(LevelVar(owner))} Int)")
-    if _needs_z(fs) and not any(isinstance(f, ZPin) for _, f in fs.formulas):
+    if needs_z and not pinned:
         lines.append(f"(assert (= {var_name(Z)} 0))")
-    for name, formula in fs.formulas:
-        lines.append(f"; {name}")
-        if isinstance(formula, PB) and formula.lower is not None \
-                and formula.upper is not None:
-            # a top-level two-bound sum splits into two assertions
-            for check in _pb_bounds(formula, _sum_text(formula.terms)):
-                lines.append(f"(assert {check})")
-        else:
-            lines.append(f"(assert {to_sexpr(formula)})")
+    lines += body
     lines.append("(check-sat)")
     if model:
         lines.append("(get-model)")
@@ -140,17 +187,17 @@ def emit_smtlib(fs: FormulaSet, *, model: bool = False) -> str:
 
 def debug_text(fs: FormulaSet) -> str:
     """Golden-file format: declarations, then one named formula per line."""
-    fs.validate()
+    body = _resolved(fs, lambda table: [f"(formula {name} {to_sexpr(formula, table)})"
+                                        for name, formula in fs.formulas])
     lines = []
     for name in sorted(fs.base_atoms):
         lines.append(f"(base {name})")
-    for name in sorted(ref_name(a) for a in fs.aux_atoms):
+    for name in sorted(fs.aux_atoms.values()):
         lines.append(f"(aux {name})")
     for owner in sorted(fs.level_bounds):
         lo, hi = fs.level_bounds[owner]
         lines.append(f"(level {var_name(LevelVar(owner))} {lo} {hi})")
-    for name, formula in fs.formulas:
-        lines.append(f"(formula {name} {to_sexpr(formula)})")
+    lines += body
     return "\n".join(lines) + "\n"
 
 
@@ -179,10 +226,8 @@ def read_solver_model(text: str, fs: FormulaSet | None = None):
 
     known_bools = known_ints = None
     if fs is not None:
-        known_bools = set(fs.base_atoms) | {ref_name(a) for a in fs.aux_atoms}
-        known_ints = {var_name(LevelVar(o)) for o in fs.level_bounds}
-        if _needs_z(fs):
-            known_ints.add(var_name(Z))
+        known_bools = {*fs.base_atoms.values(), *fs.aux_atoms.values()}
+        known_ints = {var_name(LevelVar(o)) for o in fs.level_bounds} | {var_name(Z)}
 
     props: dict = {}
     ints: dict = {}
@@ -213,14 +258,16 @@ class SolverInvocationError(Exception):
     pass
 
 
-def run_solver(command: str, path: str) -> str:
+def run_solver(command: str, path: str, timeout: float | None = None) -> str:
     """Run an external solver command on a file; stdout is authoritative and
-    the exit status is ignored."""
-    import shlex
-
+    the exit status is ignored.  A solver still running after ``timeout``
+    seconds is killed."""
     argv = shlex.split(command) + [path]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
     except OSError as exc:
         raise SolverInvocationError(f"cannot run {command!r}: {exc}") from exc
+    except subprocess.TimeoutExpired as exc:
+        raise SolverInvocationError(
+            f"solver {command!r} timed out after {timeout} s") from exc
     return proc.stdout

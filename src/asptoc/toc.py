@@ -239,5 +239,4 @@ def toc_program(program: Program, *, scope_mode: str = "scc",
     for idx, rule in enumerate(program.constraints(), 1):
         fs.add(f"constraint:{idx}", Not(plain_body_formula(rule)))
     fs.add("pin:z", ZPin())
-    fs.validate()
     return fs

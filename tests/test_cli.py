@@ -64,6 +64,30 @@ class TestTranslate:
         path = write(tmp_path, "a | b :- c.")
         assert main(["translate", path]) == 2
 
+    @pytest.mark.parametrize("fmt", ["smtlib", "debug"])
+    def test_no_validation_walk_on_success(self, tmp_path, capsys, monkeypatch, fmt):
+        from asptoc.formulas import FormulaSet
+
+        def walked(self):
+            raise AssertionError("validate() ran on a valid set")
+
+        monkeypatch.setattr(FormulaSet, "validate", walked)
+        out = tmp_path / "out.smt2"
+        assert main(["translate", str(GOLDEN / "ranked_mix.lp"), "--global-scope",
+                     "--vub-form", "--format", fmt, "--out", str(out)]) == 0
+        if fmt == "smtlib":
+            assert out.read_bytes() == (GOLDEN / "ranked_mix.smt2").read_bytes()
+
+    @pytest.mark.parametrize("command", ["translate", "check"])
+    def test_colliding_symbols_exit_code(self, tmp_path, capsys, command):
+        # __dep_a__b__c would name both dep(a__b, c) and dep(a, b__c)
+        path = write(tmp_path, "a__b :- c. c :- a__b. a :- b__c. b__c :- a. {c}. {a}.")
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("unsupported: colliding symbols")
+        assert "__dep_a__b__c" in captured.err
+        assert "pass" not in captured.out
+
 
 class TestCheck:
     def test_example1_passes(self, tmp_path, capsys):
@@ -222,6 +246,15 @@ class TestSolve:
         monkeypatch.delenv("TOC_SOLVER", raising=False)
         path = write(tmp_path, "a.")
         assert main(["solve", path]) == 4
+
+    def test_solver_timeout_exit_code(self, tmp_path, capsys):
+        import time
+        path = write(tmp_path, "a.")
+        sleeper = f"{sys.executable} -c 'import time; time.sleep(10)'"
+        start = time.monotonic()
+        assert main(["solve", path, "--solver", sleeper, "--timeout", "0.5"]) == 4
+        assert time.monotonic() - start < 2.5
+        assert "timed out" in capsys.readouterr().err
 
     def test_broken_solver_command(self, tmp_path, monkeypatch):
         path = write(tmp_path, "a.")

@@ -146,6 +146,13 @@ class TestValidation:
         fs.extend(mk_bounds("a", 1))
         fs.validate()
 
+    def test_colliding_symbols_rejected(self):
+        # atom names may contain "__", so two dep atoms can share a symbol
+        fs = FormulaSet()
+        fs.declare_aux(Aux("dep", "a__b", "c"), Aux("dep", "a", "b__c"))
+        with pytest.raises(ValidationError, match=r"colliding symbols: \['__dep_a__b__c'\]"):
+            fs.validate()
+
     def test_without_drops_by_prefix(self):
         fs = FormulaSet()
         fs.declare_base("a")
@@ -190,3 +197,23 @@ class TestDeclarationOrder:
         assert list(kept.aux_atoms) == [Aux("gap", "b", "a"), Aux("app", "b", 1)]
         kept.declare_base("z")
         assert "z" not in fs.base_atoms
+
+    def test_symbol_table_follows_declarations(self):
+        left, right = FormulaSet(), FormulaSet()
+        left.declare_base("b", "a")
+        left.declare_aux(Aux("gap", "b", "a"), Aux("app", "b", 1, "x"))
+        right.declare_base("c", "b")
+        right.declare_aux(Aux("app", "a", 2), Aux("gap", "b", "a"))
+        left.merge(right)
+        kept = left.without("strong:")
+        for fs in (left, kept):
+            assert list(fs.base_atoms.items()) == [("b", "b"), ("a", "a"), ("c", "c")]
+            assert list(fs.aux_atoms) == [Aux("gap", "b", "a"), Aux("app", "b", 1, "x"),
+                                          Aux("app", "a", 2)]
+            assert all(sym == ref_name(ref) for ref, sym in fs.aux_atoms.items())
+        kept.declare_level("b", 1, 3)
+        assert kept.symbols() == {"b": "b", "a": "a", "c": "c",
+                                  Aux("gap", "b", "a"): "__gap_b__a",
+                                  Aux("app", "b", 1, "x"): "__x_app_b_1",
+                                  Aux("app", "a", 2): "__app_a_2",
+                                  Z: "__z", LevelVar("b"): "__x_b"}

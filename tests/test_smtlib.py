@@ -7,11 +7,24 @@ import warnings
 import pytest
 
 from asptoc.dlcheck import recheck
-from asptoc.formulas import Base, FormulaSet, PB, PBTerm
+from asptoc.formulas import (
+    Aux,
+    Base,
+    Diff,
+    FormulaSet,
+    LevelVar,
+    PB,
+    PBTerm,
+    ValidationError,
+    Var,
+    Z,
+)
 from asptoc.parser import parse_program
 from asptoc.smtlib import (
     EmissionError,
+    SolverInvocationError,
     SolverResponseError,
+    debug_text,
     emit_smtlib,
     read_solver_model,
     run_solver,
@@ -60,11 +73,39 @@ class TestEmission:
         assert emit_smtlib(toc_program(p)) == emit_smtlib(toc_program(p))
 
     def test_undeclared_reference_fails(self):
-        from asptoc.formulas import Var
         fs = FormulaSet()
         fs.add("f", Var(Base("a")))
         with pytest.raises(EmissionError):
             emit_smtlib(fs)
+
+    @pytest.mark.parametrize("formula", [
+        Var(Base("q")),
+        Var(Aux("app", "a", 1)),
+        PB((PBTerm(1, Base("a")), PBTerm(2, Aux("dep", "a", "q"))), lower=1),
+        Diff(LevelVar("q"), Z, 1),
+    ], ids=["base", "aux", "pb-term", "level"])
+    def test_invalid_set_reports_as_validate(self, formula):
+        # a symbol-table miss falls back to validate() for the message
+        fs = FormulaSet()
+        fs.declare_base("a")
+        fs.declare_level("a", 1, 2)
+        fs.add("ok", Diff(LevelVar("a"), Z, 2))
+        fs.add("bad", formula)
+        with pytest.raises(ValidationError) as expected:
+            fs.validate()
+        with pytest.raises(EmissionError) as emitted:
+            emit_smtlib(fs)
+        with pytest.raises(ValidationError) as debug:
+            debug_text(fs)
+        assert str(emitted.value) == str(debug.value) == str(expected.value)
+
+    def test_colliding_symbols_rejected(self):
+        p = parse_program("a__b :- c. c :- a__b. a :- b__c. b__c :- a. {c}. {a}.")
+        fs = toc_program(p)
+        with pytest.raises(EmissionError, match="colliding symbols.*__dep_a__b__c"):
+            emit_smtlib(fs)
+        with pytest.raises(ValidationError, match="__dep_a__b__c"):
+            debug_text(fs)
 
 
 class TestReadSolverModel:
@@ -97,6 +138,20 @@ class TestReadSolverModel:
             read_solver_model(text)
         assert "define-fun" in err.value.line
 
+    def test_known_symbols_come_from_the_table(self, monkeypatch):
+        import asptoc.formulas
+        import asptoc.smtlib
+        fs = toc_program(parse_program("a :- a."))
+
+        def unnamed(ref):
+            raise AssertionError("symbol named again")
+
+        monkeypatch.setattr(asptoc.smtlib, "ref_name", unnamed)
+        monkeypatch.setattr(asptoc.formulas, "ref_name", unnamed)
+        text = "sat\n((define-fun a () Bool false))\n"
+        assert read_solver_model(text, fs).prop_map == {
+            "a": False, "__app_a_1": False, "__dep_a__a": False, "__gap_a__a": False}
+
     def test_unknown_symbols_warn_and_drop(self):
         fs = toc_program(parse_program("a :- a."))
         text = "sat\n((define-fun zz () Bool true)(define-fun a () Bool false))\n"
@@ -125,6 +180,10 @@ class TestSolverPipeline:
         assert read_solver_model(run_solver(" ".join(STUB), str(path)), fs) is None
 
     def test_missing_command_raises(self):
-        from asptoc.smtlib import SolverInvocationError
         with pytest.raises(SolverInvocationError):
             run_solver("/definitely/not/a/solver", "x.smt2")
+
+    def test_timeout_raises(self):
+        sleeper = f"{sys.executable} -c 'import time; time.sleep(10)'"
+        with pytest.raises(SolverInvocationError, match="timed out after 0.5 s"):
+            run_solver(sleeper, "x.smt2", timeout=0.5)
