@@ -1,9 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 parse error, 2 unsupported feature, size cap or
-colliding symbols, 3 correctness mismatch, 4 solver invocation failure or
-timeout, 5 solver model parse failure.  Reports are line-delimited JSON on
-stdout.
+Exit codes: 0 success, 1 parse error, 2 unsupported feature or size cap,
+3 correctness mismatch, 4 solver invocation failure or timeout, 5 solver
+model parse failure.  Reports are line-delimited JSON on stdout.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import random
 import sys
 
 from .dlcheck import DLModel
-from .formulas import Base, Not, ValidationError, Var, conj
+from .formulas import Base, Not, ValidationError, Var, Z, conj, decode, var_name
 from .fuzz import check_program, fuzz_corpus, generate_weight_rule
 from .normtest import check_proposition
 from .oracle import ResourceError
@@ -161,8 +160,8 @@ def cmd_solve(args) -> int:
                 print("UNSATISFIABLE")
             return EXIT_OK
         atoms = sorted(model.true_atoms() & visible)
-        ranks = {name[len("__x_"):]: value for name, value in model.ints
-                 if name.startswith("__x_")}
+        ranks = {decode(name).owner: value for name, value in model.ints
+                 if name != var_name(Z)}
         print(json.dumps({"model": atoms, "ranks": ranks}))
         found += 1
         if not args.all or found >= args.limit:

@@ -14,7 +14,6 @@ variable ``z``, which every complete translation pins to zero.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -68,21 +67,61 @@ Z = ZVar()
 IntRef = Union[LevelVar, ZVar]
 
 
+# ---------------------------------------------------------------------------
+# symbol codec (SMT-LIB 2.6, section 3.1).  No atom name starts with ``_`` or
+# contains ``:``, so ``__x_<atom>``, ``__z`` and the quoted ``:``-separated
+# fields of every other generated symbol make the mapping injective.
+
+# reserved words (commands included) and Core/Ints symbols an atom name can
+# spell; such an atom is declared as ``|atom:<name>|``
+SMT_RESERVED = frozenset((
+    "as exists forall let match par assert echo exit pop push reset "
+    "true false not and or xor ite distinct div mod abs").split())
+
+
+def _spell(name: str) -> str:
+    return f"|atom:{name}|" if name in SMT_RESERVED else name
+
+
 def ref_name(ref: AtomRef) -> str:
-    """Symbol naming contract shared by the emitter, the checker and the
-    model reader."""
-    if isinstance(ref, Base):
+    """Key of an atom in evaluation environments and ``DLModel``s: a base
+    atom's own name, an auxiliary atom's symbol ``|kind:head:arg[:ns]|``."""
+    if type(ref) is Base:
         return ref.name
-    tag = f"{ref.ns}_{ref.kind}" if ref.ns else ref.kind
-    if ref.kind in ("dep", "gap"):
-        return f"__{tag}_{ref.head}__{ref.arg}"
-    return f"__{tag}_{ref.head}_{ref.arg}"
+    if ref.ns:
+        return f"|{ref.kind}:{ref.head}:{ref.arg}:{ref.ns}|"
+    return f"|{ref.kind}:{ref.head}:{ref.arg}|"
 
 
 def var_name(var: IntRef) -> str:
-    if isinstance(var, ZVar):
+    if var is Z:
         return "__z"
     return f"__x_{var.owner}"
+
+
+def encode(ref) -> str:
+    """The SMT-LIB symbol of a ``Base``, ``Aux``, ``LevelVar`` or ``Z``."""
+    if type(ref) is Base:
+        return _spell(ref.name)
+    if type(ref) is Aux:
+        return ref_name(ref)
+    return var_name(ref)
+
+
+def decode(symbol: str):
+    """The reference a symbol (or a key) names; the inverse of ``encode``.
+    Raises ``ValueError`` on a quoted symbol ``encode`` does not produce."""
+    if symbol.startswith("|"):
+        kind, head, *rest = symbol[1:-1].split(":", 3)
+        if kind == "atom" and not rest:
+            return Base(head)
+        arg, *ns = rest
+        return Aux(kind, head, arg if kind in ("dep", "gap") else int(arg), *ns)
+    if symbol == "__z":
+        return Z
+    if symbol.startswith("__x_"):
+        return LevelVar(symbol[4:])
+    return Base(symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +304,19 @@ class FormulaSet:
     """Named formulas plus the vocabulary they may mention.
 
     ``base_atoms`` and ``aux_atoms`` are the set's symbol table: ordered
-    dicts from each declared atom to its emitted symbol (``ref_name``),
+    dicts from each declared atom to its SMT-LIB symbol (``encode``),
     keys in first-seen order, so a declaration costs O(1) however large
-    the set grows and names its atom once.
+    the set grows and names its atom once.  A base atom is keyed by its
+    name, which is also its symbol unless it is in ``SMT_RESERVED``.
     """
 
     formulas: list = field(default_factory=list)  # (name, Formula) pairs
-    base_atoms: dict = field(default_factory=dict)  # name -> symbol (the name)
+    base_atoms: dict = field(default_factory=dict)  # name -> symbol
     aux_atoms: dict = field(default_factory=dict)  # Aux -> symbol
     level_bounds: dict = field(default_factory=dict)  # owner -> (lo, hi)
 
     def declare_base(self, *names: str):
-        self.base_atoms.update(zip(names, names))
+        self.base_atoms.update(zip(names, map(_spell, names)))
 
     def declare_aux(self, *refs: Aux):
         aux = self.aux_atoms
@@ -314,7 +354,7 @@ class FormulaSet:
 
     def validate(self):
         """Reference check, one naive walk: every mentioned atom and
-        variable is declared, and no two declarations share a symbol."""
+        variable is declared."""
         declared_atoms = set(self.atom_refs())
         declared_ints = {LevelVar(o) for o in self.level_bounds} | {Z}
         atoms: set = set()
@@ -327,11 +367,6 @@ class FormulaSet:
         bad_ints = ints - declared_ints
         if bad_ints:
             raise ValidationError(f"undeclared variables: {sorted(map(var_name, bad_ints))}")
-        table = self.symbols()
-        uses = Counter(table.values())
-        if len(uses) < len(table):
-            clashes = sorted(s for s, n in uses.items() if n > 1)
-            raise ValidationError(f"colliding symbols: {clashes}")
 
     def without(self, prefix: str) -> "FormulaSet":
         """Copy dropping all formulas whose name starts with ``prefix``."""

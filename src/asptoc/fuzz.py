@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .depgraph import scopes
 from .dlcheck import enumerate_dl_models
+from .formulas import LevelVar, var_name
 from .oracle import module_ranking, stable_models
 from .parser import parse_program
 from .program import INFINITY, Program, Rule
@@ -160,7 +161,7 @@ def check_program(program: Program, *, scope_mode: str = "scc",
                 expected = local[atom] if atom in projection else INFINITY
                 if expected == INFINITY:
                     expected = len(scope) + 1
-                actual = ints.get(f"__x_{atom}")
+                actual = ints.get(var_name(LevelVar(atom)))
                 if actual != expected:
                     report.record("ranks", False, atom=atom,
                                   model=sorted(projection),

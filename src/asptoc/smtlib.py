@@ -1,9 +1,9 @@
 """SMT-LIB2 serialization (QF_LIA) and solver-response parsing.
 
-Propositional atoms become Bool constants under the fixed naming scheme
-of :func:`asptoc.formulas.ref_name`; ranking variables become Int
-constants with ``__z`` asserted to zero.  Pseudo-Boolean sums turn into
-sums of conditional terms, so any linear-integer-arithmetic solver can
+Propositional atoms become Bool constants and ranking variables Int
+constants, named by the symbol codec of :mod:`asptoc.formulas`, with
+``__z`` asserted to zero.  Pseudo-Boolean sums turn into sums of
+conditional terms, so any linear-integer-arithmetic solver can
 consume the output; difference atoms keep their subtraction shape for
 solvers that specialize them.  Output is byte-deterministic for a given
 formula set and option choice.
@@ -11,8 +11,8 @@ formula set and option choice.
 Validation happens during emission, in the one walk that writes each
 formula: every atom and variable resolves through the formula set's
 symbol table (:meth:`asptoc.formulas.FormulaSet.symbols`).  A lookup miss
-or two declarations sharing a symbol means the set is invalid; only then
-does :meth:`~asptoc.formulas.FormulaSet.validate` run, to name the fault.
+means the set is invalid; only then does ``FormulaSet.validate`` run, to
+name the fault.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .formulas import (
     Var,
     Z,
     ZPin,
-    ref_name,
+    decode,
     var_name,
 )
 
@@ -54,15 +54,6 @@ class SolverResponseError(Exception):
     def __init__(self, message: str, line: str = ""):
         super().__init__(f"{message}: {line!r}" if line else message)
         self.line = line
-
-
-class _AnyName(dict):
-    """Symbol table that names every reference, declared or not."""
-
-    def __missing__(self, key):
-        if type(key) is str:
-            return key
-        return ref_name(key) if type(key) is Aux else var_name(key)
 
 
 def _int(k: int) -> str:
@@ -93,12 +84,9 @@ def _pb_bounds(pb: PB, sum_text: str) -> list[str]:
     return out
 
 
-def to_sexpr(formula, table=None) -> str:
+def to_sexpr(formula, table) -> str:
     """One formula as an SMT-LIB term.  Symbols resolve through ``table``
-    (see ``FormulaSet.symbols``), raising ``KeyError`` on a miss; without
-    a table every reference is named by ``ref_name``/``var_name``."""
-    if table is None:
-        table = _AnyName()
+    (see ``FormulaSet.symbols``), raising ``KeyError`` on a miss."""
     t = type(formula)
     if t is Var:
         atom = formula.atom
@@ -129,13 +117,11 @@ def to_sexpr(formula, table=None) -> str:
 
 
 def _resolved(fs: FormulaSet, write):
-    """``write(table)`` over the symbol table of ``fs``.  A lookup miss or
-    a shared symbol means the set is invalid; ``validate`` then raises
-    ``ValidationError`` naming the fault."""
+    """``write(table)`` over the symbol table of ``fs``.  A lookup miss
+    means the set is invalid; ``validate`` then raises ``ValidationError``
+    naming the fault."""
     table = fs.symbols()
     try:
-        if len(set(table.values())) < len(table):
-            raise KeyError("colliding symbols")
         return write(table)
     except KeyError:
         fs.validate()
@@ -168,7 +154,7 @@ def emit_smtlib(fs: FormulaSet, *, model: bool = False) -> str:
         raise EmissionError(str(exc)) from exc
     needs_z = bool(fs.level_bounds) or pinned
     lines = ["(set-logic QF_LIA)"]
-    for name in sorted(fs.base_atoms):
+    for _, name in sorted(fs.base_atoms.items()):
         lines.append(f"(declare-const {name} Bool)")
     for name in sorted(fs.aux_atoms.values()):
         lines.append(f"(declare-const {name} Bool)")
@@ -190,7 +176,7 @@ def debug_text(fs: FormulaSet) -> str:
     body = _resolved(fs, lambda table: [f"(formula {name} {to_sexpr(formula, table)})"
                                         for name, formula in fs.formulas])
     lines = []
-    for name in sorted(fs.base_atoms):
+    for _, name in sorted(fs.base_atoms.items()):
         lines.append(f"(base {name})")
     for name in sorted(fs.aux_atoms.values()):
         lines.append(f"(aux {name})")
@@ -202,17 +188,31 @@ def debug_text(fs: FormulaSet) -> str:
 
 
 _DEFINE_RE = re.compile(
-    r"\(\s*define-fun\s+([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*\)\s*"
+    r"\(\s*define-fun\s+([A-Za-z_][A-Za-z0-9_]*|\|[^|\\]*\|)\s*\(\s*\)\s*"
     r"(Bool|Int)\s+(true|false|\d+|\(\s*-\s*\d+\s*\))\s*\)")
+
+
+def _model_key(symbol: str, sort: str, table):
+    """The key of a model symbol; ``None`` if it names nothing of ``sort``."""
+    try:
+        ref = decode(symbol)
+    except ValueError:
+        return None
+    key = ref.name if type(ref) is Base else ref
+    if (type(ref) in (Base, Aux)) != (sort == "Bool"):
+        return None
+    if table is not None and table.get(key) != symbol:
+        return None
+    return key if type(ref) is Base else symbol
 
 
 def read_solver_model(text: str, fs: FormulaSet | None = None):
     """Parse a solver response; ``None`` for unsat.
 
     Accepts ``(define-fun name () Bool true|false)`` and the Int analogue
-    with plain or ``(- n)`` literals.  With a formula set given, symbols
-    outside its declarations are dropped with a warning and omitted
-    declared Booleans default to false.
+    with plain or ``(- n)`` literals, decoding each symbol to its key.  Symbols
+    naming nothing of their sort (or not declared in ``fs``) are dropped with
+    a warning, and omitted declared Booleans default to false.
     """
     stripped = text.strip()
     if not stripped:
@@ -224,11 +224,7 @@ def read_solver_model(text: str, fs: FormulaSet | None = None):
         raise SolverResponseError("response is neither sat nor unsat",
                                   stripped.splitlines()[0])
 
-    known_bools = known_ints = None
-    if fs is not None:
-        known_bools = {*fs.base_atoms.values(), *fs.aux_atoms.values()}
-        known_ints = {var_name(LevelVar(o)) for o in fs.level_bounds} | {var_name(Z)}
-
+    table = None if fs is None else fs.symbols()
     props: dict = {}
     ints: dict = {}
     for pos in [m.start() for m in re.finditer(r"\(\s*define-fun", stripped)]:
@@ -236,21 +232,18 @@ def read_solver_model(text: str, fs: FormulaSet | None = None):
         if not m:
             line = stripped[pos:].splitlines()[0]
             raise SolverResponseError("malformed model entry", line)
-        name, sort, value = m.groups()
-        if sort == "Bool":
-            if known_bools is not None and name not in known_bools:
-                warnings.warn(f"ignoring unknown model symbol {name}")
-                continue
-            props[name] = value == "true"
+        symbol, sort, value = m.groups()
+        key = _model_key(symbol, sort, table)
+        if key is None:
+            warnings.warn(f"ignoring unknown model symbol {symbol}")
+        elif sort == "Bool":
+            props[key] = value == "true"
         else:
-            if known_ints is not None and name not in known_ints:
-                warnings.warn(f"ignoring unknown model symbol {name}")
-                continue
             inner = value.strip("() \t\n")
-            ints[name] = -int(inner[1:].strip()) if inner.startswith("-") else int(inner)
+            ints[key] = -int(inner[1:].strip()) if inner.startswith("-") else int(inner)
     if fs is not None:
-        for name in sorted(known_bools):
-            props.setdefault(name, False)
+        for key in (*fs.base_atoms, *fs.aux_atoms.values()):
+            props.setdefault(key, False)
     return DLModel(tuple(sorted(props.items())), tuple(sorted(ints.items())))
 
 

@@ -130,9 +130,9 @@ def _vub(fs: FormulaSet, head: str, i: int, ns: str, terms, upper: int) -> Aux:
     return vub
 
 
-def _ranked_rule(fs: FormulaSet, head: str, i: int, rule: Rule, scope: frozenset,
+def _ranked_rule(fs: FormulaSet, head: str, i: int, rule: Rule, parts,
                  strong: bool, vub_form: bool, ns: str):
-    pin, pout, dneg, neg = _split_body(rule, scope)
+    pin, pout, dneg, neg = parts
     out = _out_terms(pout, dneg, neg)
     plain_in = [PBTerm(w, Base(b)) for b, w in pin]
     lower, upper = rule.lower, rule.upper
@@ -188,18 +188,18 @@ def toc_module(program: Program, scope: frozenset, *, ranked: bool,
     fs = FormulaSet()
     fs.declare_base(*atoms)
 
-    scope_rules = [(a, r) for a in atoms for r in defs[a]]
-    for _, rule in scope_rules:
-        fs.declare_base(*sorted(set(rule.body_atoms())))
+    for atom in atoms:
+        for rule in defs[atom]:
+            fs.declare_base(*sorted(set(rule.body_atoms())))
 
     if ranked:
         size = len(scope)
         for atom in atoms:
             fs.declare_level(atom, 1, size + 1)
             fs.extend(mk_bounds(atom, size))
-        edges = sorted({(a, b)
-                        for a, rule in scope_rules
-                        for b, _ in _split_body(rule, scope)[0]})
+        parts = {a: [_split_body(r, scope) for r in defs[a]] for a in atoms}
+        edges = sorted({(a, b) for a in atoms
+                        for pin, *_ in parts[a] for b, _ in pin})
         for a, b in edges:
             fs.declare_aux(Aux("dep", a, b), Aux("gap", a, b))
             fs.extend(mk_dep_gap(a, b))
@@ -211,7 +211,7 @@ def toc_module(program: Program, scope: frozenset, *, ranked: bool,
         apps = []
         for i, rule in enumerate(rules, 1):
             if ranked:
-                app, vub = _ranked_rule(fs, atom, i, rule, scope,
+                app, vub = _ranked_rule(fs, atom, i, rule, parts[atom][i - 1],
                                         strong, vub_form, aux_ns)
             else:
                 app, vub = _flat_rule(fs, atom, i, rule, vub_form, aux_ns)

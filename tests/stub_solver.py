@@ -32,29 +32,6 @@ def parse_sexprs(tokens):
     return stack[0]
 
 
-AUX_RE = re.compile(r"__(app|int|ext|vub|dep|gap)_(.+)")
-
-
-def atom_ref(name):
-    m = AUX_RE.match(name)
-    if not m:
-        return F.Base(name)
-    kind, rest = m.groups()
-    if kind in ("dep", "gap"):
-        head, arg = rest.split("__", 1)
-        return F.Aux(kind, head, arg)
-    head, arg = rest.rsplit("_", 1)
-    return F.Aux(kind, head, int(arg))
-
-
-def int_ref(name):
-    return F.Z if name == "__z" else F.LevelVar(name[len("__x_"):])
-
-
-def is_int_name(name, ints):
-    return name in ints
-
-
 def arith_const(node):
     if isinstance(node, str) and re.fullmatch(r"-?\d+", node):
         return int(node)
@@ -75,7 +52,7 @@ def parse_sum(node):
             return None
         negated = isinstance(lit, list) and lit[0] == "not"
         name = lit[1] if negated else lit
-        terms.append(F.PBTerm(coef, atom_ref(name), negated))
+        terms.append(F.PBTerm(coef, F.decode(name), negated))
     return terms
 
 
@@ -85,7 +62,7 @@ def parse_formula(node, ints):
     if node == "false":
         return F.FalseF()
     if isinstance(node, str):
-        return F.Var(atom_ref(node))
+        return F.Var(F.decode(node))
     op = node[0]
     if op == "not":
         return F.Not(parse_formula(node[1], ints))
@@ -97,8 +74,8 @@ def parse_formula(node, ints):
         return F.Implies(parse_formula(node[1], ints), parse_formula(node[2], ints))
     if op == "=":
         lhs, rhs = node[1], node[2]
-        if isinstance(lhs, str) and is_int_name(lhs, ints):
-            if lhs == "__z" and arith_const(rhs) == 0:
+        if isinstance(lhs, str) and F.decode(lhs) in ints:
+            if F.decode(lhs) is F.Z and arith_const(rhs) == 0:
                 return F.ZPin()
             raise ValueError(f"unsupported integer equality {node}")
         return F.Iff(parse_formula(lhs, ints), parse_formula(rhs, ints))
@@ -106,7 +83,7 @@ def parse_formula(node, ints):
         lhs, rhs = node[1], node[2]
         if isinstance(lhs, list) and lhs[0] == "-" and len(lhs) == 3:
             k = arith_const(rhs)
-            return F.Diff(int_ref(lhs[1]), int_ref(lhs[2]), k)
+            return F.Diff(F.decode(lhs[1]), F.decode(lhs[2]), k)
         k = arith_const(lhs)
         if k is not None:
             return F.PB(tuple(parse_sum(rhs)), lower=k)
@@ -123,35 +100,28 @@ def build_formula_set(sexprs):
         if not isinstance(node, list) or not node:
             continue
         if node[0] == "declare-const":
-            name, sort = node[1], node[2]
-            if sort == "Bool":
-                ref = atom_ref(name)
-                if isinstance(ref, F.Base):
-                    fs.declare_base(name)
-                else:
-                    fs.declare_aux(ref)
+            ref = F.decode(node[1])
+            if isinstance(ref, F.Base):
+                fs.declare_base(ref.name)
+            elif isinstance(ref, F.Aux):
+                fs.declare_aux(ref)
             else:
-                ints.add(name)
+                ints.add(ref)
         elif node[0] == "assert":
             asserts.append(node[1])
     for i, node in enumerate(asserts):
         fs.add(f"assert:{i}", parse_formula(node, ints))
 
     # ranking variable ranges come from their emitted bound constraints
-    for name in sorted(ints):
-        if name == "__z":
-            continue
-        owner = name[len("__x_"):]
+    for var in sorted(ints - {F.Z}):
         lo, hi = 1, None
         for _, f in fs.formulas:
             if isinstance(f, F.Diff):
-                if f.lhs == F.LevelVar(owner) and isinstance(f.rhs, F.ZVar):
+                if f.lhs == var and f.rhs is F.Z:
                     hi = f.k if hi is None else min(hi, f.k)
-                if isinstance(f.lhs, F.ZVar) and f.rhs == F.LevelVar(owner):
+                if f.lhs is F.Z and f.rhs == var:
                     lo = max(lo, -f.k)
-        if hi is None:
-            hi = 64
-        fs.declare_level(owner, lo, hi)
+        fs.declare_level(var.owner, lo, 64 if hi is None else hi)
     return fs
 
 
@@ -168,7 +138,8 @@ def main():
     print("sat")
     print("(")
     for name, value in model.props:
-        print(f"  (define-fun {name} () Bool {'true' if value else 'false'})")
+        symbol = F.encode(F.decode(name))
+        print(f"  (define-fun {symbol} () Bool {'true' if value else 'false'})")
     for name, value in model.ints:
         text = str(value) if value >= 0 else f"(- {-value})"
         print(f"  (define-fun {name} () Int {text})")

@@ -12,6 +12,16 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 STUB = f"{sys.executable} {pathlib.Path(__file__).parent / 'stub_solver.py'}"
 
 
+COLLISION = "a__b :- c. c :- a__b. a :- b__c. b__c :- a. {c}. {a}."
+RESERVED = "true :- not false. false :- not true. let :- true."
+
+
+def oracle_models(src):
+    from asptoc.oracle import stable_models
+    from asptoc.parser import parse_program
+    return sorted(sorted(m) for m, _ in stable_models(parse_program(src)))
+
+
 def write(tmp_path, text, name="prog.lp"):
     path = tmp_path / name
     path.write_text(text)
@@ -79,14 +89,16 @@ class TestTranslate:
             assert out.read_bytes() == (GOLDEN / "ranked_mix.smt2").read_bytes()
 
     @pytest.mark.parametrize("command", ["translate", "check"])
-    def test_colliding_symbols_exit_code(self, tmp_path, capsys, command):
-        # __dep_a__b__c would name both dep(a__b, c) and dep(a, b__c)
-        path = write(tmp_path, "a__b :- c. c :- a__b. a :- b__c. b__c :- a. {c}. {a}.")
-        assert main([command, path]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("unsupported: colliding symbols")
-        assert "__dep_a__b__c" in captured.err
-        assert "pass" not in captured.out
+    def test_inner_double_underscore_names(self, tmp_path, capsys, command):
+        # dep(a__b, c) and dep(a, b__c) once shared the symbol __dep_a__b__c
+        path = write(tmp_path, COLLISION)
+        assert main([command, path]) == 0
+        out = capsys.readouterr().out
+        if command == "translate":
+            assert "(declare-const |dep:a__b:c| Bool)" in out
+            assert "(declare-const |dep:a:b__c| Bool)" in out
+        else:
+            assert json.loads(out.splitlines()[-1])["stable_models"] == 4
 
 
 class TestCheck:
@@ -224,6 +236,23 @@ class TestSolve:
         found = sorted(json.loads(l)["model"]
                        for l in capsys.readouterr().out.splitlines())
         assert found == [[], ["a"]]
+
+    @pytest.mark.parametrize("src", [COLLISION, RESERVED], ids=["collision", "reserved"])
+    def test_all_with_hard_names(self, tmp_path, capsys, src):
+        path = write(tmp_path, src)
+        assert main(["solve", path, "--solver", STUB, "--all"]) == 0
+        found = sorted(json.loads(l)["model"]
+                       for l in capsys.readouterr().out.splitlines())
+        assert found == oracle_models(src)
+        assert len(found) == (4 if src == COLLISION else 2)
+
+    def test_reserved_words_are_not_declared(self, tmp_path, capsys):
+        path = write(tmp_path, RESERVED)
+        assert main(["translate", path]) == 0
+        declared = {l.split()[1] for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("(declare-const")}
+        assert {"|atom:true|", "|atom:false|", "|atom:let|"} <= declared
+        assert not {"true", "false", "let"} & declared
 
     def test_env_solver(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("TOC_SOLVER", STUB)

@@ -1,6 +1,10 @@
-"""Formula IR: ranking scaffolding, validation, constant folding."""
+"""Formula IR: ranking scaffolding, validation, constant folding, the
+symbol codec."""
+
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asptoc.formulas import (
     Aux,
@@ -15,6 +19,8 @@ from asptoc.formulas import (
     ValidationError,
     Var,
     Z,
+    decode,
+    encode,
     eval_formula,
     make_pb,
     mk_bounds,
@@ -62,7 +68,8 @@ class TestDepGap:
         pairs = mk_dep_gap("a", "b")
         for dep in (False, True):
             for gap in (False, True):
-                env = dict(bools, __dep_a__b=dep, __gap_a__b=gap)
+                env = {**bools, ref_name(Aux("dep", "a", "b")): dep,
+                       ref_name(Aux("gap", "a", "b")): gap}
                 if all(eval_formula(f, env, ints) for _, f in pairs):
                     yield dep, gap
 
@@ -111,14 +118,41 @@ class TestPB:
 class TestNaming:
     def test_contract(self):
         assert ref_name(Base("p")) == "p"
-        assert ref_name(Aux("app", "a", 1)) == "__app_a_1"
-        assert ref_name(Aux("dep", "a", "b")) == "__dep_a__b"
-        assert ref_name(Aux("gap", "a", "b")) == "__gap_a__b"
-        assert ref_name(Aux("int", "a", 2)) == "__int_a_2"
-        assert ref_name(Aux("ext", "a", 2)) == "__ext_a_2"
-        assert ref_name(Aux("vub", "a", 1)) == "__vub_a_1"
+        assert ref_name(Aux("app", "a", 1)) == "|app:a:1|"
+        assert ref_name(Aux("dep", "a", "b")) == "|dep:a:b|"
+        assert ref_name(Aux("gap", "a", "b")) == "|gap:a:b|"
+        assert ref_name(Aux("int", "a", 2)) == "|int:a:2|"
+        assert ref_name(Aux("ext", "a", 2)) == "|ext:a:2|"
+        assert ref_name(Aux("vub", "a", 1)) == "|vub:a:1|"
+        assert ref_name(Aux("app", "a", 1, "n")) == "|app:a:1:n|"
         assert var_name(LevelVar("a")) == "__x_a"
         assert var_name(Z) == "__z"
+
+    def test_reserved_base_atoms_are_quoted_but_keyed_plainly(self):
+        assert encode(Base("p")) == "p"
+        assert encode(Base("true")) == "|atom:true|"
+        assert ref_name(Base("true")) == "true"
+        assert decode("|atom:true|") == decode("true") == Base("true")
+        fs = FormulaSet()
+        fs.declare_base("let", "p")
+        assert fs.base_atoms == {"let": "|atom:let|", "p": "p"}
+
+    def test_inner_double_underscore_names_stay_apart(self):
+        # one flat "__" scheme once spelled both of these __dep_a__b__c
+        left, right = Aux("dep", "a__b", "c"), Aux("dep", "a", "b__c")
+        assert ref_name(left) == "|dep:a__b:c|"
+        assert ref_name(right) == "|dep:a:b__c|"
+        fs = FormulaSet()
+        fs.declare_aux(left, right)
+        fs.add("f", PB((PBTerm(1, left), PBTerm(1, right)), lower=1))
+        fs.validate()
+        assert len(set(fs.symbols().values())) == len(fs.symbols())
+
+    @pytest.mark.parametrize("symbol", [
+        "|app:a|", "|app:a:b|", "|foo:a:1|", "|atom:a:b|", "|a|", "||"])
+    def test_foreign_quoted_symbols_rejected(self, symbol):
+        with pytest.raises(ValueError):
+            decode(symbol)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -145,13 +179,6 @@ class TestValidation:
         fs.declare_level("a", 1, 2)
         fs.extend(mk_bounds("a", 1))
         fs.validate()
-
-    def test_colliding_symbols_rejected(self):
-        # atom names may contain "__", so two dep atoms can share a symbol
-        fs = FormulaSet()
-        fs.declare_aux(Aux("dep", "a__b", "c"), Aux("dep", "a", "b__c"))
-        with pytest.raises(ValidationError, match=r"colliding symbols: \['__dep_a__b__c'\]"):
-            fs.validate()
 
     def test_without_drops_by_prefix(self):
         fs = FormulaSet()
@@ -213,7 +240,71 @@ class TestDeclarationOrder:
             assert all(sym == ref_name(ref) for ref, sym in fs.aux_atoms.items())
         kept.declare_level("b", 1, 3)
         assert kept.symbols() == {"b": "b", "a": "a", "c": "c",
-                                  Aux("gap", "b", "a"): "__gap_b__a",
-                                  Aux("app", "b", 1, "x"): "__x_app_b_1",
-                                  Aux("app", "a", 2): "__app_a_2",
+                                  Aux("gap", "b", "a"): "|gap:b:a|",
+                                  Aux("app", "b", 1, "x"): "|app:b:1:x|",
+                                  Aux("app", "a", 2): "|app:a:2|",
                                   Z: "__z", LevelVar("b"): "__x_b"}
+
+
+# ---------------------------------------------------------------------------
+# codec properties
+
+ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+SIMPLE_SYMBOL_RE = re.compile(r"[A-Za-z~!@$%^&*_+=<>.?/-][0-9A-Za-z~!@$%^&*_+=<>.?/-]*")
+# SMT-LIB 2.6: reserved words, command names, Core and Ints symbols
+SMT_WORDS = set("""
+    ! _ as BINARY DECIMAL exists HEXADECIMAL forall let match NUMERAL par STRING
+    assert check-sat check-sat-assuming declare-const declare-datatype
+    declare-datatypes declare-fun declare-sort define-fun define-fun-rec
+    define-funs-rec define-sort echo exit get-assertions get-assignment get-info
+    get-model get-option get-proof get-unsat-assumptions get-unsat-core
+    get-value pop push reset reset-assertions set-info set-logic set-option
+    Bool true false not => and or xor = distinct ite
+    Int - + * div mod abs <= < >= >
+""".split())
+
+
+def legal_symbol(symbol):
+    if symbol.startswith("|"):
+        return len(symbol) >= 2 and symbol.endswith("|") \
+            and not re.search(r"[|\\]", symbol[1:-1])
+    return bool(SIMPLE_SYMBOL_RE.fullmatch(symbol)) and symbol not in SMT_WORDS
+
+
+plain_names = st.from_regex(r"[a-z][A-Za-z0-9_]{0,5}", fullmatch=True)
+atom_names = st.one_of(
+    plain_names,
+    st.builds(lambda a, b: f"{a}__{b}", plain_names, plain_names),
+    plain_names.map(lambda n: n + "_"),
+    st.sampled_from(sorted(w for w in SMT_WORDS if ATOM_RE.fullmatch(w))),
+)
+namespaces = st.one_of(st.just(""), plain_names)
+aux_refs = st.one_of(
+    st.builds(Aux, st.sampled_from(["dep", "gap"]), atom_names, atom_names, namespaces),
+    st.builds(Aux, st.sampled_from(["app", "int", "ext", "vub"]), atom_names,
+              st.integers(1, 999), namespaces),
+)
+refs = st.one_of(atom_names.map(Base), aux_refs, atom_names.map(LevelVar), st.just(Z))
+
+
+@settings(max_examples=300, deadline=None)
+@given(refs)
+def test_codec_round_trips_to_legal_symbols(ref):
+    symbol = encode(ref)
+    assert decode(symbol) == ref
+    assert legal_symbol(symbol), symbol
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(refs, unique=True, max_size=12))
+def test_codec_is_injective(refs):
+    assert len({encode(r) for r in refs}) == len(refs)
+    atoms = [r for r in refs if isinstance(r, (Base, Aux))]
+    assert len({ref_name(r) for r in atoms}) == len(atoms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(aux_refs, atom_names)
+def test_aux_symbols_spell_no_atom_or_variable(aux, name):
+    assert encode(aux) not in {name, encode(Base(name)), var_name(LevelVar(name)),
+                               var_name(Z)}

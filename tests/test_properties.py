@@ -2,14 +2,17 @@
 
 import itertools
 import random
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from asptoc.depgraph import build_depgraph, sccs
-from asptoc.fuzz import fuzz_corpus, ranked_scopes
+from asptoc.fuzz import check_program, fuzz_corpus, ranked_scopes
 from asptoc.oracle import aggregate_reduct, least_model, reduct, stable_models
 from asptoc.parser import parse_program
 from asptoc.program import Polarity
+from asptoc.smtlib import emit_smtlib
 from asptoc.toc import toc_module, toc_program
 
 
@@ -131,3 +134,26 @@ def test_translation_models_recheck_cleanly(seed):
     cap = len(fs.base_atoms) + len(fs.aux_atoms)
     for model in enumerate_dl_models(fs, max_atoms=cap):
         assert recheck(fs, model)
+
+
+# every fuzz atom renamed onto a name that SMT-LIB naming must survive:
+# inner "__" (dep(a__b, c) against dep(a, b__c)), a trailing "_", and
+# reserved words or Core/Ints symbols
+HARD_NAMES = dict(zip("abcdefghijklmn", [
+    "a__b", "b__c", "c", "a", "true", "let", "div",
+    "c_", "false", "ite", "x__z", "and", "assert", "mod"]))
+SMT_WORDS = {"true", "let", "div", "false", "ite", "and", "assert", "mod"}
+
+
+@pytest.mark.parametrize("scope_mode", ["scc", "global"])
+def test_hard_atom_names_keep_the_bijection(scope_mode):
+    for _, source, _ in fuzz_corpus(1, 60):
+        renamed = re.sub(r"\b[a-n]\b", lambda m: HARD_NAMES[m.group()], source)
+        program = parse_program(renamed)
+        report = check_program(program, scope_mode=scope_mode)
+        assert report.ok, (renamed, report.checks)
+        text = emit_smtlib(toc_program(program, scope_mode=scope_mode))
+        declared = [l.split()[1] for l in text.splitlines()
+                    if l.startswith("(declare-const")]
+        assert len(set(declared)) == len(declared)
+        assert not SMT_WORDS & set(declared), renamed

@@ -42,9 +42,9 @@ class TestEmission:
         ints = [l for l in text.splitlines() if "Int" in l]
         assert bools == [
             "(declare-const a Bool)",
-            "(declare-const __app_a_1 Bool)",
-            "(declare-const __dep_a__a Bool)",
-            "(declare-const __gap_a__a Bool)",
+            "(declare-const |app:a:1| Bool)",
+            "(declare-const |dep:a:a| Bool)",
+            "(declare-const |gap:a:a| Bool)",
         ]
         assert ints == [
             "(declare-const __z Int)",
@@ -99,13 +99,15 @@ class TestEmission:
             debug_text(fs)
         assert str(emitted.value) == str(debug.value) == str(expected.value)
 
-    def test_colliding_symbols_rejected(self):
-        p = parse_program("a__b :- c. c :- a__b. a :- b__c. b__c :- a. {c}. {a}.")
-        fs = toc_program(p)
-        with pytest.raises(EmissionError, match="colliding symbols.*__dep_a__b__c"):
-            emit_smtlib(fs)
-        with pytest.raises(ValidationError, match="__dep_a__b__c"):
-            debug_text(fs)
+    def test_hard_names_declare_distinct_legal_symbols(self):
+        p = parse_program("a__b :- c. c :- a__b. a :- b__c. b__c :- a. {c}. {a}.\n"
+                          "true :- not false. false :- not true. let :- true.")
+        declared = [l.split()[1] for l in emit_smtlib(toc_program(p)).splitlines()
+                    if l.startswith("(declare-const")]
+        assert len(set(declared)) == len(declared)
+        assert {"|dep:a__b:c|", "|dep:a:b__c|", "|atom:true|", "|atom:let|"} <= set(declared)
+        assert not {"true", "false", "let"} & set(declared)
+        assert "(aux |gap:a:b__c|)" in debug_text(toc_program(p))
 
 
 class TestReadSolverModel:
@@ -146,11 +148,10 @@ class TestReadSolverModel:
         def unnamed(ref):
             raise AssertionError("symbol named again")
 
-        monkeypatch.setattr(asptoc.smtlib, "ref_name", unnamed)
         monkeypatch.setattr(asptoc.formulas, "ref_name", unnamed)
         text = "sat\n((define-fun a () Bool false))\n"
         assert read_solver_model(text, fs).prop_map == {
-            "a": False, "__app_a_1": False, "__dep_a__a": False, "__gap_a__a": False}
+            "a": False, "|app:a:1|": False, "|dep:a:a|": False, "|gap:a:a|": False}
 
     def test_unknown_symbols_warn_and_drop(self):
         fs = toc_program(parse_program("a :- a."))
@@ -161,7 +162,32 @@ class TestReadSolverModel:
         assert any("zz" in str(w.message) for w in caught)
         assert "zz" not in model.prop_map
         # omitted declared booleans default to false
-        assert model.prop_map["__app_a_1"] is False
+        assert model.prop_map["|app:a:1|"] is False
+
+    def test_symbols_decode_to_keys(self):
+        fs = toc_program(parse_program("true :- not false. false :- not true. a :- a."))
+        text = ("sat\n((define-fun |atom:true| () Bool true)"
+                "(define-fun |atom:false| () Bool false)"
+                "(define-fun |dep:a:a| () Bool false)(define-fun __x_a () Int 2))\n")
+        model = read_solver_model(text, fs)
+        assert model.prop_map["true"] is True and model.prop_map["false"] is False
+        assert model.prop_map["|dep:a:a|"] is False
+        assert model.int_map == {"__x_a": 2}
+
+    @pytest.mark.parametrize("entry", [
+        "(define-fun true () Bool true)",      # declared as |atom:true|
+        "(define-fun |app:a:9| () Bool true)",  # not declared
+        "(define-fun |bogus| () Bool true)",    # not a symbol of the codec
+        "(define-fun __x_a () Bool true)",      # wrong sort
+        "(define-fun a () Int 1)",              # wrong sort
+    ])
+    def test_foreign_symbols_warn_and_drop(self, entry):
+        fs = toc_program(parse_program("true :- not false. false :- not true. a :- a."))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = read_solver_model(f"sat\n({entry})\n", fs)
+        assert len(caught) == 1 and "ignoring unknown model symbol" in str(caught[0].message)
+        assert not model.true_atoms() and model.ints == ()
 
 
 class TestSolverPipeline:

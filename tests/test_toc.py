@@ -231,8 +231,8 @@ class TestTocProgram:
         fs = toc_program(p)
         for m in enumerate_dl_models(fs, max_atoms=60):
             props = m.prop_map
-            if props.get("__ext_a_1"):
-                assert props.get("__int_a_1")
+            if props[ref_name(Aux("ext", "a", 1))]:
+                assert props[ref_name(Aux("int", "a", 1))]
 
 
 class TestUpperBoundEncodings:
@@ -352,11 +352,14 @@ def abstract_forms_text():
         parts.append(f"; module {src} scope {scope_atoms}\n{debug_text(fs)}")
     for src, scope_atoms in ABSTRACT_SHAPES:
         for strong in (True, False):
-            fs = toc_abstract(parse_program(src).rules[0],
-                              frozenset(scope_atoms.split()), strong=strong)
+            scope = scope_atoms.split()
+            fs = toc_abstract(parse_program(src).rules[0], frozenset(scope), strong=strong)
+            for atom in scope:  # the bare set mentions ranks it does not declare
+                fs.declare_level(atom, 1, len(scope) + 1)
+            table = fs.symbols()
             lines = [f"; rule {src} scope {scope_atoms} strong {strong}"]
             lines += [f"(aux {ref_name(a)})" for a in fs.aux_atoms]
-            lines += [f"(formula {n} {to_sexpr(f)})" for n, f in fs.formulas]
+            lines += [f"(formula {n} {to_sexpr(f, table)})" for n, f in fs.formulas]
             parts.append("\n".join(lines) + "\n")
     return "".join(parts)
 
