@@ -247,28 +247,26 @@ def disj(*subs: Formula) -> Formula:
 
 def mk_bounds(atom: str, scope_size: int):
     """Range formulas for one ranking variable: positive, at most
-    ``scope_size + 1``, and pinned to the maximum when the atom is false."""
+    ``scope_size + 1``, and at the maximum exactly when the atom is false,
+    so that a true atom ranks below every false one, strong or not."""
     x = LevelVar(atom)
     cap = scope_size + 1
     return [
         (f"bounds:{atom}:min", Diff(Z, x, -1)),
         (f"bounds:{atom}:max", Diff(x, Z, cap)),
-        (f"bounds:{atom}:false", Implies(Not(Var(Base(atom))), Diff(Z, x, -cap))),
+        (f"bounds:{atom}:false", Iff(Not(Var(Base(atom))), Diff(Z, x, -cap))),
     ]
 
 
-def mk_dep_gap(head: str, body_atom: str):
+def mk_dep_gap(head: str, body_atom: str, kinds: tuple = ("dep", "gap")):
     """dep: the body atom holds and was derived strictly before the head;
-    gap: it was derived at least two stages before."""
+    gap: it was derived at least two stages before.  Defines ``kinds``."""
     xa, xb = LevelVar(head), LevelVar(body_atom)
-    dep = Var(Aux("dep", head, body_atom))
-    gap = Var(Aux("gap", head, body_atom))
-    return [
-        (f"dep:{head}:{body_atom}",
-         Iff(dep, conj(Var(Base(body_atom)), Diff(xb, xa, -1)))),
-        (f"gap:{head}:{body_atom}",
-         Iff(gap, conj(Var(Base(body_atom)), Diff(xb, xa, -2)))),
-    ]
+    stages = {"dep": 1, "gap": 2}
+    return [(f"{kind}:{head}:{body_atom}",
+             Iff(Var(Aux(kind, head, body_atom)),
+                 conj(Var(Base(body_atom)), Diff(xb, xa, -stages[kind]))))
+            for kind in kinds]
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ enter the formulas only through ``dep``/``gap`` atoms and the range
 bounds, so assignments are enumerated as realizability classes: a body
 atom that is false fixes both atoms false; a true one admits
 (dep, gap) in {(F,F), (T,F), (T,T)} gated by the head rank (the (T,F)
-case needs rank at least two, (T,T) at least three).  Each class is
-realized by concrete rank values, and every realizable combination is
-covered, so the classed enumeration equals the full one; a test
-cross-checks this against full enumeration on small bodies.
+case needs rank at least two, (T,T) at least three).  Every realizable
+combination is covered, and so are a few that the range bounds exclude
+(they rank a true atom at most the scope size); a superset can only add
+disagreements, and a test cross-checks the verdicts against full
+enumeration on small bodies.
 """
 
 from __future__ import annotations
@@ -245,8 +246,7 @@ def _check_convex(family: set, universe: frozenset):
 
 
 def toc_abstract(rule: Rule, scope: frozenset, *, ordinal: int = 1,
-                 family: set | None = None, strong: bool = True,
-                 aux_ns: str = "") -> FormulaSet:
+                 family: set | None = None, strong: bool = True) -> FormulaSet:
     """Ordered completion of one rule with its aggregate kept extensional.
 
     Internal support substitutes in-scope positive atoms by their ``dep``
@@ -302,18 +302,18 @@ def toc_abstract(rule: Rule, scope: frozenset, *, ordinal: int = 1,
     weak = conj(disj(*(conj(*(ordered(j, "dep") for j in sorted(sat)))
                        for sat in minimal)), bound_check)
     deny = Not(disj(*(conj(*(ordered(j, "gap") for j in sorted(sat)))
-                      for sat in minimal)))
+                      for sat in minimal))) if strong else None
     ext_minimal = [sat for sat in minimal if not any(in_scope_pos(j) for j in sat)]
     ext_def = conj(disj(*(conj(*(plain(j) for j in sorted(sat)))
                           for sat in ext_minimal)), bound_check)
 
     fs = FormulaSet()
     fs.declare_base(*sorted({wl.literal.atom for wl in slots} | {head}))
+    kinds = ("dep", "gap") if strong else ("dep",)
     for j in sorted(universe):
         if in_scope_pos(j):
-            b = slots[j].literal.atom
-            fs.declare_aux(Aux("dep", head, b), Aux("gap", head, b))
-    emit_support(fs, head, ordinal, aux_ns, weak, ext_def, deny,
+            fs.declare_aux(*(Aux(kind, head, slots[j].literal.atom) for kind in kinds))
+    emit_support(fs, head, ordinal, "", weak, ext_def, deny,
                  has_in=any(in_scope_pos(j) for j in universe),
-                 ext_possible=bool(ext_minimal), strong=strong)
+                 ext_possible=bool(ext_minimal))
     return fs

@@ -1,12 +1,15 @@
 """Tight ordered completion.
 
 Every rule is translated through one path, its canonical weight form.
+A non-recursive head gets Clark's completion over its plain rule bodies;
+only the ``vub`` guard below, which reads it, keeps an applicability atom.
 Inside a ranked scope a rule contributes up to six formulas: the head
 equivalence over applicability atoms, the internal/external split, the
 weak (internal) support condition ordering in-scope body atoms through
-``dep`` atoms, the strong condition denying a fully ``gap``-ped support
-which pins rank minimality, the external support condition over the
-rest of the body, and the rank reset for externally supported heads.
+``dep`` atoms, the strong condition (the only reader of ``gap`` atoms)
+denying a fully gapped support, which pins rank minimality, the external
+support condition over the rest of the body, and the rank reset for
+externally supported heads.
 
 The split collapses when one side is structurally impossible: a rule
 whose body cannot reach its bound without in-scope atoms keeps no
@@ -87,21 +90,22 @@ def plain_body_formula(rule: Rule):
 
 
 def emit_support(fs: FormulaSet, head: str, i: int, ns: str, weak, ext, deny,
-                 has_in: bool, ext_possible: bool, strong: bool) -> Aux:
+                 has_in: bool, ext_possible: bool) -> Aux:
     """The support formulas of rule ``i`` of ``head`` in a ranked scope.
 
     ``weak`` is the internal support condition, ``ext`` the external one
-    and ``deny`` the strong condition's denial of a fully gapped support.
-    When the bound is out of reach without in-scope atoms the
-    applicability atom takes ``weak``; without in-scope positive atoms it
-    takes ``ext`` and resets the head's rank; otherwise it splits into an
-    internal and an external atom.  Returns the applicability atom.
+    and ``deny`` the strong condition's denial of a fully gapped support
+    (``None`` without strong constraints).  When the bound is out of reach
+    without in-scope atoms the applicability atom takes ``weak``; without
+    in-scope positive atoms it takes ``ext`` and resets the head's rank;
+    otherwise it splits into an internal and an external atom.  Returns
+    the applicability atom.
     """
     app = Aux("app", head, i, ns)
     fs.declare_aux(app)
     if has_in and not ext_possible:
         fs.add(f"app:{head}:{i}", Iff(Var(app), weak))
-        if strong:
+        if deny is not None:
             fs.add(f"strong:{head}:{i}", Implies(Var(app), deny))
         return app
     if not has_in:
@@ -113,7 +117,7 @@ def emit_support(fs: FormulaSet, head: str, i: int, ns: str, weak, ext, deny,
         fs.declare_aux(internal, external)
         fs.add(f"split:{head}:{i}", Iff(Var(app), disj(Var(internal), Var(external))))
         fs.add(f"int:{head}:{i}", Iff(Var(internal), weak))
-        if strong:
+        if deny is not None:
             fs.add(f"strong:{head}:{i}",
                    Implies(Var(internal), disj(deny, Var(external))))
         fs.add(f"ext:{head}:{i}", Iff(Var(external), ext))
@@ -151,27 +155,28 @@ def _ranked_rule(fs: FormulaSet, head: str, i: int, rule: Rule, parts,
     app = emit_support(fs, head, i, ns,
                        weak=conj(make_pb(dep_terms + out, lower=lower), bound_check),
                        ext=conj(make_pb(out, lower=lower), bound_check),
-                       deny=make_pb(gap_terms + out, upper=lower - 1),
+                       deny=make_pb(gap_terms + out, upper=lower - 1) if strong else None,
                        has_in=bool(pin),
-                       ext_possible=sum(t.coef for t in out) >= lower,
-                       strong=strong)
-    return app, vub
+                       ext_possible=sum(t.coef for t in out) >= lower)
+    if vub is not None:
+        fs.add(f"ubcheck:{head}:{i}", Not(conj(Var(app), Var(vub))))
+    return Var(app)
 
 
 def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule,
                vub_form: bool, ns: str):
-    """Standard completion body for a non-recursive head."""
+    """Rule ``i``'s disjunct in the Clark completion of a non-recursive
+    head: its plain body, or an applicability atom the ``vub`` guard reads."""
+    if rule.upper is None or not vub_form:
+        return plain_body_formula(rule)
     terms = _plain_terms(rule)
     app = Aux("app", head, i, ns)
     fs.declare_aux(app)
-    vub = None
-    if rule.upper is not None and vub_form:
-        vub = _vub(fs, head, i, ns, terms, rule.upper)
-        body = conj(make_pb(terms, lower=rule.lower), Not(Var(vub)))
-    else:
-        body = make_pb(terms, rule.lower, rule.upper)
-    fs.add(f"app:{head}:{i}", Iff(Var(app), body))
-    return app, vub
+    vub = _vub(fs, head, i, ns, terms, rule.upper)
+    fs.add(f"app:{head}:{i}",
+           Iff(Var(app), conj(make_pb(terms, lower=rule.lower), Not(Var(vub)))))
+    fs.add(f"ubcheck:{head}:{i}", Not(conj(Var(app), Var(vub))))
+    return Var(app)
 
 
 def toc_module(program: Program, scope: frozenset, *, ranked: bool,
@@ -200,25 +205,21 @@ def toc_module(program: Program, scope: frozenset, *, ranked: bool,
         parts = {a: [_split_body(r, scope) for r in defs[a]] for a in atoms}
         edges = sorted({(a, b) for a in atoms
                         for pin, *_ in parts[a] for b, _ in pin})
+        kinds = ("dep", "gap") if strong else ("dep",)
         for a, b in edges:
-            fs.declare_aux(Aux("dep", a, b), Aux("gap", a, b))
-            fs.extend(mk_dep_gap(a, b))
+            fs.declare_aux(*(Aux(kind, a, b) for kind in kinds))
+            fs.extend(mk_dep_gap(a, b, kinds))
 
     for atom in atoms:
-        rules = defs[atom]
-        if not rules:
-            continue
-        apps = []
-        for i, rule in enumerate(rules, 1):
+        supports = []
+        for i, rule in enumerate(defs[atom], 1):
             if ranked:
-                app, vub = _ranked_rule(fs, atom, i, rule, parts[atom][i - 1],
-                                        strong, vub_form, aux_ns)
+                supports.append(_ranked_rule(fs, atom, i, rule, parts[atom][i - 1],
+                                             strong, vub_form, aux_ns))
             else:
-                app, vub = _flat_rule(fs, atom, i, rule, vub_form, aux_ns)
-            if vub is not None:
-                fs.add(f"ubcheck:{atom}:{i}", Not(conj(Var(app), Var(vub))))
-            apps.append(app)
-        fs.add(f"def:{atom}", Iff(Var(Base(atom)), disj(*(Var(a) for a in apps))))
+                supports.append(_flat_rule(fs, atom, i, rule, vub_form, aux_ns))
+        if supports:
+            fs.add(f"def:{atom}", Iff(Var(Base(atom)), disj(*supports)))
     return fs
 
 

@@ -16,7 +16,7 @@ import pytest
 from asptoc.cli import main
 from asptoc.dlcheck import enumerate_dl_models
 from asptoc.formulas import Base, Diff, LevelVar, Not, Var, Z
-from asptoc.fuzz import check_program, fuzz_corpus, ranked_scopes
+from asptoc.fuzz import check_program, fuzz_corpus, generate_weight_rule, ranked_scopes
 from asptoc.normtest import check_proposition, normalize_subsets
 from asptoc.oracle import level_numbering, stable_models
 from asptoc.parser import parse_program
@@ -141,13 +141,9 @@ def test_criterion_6_proposition_gate():
 
     rng = random.Random(60)
     for i in range(50):
-        n = rng.randint(1, 5)
-        weights = [rng.randint(1, 8) for _ in range(n)]
-        bound = rng.randint(1, 20)
-        items = ", ".join(f"b{j}={w}" for j, w in enumerate(weights, 1))
-        rule = parse_program(f"a :- {bound} <= {{ {items} }}.").rules[0]
+        rule = generate_weight_rule(rng)
         verdict = check_proposition(rule, 3)
-        assert verdict.passed, (i, items, bound, verdict.counterexample)
+        assert verdict.passed, (i, rule, verdict.counterexample)
     elapsed = time.time() - start
     assert elapsed < 300.0
     print(f"\nACCEPTANCE 6 (propositions, 15 cardinality + 50 weight): "

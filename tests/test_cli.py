@@ -45,7 +45,9 @@ class TestTranslate:
     def test_no_strong_drops_constraints(self, tmp_path, capsys):
         path = write(tmp_path, "a :- a.")
         assert main(["translate", path, "--format", "debug", "--no-strong"]) == 0
-        assert "strong:" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "strong:" not in out
+        assert "gap:" not in out
 
     def test_out_file(self, tmp_path):
         path = write(tmp_path, "a :- a.")

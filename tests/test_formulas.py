@@ -39,10 +39,10 @@ def eval_pairs(pairs, bools, ints):
 class TestBounds:
     def test_self_loop_scope_range(self):
         pairs = mk_bounds("a", 1)
-        # 1 <= x_a <= 2 once a is false the lower end is excluded
+        # a true atom ranks in 1..|S|; the top rank |S|+1 is the false one's
         for x in range(-1, 5):
             feasible = eval_pairs(pairs, {"a": True}, {"__x_a": x})
-            assert feasible == (1 <= x <= 2)
+            assert feasible == (1 <= x <= 1)
 
     def test_false_atom_forces_top_rank(self):
         pairs = mk_bounds("a", 1)

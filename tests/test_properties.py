@@ -7,11 +7,12 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asptoc.depgraph import build_depgraph, sccs
+from asptoc.depgraph import build_depgraph, sccs, scopes
+from asptoc.formulas import Aux
 from asptoc.fuzz import check_program, fuzz_corpus, ranked_scopes
 from asptoc.oracle import aggregate_reduct, least_model, reduct, stable_models
 from asptoc.parser import parse_program
-from asptoc.program import Polarity
+from asptoc.program import Polarity, def_of
 from asptoc.smtlib import emit_smtlib
 from asptoc.toc import toc_module, toc_program
 
@@ -119,6 +120,28 @@ def test_scope_topological_order_in_output():
             if name.startswith("def:"):
                 seen.append(index[name.split(":")[1]])
         assert seen == sorted(seen)
+
+
+@pytest.mark.parametrize("scope_mode", ["scc", "global"])
+@pytest.mark.parametrize("vub_form", [False, True])
+@pytest.mark.parametrize("strong", [True, False])
+def test_no_pass_through_or_dead_auxiliaries(scope_mode, vub_form, strong):
+    # a non-recursive head gets Clark's completion over its plain bodies:
+    # its only auxiliary atoms are the app/vub pair of an upper-bounded
+    # rule under --vub-form, which the ubcheck guard reads; gap atoms exist
+    # only for the strong constraints that read them
+    for _, source, program in fuzz_corpus(1, 200):
+        fs = toc_program(program, scope_mode=scope_mode, strong=strong,
+                         vub_form=vub_form)
+        flat = {a for scope, ranked in scopes(program, scope_mode)
+                if not ranked for a in scope}
+        guarded = {Aux(kind, a, i) for a in flat
+                   for i, rule in enumerate(def_of(a, program), 1)
+                   if vub_form and rule.upper is not None
+                   for kind in ("app", "vub")}
+        assert {r for r in fs.aux_atoms if r.head in flat} == guarded, source
+        if not strong:
+            assert not any(r.kind == "gap" for r in fs.aux_atoms), source
 
 
 @settings(max_examples=40, deadline=None)
