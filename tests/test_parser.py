@@ -1,5 +1,8 @@
 """Grammar coverage, diagnostics, and the parse/render round trip."""
 
+import pathlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +14,60 @@ from asptoc.parser import (
     render_program,
 )
 from asptoc.program import Origin, Polarity
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# Pieces of the error corpus: every token class, whitespace that moves the
+# column differently, and the inputs the parser refuses.
+ERROR_FRAGMENTS = (
+    "a", "b", "q7", "x_Y", "not", "not not", ":-", "<=", ".", ",", "{", "}",
+    "=", "|", "#hide", "#atom", "#", "#1", "#Hide", "#foo", "0", "2", "12",
+    "-1", "-x", "=-2", "-", "__a", "_b", "Ab", "\u00e9", "\u03bbx", "a\u00e4",
+    ":", "<", "?", "@", "%c", "% c\n", " ", "  ", "\t", "\r", "\n", "\r\n",
+    "\x0b", "\xa0",
+)
+ERROR_SNIPPETS = (
+    "a :- b, not c.", "{a} :- 1 <= {b}.", "a | b :- c.", "a :- 1 <= { b=-2 }.",
+    "a :- -1 <= { b }.", "a :- 1 <= { b } <= -3.", "a :- not not b.",
+    "#hide a, b.", "#atom q.", "a :- 2 <= { b, not c=3 } <= 4.", ":- a, b.",
+    "{a}.", "a.", "__x :- b.", "Ab :- c.", "a :- b % trailing", "a :- { b } <= 2.",
+    "b :- 0 <= { }.", "c :- 3 <= { a=2, a=1, d=0 }.",
+)
+ERROR_SEPARATORS = ("", " ", " ", "\n", "\t", "\r\n", "\n% note\n")
+
+
+def error_corpus(seed: int = 7, count: int = 2000) -> list[str]:
+    """Seeded strings that reach every diagnostic: fragment soup, mutated
+    programs, and programs ending in a comment without a newline."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        form = rng.random()
+        if form < 0.4:
+            parts = [rng.choice(ERROR_FRAGMENTS) for _ in range(rng.randint(1, 10))]
+            corpus.append("".join(p + rng.choice(("", " ")) for p in parts))
+            continue
+        text = "".join(rng.choice(ERROR_SNIPPETS) + rng.choice(ERROR_SEPARATORS)
+                       for _ in range(rng.randint(1, 4)))
+        if form < 0.8:
+            at = rng.randint(0, len(text))
+            if rng.random() < 0.5:
+                text = text[:at] + rng.choice(ERROR_FRAGMENTS) + text[at:]
+            else:
+                text = text[:at] + text[at + rng.randint(1, 4):]
+        else:
+            text += rng.choice(("", "\n")) + "% end without newline"
+        corpus.append(text)
+    return corpus
+
+
+def parse_outcome(text: str) -> str:
+    """``ok <rule count>`` or ``<class> <line>:<col> <message>``."""
+    try:
+        program = parse_program(text)
+    except ParseError as err:
+        return f"{type(err).__name__} {err.line}:{err.col} {err.message}"
+    return f"ok {len(program.rules)}"
 
 
 class TestGrammar:
@@ -129,6 +186,19 @@ class TestDiagnostics:
             parse_program(text)
         assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
         assert str(err.value) == f"{line}:{col}: {message}"
+
+    def test_error_outcome_golden(self):
+        corpus = error_corpus()
+        expected = (GOLDEN / "parse_errors.txt").read_text(encoding="utf-8").split("\n")[:-1]
+        assert len(expected) == len(corpus)
+        for i, (text, want) in enumerate(zip(corpus, expected)):
+            assert parse_outcome(text) == want, f"input {i}: {text!r}"
+        for needle in ("ok ", "malformed directive", "unexpected character '-'",
+                       "unexpected character '\u00e9'", "is reserved", "invalid atom name",
+                       "disjunctive", "aggregate bodies", "negative weight",
+                       "negative lower bound", "negative upper bound",
+                       "double negation", "expected DOT, found ''"):
+            assert any(needle in line for line in expected), needle
 
     def test_comment_at_eof_without_newline(self):
         p = parse_program("a :- b.\n% no newline after the comment")
