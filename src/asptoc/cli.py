@@ -8,6 +8,7 @@ model parse failure.  Reports are line-delimited JSON on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -169,6 +170,7 @@ def cmd_solve(args) -> int:
         _block_model(fs, model)
 
 
+@functools.cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="asptoc",

@@ -124,9 +124,8 @@ def proposition_sides(rule: Rule):
     head = rule.head
     scope = frozenset({head, *rule.pos_atoms()})
     normalized = normalize_subsets(rule)
-    side_a = toc_module(normalized, scope, ranked=True, aux_ns="n")
-    side_b = toc_module(program_of([rule], extra_atoms=[head, *rule.pos_atoms()]),
-                        scope, ranked=True)
+    side_a = toc_module(normalized, scope, aux_ns="n")
+    side_b = toc_module(program_of([rule], extra_atoms=[head, *rule.pos_atoms()]), scope)
     k = len(normalized.rules)
     if k == 0:
         # an unreachable bound normalizes to no rules at all; the head then

@@ -17,12 +17,19 @@ without any ``=INT`` are cardinality conditions (implicit weight 1, set
 semantics, duplicates collapse); with weights, duplicate literals merge
 by summing and zero-weight literals are dropped.  A choice head combined
 with an aggregate body is not part of the supported fragment.
+
+Parsing makes one scan: a single pattern's ``findall`` returns the token
+strings, each token's kind comes from a dict lookup or its first
+character, and a flat recursive descent walks an index over the two
+lists.  No position is kept per token.  A rejected input re-scans the
+text for the offending token's offset and turns it into ``line:col``
+(tabs and carriage returns count one column each); a character no token
+starts with is reported ahead of any grammar error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .program import (
     Literal,
@@ -35,7 +42,6 @@ from .program import (
 )
 
 RESERVED_PREFIX = "__"
-IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
 class ParseError(Exception):
@@ -54,197 +60,149 @@ class UnsupportedFeatureError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class SourceProgram:
-    text: str
-    origin_name: str = "<string>"
+# One match per token; a comment matches with its group empty, whitespace
+# is skipped by the search, and ``\S`` takes any character no token starts.
+_SCAN = re.compile(r"%[^\n]*|(:-|<=|#[a-z]+|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S)")
+_KINDS = {":-": "IF", "<=": "LEQ", ".": "DOT", ",": "COMMA", "{": "LBRACE",
+          "}": "RBRACE", "=": "EQ", "|": "PIPE", "not": "NOT", "-": "CHAR", "#": "CHAR"}
+# Kind by first character: ATOM is an identifier that is a legal atom name,
+# NAME one the grammar rejects; CHAR is a character no token starts with.
+_FIRST = {**dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "ATOM"),
+          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "NAME"),
+          **dict.fromkeys("0123456789-", "INT"), "#": "DIRECTIVE"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+class _Reject(Exception):
+    """A grammar error at a token index, located by :func:`parse_program`."""
 
 
-_SYMBOLS = [(":-", "IF"), ("<=", "LEQ"), (".", "DOT"), (",", "COMMA"),
-            ("{", "LBRACE"), ("}", "RBRACE"), ("=", "EQ"), ("|", "PIPE")]
-
-# One alternative per token class, tried in this order at each position.
-# Whitespace other than a newline advances the column by one per character;
-# a comment advances nothing (the newline ending it resets the column).
-_TOKEN_RE = re.compile("|".join(
-    [r"(?P<NEWLINE>\n)", r"(?P<SPACE>[^\S\n]+)", r"(?P<COMMENT>%[^\n]*)"]
-    + [f"(?P<{kind}>{re.escape(sym)})" for sym, kind in _SYMBOLS]
-    + [r"(?P<DIRECTIVE>#[a-z]+)", r"(?P<INT>-?[0-9]+)",
-       r"(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)"]))
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            if text[i] == "#":
-                raise ParseError("malformed directive", line, col)
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
-        kind, value = m.lastgroup, m.group()
-        i = m.end()
-        if kind == "NEWLINE":
-            line += 1
-            col = 1
-            continue
-        if kind == "COMMENT":
-            continue
-        if kind == "WORD":
-            kind = "NOT" if value == "not" else "IDENT"
-        if kind != "SPACE":
-            tokens.append(Token(kind, value, line, col))
-        col += len(value)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+def _position(text: str, k: int) -> tuple[int, int]:
+    """Line and column of token ``k``.  Past the last token is EOF, which
+    a comment ending the text without a newline places at its ``%``."""
+    starts = [m.start() for m in _SCAN.finditer(text) if m.group(1)]
+    if k < len(starts):
+        offset = starts[k]
+    else:
+        offset = text.find("%", text.rfind("\n") + 1)
+        if offset < 0:
+            offset = len(text)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _expected(toks, kinds, i, kind) -> _Reject:
+    if kind == "IDENT" and kinds[i] == "NAME":
+        if toks[i].startswith(RESERVED_PREFIX):
+            return _Reject(ParseError, f"prefix {RESERVED_PREFIX!r} is reserved", i)
+        return _Reject(ParseError, f"invalid atom name {toks[i]!r}", i)
+    return _Reject(ParseError, f"expected {kind}, found {toks[i]!r}", i)
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _literal(toks, kinds, i):
+    polarity = Polarity.POSITIVE
+    if kinds[i] == "NOT":
+        if kinds[i + 1] == "NOT":
+            raise _Reject(ParseError, "double negation cannot be written in source", i)
+        polarity = Polarity.NEGATIVE
+        i += 1
+    if kinds[i] != "ATOM":
+        raise _expected(toks, kinds, i, "IDENT")
+    return Literal(toks[i], polarity), i + 1
 
-    def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.value!r}", tok.line, tok.col)
-        return tok
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+def _integer(toks, kinds, i, what):
+    if kinds[i] != "INT":
+        raise _expected(toks, kinds, i, "INT")
+    value = int(toks[i])
+    if value < 0:
+        raise _Reject(WeightError, f"negative {what} {value}", i)
+    return value
 
-    def atom(self) -> str:
-        tok = self.expect("IDENT")
-        if tok.value.startswith(RESERVED_PREFIX):
-            raise ParseError(f"prefix {RESERVED_PREFIX!r} is reserved", tok.line, tok.col)
-        if not IDENT_RE.fullmatch(tok.value):
-            raise ParseError(f"invalid atom name {tok.value!r}", tok.line, tok.col)
-        return tok.value
 
-    def literal(self) -> Literal:
-        if self.peek().kind == "NOT":
-            tok = self.next()
-            if self.peek().kind == "NOT":
-                raise ParseError("double negation cannot be written in source",
-                                 tok.line, tok.col)
-            return Literal(self.atom(), Polarity.NEGATIVE)
-        return Literal(self.atom())
+def _aggregate(toks, kinds, i):
+    lower = _integer(toks, kinds, i, "lower bound")
+    for kind in ("LEQ", "LBRACE"):
+        i += 1
+        if kinds[i] != kind:
+            raise _expected(toks, kinds, i, kind)
+    i += 1
+    wlits: list[tuple[Literal, int | None]] = []
+    if kinds[i] != "RBRACE":
+        while True:
+            lit, i = _literal(toks, kinds, i)
+            weight = None
+            if kinds[i] == "EQ":
+                weight = _integer(toks, kinds, i + 1, "weight")
+                i += 2
+            wlits.append((lit, weight))
+            if kinds[i] != "COMMA":
+                break
+            i += 1
+    if kinds[i] != "RBRACE":
+        raise _expected(toks, kinds, i, "RBRACE")
+    upper = None
+    if kinds[i + 1] == "LEQ":
+        upper = _integer(toks, kinds, i + 2, "upper bound")
+        i += 2
+    return (wlits, lower, upper), i + 1
 
-    def integer(self) -> tuple[int, Token]:
-        tok = self.expect("INT")
-        return int(tok.value), tok
 
-    def bound(self, what: str) -> int:
-        value, tok = self.integer()
-        if value < 0:
-            raise WeightError(f"negative {what} {value}", tok.line, tok.col)
-        return value
+def _rule(toks, kinds, i):
+    start = i
+    head = None
+    choice = kinds[i] == "LBRACE"
+    if choice:
+        i += 1
+    if choice or kinds[i] in ("ATOM", "NAME"):
+        if kinds[i] != "ATOM":
+            raise _expected(toks, kinds, i, "IDENT")
+        head = toks[i]
+        i += 1
+        if choice:
+            if kinds[i] != "RBRACE":
+                raise _expected(toks, kinds, i, "RBRACE")
+            i += 1
+        elif kinds[i] == "PIPE":
+            raise _Reject(UnsupportedFeatureError, "disjunctive heads are not supported", i)
+    elif kinds[i] != "IF":
+        raise _Reject(ParseError, f"expected rule, found {toks[i]!r}", i)
 
-    def conj_body(self) -> list[Literal]:
-        literals = [self.literal()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            literals.append(self.literal())
-        return literals
+    conj: list[Literal] = []
+    agg = None
+    if kinds[i] == "IF":
+        i += 1
+        if kinds[i] == "INT":
+            agg, i = _aggregate(toks, kinds, i)
+        elif kinds[i] != "DOT":
+            lit, i = _literal(toks, kinds, i)
+            conj.append(lit)
+            while kinds[i] == "COMMA":
+                lit, i = _literal(toks, kinds, i + 1)
+                conj.append(lit)
+    if kinds[i] != "DOT":
+        raise _expected(toks, kinds, i, "DOT")
+    if choice and agg is not None:
+        raise _Reject(UnsupportedFeatureError,
+                      "choice heads with aggregate bodies are not supported", start)
+    return _canonical_rule(head, choice, conj, agg), i + 1
 
-    def agg_body(self) -> tuple[list[tuple[Literal, int | None]], int, int | None]:
-        lower = self.bound("lower bound")
-        self.expect("LEQ")
-        self.expect("LBRACE")
-        wlits: list[tuple[Literal, int | None]] = []
-        if self.peek().kind != "RBRACE":
-            while True:
-                lit = self.literal()
-                weight = None
-                if self.peek().kind == "EQ":
-                    self.next()
-                    value, tok = self.integer()
-                    if value < 0:
-                        raise WeightError(f"negative weight {value}", tok.line, tok.col)
-                    weight = value
-                wlits.append((lit, weight))
-                if self.peek().kind != "COMMA":
-                    break
-                self.next()
-        self.expect("RBRACE")
-        upper = None
-        if self.peek().kind == "LEQ":
-            self.next()
-            upper = self.bound("upper bound")
-        return wlits, lower, upper
 
-    def statement(self):
-        tok = self.peek()
-        if tok.kind == "DIRECTIVE":
-            return self.directive()
-        return self.rule()
-
-    def directive(self):
-        tok = self.next()
-        if tok.value == "#hide":
-            atoms = [self.atom()]
-            while self.peek().kind == "COMMA":
-                self.next()
-                atoms.append(self.atom())
-            self.expect("DOT")
-            return ("hide", atoms)
-        if tok.value == "#atom":
-            name = self.atom()
-            self.expect("DOT")
-            return ("atom", [name])
-        raise ParseError(f"unknown directive {tok.value}", tok.line, tok.col)
-
-    def rule(self):
-        head = None
-        choice = False
-        tok = self.peek()
-        if tok.kind == "LBRACE":
-            self.next()
-            head = self.atom()
-            self.expect("RBRACE")
-            choice = True
-        elif tok.kind == "IDENT":
-            head = self.atom()
-            if self.peek().kind == "PIPE":
-                raise UnsupportedFeatureError("disjunctive heads are not supported",
-                                              self.peek().line, self.peek().col)
-        elif tok.kind not in ("IF",):
-            raise self.error(f"expected rule, found {tok.value!r}")
-
-        body_literals: list[Literal] = []
-        agg = None
-        if self.peek().kind == "IF":
-            self.next()
-            if self.peek().kind == "INT":
-                agg = self.agg_body()
-            elif self.peek().kind != "DOT":
-                body_literals = self.conj_body()
-        self.expect("DOT")
-
-        if choice and agg is not None:
-            raise UnsupportedFeatureError(
-                "choice heads with aggregate bodies are not supported",
-                tok.line, tok.col)
-        return ("rule", _canonical_rule(head, choice, body_literals, agg))
+def _directive(toks, kinds, i, hidden: set, declared: set) -> int:
+    name = toks[i]
+    if name not in ("#hide", "#atom"):
+        raise _Reject(ParseError, f"unknown directive {name}", i)
+    while True:
+        i += 1
+        if kinds[i] != "ATOM":
+            raise _expected(toks, kinds, i, "IDENT")
+        declared.add(toks[i])
+        if name == "#hide":
+            hidden.add(toks[i])
+        i += 1
+        if name == "#atom" or kinds[i] != "COMMA":
+            break
+    if kinds[i] != "DOT":
+        raise _expected(toks, kinds, i, "DOT")
+    return i + 1
 
 
 def _canonical_rule(head, choice, conj, agg) -> Rule:
@@ -284,24 +242,35 @@ def _canonical_rule(head, choice, conj, agg) -> Rule:
     return Rule(head, body, lower, upper, False, origin)
 
 
-def parse_program(src: SourceProgram | str) -> Program:
+def parse_program(text: str) -> Program:
     """Parse source text into a canonical :class:`Program`."""
-    if isinstance(src, str):
-        src = SourceProgram(src)
-    tokens = _tokenize(src.text)
-    parser = _Parser(tokens)
+    toks = list(filter(None, _SCAN.findall(text)))
+    kinds = [_KINDS.get(tok) or _FIRST.get(tok[0], "CHAR") for tok in toks]
+    toks.append("")
+    kinds.append("EOF")
     rules = []
     hidden: set[str] = set()
     declared: set[str] = set()
-    while parser.peek().kind != "EOF":
-        kind, payload = parser.statement()
-        if kind == "rule":
-            rules.append(payload)
-        elif kind == "hide":
-            hidden.update(payload)
-            declared.update(payload)
-        elif kind == "atom":
-            declared.update(payload)
+    i = 0
+    try:
+        while kinds[i] != "EOF":
+            if kinds[i] == "DIRECTIVE":
+                i = _directive(toks, kinds, i, hidden, declared)
+            else:
+                rule, i = _rule(toks, kinds, i)
+                rules.append(rule)
+    except (_Reject, ValueError) as err:
+        # the first character no token starts with outranks any grammar error
+        if "CHAR" in kinds:
+            k = kinds.index("CHAR")
+            cls = ParseError
+            message = ("malformed directive" if toks[k] == "#"
+                       else f"unexpected character {toks[k]!r}")
+        elif isinstance(err, ValueError):
+            raise
+        else:
+            cls, message, k = err.args
+        raise cls(message, *_position(text, k)) from None
     return program_of(rules, extra_atoms=declared, hidden=hidden)
 
 

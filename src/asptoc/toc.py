@@ -163,30 +163,34 @@ def _ranked_rule(fs: FormulaSet, head: str, i: int, rule: Rule, parts,
     return Var(app)
 
 
-def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule,
-               vub_form: bool, ns: str):
+def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, vub_form: bool):
     """Rule ``i``'s disjunct in the Clark completion of a non-recursive
     head: its plain body, or an applicability atom the ``vub`` guard reads."""
     if rule.upper is None or not vub_form:
         return plain_body_formula(rule)
     terms = _plain_terms(rule)
-    app = Aux("app", head, i, ns)
+    app = Aux("app", head, i)
     fs.declare_aux(app)
-    vub = _vub(fs, head, i, ns, terms, rule.upper)
+    vub = _vub(fs, head, i, "", terms, rule.upper)
     fs.add(f"app:{head}:{i}",
            Iff(Var(app), conj(make_pb(terms, lower=rule.lower), Not(Var(vub)))))
     fs.add(f"ubcheck:{head}:{i}", Not(conj(Var(app), Var(vub))))
     return Var(app)
 
 
-def toc_module(program: Program, scope: frozenset, *, ranked: bool,
+def _define(fs: FormulaSet, head: str, supports: list):
+    """The head's completion over its rules' supports; none leaves it free."""
+    if supports:
+        fs.add(f"def:{head}", Iff(Var(Base(head)), disj(*supports)))
+
+
+def toc_module(program: Program, scope: frozenset, *,
                strong: bool = True, vub_form: bool = False,
                aux_ns: str = "") -> FormulaSet:
-    """Completion of the scope's defining rules, ordered when ``ranked``.
-    Scope atoms without defining rules stay free (they still receive range
-    formulas in a ranked scope).  The scope need not be a strongly
-    connected component: the global mode and the harnesses rank larger or
-    hand-picked scopes.
+    """Ordered completion of the scope's defining rules.  Scope atoms
+    without defining rules stay free but still receive range formulas.
+    The scope need not be a strongly connected component: the global mode
+    and the harnesses rank larger or hand-picked scopes.
     """
     atoms = sorted(scope)
     defs = {a: def_of(a, program) for a in atoms}
@@ -197,29 +201,21 @@ def toc_module(program: Program, scope: frozenset, *, ranked: bool,
         for rule in defs[atom]:
             fs.declare_base(*sorted(set(rule.body_atoms())))
 
-    if ranked:
-        size = len(scope)
-        for atom in atoms:
-            fs.declare_level(atom, 1, size + 1)
-            fs.extend(mk_bounds(atom, size))
-        parts = {a: [_split_body(r, scope) for r in defs[a]] for a in atoms}
-        edges = sorted({(a, b) for a in atoms
-                        for pin, *_ in parts[a] for b, _ in pin})
-        kinds = ("dep", "gap") if strong else ("dep",)
-        for a, b in edges:
-            fs.declare_aux(*(Aux(kind, a, b) for kind in kinds))
-            fs.extend(mk_dep_gap(a, b, kinds))
+    size = len(scope)
+    for atom in atoms:
+        fs.declare_level(atom, 1, size + 1)
+        fs.extend(mk_bounds(atom, size))
+    parts = {a: [_split_body(r, scope) for r in defs[a]] for a in atoms}
+    edges = sorted({(a, b) for a in atoms
+                    for pin, *_ in parts[a] for b, _ in pin})
+    kinds = ("dep", "gap") if strong else ("dep",)
+    for a, b in edges:
+        fs.declare_aux(*(Aux(kind, a, b) for kind in kinds))
+        fs.extend(mk_dep_gap(a, b, kinds))
 
     for atom in atoms:
-        supports = []
-        for i, rule in enumerate(defs[atom], 1):
-            if ranked:
-                supports.append(_ranked_rule(fs, atom, i, rule, parts[atom][i - 1],
-                                             strong, vub_form, aux_ns))
-            else:
-                supports.append(_flat_rule(fs, atom, i, rule, vub_form, aux_ns))
-        if supports:
-            fs.add(f"def:{atom}", Iff(Var(Base(atom)), disj(*supports)))
+        _define(fs, atom, [_ranked_rule(fs, atom, i, rule, part, strong, vub_form, aux_ns)
+                           for i, (rule, part) in enumerate(zip(defs[atom], parts[atom]), 1)])
     return fs
 
 
@@ -228,15 +224,20 @@ def toc_program(program: Program, *, scope_mode: str = "scc",
     """Union of the per-scope completions, the integrity constraints and
     the zero pin for ``z``.
 
-    ``scope_mode="scc"`` ranks each recursive strongly connected component;
+    ``scope_mode="scc"`` ranks each recursive strongly connected component
+    and completes every other head, always a singleton scope, in place;
     ``"global"`` ranks the whole signature as one scope, which makes every
     derivation stage observable on a ranking variable.
     """
     fs = FormulaSet()
     fs.declare_base(*sorted(program.atom_names))
     for scope, ranked in scopes(program, scope_mode):
-        fs.merge(toc_module(program, scope, ranked=ranked,
-                            strong=strong, vub_form=vub_form))
+        if ranked:
+            fs.merge(toc_module(program, scope, strong=strong, vub_form=vub_form))
+        else:
+            (atom,) = scope
+            _define(fs, atom, [_flat_rule(fs, atom, i, rule, vub_form)
+                               for i, rule in enumerate(def_of(atom, program), 1)])
     for idx, rule in enumerate(program.constraints(), 1):
         fs.add(f"constraint:{idx}", Not(plain_body_formula(rule)))
     fs.add("pin:z", ZPin())

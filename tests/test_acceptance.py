@@ -67,7 +67,7 @@ def test_criterion_2_choice_cardinality_counts():
 def _example5_formulas(pin_head_rank=None):
     p = parse_program("a :- 2 <= { b1, b2, b3, b4 }.")
     scope = frozenset({"a", "b1", "b2", "b3", "b4"})
-    fs = toc_module(p, scope, ranked=True)
+    fs = toc_module(p, scope)
     for atom in ("a", "b1", "b3", "b4"):
         fs.add(f"fix:{atom}", Var(Base(atom)))
     fs.add("fix:b2", Not(Var(Base("b2"))))
@@ -189,7 +189,7 @@ def test_criterion_8_aggregation_stays_linear():
         body = ", ".join(f"b{i}=1" for i in range(1, n + 1))
         program = parse_program(f"a :- {n // 2} <= {{ {body} }}.")
         scope = frozenset({"a", *(f"b{i}" for i in range(1, n + 1))})
-        counts[n] = len(toc_module(program, scope, ranked=True).formulas)
+        counts[n] = len(toc_module(program, scope).formulas)
     for small, large in ((5, 10), (10, 20), (20, 40)):
         assert counts[large] / counts[small] <= 2.0
 

@@ -38,7 +38,7 @@ class TestSelfLoop:
 class TestRankedFact:
     def test_fact_gets_rank_one(self):
         p = parse_program("a.")
-        fs = toc_module(p, frozenset({"a"}), ranked=True)
+        fs = toc_module(p, frozenset({"a"}))
         fs.declare_base("a")
         (model,) = enumerate_dl_models(fs)
         assert model.prop_map["a"] and model.int_map["__x_a"] == 1
@@ -48,7 +48,7 @@ class TestExample5:
     def build(self):
         p = parse_program("a :- 2 <= { b1, b2, b3, b4 }.")
         scope = frozenset({"a", "b1", "b2", "b3", "b4"})
-        fs = toc_module(p, scope, ranked=True)
+        fs = toc_module(p, scope)
         # pin the propositional part and the body ranks from the example
         for atom in ("a", "b1", "b3", "b4"):
             fs.add(f"fix:{atom}", Var(Base(atom)))

@@ -102,7 +102,7 @@ def test_translation_size_linear_in_module_size():
     for _, _, program in fuzz_corpus(seed=8, count=40):
         graph = build_depgraph(program)
         for scope in ranked_scopes(program):
-            fs = toc_module(program, scope, ranked=True)
+            fs = toc_module(program, scope)
             rules = [r for r in program.rules if r.head in scope]
             edges = [(a, b) for (a, b) in graph.edges
                      if a in scope and b in scope]

@@ -46,8 +46,8 @@ def stage_seconds(source: str) -> dict:
     return {"parse": parse_s, "depgraph": graph_s, "toc": toc_s}
 
 
-def test_translation_time_is_linear():
-    sources = {n: chain_source(n) for n in (N, 4 * N)}
+def best_times(sources: dict, stages) -> dict:
+    """Per size, each stage's best of RUNS interleaved timings."""
     best = {n: {} for n in sources}
     enabled = gc.isenabled()
     gc.collect()
@@ -55,13 +55,31 @@ def test_translation_time_is_linear():
     try:
         for _ in range(RUNS):
             for n, source in sources.items():
-                for stage, seconds in stage_seconds(source).items():
+                for stage, seconds in stages(source).items():
                     best[n][stage] = min(best[n].get(stage, seconds), seconds)
     finally:
         if enabled:
             gc.enable()
+    return best
+
+
+def check_linear(best: dict) -> None:
     ratios = {stage: best[4 * N][stage] / best[N][stage] for stage in best[N]}
     report = ", ".join(f"{stage} {best[N][stage]:.3f}s -> {best[4 * N][stage]:.3f}s"
                        for stage in best[N])
     assert max(ratios.values()) <= MAX_RATIO, (
         f"4x the rules took up to {max(ratios.values()):.1f}x the time ({report})")
+
+
+def test_translation_time_is_linear():
+    sources = {n: chain_source(n) for n in (N, 4 * N)}
+    check_linear(best_times(sources, stage_seconds))
+
+
+def test_parse_time_is_linear_on_one_line():
+    """All rules on one line: a token position found by scanning back to
+    the line start, or by counting from the text start, grows with the
+    line and makes the parse quadratic."""
+    sources = {n: chain_source(n).replace("\n", " ") for n in (N, 4 * N)}
+    check_linear(best_times(sources, lambda source: {
+        "parse": seconds(lambda: parse_program(source))}))

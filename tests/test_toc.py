@@ -52,7 +52,7 @@ def models_projected(fs, keep):
 class TestWorkedExample:
     def test_self_loop_formula_list(self):
         p = parse_program("a :- a.")
-        fs = toc_module(p, frozenset({"a"}), ranked=True)
+        fs = toc_module(p, frozenset({"a"}))
         assert names(fs) == [
             "bounds:a:min", "bounds:a:max", "bounds:a:false",
             "dep:a:a", "gap:a:a",
@@ -69,7 +69,7 @@ class TestWorkedExample:
     def test_non_component_scope_rejected(self):
         p = parse_program("a :- b. #atom b.")
         # ranking applies to arbitrary scopes, not only to components
-        toc_module(p, frozenset({"a", "b"}), ranked=True)
+        toc_module(p, frozenset({"a", "b"}))
 
     def test_choice_cardinality_golden(self):
         fs = toc_program(parse_program("{b1}. {b2}. a :- 1 <= { b1, b2 }."))
@@ -82,7 +82,7 @@ class TestAggregatedForms:
             " ".join(f"b{i} :- a." for i in range(1, 4))
         p = parse_program(src)
         scope = frozenset({"a", "b1", "b2", "b3"})
-        fs = toc_module(p, scope, ranked=True)
+        fs = toc_module(p, scope)
         app_def = dict(fs.formulas)["app:a:1"]
         assert isinstance(app_def, Iff)
         pb = app_def.right
@@ -100,7 +100,7 @@ class TestAggregatedForms:
         fs = FormulaSet()
         p = parse_program("a :- 3 <= { b1, b2, b3 }. b1. b2 :- b1. b3 :- b2.")
         scope = frozenset({"a", "b1", "b2", "b3"})
-        fs = toc_module(p, scope, ranked=True)
+        fs = toc_module(p, scope)
         fs.add("pin", Diff(LevelVar("b1"), Z, 1))
         models = enumerate_dl_models(fs, max_atoms=40)
         full = [m for m in models if m.prop_map["a"]]
@@ -175,7 +175,7 @@ class TestOrderedCompletionInstantiation:
         parts = sccs(build_depgraph(program))
         scope = next(c for c in parts.components
                      if is_recursive_scope(program, c))
-        general = toc_module(program, scope, ranked=True)
+        general = toc_module(program, scope)
         plain = self.build_plain(program, scope)
         keep = set(general.base_atoms) | {f"__x_{a}" for a in scope}
         assert models_projected(general, keep) == models_projected(plain, keep)
@@ -391,7 +391,7 @@ class TestAbstractAggregates:
     def test_matches_weight_path(self, src, scope_atoms):
         program = parse_program(src)
         scope = frozenset(scope_atoms.split())
-        standard = toc_module(program, scope, ranked=True)
+        standard = toc_module(program, scope)
         abstract = assemble_abstract(program, scope)
         keep = set(standard.base_atoms) | {f"__x_{a}" for a in scope}
         assert models_projected(standard, keep) == models_projected(abstract, keep)
@@ -404,7 +404,7 @@ class TestLinearity:
             body = ", ".join(f"b{i}=1" for i in range(1, n + 1))
             p = parse_program(f"a :- {max(1, n // 2)} <= {{ {body} }}.")
             scope = frozenset({"a", *(f"b{i}" for i in range(1, n + 1))})
-            counts[n] = len(toc_module(p, scope, ranked=True).formulas)
+            counts[n] = len(toc_module(p, scope).formulas)
         assert counts[10] / counts[5] <= 2
         assert counts[20] / counts[10] <= 2
         assert counts[40] / counts[20] <= 2
