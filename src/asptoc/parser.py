@@ -260,7 +260,8 @@ def parse_program(text: str) -> Program:
                 rule, i = _rule(toks, kinds, i)
                 rules.append(rule)
     except (_Reject, ValueError) as err:
-        # the first character no token starts with outranks any grammar error
+        # the first character no token starts with outranks any grammar
+        # error, and int()'s refusal of an over-long digit string too
         if "CHAR" in kinds:
             k = kinds.index("CHAR")
             cls = ParseError

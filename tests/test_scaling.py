@@ -46,8 +46,9 @@ def stage_seconds(source: str) -> dict:
     return {"parse": parse_s, "depgraph": graph_s, "toc": toc_s}
 
 
-def best_times(sources: dict, stages) -> dict:
-    """Per size, each stage's best of RUNS interleaved timings."""
+def assert_linear(sources: dict, stages) -> None:
+    """Bound each stage's ratio between the best of RUNS interleaved
+    timings of ``stages(source)`` on the N-rule and the 4N-rule source."""
     best = {n: {} for n in sources}
     enabled = gc.isenabled()
     gc.collect()
@@ -60,10 +61,6 @@ def best_times(sources: dict, stages) -> dict:
     finally:
         if enabled:
             gc.enable()
-    return best
-
-
-def check_linear(best: dict) -> None:
     ratios = {stage: best[4 * N][stage] / best[N][stage] for stage in best[N]}
     report = ", ".join(f"{stage} {best[N][stage]:.3f}s -> {best[4 * N][stage]:.3f}s"
                        for stage in best[N])
@@ -72,14 +69,12 @@ def check_linear(best: dict) -> None:
 
 
 def test_translation_time_is_linear():
-    sources = {n: chain_source(n) for n in (N, 4 * N)}
-    check_linear(best_times(sources, stage_seconds))
+    assert_linear({n: chain_source(n) for n in (N, 4 * N)}, stage_seconds)
 
 
 def test_parse_time_is_linear_on_one_line():
-    """All rules on one line: a token position found by scanning back to
-    the line start, or by counting from the text start, grows with the
-    line and makes the parse quadratic."""
-    sources = {n: chain_source(n).replace("\n", " ") for n in (N, 4 * N)}
-    check_linear(best_times(sources, lambda source: {
-        "parse": seconds(lambda: parse_program(source))}))
+    """All rules on one line: a position computed for every token by
+    scanning the text, such as ``text.count`` from its start, makes the
+    parse quadratic."""
+    assert_linear({n: chain_source(n).replace("\n", " ") for n in (N, 4 * N)},
+                  lambda source: {"parse": seconds(lambda: parse_program(source))})
