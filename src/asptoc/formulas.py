@@ -21,12 +21,12 @@ from typing import Iterable, Optional, Union
 # ---------------------------------------------------------------------------
 # atom and variable references
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Base:
     name: str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Aux:
     """Generated atom: app/int/ext/vub carry a rule ordinal, dep/gap a body
     atom; ``ns`` namespaces harness-only copies."""
@@ -46,7 +46,7 @@ class Aux:
 AtomRef = Union[Base, Aux]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class LevelVar:
     owner: str
 
@@ -127,49 +127,49 @@ def decode(symbol: str):
 # ---------------------------------------------------------------------------
 # formulas
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     atom: AtomRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     subs: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     subs: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueF:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseF:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diff:
     """lhs - rhs <= k; a self difference is legal and constant."""
 
@@ -178,7 +178,7 @@ class Diff:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PBTerm:
     coef: int
     atom: AtomRef
@@ -189,7 +189,7 @@ class PBTerm:
             raise ValueError("pseudo-Boolean coefficients must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PB:
     """lower <= sum of satisfied terms <= upper (either bound optional)."""
 
@@ -202,12 +202,15 @@ class PB:
             raise ValueError("pseudo-Boolean atom needs at least one bound")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZPin:
     """z = 0; the anchor making ranking values absolute."""
 
 
 Formula = Union[Var, Not, And, Or, Implies, Iff, TrueF, FalseF, Diff, PB, ZPin]
+
+TRUE = TrueF()
+FALSE = FalseF()
 
 
 def make_pb(terms: Iterable[PBTerm], lower: Optional[int] = None,
@@ -216,57 +219,69 @@ def make_pb(terms: Iterable[PBTerm], lower: Optional[int] = None,
     terms = tuple(terms)
     if not terms:
         ok = (lower is None or lower <= 0) and (upper is None or upper >= 0)
-        return TrueF() if ok else FalseF()
+        return TRUE if ok else FALSE
     return PB(terms, lower, upper)
 
 
 def conj(*subs: Formula) -> Formula:
-    flat = [s for s in subs if not isinstance(s, TrueF)]
-    if any(isinstance(s, FalseF) for s in flat):
-        return FalseF()
+    flat = []
+    for s in subs:
+        t = type(s)
+        if t is FalseF:
+            return FALSE
+        if t is not TrueF:
+            flat.append(s)
     if not flat:
-        return TrueF()
+        return TRUE
     if len(flat) == 1:
         return flat[0]
     return And(tuple(flat))
 
 
 def disj(*subs: Formula) -> Formula:
-    flat = [s for s in subs if not isinstance(s, FalseF)]
-    if any(isinstance(s, TrueF) for s in flat):
-        return TrueF()
+    flat = []
+    for s in subs:
+        t = type(s)
+        if t is TrueF:
+            return TRUE
+        if t is not FalseF:
+            flat.append(s)
     if not flat:
-        return FalseF()
+        return FALSE
     if len(flat) == 1:
         return flat[0]
     return Or(tuple(flat))
 
 
 # ---------------------------------------------------------------------------
-# ranking scaffolding
+# ranking scaffolding.  The builders take the nodes a scope shares: the
+# ranking variable of each atom and the ``Var`` saying that it holds.
 
-def mk_bounds(atom: str, scope_size: int):
-    """Range formulas for one ranking variable: positive, at most
-    ``scope_size + 1``, and at the maximum exactly when the atom is false,
-    so that a true atom ranks below every false one, strong or not."""
-    x = LevelVar(atom)
+_STAGES = {"dep": 1, "gap": 2}
+
+
+def mk_bounds(x: LevelVar, holds: Var, scope_size: int):
+    """Range formulas for the ranking variable ``x`` of the atom ``holds``
+    reads: positive, at most ``scope_size + 1``, and at the maximum exactly
+    when the atom is false, so that a true atom ranks below every false
+    one, strong or not."""
+    atom = x.owner
     cap = scope_size + 1
     return [
         (f"bounds:{atom}:min", Diff(Z, x, -1)),
         (f"bounds:{atom}:max", Diff(x, Z, cap)),
-        (f"bounds:{atom}:false", Iff(Not(Var(Base(atom))), Diff(Z, x, -cap))),
+        (f"bounds:{atom}:false", Iff(Not(holds), Diff(Z, x, -cap))),
     ]
 
 
-def mk_dep_gap(head: str, body_atom: str, kinds: tuple = ("dep", "gap")):
-    """dep: the body atom holds and was derived strictly before the head;
-    gap: it was derived at least two stages before.  Defines ``kinds``."""
-    xa, xb = LevelVar(head), LevelVar(body_atom)
-    stages = {"dep": 1, "gap": 2}
-    return [(f"{kind}:{head}:{body_atom}",
-             Iff(Var(Aux(kind, head, body_atom)),
-                 conj(Var(Base(body_atom)), Diff(xb, xa, -stages[kind]))))
-            for kind in kinds]
+def mk_dep_gap(auxes, holds: Var, xa: LevelVar, xb: LevelVar):
+    """Definitions of ``auxes``, the ``dep`` (and ``gap``) atom of the edge
+    from the head ranked ``xa`` to the body atom ``holds`` reads, ranked
+    ``xb``.  dep: the body atom holds and was derived strictly before the
+    head; gap: it was derived at least two stages before."""
+    return [(f"{aux.kind}:{aux.head}:{aux.arg}",
+             Iff(Var(aux), conj(holds, Diff(xb, xa, -_STAGES[aux.kind]))))
+            for aux in auxes]
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,14 @@ import itertools
 from dataclasses import dataclass
 
 from .formulas import (
+    FALSE,
+    TRUE,
     Aux,
     Base,
-    FalseF,
     FormulaSet,
     Iff,
+    LevelVar,
     Not,
-    TrueF,
     Var,
     conj,
     disj,
@@ -130,7 +131,7 @@ def proposition_sides(rule: Rule):
     if k == 0:
         # an unreachable bound normalizes to no rules at all; the head then
         # keeps its empty completion instead of becoming an input atom
-        side_a.add(f"def:{head}", Iff(Var(Base(head)), FalseF()))
+        side_a.add(f"def:{head}", Iff(Var(Base(head)), FALSE))
     connecting = Iff(disj(*(Var(Aux("app", head, i, "n")) for i in range(1, k + 1))),
                      Var(Aux("app", head, 1)))
     return side_a, side_b, connecting, k
@@ -296,7 +297,7 @@ def toc_abstract(rule: Rule, scope: frozenset, *, ordinal: int = 1,
     exact = disj(*(conj(*(plain(j) if j in sat else Not(plain(j))
                           for j in sorted(universe)))
                    for sat in sorted(family, key=lambda s: tuple(sorted(s)))))
-    bound_check = TrueF() if monotone else exact
+    bound_check = TRUE if monotone else exact
 
     weak = conj(disj(*(conj(*(ordered(j, "dep") for j in sorted(sat)))
                        for sat in minimal)), bound_check)
@@ -312,7 +313,7 @@ def toc_abstract(rule: Rule, scope: frozenset, *, ordinal: int = 1,
     for j in sorted(universe):
         if in_scope_pos(j):
             fs.declare_aux(*(Aux(kind, head, slots[j].literal.atom) for kind in kinds))
-    emit_support(fs, head, ordinal, "", weak, ext_def, deny,
+    emit_support(fs, LevelVar(head), ordinal, "", weak, ext_def, deny,
                  has_in=any(in_scope_pos(j) for j in universe),
                  ext_possible=bool(ext_minimal))
     return fs

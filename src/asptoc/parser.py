@@ -98,15 +98,16 @@ def _expected(toks, kinds, i, kind) -> _Reject:
 
 
 def _literal(toks, kinds, i):
-    polarity = Polarity.POSITIVE
-    if kinds[i] == "NOT":
+    """A literal's plain key ``(atom, negated)``; the rule builds one
+    ``Literal`` per distinct key."""
+    negated = kinds[i] == "NOT"
+    if negated:
         if kinds[i + 1] == "NOT":
             raise _Reject(ParseError, "double negation cannot be written in source", i)
-        polarity = Polarity.NEGATIVE
         i += 1
     if kinds[i] != "ATOM":
         raise _expected(toks, kinds, i, "IDENT")
-    return Literal(toks[i], polarity), i + 1
+    return (toks[i], negated), i + 1
 
 
 def _integer(toks, kinds, i, what):
@@ -125,7 +126,7 @@ def _aggregate(toks, kinds, i):
         if kinds[i] != kind:
             raise _expected(toks, kinds, i, kind)
     i += 1
-    wlits: list[tuple[Literal, int | None]] = []
+    wlits: list[tuple[tuple[str, bool], int | None]] = []
     if kinds[i] != "RBRACE":
         while True:
             lit, i = _literal(toks, kinds, i)
@@ -166,7 +167,7 @@ def _rule(toks, kinds, i):
     elif kinds[i] != "IF":
         raise _Reject(ParseError, f"expected rule, found {toks[i]!r}", i)
 
-    conj: list[Literal] = []
+    conj: list[tuple[str, bool]] = []
     agg = None
     if kinds[i] == "IF":
         i += 1
@@ -205,9 +206,13 @@ def _directive(toks, kinds, i, hidden: set, declared: set) -> int:
     return i + 1
 
 
+_POLARITY = (Polarity.POSITIVE, Polarity.NEGATIVE)  # by ``negated``
+
+
 def _canonical_rule(head, choice, conj, agg) -> Rule:
     if agg is None:
-        body = [WeightedLiteral(lit) for lit in dict.fromkeys(conj)]
+        body = [WeightedLiteral(Literal(atom, _POLARITY[negated]))
+                for atom, negated in dict.fromkeys(conj)]
         lower = len(body)
         if head is None:
             origin = Origin.CONSTRAINT
@@ -225,12 +230,14 @@ def _canonical_rule(head, choice, conj, agg) -> Rule:
     wlits, lower, upper = agg
     weighted = any(w is not None for _, w in wlits)
     if weighted:
-        merged: dict[Literal, int] = {}  # first-seen order
-        for lit, w in wlits:
-            merged[lit] = merged.get(lit, 0) + (1 if w is None else w)
-        body = tuple(WeightedLiteral(lit, w) for lit, w in merged.items() if w > 0)
+        merged: dict[tuple[str, bool], int] = {}  # first-seen order
+        for key, w in wlits:
+            merged[key] = merged.get(key, 0) + (1 if w is None else w)
+        body = tuple(WeightedLiteral(Literal(atom, _POLARITY[negated]), w)
+                     for (atom, negated), w in merged.items() if w > 0)
     else:
-        body = tuple(WeightedLiteral(lit) for lit in dict.fromkeys(lit for lit, _ in wlits))
+        body = tuple(WeightedLiteral(Literal(atom, _POLARITY[negated]))
+                     for atom, negated in dict.fromkeys(key for key, _ in wlits))
     if head is None:
         origin = Origin.CONSTRAINT
     elif upper is not None:

@@ -29,7 +29,7 @@ class Polarity(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     """A named propositional atom; ``visible`` drives model projection."""
 
@@ -41,7 +41,7 @@ class Atom:
             raise ValueError("atom name must be non-empty")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Literal:
     atom: str
     polarity: Polarity = Polarity.POSITIVE
@@ -60,7 +60,7 @@ class Literal:
         return prefix + self.atom
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class WeightedLiteral:
     literal: Literal
     weight: int = 1
@@ -80,7 +80,7 @@ class Origin(enum.Enum):
     FACT = "fact"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """Canonical generalized weight rule.
 
@@ -142,15 +142,12 @@ class Program:
     signature: tuple[Atom, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        names = [a.name for a in self.signature]
-        if len(set(names)) != len(names):
+        known = {a.name for a in self.signature}
+        if len(known) != len(self.signature):
             raise ValueError("duplicate atom in signature")
-        known = set(names)
-        mentioned = set()
-        for rule in self.rules:
-            if rule.head is not None:
-                mentioned.add(rule.head)
-            mentioned.update(rule.body_atoms())
+        mentioned = {wl.literal.atom for rule in self.rules for wl in rule.body}
+        mentioned.update(rule.head for rule in self.rules)
+        mentioned.discard(None)
         missing = mentioned - known
         if missing:
             raise ValueError(f"atoms missing from signature: {sorted(missing)}")
@@ -193,11 +190,10 @@ def program_of(rules: Iterable[Rule], extra_atoms: Iterable[str] = (),
                hidden: Iterable[str] = ()) -> Program:
     """Build a program, deriving the signature from the rules."""
     rules = tuple(rules)
-    names = set(extra_atoms)
-    for rule in rules:
-        if rule.head is not None:
-            names.add(rule.head)
-        names.update(rule.body_atoms())
+    names = {wl.literal.atom for rule in rules for wl in rule.body}
+    names.update(rule.head for rule in rules)
+    names.discard(None)
+    names.update(extra_atoms)
     hidden = set(hidden)
     signature = tuple(Atom(n, visible=n not in hidden) for n in sorted(names))
     return Program(rules, signature)

@@ -26,12 +26,18 @@ dep-substituted sum instead would accept unstable models in which the
 bound is exceeded only by atoms derived after the head.  The alternative
 emission mode names the violation check with an explicit ``vub`` atom
 defined completion-style, plus the guarding constraint.
+
+A ranked scope builds each leaf once and every formula shares it: one
+``Base`` per atom its rules mention, one ``Var`` and ``LevelVar`` per
+scope atom, and the ``dep``/``gap`` atoms of each edge, declared once and
+read by their definitions and by every rule's sums alike.
 """
 
 from __future__ import annotations
 
 from .depgraph import scopes
 from .formulas import (
+    TRUE,
     Aux,
     Base,
     Diff,
@@ -41,7 +47,6 @@ from .formulas import (
     LevelVar,
     Not,
     PBTerm,
-    TrueF,
     Var,
     Z,
     ZPin,
@@ -54,27 +59,27 @@ from .formulas import (
 from .program import Polarity, Program, Rule, def_of
 
 
-def _split_body(rule: Rule, scope: frozenset):
-    """Body parts relative to the scope.
+def _split_body(rule: Rule, scope: frozenset, base: dict):
+    """The rule's in-scope positive atoms with their weights, and the terms
+    of the rest of its body over the scope's ``base`` atoms: positive, then
+    double-negated, then negated.
 
     Double-negated literals count like out-of-scope positives: the reduct
     fixes their truth against the candidate model, so they never order.
     """
-    pin, pout = [], []
-    for wl in rule.literals(Polarity.POSITIVE):
-        (pin if wl.literal.atom in scope else pout).append((wl.literal.atom, wl.weight))
-    dneg = [(wl.literal.atom, wl.weight)
-            for wl in rule.literals(Polarity.DOUBLE_NEGATED)]
-    neg = [(wl.literal.atom, wl.weight)
-           for wl in rule.literals(Polarity.NEGATIVE)]
-    return pin, pout, dneg, neg
-
-
-def _out_terms(pout, dneg, neg):
-    terms = [PBTerm(w, Base(b)) for b, w in pout]
-    terms += [PBTerm(w, Base(d)) for d, w in dneg]
-    terms += [PBTerm(w, Base(c), negated=True) for c, w in neg]
-    return terms
+    pin, pout, dneg, neg = [], [], [], []
+    for wl in rule.body:
+        atom, polarity = wl.literal.atom, wl.literal.polarity
+        if polarity is Polarity.POSITIVE:
+            if atom in scope:
+                pin.append((atom, wl.weight))
+            else:
+                pout.append(PBTerm(wl.weight, base[atom]))
+        elif polarity is Polarity.DOUBLE_NEGATED:
+            dneg.append(PBTerm(wl.weight, base[atom]))
+        else:
+            neg.append(PBTerm(wl.weight, base[atom], True))
+    return pin, pout + dneg + neg
 
 
 def _plain_terms(rule: Rule):
@@ -89,9 +94,10 @@ def plain_body_formula(rule: Rule):
     return make_pb(_plain_terms(rule), rule.lower, rule.upper)
 
 
-def emit_support(fs: FormulaSet, head: str, i: int, ns: str, weak, ext, deny,
-                 has_in: bool, ext_possible: bool) -> Aux:
-    """The support formulas of rule ``i`` of ``head`` in a ranked scope.
+def emit_support(fs: FormulaSet, x: LevelVar, i: int, ns: str, weak, ext, deny,
+                 has_in: bool, ext_possible: bool) -> Var:
+    """The support formulas of rule ``i`` of the head ranked by ``x`` in a
+    ranked scope.
 
     ``weak`` is the internal support condition, ``ext`` the external one
     and ``deny`` the strong condition's denial of a fully gapped support
@@ -99,68 +105,74 @@ def emit_support(fs: FormulaSet, head: str, i: int, ns: str, weak, ext, deny,
     without in-scope atoms the applicability atom takes ``weak``; without
     in-scope positive atoms it takes ``ext`` and resets the head's rank;
     otherwise it splits into an internal and an external atom.  Returns
-    the applicability atom.
+    the ``Var`` of the applicability atom.
     """
-    app = Aux("app", head, i, ns)
-    fs.declare_aux(app)
+    head = x.owner
+    applies = Var(Aux("app", head, i, ns))
+    fs.declare_aux(applies.atom)
     if has_in and not ext_possible:
-        fs.add(f"app:{head}:{i}", Iff(Var(app), weak))
+        fs.add(f"app:{head}:{i}", Iff(applies, weak))
         if deny is not None:
-            fs.add(f"strong:{head}:{i}", Implies(Var(app), deny))
-        return app
+            fs.add(f"strong:{head}:{i}", Implies(applies, deny))
+        return applies
     if not has_in:
-        fs.add(f"app:{head}:{i}", Iff(Var(app), ext))
-        resets = app
+        fs.add(f"app:{head}:{i}", Iff(applies, ext))
+        resets = applies
     else:
-        internal = Aux("int", head, i, ns)
-        external = Aux("ext", head, i, ns)
-        fs.declare_aux(internal, external)
-        fs.add(f"split:{head}:{i}", Iff(Var(app), disj(Var(internal), Var(external))))
-        fs.add(f"int:{head}:{i}", Iff(Var(internal), weak))
+        internal = Var(Aux("int", head, i, ns))
+        external = Var(Aux("ext", head, i, ns))
+        fs.declare_aux(internal.atom, external.atom)
+        fs.add(f"split:{head}:{i}", Iff(applies, disj(internal, external)))
+        fs.add(f"int:{head}:{i}", Iff(internal, weak))
         if deny is not None:
-            fs.add(f"strong:{head}:{i}",
-                   Implies(Var(internal), disj(deny, Var(external))))
-        fs.add(f"ext:{head}:{i}", Iff(Var(external), ext))
+            fs.add(f"strong:{head}:{i}", Implies(internal, disj(deny, external)))
+        fs.add(f"ext:{head}:{i}", Iff(external, ext))
         resets = external
-    fs.add(f"reset:{head}:{i}", Implies(Var(resets), Diff(LevelVar(head), Z, 1)))
-    return app
+    fs.add(f"reset:{head}:{i}", Implies(resets, Diff(x, Z, 1)))
+    return applies
 
 
-def _vub(fs: FormulaSet, head: str, i: int, ns: str, terms, upper: int) -> Aux:
-    """The violation atom of rule ``i``'s upper bound over ``terms``."""
-    vub = Aux("vub", head, i, ns)
-    fs.declare_aux(vub)
-    fs.add(f"vub:{head}:{i}", Iff(Var(vub), make_pb(terms, lower=upper + 1)))
-    return vub
+def _vub(fs: FormulaSet, head: str, i: int, ns: str, terms, upper: int) -> Var:
+    """The ``Var`` of rule ``i``'s violation atom of its upper bound over
+    ``terms``."""
+    violated = Var(Aux("vub", head, i, ns))
+    fs.declare_aux(violated.atom)
+    fs.add(f"vub:{head}:{i}", Iff(violated, make_pb(terms, lower=upper + 1)))
+    return violated
 
 
-def _ranked_rule(fs: FormulaSet, head: str, i: int, rule: Rule, parts,
-                 strong: bool, vub_form: bool, ns: str):
-    pin, pout, dneg, neg = parts
-    out = _out_terms(pout, dneg, neg)
-    plain_in = [PBTerm(w, Base(b)) for b, w in pin]
+def _ranked_rule(fs: FormulaSet, x: LevelVar, i: int, rule: Rule, parts,
+                 base: dict, edges: dict, strong: bool, vub_form: bool, ns: str):
+    """Rule ``i`` of the head ranked by ``x``; ``edges`` maps each of its
+    in-scope body atoms to the edge's declared ``dep`` (and ``gap``) atom."""
+    pin, out = parts
     lower, upper = rule.lower, rule.upper
 
     vub = None
     if upper is None:
-        bound_check = TrueF()
-    elif vub_form:
-        vub = _vub(fs, head, i, ns, plain_in + out, upper)
-        bound_check = Not(Var(vub))
+        bound_check = TRUE
     else:
-        bound_check = make_pb(plain_in + out, upper=upper)
+        plain = [PBTerm(w, base[b]) for b, w in pin] + out
+        if vub_form:
+            vub = _vub(fs, x.owner, i, ns, plain, upper)
+            bound_check = Not(vub)
+        else:
+            bound_check = make_pb(plain, upper=upper)
 
-    dep_terms = [PBTerm(w, Aux("dep", head, b)) for b, w in pin]
-    gap_terms = [PBTerm(w, Aux("gap", head, b)) for b, w in pin]
-    app = emit_support(fs, head, i, ns,
-                       weak=conj(make_pb(dep_terms + out, lower=lower), bound_check),
-                       ext=conj(make_pb(out, lower=lower), bound_check),
-                       deny=make_pb(gap_terms + out, upper=lower - 1) if strong else None,
-                       has_in=bool(pin),
-                       ext_possible=sum(t.coef for t in out) >= lower)
+    dep_terms = [PBTerm(w, edges[b][0]) for b, w in pin]
+    deny = None
+    if strong:
+        gap_terms = [PBTerm(w, edges[b][1]) for b, w in pin]
+        deny = make_pb(gap_terms + out, upper=lower - 1)
+    applies = emit_support(fs, x, i, ns,
+                           weak=conj(make_pb(dep_terms + out, lower=lower), bound_check),
+                           ext=conj(make_pb(out, lower=lower), bound_check),
+                           deny=deny,
+                           has_in=bool(pin),
+                           ext_possible=sum(t.coef for t in out) >= lower)
     if vub is not None:
-        fs.add(f"ubcheck:{head}:{i}", Not(conj(Var(app), Var(vub))))
-    return Var(app)
+        fs.add(f"ubcheck:{x.owner}:{i}", Not(conj(applies, vub)))
+    return applies
 
 
 def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, vub_form: bool):
@@ -169,19 +181,18 @@ def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, vub_form: bool):
     if rule.upper is None or not vub_form:
         return plain_body_formula(rule)
     terms = _plain_terms(rule)
-    app = Aux("app", head, i)
-    fs.declare_aux(app)
+    applies = Var(Aux("app", head, i))
+    fs.declare_aux(applies.atom)
     vub = _vub(fs, head, i, "", terms, rule.upper)
     fs.add(f"app:{head}:{i}",
-           Iff(Var(app), conj(make_pb(terms, lower=rule.lower), Not(Var(vub)))))
-    fs.add(f"ubcheck:{head}:{i}", Not(conj(Var(app), Var(vub))))
-    return Var(app)
+           Iff(applies, conj(make_pb(terms, lower=rule.lower), Not(vub))))
+    fs.add(f"ubcheck:{head}:{i}", Not(conj(applies, vub)))
+    return applies
 
 
-def _define(fs: FormulaSet, head: str, supports: list):
-    """The head's completion over its rules' supports; none leaves it free."""
-    if supports:
-        fs.add(f"def:{head}", Iff(Var(Base(head)), disj(*supports)))
+def _define(fs: FormulaSet, holds: Var, supports: list):
+    """The completion of the head ``holds`` reads over its rules' supports."""
+    fs.add(f"def:{holds.atom.name}", Iff(holds, disj(*supports)))
 
 
 def toc_module(program: Program, scope: frozenset, *,
@@ -194,28 +205,36 @@ def toc_module(program: Program, scope: frozenset, *,
     """
     atoms = sorted(scope)
     defs = {a: def_of(a, program) for a in atoms}
-    fs = FormulaSet()
-    fs.declare_base(*atoms)
-
+    names = dict.fromkeys(atoms)
     for atom in atoms:
         for rule in defs[atom]:
-            fs.declare_base(*sorted(set(rule.body_atoms())))
+            names.update(dict.fromkeys(sorted({wl.literal.atom for wl in rule.body})))
+    fs = FormulaSet()
+    fs.declare_base(*names)
+    base = {n: Base(n) for n in names}
+    holds = {a: Var(base[a]) for a in atoms}
+    level = {a: LevelVar(a) for a in atoms}
 
     size = len(scope)
     for atom in atoms:
         fs.declare_level(atom, 1, size + 1)
-        fs.extend(mk_bounds(atom, size))
-    parts = {a: [_split_body(r, scope) for r in defs[a]] for a in atoms}
-    edges = sorted({(a, b) for a in atoms
-                    for pin, *_ in parts[a] for b, _ in pin})
+        fs.extend(mk_bounds(level[atom], holds[atom], size))
+    parts = {a: [_split_body(r, scope, base) for r in defs[a]] for a in atoms}
     kinds = ("dep", "gap") if strong else ("dep",)
-    for a, b in edges:
-        fs.declare_aux(*(Aux(kind, a, b) for kind in kinds))
-        fs.extend(mk_dep_gap(a, b, kinds))
+    edges = {}
+    for a in atoms:
+        edges[a] = {}
+        for b in sorted({b for pin, _ in parts[a] for b, _ in pin}):
+            auxes = edges[a][b] = tuple(Aux(kind, a, b) for kind in kinds)
+            fs.declare_aux(*auxes)
+            fs.extend(mk_dep_gap(auxes, holds[b], level[a], level[b]))
 
     for atom in atoms:
-        _define(fs, atom, [_ranked_rule(fs, atom, i, rule, part, strong, vub_form, aux_ns)
-                           for i, (rule, part) in enumerate(zip(defs[atom], parts[atom]), 1)])
+        if defs[atom]:
+            _define(fs, holds[atom],
+                    [_ranked_rule(fs, level[atom], i, rule, part, base, edges[atom],
+                                  strong, vub_form, aux_ns)
+                     for i, (rule, part) in enumerate(zip(defs[atom], parts[atom]), 1)])
     return fs
 
 
@@ -236,8 +255,10 @@ def toc_program(program: Program, *, scope_mode: str = "scc",
             fs.merge(toc_module(program, scope, strong=strong, vub_form=vub_form))
         else:
             (atom,) = scope
-            _define(fs, atom, [_flat_rule(fs, atom, i, rule, vub_form)
-                               for i, rule in enumerate(def_of(atom, program), 1)])
+            rules = def_of(atom, program)
+            if rules:  # an input atom stays free
+                _define(fs, Var(Base(atom)), [_flat_rule(fs, atom, i, rule, vub_form)
+                                              for i, rule in enumerate(rules, 1)])
     for idx, rule in enumerate(program.constraints(), 1):
         fs.add(f"constraint:{idx}", Not(plain_body_formula(rule)))
     fs.add("pin:z", ZPin())

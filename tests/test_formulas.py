@@ -1,24 +1,32 @@
 """Formula IR: ranking scaffolding, validation, constant folding, the
 symbol codec."""
 
+import dataclasses
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asptoc import formulas, program
 from asptoc.formulas import (
+    And,
     Aux,
     Base,
     Diff,
     FalseF,
     FormulaSet,
+    Iff,
+    Implies,
     LevelVar,
+    Not,
+    Or,
     PB,
     PBTerm,
     TrueF,
     ValidationError,
     Var,
     Z,
+    ZPin,
     decode,
     encode,
     eval_formula,
@@ -38,20 +46,20 @@ def eval_pairs(pairs, bools, ints):
 
 class TestBounds:
     def test_self_loop_scope_range(self):
-        pairs = mk_bounds("a", 1)
+        pairs = mk_bounds(LevelVar("a"), Var(Base("a")), 1)
         # a true atom ranks in 1..|S|; the top rank |S|+1 is the false one's
         for x in range(-1, 5):
             feasible = eval_pairs(pairs, {"a": True}, {"__x_a": x})
             assert feasible == (1 <= x <= 1)
 
     def test_false_atom_forces_top_rank(self):
-        pairs = mk_bounds("a", 1)
+        pairs = mk_bounds(LevelVar("a"), Var(Base("a")), 1)
         admitted = [x for x in range(0, 4)
                     if eval_pairs(pairs, {"a": False}, {"__x_a": x})]
         assert admitted == [2]
 
     def test_example5_default_rank_six(self):
-        pairs = mk_bounds("b2", 5)
+        pairs = mk_bounds(LevelVar("b2"), Var(Base("b2")), 5)
         admitted = [x for x in range(0, 8)
                     if eval_pairs(pairs, {"b2": False}, {"__x_b2": x})]
         assert admitted == [6]
@@ -65,7 +73,8 @@ class TestDepGap:
                     yield {"b": b}, {"__x_a": xa, "__x_b": xb, "__z": 0}
 
     def consistent_values(self, bools, ints):
-        pairs = mk_dep_gap("a", "b")
+        pairs = mk_dep_gap((Aux("dep", "a", "b"), Aux("gap", "a", "b")),
+                           Var(Base("b")), LevelVar("a"), LevelVar("b"))
         for dep in (False, True):
             for gap in (False, True):
                 env = {**bools, ref_name(Aux("dep", "a", "b")): dep,
@@ -177,7 +186,7 @@ class TestValidation:
         fs = FormulaSet()
         fs.declare_base("a")
         fs.declare_level("a", 1, 2)
-        fs.extend(mk_bounds("a", 1))
+        fs.extend(mk_bounds(LevelVar("a"), Var(Base("a")), 1))
         fs.validate()
 
     def test_without_drops_by_prefix(self):
@@ -308,3 +317,32 @@ def test_codec_is_injective(refs):
 def test_aux_symbols_spell_no_atom_or_variable(aux, name):
     assert encode(aux) not in {name, encode(Base(name)), var_name(LevelVar(name)),
                                var_name(Z)}
+
+
+def ir_samples():
+    a = Var(Base("a"))
+    lit = program.Literal("a")
+    return [Base("a"), Aux("app", "a", 1), LevelVar("a"), a, Not(a), And((a, a)),
+            Or((a, a)), Implies(a, a), Iff(a, a), TrueF(), FalseF(),
+            Diff(LevelVar("a"), Z, 1), PBTerm(1, Base("a")),
+            PB((PBTerm(1, Base("a")),), lower=1), ZPin(), program.Atom("a"), lit,
+            program.WeightedLiteral(lit), program.normal_rule("a", ["b"])]
+
+
+def test_samples_cover_every_slotted_ir_class():
+    frozen = {cls for module in (formulas, program) for cls in vars(module).values()
+              if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+              and cls.__module__ == module.__name__
+              and cls.__dataclass_params__.frozen}
+    # Program keeps a __dict__ for its cached indexes
+    assert frozen - {program.Program} == {type(obj) for obj in ir_samples()}
+
+
+@pytest.mark.parametrize("obj", ir_samples(), ids=lambda obj: type(obj).__name__)
+def test_immutability_survives_slots(obj):
+    assert not hasattr(obj, "__dict__")
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, None)
+    with pytest.raises((AttributeError, TypeError)):  # no slot to hold it
+        obj.extra = None

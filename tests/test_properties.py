@@ -1,6 +1,7 @@
 """Cross-cutting semantic properties over generated rules and programs."""
 
 import itertools
+import pathlib
 import random
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asptoc.depgraph import build_depgraph, sccs, scopes
-from asptoc.formulas import Aux
+from asptoc.formulas import PB, Aux, Base, Diff, LevelVar, Var
 from asptoc.fuzz import check_program, fuzz_corpus, ranked_scopes
 from asptoc.oracle import aggregate_reduct, least_model, reduct, stable_models
 from asptoc.parser import parse_program
@@ -142,6 +143,43 @@ def test_no_pass_through_or_dead_auxiliaries(scope_mode, vub_form, strong):
         assert {r for r in fs.aux_atoms if r.head in flat} == guarded, source
         if not strong:
             assert not any(r.kind == "gap" for r in fs.aux_atoms), source
+
+
+def leaves(formula):
+    """The ``Base``, ``Aux`` and ``LevelVar`` leaves of a formula."""
+    if type(formula) is Var:
+        yield formula.atom
+    elif type(formula) is PB:
+        yield from (t.atom for t in formula.terms)
+    elif type(formula) is Diff:
+        yield from (v for v in (formula.lhs, formula.rhs) if type(v) is LevelVar)
+    else:
+        for sub in getattr(formula, "subs", ()):
+            yield from leaves(sub)
+        for part in ("sub", "left", "right"):
+            if hasattr(formula, part):
+                yield from leaves(getattr(formula, part))
+
+
+@pytest.mark.parametrize("scope_mode", ["scc", "global"])
+@pytest.mark.parametrize("vub_form", [False, True])
+def test_ranked_leaves_are_shared(scope_mode, vub_form):
+    # toc_module builds each leaf once: equal leaves are one object, and
+    # every auxiliary atom a formula reads is the declared key itself
+    mix = pathlib.Path(__file__).parent / "golden" / "ranked_mix.lp"
+    corpus = [parse_program(mix.read_text())]
+    corpus += [program for _, _, program in fuzz_corpus(1, 200)]
+    for program in corpus:
+        for scope in ranked_scopes(program, scope_mode):
+            fs = toc_module(program, scope, vub_form=vub_form)
+            declared = {ref: ref for ref in fs.aux_atoms}
+            first = {}
+            for name, formula in fs.formulas:
+                for leaf in leaves(formula):
+                    assert first.setdefault(leaf, leaf) is leaf, (name, leaf)
+                    if type(leaf) is Aux:
+                        assert declared[leaf] is leaf, (name, leaf)
+            assert {type(leaf) for leaf in first} <= {Base, Aux, LevelVar}
 
 
 @settings(max_examples=40, deadline=None)

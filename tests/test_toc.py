@@ -124,7 +124,7 @@ class TestOrderedCompletionInstantiation:
         size = len(scope)
         for atom in sorted(scope):
             fs.declare_level(atom, 1, size + 1)
-            fs.extend(mk_bounds(atom, size))
+            fs.extend(mk_bounds(LevelVar(atom), Var(Base(atom)), size))
         edges = set()
         from asptoc.program import Polarity, def_of
         for atom in sorted(scope):
@@ -133,8 +133,9 @@ class TestOrderedCompletionInstantiation:
                     if wlit.literal.atom in scope:
                         edges.add((atom, wlit.literal.atom))
         for a, b in sorted(edges):
-            fs.declare_aux(Aux("dep", a, b), Aux("gap", a, b))
-            fs.extend(mk_dep_gap(a, b))
+            auxes = (Aux("dep", a, b), Aux("gap", a, b))
+            fs.declare_aux(*auxes)
+            fs.extend(mk_dep_gap(auxes, Var(Base(b)), LevelVar(a), LevelVar(b)))
         for atom in sorted(scope):
             rules = def_of(atom, program)
             if not rules:
@@ -318,12 +319,14 @@ def assemble_abstract(program, scope, rule_index=0):
     size = len(scope)
     for atom in sorted(scope):
         fs.declare_level(atom, 1, size + 1)
-        fs.extend(mk_bounds(atom, size))
+        fs.extend(mk_bounds(LevelVar(atom), Var(Base(atom)), size))
     rule = program.rules[rule_index]
     from asptoc.program import Polarity
     for wlit in rule.literals(Polarity.POSITIVE):
-        if wlit.literal.atom in scope:
-            fs.extend(mk_dep_gap(rule.head, wlit.literal.atom))
+        b = wlit.literal.atom
+        if b in scope:
+            fs.extend(mk_dep_gap((Aux("dep", rule.head, b), Aux("gap", rule.head, b)),
+                                 Var(Base(b)), LevelVar(rule.head), LevelVar(b)))
     fs.merge(toc_abstract(rule, scope))
     fs.add(f"def:{rule.head}", Iff(Var(Base(rule.head)),
                                    Var(Aux("app", rule.head, 1))))
