@@ -16,7 +16,7 @@ import sys
 
 from .dlcheck import DLModel
 from .formulas import Base, Not, ValidationError, Var, Z, conj, decode, var_name
-from .fuzz import check_program, fuzz_corpus, generate_weight_rule
+from .fuzz import ATOM_POOL, check_program, fuzz_corpus, generate_weight_rule
 from .normtest import check_proposition
 from .oracle import ResourceError
 from .parser import ParseError, UnsupportedFeatureError, parse_program
@@ -52,8 +52,7 @@ def _parse(path: str) -> Program:
 
 
 def _emit(args, program: Program):
-    fs = toc_program(program,
-                     scope_mode="global" if args.global_scope else "scc",
+    fs = toc_program(program, scope_mode=args.scope_mode,
                      strong=not args.no_strong,
                      vub_form=args.vub_form)
     if args.format == "debug":
@@ -79,8 +78,7 @@ def cmd_check(args) -> int:
                           "atoms": len(program.signature),
                           "cap": args.max_atoms}))
         return EXIT_UNSUPPORTED
-    report = check_program(program,
-                           scope_mode="global" if args.global_scope else "scc",
+    report = check_program(program, scope_mode=args.scope_mode,
                            vub_form=args.vub_form)
     for entry in report.checks:
         print(json.dumps(entry))
@@ -135,8 +133,7 @@ def cmd_solve(args) -> int:
     if not solver:
         print("no solver configured (use --solver or TOC_SOLVER)", file=sys.stderr)
         return EXIT_SOLVER
-    fs = toc_program(program,
-                     scope_mode="global" if args.global_scope else "scc")
+    fs = toc_program(program, scope_mode=args.scope_mode)
     visible = program.visible_atoms
     found = 0
     while True:
@@ -170,6 +167,23 @@ def cmd_solve(args) -> int:
         _block_model(fs, model)
 
 
+def _ranged(lo: int, hi: int | None = None):
+    """An argparse type accepting integers in ``[lo, hi]``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not {span}")
+        return value
+    return integer
+
+
+def _add_scope_flag(p):
+    p.add_argument("--global-scope", dest="scope_mode", action="store_const",
+                   const="global", default="scc",
+                   help="rank all defined atoms in one scope")
+
+
 @functools.cache  # built on the first call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -186,23 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop the strong ranking constraints")
     p.add_argument("--vub-form", action="store_true",
                    help="encode upper bounds with explicit violation atoms")
-    p.add_argument("--global-scope", action="store_true",
-                   help="rank all defined atoms in one scope")
+    _add_scope_flag(p)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("check", help="verify the translation against the oracle")
     p.add_argument("input")
     p.add_argument("--max-atoms", type=int, default=14)
     p.add_argument("--vub-form", action="store_true")
-    p.add_argument("--global-scope", action="store_true")
+    _add_scope_flag(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fuzz", help="random differential testing")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-atoms", type=int, default=7)
-    p.add_argument("--max-rules", type=int, default=10)
-    p.add_argument("--props", type=int, default=0, metavar="N",
+    p.add_argument("--count", type=_ranged(0), default=100)
+    p.add_argument("--max-atoms", type=_ranged(2, len(ATOM_POOL)), default=7)
+    p.add_argument("--max-rules", type=_ranged(0), default=10)
+    p.add_argument("--props", type=_ranged(0), default=0, metavar="N",
                    help="additionally check N random aggregation propositions")
     p.set_defaults(func=cmd_fuzz)
 
@@ -215,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model cap for --all")
     p.add_argument("--timeout", type=float, metavar="SECONDS",
                    help="kill a solver call running longer (default: no limit)")
-    p.add_argument("--global-scope", action="store_true")
+    _add_scope_flag(p)
     p.set_defaults(func=cmd_solve)
     return parser
 

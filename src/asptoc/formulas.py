@@ -9,7 +9,8 @@ negation with the bound shifted accordingly, so the emitted constants
 stay aligned with the adjusted rule bounds.
 
 Single-variable range constraints are expressed against the distinguished
-variable ``z``, which every complete translation pins to zero.
+variable ``z``.  Difference logic is invariant under shifting every
+variable by one amount, so the emitter pins ``z`` to zero.
 """
 
 from __future__ import annotations
@@ -202,12 +203,7 @@ class PB:
             raise ValueError("pseudo-Boolean atom needs at least one bound")
 
 
-@dataclass(frozen=True, slots=True)
-class ZPin:
-    """z = 0; the anchor making ranking values absolute."""
-
-
-Formula = Union[Var, Not, And, Or, Implies, Iff, TrueF, FalseF, Diff, PB, ZPin]
+Formula = Union[Var, Not, And, Or, Implies, Iff, TrueF, FalseF, Diff, PB]
 
 TRUE = TrueF()
 FALSE = FalseF()
@@ -308,8 +304,6 @@ def _collect(formula: Formula, atoms: set, ints: set):
     elif isinstance(formula, PB):
         for t in formula.terms:
             atoms.add(t.atom)
-    elif isinstance(formula, ZPin):
-        ints.add(Z)
 
 
 @dataclass
@@ -426,6 +420,4 @@ def eval_formula(formula: Formula, bools: dict, ints: dict) -> bool:
         if formula.lower is not None and total < formula.lower:
             return False
         return formula.upper is None or total <= formula.upper
-    if isinstance(formula, ZPin):
-        return ints[var_name(Z)] == 0
     raise TypeError(f"not a formula: {formula!r}")

@@ -102,11 +102,6 @@ def generate_weight_rule(rng: random.Random) -> Rule:
     return parse_program(f"a :- {bound} <= {{ {items} }}.").rules[0]
 
 
-def generate_program(rng: random.Random, max_atoms: int = 7,
-                     max_rules: int = 10, want_recursive: bool = False) -> Program:
-    return parse_program(generate_source(rng, max_atoms, max_rules, want_recursive))
-
-
 @dataclass
 class CheckReport:
     ok: bool = True
@@ -126,17 +121,11 @@ def ranked_scopes(program: Program, scope_mode: str = "scc") -> list[frozenset]:
 
 
 def check_program(program: Program, *, scope_mode: str = "scc",
-                  vub_form: bool = False, oracle_cap: int = 20,
-                  formula_set=None) -> CheckReport:
-    """Compare the oracle with the translation on one program.
-
-    ``formula_set`` overrides the translation, which lets the harness prove
-    it can catch a corrupted one.
-    """
+                  vub_form: bool = False) -> CheckReport:
+    """Compare the oracle with the translation on one program."""
     report = CheckReport()
-    stable = stable_models(program, cap=oracle_cap)
-    fs = formula_set if formula_set is not None else toc_program(
-        program, scope_mode=scope_mode, vub_form=vub_form)
+    stable = stable_models(program)
+    fs = toc_program(program, scope_mode=scope_mode, vub_form=vub_form)
     atom_count = len(fs.base_atoms) + len(fs.aux_atoms)
     models = enumerate_dl_models(fs, max_atoms=atom_count)
     report.stable_count = len(stable)

@@ -1,12 +1,12 @@
 """SMT-LIB2 serialization (QF_LIA) and solver-response parsing.
 
 Propositional atoms become Bool constants and ranking variables Int
-constants, named by the symbol codec of :mod:`asptoc.formulas`, with
-``__z`` asserted to zero.  Pseudo-Boolean sums turn into sums of
-conditional terms, so any linear-integer-arithmetic solver can
-consume the output; difference atoms keep their subtraction shape for
-solvers that specialize them.  Output is byte-deterministic for a given
-formula set and option choice.
+constants, named by the symbol codec of :mod:`asptoc.formulas`; a set with
+ranking variables also declares ``__z`` and asserts it zero.
+Pseudo-Boolean sums turn into sums of conditional terms, so any
+linear-integer-arithmetic solver can consume the output; difference atoms
+keep their subtraction shape for solvers that specialize them.  Output is
+byte-deterministic for a given formula set and option choice.
 
 Validation happens during emission, in the one walk that writes each
 formula: every atom and variable resolves through the formula set's
@@ -40,7 +40,6 @@ from .formulas import (
     ValidationError,
     Var,
     Z,
-    ZPin,
     decode,
     var_name,
 )
@@ -75,15 +74,6 @@ def _sum_text(terms, table) -> str:
     return "(+ " + " ".join(parts) + ")"
 
 
-def _pb_bounds(pb: PB, sum_text: str) -> list[str]:
-    out = []
-    if pb.lower is not None:
-        out.append(f"(<= {_int(pb.lower)} {sum_text})")
-    if pb.upper is not None:
-        out.append(f"(<= {sum_text} {_int(pb.upper)})")
-    return out
-
-
 def to_sexpr(formula, table) -> str:
     """One formula as an SMT-LIB term.  Symbols resolve through ``table``
     (see ``FormulaSet.symbols``), raising ``KeyError`` on a miss."""
@@ -105,14 +95,17 @@ def to_sexpr(formula, table) -> str:
         return (f"(<= (- {table[formula.lhs]} {table[formula.rhs]}) "
                 f"{_int(formula.k)})")
     if t is PB:
-        checks = _pb_bounds(formula, _sum_text(formula.terms, table))
+        total = _sum_text(formula.terms, table)
+        checks = []
+        if formula.lower is not None:
+            checks.append(f"(<= {_int(formula.lower)} {total})")
+        if formula.upper is not None:
+            checks.append(f"(<= {total} {_int(formula.upper)})")
         return checks[0] if len(checks) == 1 else "(and " + " ".join(checks) + ")"
     if t is TrueF:
         return "true"
     if t is FalseF:
         return "false"
-    if t is ZPin:
-        return f"(= {table[Z]} 0)"
     raise EmissionError(f"cannot serialize {formula!r}")
 
 
@@ -129,40 +122,30 @@ def _resolved(fs: FormulaSet, write):
 
 
 def _assertions(formulas, table):
-    """Comment and assert lines of every formula, and whether one of them
-    is the zero pin."""
+    """A comment line naming each formula, then its assertion."""
     lines = []
-    pinned = False
     for name, formula in formulas:
         lines.append(f"; {name}")
-        if type(formula) is PB and formula.lower is not None \
-                and formula.upper is not None:
-            # a top-level two-bound sum splits into two assertions
-            for check in _pb_bounds(formula, _sum_text(formula.terms, table)):
-                lines.append(f"(assert {check})")
-        else:
-            pinned = pinned or type(formula) is ZPin
-            lines.append(f"(assert {to_sexpr(formula, table)})")
-    return lines, pinned
+        lines.append(f"(assert {to_sexpr(formula, table)})")
+    return lines
 
 
 def emit_smtlib(fs: FormulaSet, *, model: bool = False) -> str:
     """Serialize the formula set; ``model`` appends ``(get-model)``."""
     try:
-        body, pinned = _resolved(fs, lambda table: _assertions(fs.formulas, table))
+        body = _resolved(fs, lambda table: _assertions(fs.formulas, table))
     except ValidationError as exc:
         raise EmissionError(str(exc)) from exc
-    needs_z = bool(fs.level_bounds) or pinned
     lines = ["(set-logic QF_LIA)"]
     for _, name in sorted(fs.base_atoms.items()):
         lines.append(f"(declare-const {name} Bool)")
     for name in sorted(fs.aux_atoms.values()):
         lines.append(f"(declare-const {name} Bool)")
-    if needs_z:
+    if fs.level_bounds:
+        # only differences matter, so z is fixed at 0
         lines.append(f"(declare-const {var_name(Z)} Int)")
-    for owner in sorted(fs.level_bounds):
-        lines.append(f"(declare-const {var_name(LevelVar(owner))} Int)")
-    if needs_z and not pinned:
+        for owner in sorted(fs.level_bounds):
+            lines.append(f"(declare-const {var_name(LevelVar(owner))} Int)")
         lines.append(f"(assert (= {var_name(Z)} 0))")
     lines += body
     lines.append("(check-sat)")

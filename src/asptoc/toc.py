@@ -1,15 +1,15 @@
 """Tight ordered completion.
 
 Every rule is translated through one path, its canonical weight form.
-A non-recursive head gets Clark's completion over its plain rule bodies;
-only the ``vub`` guard below, which reads it, keeps an applicability atom.
-Inside a ranked scope a rule contributes up to six formulas: the head
-equivalence over applicability atoms, the internal/external split, the
-weak (internal) support condition ordering in-scope body atoms through
-``dep`` atoms, the strong condition (the only reader of ``gap`` atoms)
-denying a fully gapped support, which pins rank minimality, the external
-support condition over the rest of the body, and the rank reset for
-externally supported heads.
+A non-recursive head gets Clark's completion over its plain rule bodies,
+with no auxiliary atom but the ``vub`` atom below.  Inside a ranked scope
+a rule contributes up to six formulas: the head equivalence over
+applicability atoms, the internal/external split, the weak (internal)
+support condition ordering in-scope body atoms through ``dep`` atoms, the
+strong condition (the only reader of ``gap`` atoms) denying a fully
+gapped support, which pins rank minimality, the external support
+condition over the rest of the body, and the rank reset for externally
+supported heads.
 
 The split collapses when one side is structurally impossible: a rule
 whose body cannot reach its bound without in-scope atoms keeps no
@@ -24,8 +24,8 @@ conjoined into both support conditions, while the strong condition
 keeps only the lower bound.  Checking the upper bound against the
 dep-substituted sum instead would accept unstable models in which the
 bound is exceeded only by atoms derived after the head.  The alternative
-emission mode names the violation check with an explicit ``vub`` atom
-defined completion-style, plus the guarding constraint.
+emission mode spells each upper-bound check as the negation of an
+explicit ``vub`` atom defined completion-style; nothing else changes.
 
 A ranked scope builds each leaf once and every formula shares it: one
 ``Base`` per atom its rules mention, one ``Var`` and ``LevelVar`` per
@@ -49,7 +49,6 @@ from .formulas import (
     PBTerm,
     Var,
     Z,
-    ZPin,
     conj,
     disj,
     make_pb,
@@ -132,13 +131,17 @@ def emit_support(fs: FormulaSet, x: LevelVar, i: int, ns: str, weak, ext, deny,
     return applies
 
 
-def _vub(fs: FormulaSet, head: str, i: int, ns: str, terms, upper: int) -> Var:
-    """The ``Var`` of rule ``i``'s violation atom of its upper bound over
-    ``terms``."""
+def _upper_check(fs: FormulaSet, head: str, i: int, ns: str, terms, upper: int,
+                 vub_form: bool):
+    """Rule ``i``'s check that ``terms`` sum to at most ``upper``: the bound
+    itself, or with ``vub_form`` the negation of a violation atom defined
+    completion-style."""
+    if not vub_form:
+        return make_pb(terms, upper=upper)
     violated = Var(Aux("vub", head, i, ns))
     fs.declare_aux(violated.atom)
     fs.add(f"vub:{head}:{i}", Iff(violated, make_pb(terms, lower=upper + 1)))
-    return violated
+    return Not(violated)
 
 
 def _ranked_rule(fs: FormulaSet, x: LevelVar, i: int, rule: Rule, parts,
@@ -148,46 +151,34 @@ def _ranked_rule(fs: FormulaSet, x: LevelVar, i: int, rule: Rule, parts,
     pin, out = parts
     lower, upper = rule.lower, rule.upper
 
-    vub = None
     if upper is None:
         bound_check = TRUE
     else:
         plain = [PBTerm(w, base[b]) for b, w in pin] + out
-        if vub_form:
-            vub = _vub(fs, x.owner, i, ns, plain, upper)
-            bound_check = Not(vub)
-        else:
-            bound_check = make_pb(plain, upper=upper)
+        bound_check = _upper_check(fs, x.owner, i, ns, plain, upper, vub_form)
 
     dep_terms = [PBTerm(w, edges[b][0]) for b, w in pin]
     deny = None
     if strong:
         gap_terms = [PBTerm(w, edges[b][1]) for b, w in pin]
         deny = make_pb(gap_terms + out, upper=lower - 1)
-    applies = emit_support(fs, x, i, ns,
-                           weak=conj(make_pb(dep_terms + out, lower=lower), bound_check),
-                           ext=conj(make_pb(out, lower=lower), bound_check),
-                           deny=deny,
-                           has_in=bool(pin),
-                           ext_possible=sum(t.coef for t in out) >= lower)
-    if vub is not None:
-        fs.add(f"ubcheck:{x.owner}:{i}", Not(conj(applies, vub)))
-    return applies
+    return emit_support(fs, x, i, ns,
+                        weak=conj(make_pb(dep_terms + out, lower=lower), bound_check),
+                        ext=conj(make_pb(out, lower=lower), bound_check),
+                        deny=deny,
+                        has_in=bool(pin),
+                        ext_possible=sum(t.coef for t in out) >= lower)
 
 
 def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, vub_form: bool):
     """Rule ``i``'s disjunct in the Clark completion of a non-recursive
-    head: its plain body, or an applicability atom the ``vub`` guard reads."""
+    head: its plain body, one two-bound sum unless ``vub_form`` spells the
+    upper bound apart."""
     if rule.upper is None or not vub_form:
         return plain_body_formula(rule)
     terms = _plain_terms(rule)
-    applies = Var(Aux("app", head, i))
-    fs.declare_aux(applies.atom)
-    vub = _vub(fs, head, i, "", terms, rule.upper)
-    fs.add(f"app:{head}:{i}",
-           Iff(applies, conj(make_pb(terms, lower=rule.lower), Not(vub))))
-    fs.add(f"ubcheck:{head}:{i}", Not(conj(applies, vub)))
-    return applies
+    return conj(make_pb(terms, lower=rule.lower),
+                _upper_check(fs, head, i, "", terms, rule.upper, vub_form))
 
 
 def _define(fs: FormulaSet, holds: Var, supports: list):
@@ -240,8 +231,7 @@ def toc_module(program: Program, scope: frozenset, *,
 
 def toc_program(program: Program, *, scope_mode: str = "scc",
                 strong: bool = True, vub_form: bool = False) -> FormulaSet:
-    """Union of the per-scope completions, the integrity constraints and
-    the zero pin for ``z``.
+    """Union of the per-scope completions and the integrity constraints.
 
     ``scope_mode="scc"`` ranks each recursive strongly connected component
     and completes every other head, always a singleton scope, in place;
@@ -261,5 +251,4 @@ def toc_program(program: Program, *, scope_mode: str = "scc",
                                               for i, rule in enumerate(rules, 1)])
     for idx, rule in enumerate(program.constraints(), 1):
         fs.add(f"constraint:{idx}", Not(plain_body_formula(rule)))
-    fs.add("pin:z", ZPin())
     return fs

@@ -76,7 +76,7 @@ def parse_formula(node, ints):
         lhs, rhs = node[1], node[2]
         if isinstance(lhs, str) and F.decode(lhs) in ints:
             if F.decode(lhs) is F.Z and arith_const(rhs) == 0:
-                return F.ZPin()
+                return F.TRUE  # the search fixes z at 0
             raise ValueError(f"unsupported integer equality {node}")
         return F.Iff(parse_formula(lhs, ints), parse_formula(rhs, ints))
     if op == "<=":

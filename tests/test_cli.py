@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from asptoc.cli import main
+from asptoc.fuzz import ATOM_POOL
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 STUB = f"{sys.executable} {pathlib.Path(__file__).parent / 'stub_solver.py'}"
@@ -152,6 +153,24 @@ class TestFuzz:
 
     def test_zero_count_trivially_passes(self, capsys):
         assert main(["fuzz", "--seed", "1", "--count", "0"]) == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-atoms", "1"),
+        ("--max-atoms", str(len(ATOM_POOL) + 1)),
+        ("--count", "-3"),
+        ("--props", "-1"),
+        ("--max-rules", "-1"),
+    ])
+    def test_out_of_range_argument_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}: {value} is not" in err
+
+    @pytest.mark.parametrize("atoms", [2, len(ATOM_POOL)])
+    def test_atom_range_ends_accepted(self, capsys, atoms):
+        assert main(["fuzz", "--count", "2", "--max-atoms", str(atoms)]) == 0
 
     def test_props_flag(self, capsys):
         assert main(["fuzz", "--seed", "3", "--count", "0", "--props", "5"]) == 0

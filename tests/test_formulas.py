@@ -26,7 +26,6 @@ from asptoc.formulas import (
     ValidationError,
     Var,
     Z,
-    ZPin,
     decode,
     encode,
     eval_formula,
@@ -325,7 +324,7 @@ def ir_samples():
     return [Base("a"), Aux("app", "a", 1), LevelVar("a"), a, Not(a), And((a, a)),
             Or((a, a)), Implies(a, a), Iff(a, a), TrueF(), FalseF(),
             Diff(LevelVar("a"), Z, 1), PBTerm(1, Base("a")),
-            PB((PBTerm(1, Base("a")),), lower=1), ZPin(), program.Atom("a"), lit,
+            PB((PBTerm(1, Base("a")),), lower=1), program.Atom("a"), lit,
             program.WeightedLiteral(lit), program.normal_rule("a", ["b"])]
 
 

@@ -128,19 +128,19 @@ def test_scope_topological_order_in_output():
 @pytest.mark.parametrize("strong", [True, False])
 def test_no_pass_through_or_dead_auxiliaries(scope_mode, vub_form, strong):
     # a non-recursive head gets Clark's completion over its plain bodies:
-    # its only auxiliary atoms are the app/vub pair of an upper-bounded
-    # rule under --vub-form, which the ubcheck guard reads; gap atoms exist
-    # only for the strong constraints that read them
+    # its only auxiliary atom is the vub atom of an upper-bounded rule under
+    # --vub-form, which spells that bound; gap atoms exist only for the
+    # strong constraints that read them, and no formula restates a bound
     for _, source, program in fuzz_corpus(1, 200):
         fs = toc_program(program, scope_mode=scope_mode, strong=strong,
                          vub_form=vub_form)
         flat = {a for scope, ranked in scopes(program, scope_mode)
                 if not ranked for a in scope}
-        guarded = {Aux(kind, a, i) for a in flat
+        guarded = {Aux("vub", a, i) for a in flat
                    for i, rule in enumerate(def_of(a, program), 1)
-                   if vub_form and rule.upper is not None
-                   for kind in ("app", "vub")}
+                   if vub_form and rule.upper is not None}
         assert {r for r in fs.aux_atoms if r.head in flat} == guarded, source
+        assert not any(n.startswith("ubcheck:") for n, _ in fs.formulas), source
         if not strong:
             assert not any(r.kind == "gap" for r in fs.aux_atoms), source
 
@@ -188,9 +188,9 @@ def test_translation_models_recheck_cleanly(seed):
     from asptoc.dlcheck import enumerate_dl_models, recheck
 
     rng = random.Random(seed)
-    from asptoc.fuzz import generate_program
-    program = generate_program(rng, max_atoms=5, max_rules=6,
-                               want_recursive=seed % 2 == 0)
+    from asptoc.fuzz import generate_source
+    program = parse_program(generate_source(rng, max_atoms=5, max_rules=6,
+                                            want_recursive=seed % 2 == 0))
     fs = toc_program(program)
     cap = len(fs.base_atoms) + len(fs.aux_atoms)
     for model in enumerate_dl_models(fs, max_atoms=cap):

@@ -58,15 +58,22 @@ class TestEmission:
     def test_empty_set_is_header_only(self):
         assert emit_smtlib(FormulaSet()) == "(set-logic QF_LIA)\n(check-sat)\n"
 
-    def test_two_bound_pb_splits_into_two_asserts(self):
-        fs = FormulaSet()
-        fs.declare_base("a", "b")
-        fs.add("window", PB((PBTerm(2, Base("a")), PBTerm(3, Base("b"))),
-                            lower=2, upper=4))
-        text = emit_smtlib(fs)
-        assert text.count("(assert") == 2
-        shared = "(+ (ite a 2 0) (ite b 3 0))"
-        assert text.count(shared) == 2
+    @pytest.mark.parametrize("src, ranked", [
+        ("{b1}. {b2}. a :- 1 <= { b1, b2 } <= 1. :- a, not b1.", False),
+        ("a :- b. b :- a. {b}. c :- 1 <= { a, b } <= 1.", True),
+    ])
+    def test_z_declared_and_pinned_only_when_ranked(self, src, ranked):
+        # one pin, right after the declarations, and only where ranking
+        # variables need the anchor
+        for vub_form in (False, True):
+            lines = emit_smtlib(toc_program(parse_program(src), vub_form=vub_form),
+                                model=True).splitlines()
+            declared = max(i for i, l in enumerate(lines)
+                           if l.startswith("(declare-const"))
+            assert lines.count("(assert (= __z 0))") == ranked
+            assert any(l.endswith(" Int)") for l in lines) == ranked
+            if ranked:
+                assert lines[declared + 1] == "(assert (= __z 0))"
 
     def test_deterministic(self):
         p = parse_program("{b1}. {b2}. a :- 1 <= { b1, b2 }. :- a, not b1.")

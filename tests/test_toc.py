@@ -186,7 +186,7 @@ class TestTocProgram:
     def test_tight_program_has_no_ranking_variables(self):
         fs = toc_program(parse_program("{b1}. {b2}. a :- 1 <= { b1, b2 }."))
         assert fs.level_bounds == {}
-        assert names(fs)[-1] == "pin:z"
+        assert names(fs) == ["def:b1", "def:b2", "def:a"]
 
     def test_independent_components_union(self):
         fs = toc_program(parse_program("a :- a. c :- c."))
@@ -257,9 +257,15 @@ class TestUpperBoundEncodings:
         assert proj(combined) == proj(vub)
 
     def test_vub_emits_guard(self):
+        # the upper bound is spelled as the negated violation atom, and
+        # nothing else restates it
         fs = toc_program(parse_program("a :- 1 <= { b } <= 1. {b}."),
                          vub_form=True)
-        assert "vub:a:1" in names(fs) and "ubcheck:a:1" in names(fs)
+        vub = Var(Aux("vub", "a", 1))
+        assert list(fs.aux_atoms) == [vub.atom]
+        assert names(fs) == ["def:b", "vub:a:1", "def:a"]
+        definition = dict(fs.formulas)["def:a"]
+        assert Not(vub) in definition.right.subs
 
     @pytest.mark.parametrize("vub", [False, True])
     def test_upper_bound_judged_at_the_model(self, vub):
