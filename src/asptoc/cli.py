@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 parse error, 2 unsupported feature or size cap,
 3 correctness mismatch, 4 solver invocation failure or timeout, 5 solver
 model parse failure.  Reports are line-delimited JSON on stdout.
+
+Start-up loads only the translator; the checkers, the fuzzer and the
+solver plumbing are imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -11,24 +14,17 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 
-from .dlcheck import DLModel
 from .formulas import Base, Not, ValidationError, Var, Z, conj, decode, var_name
-from .fuzz import ATOM_POOL, check_program, fuzz_corpus, generate_weight_rule
-from .normtest import check_proposition
-from .oracle import ResourceError
 from .parser import ParseError, UnsupportedFeatureError, parse_program
-from .program import Program
+from .program import Program, ResourceError
 from .smtlib import (
     EmissionError,
     SolverInvocationError,
     SolverResponseError,
     debug_text,
     emit_smtlib,
-    read_solver_model,
-    run_solver,
 )
 from .toc import toc_program
 
@@ -72,6 +68,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .fuzz import check_program
+
     program = _parse(args.input)
     if len(program.signature) > args.max_atoms:
         print(json.dumps({"check": "size", "status": "fail",
@@ -90,6 +88,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    import random
+
+    from .fuzz import check_program, fuzz_corpus, generate_weight_rule
+    from .normtest import check_proposition
+
     for index, source, program in fuzz_corpus(args.seed, args.count,
                                               args.max_atoms, args.max_rules):
         report = check_program(program)
@@ -117,7 +120,7 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK
 
 
-def _block_model(fs, model: DLModel):
+def _block_model(fs, model):
     literals = []
     for name in fs.base_atoms:
         var = Var(Base(name))
@@ -127,6 +130,8 @@ def _block_model(fs, model: DLModel):
 
 def cmd_solve(args) -> int:
     import tempfile
+
+    from .smtlib import read_solver_model, run_solver
 
     program = _parse(args.input)
     solver = args.solver or os.environ.get("TOC_SOLVER")
@@ -167,15 +172,31 @@ def cmd_solve(args) -> int:
         _block_model(fs, model)
 
 
-def _ranged(lo: int, hi: int | None = None):
-    """An argparse type accepting integers in ``[lo, hi]``."""
+def _ranged(lo: int, hi=None):
+    """An argparse type accepting integers in ``[lo, hi]``; ``hi`` may be a
+    function, called when an argument is converted."""
     def integer(text: str) -> int:
         value = int(text)
-        if value < lo or (hi is not None and value > hi):
-            span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+        top = hi() if callable(hi) else hi
+        if value < lo or (top is not None and value > top):
+            span = f"at least {lo}" if top is None else f"in {lo}..{top}"
             raise argparse.ArgumentTypeError(f"{value} is not {span}")
         return value
     return integer
+
+
+def _pool_size() -> int:
+    from .fuzz import ATOM_POOL
+
+    return len(ATOM_POOL)
+
+
+def _seconds(text: str) -> float:
+    """An argparse type accepting a positive number of seconds."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive number of seconds")
+    return value
 
 
 def _add_scope_flag(p):
@@ -205,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify the translation against the oracle")
     p.add_argument("input")
-    p.add_argument("--max-atoms", type=int, default=14)
+    p.add_argument("--max-atoms", type=_ranged(1), default=14)
     p.add_argument("--vub-form", action="store_true")
     _add_scope_flag(p)
     p.set_defaults(func=cmd_check)
@@ -213,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="random differential testing")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=_ranged(0), default=100)
-    p.add_argument("--max-atoms", type=_ranged(2, len(ATOM_POOL)), default=7)
+    p.add_argument("--max-atoms", type=_ranged(2, _pool_size), default=7)
     p.add_argument("--max-rules", type=_ranged(0), default=10)
     p.add_argument("--props", type=_ranged(0), default=0, metavar="N",
                    help="additionally check N random aggregation propositions")
@@ -224,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", help="solver command (default $TOC_SOLVER)")
     p.add_argument("--all", action="store_true",
                    help="enumerate models with blocking constraints")
-    p.add_argument("--limit", type=int, default=64,
+    p.add_argument("--limit", type=_ranged(1), default=64,
                    help="model cap for --all")
-    p.add_argument("--timeout", type=float, metavar="SECONDS",
+    p.add_argument("--timeout", type=_seconds, metavar="SECONDS",
                    help="kill a solver call running longer (default: no limit)")
     _add_scope_flag(p)
     p.set_defaults(func=cmd_solve)

@@ -5,32 +5,47 @@ choice canonicalization do not, so a lone choice rule never makes its
 head recursive.  The SCC order is deterministic: components come out in
 topological order (edges run from later components to earlier ones),
 with ties broken by the smallest member name.
+
+The kernel runs over integers.  Vertices are numbered once, in sorted
+name order, so a smaller number means a smaller name; Tarjan's algorithm
+and the canonical sort of the condensation work on lists of numbers, and
+names come back only in the finished components.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .program import Polarity, Program, def_of
+from .program import Polarity, Program, program_of
 
 
 @dataclass(frozen=True)
 class DepGraph:
+    """Vertex ``i`` is ``vertices[i]``, in sorted name order; ``targets[i]``
+    holds the numbers of its distinct positive body atoms, ascending."""
+
     vertices: tuple[str, ...]
-    edges: frozenset  # pairs (head, body_atom)
+    targets: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def _adjacency(self) -> dict[str, list[str]]:
-        adjacency: dict[str, list[str]] = {}
-        for a, b in self.edges:
-            adjacency.setdefault(a, []).append(b)
-        for targets in adjacency.values():
-            targets.sort()
-        return adjacency
+    def edges(self) -> frozenset:
+        """Pairs ``(head, body_atom)``."""
+        names = self.vertices
+        return frozenset((names[i], names[j])
+                         for i, targets in enumerate(self.targets) for j in targets)
+
+    @cached_property
+    def _number(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.vertices)}
 
     def successors(self, atom: str) -> list[str]:
-        return list(self._adjacency.get(atom, ()))
+        i = self._number.get(atom)
+        if i is None:
+            return []
+        names = self.vertices
+        return [names[j] for j in self.targets[i]]
 
 
 @dataclass(frozen=True)
@@ -43,90 +58,97 @@ class SccPartition:
 
 
 def build_depgraph(program: Program) -> DepGraph:
-    edges = set()
-    for rule in program.rules:
-        if rule.head is None:
+    vertices = tuple(sorted(program.atom_names))
+    number = {a: i for i, a in enumerate(vertices)}
+    targets = [()] * len(vertices)
+    positive = Polarity.POSITIVE
+    for head, rules in program.head_index.items():
+        targets[number[head]] = tuple(sorted({
+            number[wl.literal.atom] for rule in rules for wl in rule.body
+            if wl.literal.polarity is positive}))
+    return DepGraph(vertices, tuple(targets))
+
+
+def _components(targets) -> tuple[list[int], list[list[int]]]:
+    """Iterative Tarjan over vertex numbers: the component number of each
+    vertex and the members of each component.  A component is numbered
+    when its root finishes, so every edge leaving a component points to
+    one with a smaller number (sinks first)."""
+    n = len(targets)
+    order = [-1] * n  # discovery number; -1 unvisited, n once assigned
+    low = [0] * n
+    comp_of = [0] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if order[root] >= 0:
             continue
-        for wl in rule.literals(Polarity.POSITIVE):
-            edges.add((rule.head, wl.literal.atom))
-    return DepGraph(tuple(sorted(program.atom_names)), frozenset(edges))
-
-
-def _tarjan(vertices, successors):
-    # Iterative Tarjan; pops each SCC when its root finishes, which yields
-    # components sinks-first (dependencies before dependants).
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-
-    for start in vertices:
-        if start in index:
-            continue
-        work = [(start, iter(successors(start)))]
-        index[start] = lowlink[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
+        order[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(targets[root]))]
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
+            v, successors = work[-1]
+            for w in successors:
+                seen = order[w]
+                if seen < 0:
+                    order[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    advanced = True
+                    work.append((w, iter(targets[w])))
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-    return sccs
+                # an assigned vertex reads n and never lowers the link
+                if seen < low[v]:
+                    low[v] = seen
+            else:
+                work.pop()
+                link = low[v]
+                if work:
+                    parent = work[-1][0]
+                    if link < low[parent]:
+                        low[parent] = link
+                if link == order[v]:
+                    i = len(stack) - 1
+                    while stack[i] != v:
+                        i -= 1
+                    comp = stack[i:]
+                    del stack[i:]
+                    c = len(comps)
+                    for w in comp:
+                        order[w] = n
+                        comp_of[w] = c
+                    comps.append(comp)
+    return comp_of, comps
 
 
 def sccs(graph: DepGraph) -> SccPartition:
-    comps = _tarjan(graph.vertices, graph.successors)
+    targets = graph.targets
+    comp_of, comps = _components(targets)
     # Re-sort the condensation canonically: a component is ready once all
-    # components it depends on are emitted; ties go to the smallest member.
-    import heapq
-
-    comp_of = {a: i for i, comp in enumerate(comps) for a in comp}
-    dependencies: list[set] = [set() for _ in comps]
-    dependants: list[set] = [set() for _ in comps]
-    for (a, b) in graph.edges:
-        ca, cb = comp_of[a], comp_of[b]
-        if ca != cb:
-            dependencies[ca].add(cb)
-            dependants[cb].add(ca)
-    remaining = [len(d) for d in dependencies]
-    heap = [(min(comps[i]), i) for i in range(len(comps)) if remaining[i] == 0]
+    # components it depends on are emitted; ties go to the smallest member,
+    # that is, the smallest number.  Each condensation edge is counted once.
+    remaining = [0] * len(comps)
+    dependants: list[list[int]] = [[] for _ in comps]
+    for c, comp in enumerate(comps):
+        dependencies = {comp_of[w] for v in comp for w in targets[v]}
+        dependencies.discard(c)
+        remaining[c] = len(dependencies)
+        for d in dependencies:
+            dependants[d].append(c)
+    key = list(map(min, comps))
+    comp_at = dict(zip(key, range(len(comps))))
+    heap = [k for k, r in zip(key, remaining) if r == 0]
     heapq.heapify(heap)
+    name = graph.vertices.__getitem__
     ordered = []
     while heap:
-        _, i = heapq.heappop(heap)
-        ordered.append(comps[i])
-        for j in dependants[i]:
-            remaining[j] -= 1
-            if remaining[j] == 0:
-                heapq.heappush(heap, (min(comps[j]), j))
+        c = comp_at[heapq.heappop(heap)]
+        ordered.append(frozenset(map(name, comps[c])))
+        for d in dependants[c]:
+            remaining[d] -= 1
+            if remaining[d] == 0:
+                heapq.heappush(heap, key[d])
     assert len(ordered) == len(comps)
     return SccPartition(tuple(ordered))
 
@@ -137,9 +159,11 @@ def is_recursive_scope(program: Program, scope: frozenset) -> bool:
     if len(scope) > 1:
         return True
     (atom,) = scope
-    for rule in def_of(atom, program):
-        if atom in (wl.literal.atom for wl in rule.literals(Polarity.POSITIVE)):
-            return True
+    positive = Polarity.POSITIVE
+    for rule in program.head_index.get(atom, ()):
+        for wl in rule.body:
+            if wl.literal.atom == atom and wl.literal.polarity is positive:
+                return True
     return False
 
 
@@ -168,6 +192,4 @@ def module_program(program: Program, scope: frozenset) -> Program:
     names = set(scope)
     for rule in rules:
         names.update(rule.body_atoms())
-    from .program import program_of
-
     return program_of(rules, extra_atoms=names)

@@ -352,18 +352,23 @@ class FormulaSet:
     def symbols(self) -> dict:
         """Every declared symbol, keyed as the emitter looks it up: a base
         atom by its name, an auxiliary atom by its ``Aux``, a ranking
-        variable by its ``LevelVar`` and ``z`` by ``Z``."""
-        table = {**self.base_atoms, **self.aux_atoms, Z: var_name(Z)}
-        for owner in self.level_bounds:
-            var = LevelVar(owner)
-            table[var] = var_name(var)
+        variable by its ``LevelVar`` and ``z`` by ``Z``.  ``z`` is declared
+        exactly when some ranking variable is, as the emitter declares it."""
+        table = {**self.base_atoms, **self.aux_atoms}
+        if self.level_bounds:
+            table[Z] = var_name(Z)
+            for owner in self.level_bounds:
+                var = LevelVar(owner)
+                table[var] = var_name(var)
         return table
 
     def validate(self):
         """Reference check, one naive walk: every mentioned atom and
-        variable is declared."""
+        variable is declared (``z`` only alongside ranking variables)."""
         declared_atoms = set(self.atom_refs())
-        declared_ints = {LevelVar(o) for o in self.level_bounds} | {Z}
+        declared_ints = {LevelVar(o) for o in self.level_bounds}
+        if declared_ints:
+            declared_ints.add(Z)
         atoms: set = set()
         ints: set = set()
         for _, f in self.formulas:

@@ -25,13 +25,10 @@ from .program import (
     Origin,
     Polarity,
     Program,
+    ResourceError,  # re-exported: it lives in program so the CLI skips the oracle
     Rule,
     weight_sum,
 )
-
-
-class ResourceError(Exception):
-    pass
 
 
 class ContractError(Exception):

@@ -20,6 +20,11 @@ from typing import Iterable, Optional
 INFINITY = float("inf")
 
 
+class ResourceError(Exception):
+    """A program or formula set exceeds a size cap of the exhaustive
+    checkers."""
+
+
 class Polarity(enum.Enum):
     POSITIVE = "pos"
     NEGATIVE = "neg"
@@ -164,7 +169,8 @@ class Program:
         return frozenset(self.atom_names)
 
     @cached_property
-    def _defining_rules(self) -> dict[str, list[Rule]]:
+    def head_index(self) -> dict[str, list[Rule]]:
+        """Each head's defining rules in program order; read-only."""
         index: dict[str, list[Rule]] = {}
         for rule in self.rules:
             if rule.head is not None:
@@ -176,7 +182,7 @@ class Program:
         return frozenset(a.name for a in self.signature if a.visible)
 
     def heads(self) -> frozenset:
-        return frozenset(self._defining_rules)
+        return frozenset(self.head_index)
 
     def input_atoms(self) -> frozenset:
         """Atoms without defining rules; they vary freely like choice atoms."""
@@ -204,7 +210,7 @@ def def_of(atom: str, program: Program) -> list[Rule]:
     head index (built once, so each call costs only its result)."""
     if atom not in program.atom_set:
         raise KeyError(f"unknown atom {atom!r}")
-    return list(program._defining_rules.get(atom, ()))
+    return list(program.head_index.get(atom, ()))
 
 
 def weight_sum(interp: frozenset, body: Iterable[WeightedLiteral]) -> int:

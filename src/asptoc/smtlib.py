@@ -18,11 +18,8 @@ name the fault.
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
 import warnings
 
-from .dlcheck import DLModel
 from .formulas import (
     And,
     Aux,
@@ -207,6 +204,8 @@ def read_solver_model(text: str, fs: FormulaSet | None = None):
         raise SolverResponseError("response is neither sat nor unsat",
                                   stripped.splitlines()[0])
 
+    from .dlcheck import DLModel
+
     table = None if fs is None else fs.symbols()
     props: dict = {}
     ints: dict = {}
@@ -238,6 +237,9 @@ def run_solver(command: str, path: str, timeout: float | None = None) -> str:
     """Run an external solver command on a file; stdout is authoritative and
     the exit status is ignored.  A solver still running after ``timeout``
     seconds is killed."""
+    import shlex
+    import subprocess
+
     argv = shlex.split(command) + [path]
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)

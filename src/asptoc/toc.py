@@ -27,10 +27,12 @@ bound is exceeded only by atoms derived after the head.  The alternative
 emission mode spells each upper-bound check as the negation of an
 explicit ``vub`` atom defined completion-style; nothing else changes.
 
-A ranked scope builds each leaf once and every formula shares it: one
-``Base`` per atom its rules mention, one ``Var`` and ``LevelVar`` per
-scope atom, and the ``dep``/``gap`` atoms of each edge, declared once and
-read by their definitions and by every rule's sums alike.
+Each leaf is built once and every formula shares it.  ``toc_program``
+builds one ``Base`` per atom, read by the flat completions, the
+constraints and every ranked scope; a ranked scope builds one ``Var`` and
+``LevelVar`` per scope atom and the ``dep``/``gap`` atoms of each edge,
+declared once and read by their definitions and by every rule's sums
+alike.
 """
 
 from __future__ import annotations
@@ -81,16 +83,16 @@ def _split_body(rule: Rule, scope: frozenset, base: dict):
     return pin, pout + dneg + neg
 
 
-def _plain_terms(rule: Rule):
-    return [PBTerm(wl.weight, Base(wl.literal.atom),
-                   wl.literal.polarity is Polarity.NEGATIVE)
+def _plain_terms(rule: Rule, base: dict):
+    negative = Polarity.NEGATIVE
+    return [PBTerm(wl.weight, base[wl.literal.atom], wl.literal.polarity is negative)
             for wl in rule.body]
 
 
-def plain_body_formula(rule: Rule):
-    """The rule body over plain atoms; negated literals appear classically
-    negated with the bound left at the source value."""
-    return make_pb(_plain_terms(rule), rule.lower, rule.upper)
+def plain_body_formula(rule: Rule, base: dict):
+    """The rule body over the ``base`` atoms; negated literals appear
+    classically negated with the bound left at the source value."""
+    return make_pb(_plain_terms(rule, base), rule.lower, rule.upper)
 
 
 def emit_support(fs: FormulaSet, x: LevelVar, i: int, ns: str, weak, ext, deny,
@@ -170,13 +172,14 @@ def _ranked_rule(fs: FormulaSet, x: LevelVar, i: int, rule: Rule, parts,
                         ext_possible=sum(t.coef for t in out) >= lower)
 
 
-def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, vub_form: bool):
+def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, base: dict,
+               vub_form: bool):
     """Rule ``i``'s disjunct in the Clark completion of a non-recursive
     head: its plain body, one two-bound sum unless ``vub_form`` spells the
     upper bound apart."""
     if rule.upper is None or not vub_form:
-        return plain_body_formula(rule)
-    terms = _plain_terms(rule)
+        return plain_body_formula(rule, base)
+    terms = _plain_terms(rule, base)
     return conj(make_pb(terms, lower=rule.lower),
                 _upper_check(fs, head, i, "", terms, rule.upper, vub_form))
 
@@ -188,11 +191,13 @@ def _define(fs: FormulaSet, holds: Var, supports: list):
 
 def toc_module(program: Program, scope: frozenset, *,
                strong: bool = True, vub_form: bool = False,
-               aux_ns: str = "") -> FormulaSet:
+               aux_ns: str = "", base: dict | None = None) -> FormulaSet:
     """Ordered completion of the scope's defining rules.  Scope atoms
     without defining rules stay free but still receive range formulas.
     The scope need not be a strongly connected component: the global mode
-    and the harnesses rank larger or hand-picked scopes.
+    and the harnesses rank larger or hand-picked scopes.  ``base`` maps
+    each atom name the rules mention to the ``Base`` node the caller
+    shares; without it the module builds its own.
     """
     atoms = sorted(scope)
     defs = {a: def_of(a, program) for a in atoms}
@@ -202,7 +207,8 @@ def toc_module(program: Program, scope: frozenset, *,
             names.update(dict.fromkeys(sorted({wl.literal.atom for wl in rule.body})))
     fs = FormulaSet()
     fs.declare_base(*names)
-    base = {n: Base(n) for n in names}
+    if base is None:
+        base = {n: Base(n) for n in names}
     holds = {a: Var(base[a]) for a in atoms}
     level = {a: LevelVar(a) for a in atoms}
 
@@ -238,17 +244,21 @@ def toc_program(program: Program, *, scope_mode: str = "scc",
     ``"global"`` ranks the whole signature as one scope, which makes every
     derivation stage observable on a ranking variable.
     """
+    names = sorted(program.atom_names)
     fs = FormulaSet()
-    fs.declare_base(*sorted(program.atom_names))
+    fs.declare_base(*names)
+    base = {n: Base(n) for n in names}  # one leaf per atom, read by every formula
+    head_index = program.head_index
     for scope, ranked in scopes(program, scope_mode):
         if ranked:
-            fs.merge(toc_module(program, scope, strong=strong, vub_form=vub_form))
+            fs.merge(toc_module(program, scope, strong=strong, vub_form=vub_form,
+                                base=base))
         else:
             (atom,) = scope
-            rules = def_of(atom, program)
+            rules = head_index.get(atom)
             if rules:  # an input atom stays free
-                _define(fs, Var(Base(atom)), [_flat_rule(fs, atom, i, rule, vub_form)
+                _define(fs, Var(base[atom]), [_flat_rule(fs, atom, i, rule, base, vub_form)
                                               for i, rule in enumerate(rules, 1)])
     for idx, rule in enumerate(program.constraints(), 1):
-        fs.add(f"constraint:{idx}", Not(plain_body_formula(rule)))
+        fs.add(f"constraint:{idx}", Not(plain_body_formula(rule, base)))
     return fs

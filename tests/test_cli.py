@@ -124,6 +124,19 @@ class TestCheck:
         path = write(tmp_path, " ".join(f"{{a{i}}}." for i in range(6)))
         assert main(["check", path, "--max-atoms", "5"]) == 2
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_atom_cap_rejected(self, tmp_path, capsys, value):
+        path = write(tmp_path, "a.")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path, "--max-atoms", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --max-atoms: {value} is not at least 1" in err
+
+    def test_atom_cap_of_one_accepted(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, "a."), "--max-atoms", "1"]) == 0
+        assert main(["check", write(tmp_path, "a :- b.", "two.lp"), "--max-atoms", "1"]) == 2
+
     def test_corrupted_translation_is_caught(self, tmp_path, capsys, monkeypatch):
         import asptoc.fuzz as fuzz_mod
         from asptoc.toc import toc_program as real
@@ -200,7 +213,7 @@ class TestFuzz:
 
     def test_failure_writes_reproduction_file(self, capsys, monkeypatch,
                                               tmp_path):
-        import asptoc.cli as cli_mod
+        import asptoc.fuzz as fuzz_mod
         from asptoc.fuzz import CheckReport
 
         def broken(program, **kwargs):
@@ -208,7 +221,7 @@ class TestFuzz:
             report.record("bijection", False, reason="injected")
             return report
 
-        monkeypatch.setattr(cli_mod, "check_program", broken)
+        monkeypatch.setattr(fuzz_mod, "check_program", broken)
         monkeypatch.chdir(tmp_path)
         assert main(["fuzz", "--seed", "9", "--count", "3"]) == 3
         lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
@@ -306,6 +319,34 @@ class TestSolve:
         assert time.monotonic() - start < 2.5
         assert "timed out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--limit", "0", "0 is not at least 1"),
+        ("--limit", "-1", "-1 is not at least 1"),
+        ("--timeout", "0", "0 is not a positive number of seconds"),
+        ("--timeout", "-1", "-1 is not a positive number of seconds"),
+        ("--timeout", "nan", "nan is not a positive number of seconds"),
+    ])
+    def test_out_of_range_argument_rejected(self, tmp_path, capsys, flag, value, message):
+        path = write(tmp_path, "a :- not b. b :- not a.")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--solver", STUB, "--all", flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}: {message}" in err
+
+    def test_limit_of_one_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, "a :- not b. b :- not a.")
+        assert main(["solve", path, "--solver", STUB, "--all", "--limit", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["model"] in (["a"], ["b"])
+
+    def test_small_timeout_accepted(self, tmp_path, capsys):
+        # just above zero is legal: the solver runs and is then cut off
+        path = write(tmp_path, "a.")
+        sleeper = f"{sys.executable} -c 'import time; time.sleep(10)'"
+        assert main(["solve", path, "--solver", sleeper, "--timeout", "0.001"]) == 4
+        assert "timed out after 0.001 s" in capsys.readouterr().err
+
     def test_broken_solver_command(self, tmp_path, monkeypatch):
         path = write(tmp_path, "a.")
         assert main(["solve", path, "--solver", "/no/such/bin"]) == 4
@@ -313,3 +354,21 @@ class TestSolve:
     def test_garbage_response_exit_code(self, tmp_path):
         path = write(tmp_path, "a.")
         assert main(["solve", path, "--solver", "echo chaos from"]) == 5
+
+
+def test_startup_imports_only_the_translator():
+    # the checkers, the fuzzer and the solver plumbing load on first use
+    import os
+    import subprocess
+
+    import asptoc
+
+    src = str(pathlib.Path(asptoc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, asptoc.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('asptoc'))))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "asptoc.toc" in loaded
+    assert not {"asptoc.dlcheck", "asptoc.oracle", "asptoc.fuzz", "asptoc.normtest"} & set(loaded)

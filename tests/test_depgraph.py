@@ -3,6 +3,7 @@ composition."""
 
 import itertools
 import pathlib
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from asptoc.depgraph import (
 from asptoc.fuzz import fuzz_corpus
 from asptoc.oracle import stable_models
 from asptoc.parser import parse_program
+from asptoc.program import normal_rule, program_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -88,6 +90,72 @@ class TestSccs:
         assert scopes(parse_program("#atom q."), "global") == []
         with pytest.raises(ValueError):
             scopes(p, "module")
+
+
+def random_graph_program(rng, n):
+    """A program over ``n`` atoms whose names sort apart from their numbers
+    (``v10`` before ``v2``): isolated atoms, self-loops, negative literals
+    that add no edge, and a density that ranges from forests to one large
+    component."""
+    names = [f"v{i}" for i in range(n)]
+    degree = rng.choice([0.3, 0.8, 1.2, 2.5])
+    rules = []
+    for head in names:
+        if rng.random() < 0.2:
+            continue  # an input atom: isolated unless another rule reads it
+        for _ in range(rng.randint(1, 2)):
+            pos = [rng.choice(names) for _ in range(int(rng.expovariate(1 / degree)))]
+            if rng.random() < 0.05:
+                pos.append(head)
+            neg = [rng.choice(names) for _ in range(rng.randint(0, 2))]
+            rules.append(normal_rule(head, pos, neg))
+    return program_of(rules, extra_atoms=names)
+
+
+def reference_components(program):
+    """SCCs by brute force: mutual-reachability classes over the positive
+    edges, ordered by Kahn's algorithm with the smallest member first."""
+    edges = {(r.head, a) for r in program.rules for a in r.pos_atoms()}
+    succ = {v: set() for v in program.atom_names}
+    for a, b in edges:
+        succ[a].add(b)
+
+    def reach(v):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    reachable = {v: reach(v) for v in succ}
+    comps = {frozenset(w for w in reachable[v] if v in reachable[w]) for v in succ}
+    ordered = []
+    while comps:
+        ready = [c for c in comps
+                 if all(w in c or any(w in d for d in ordered)
+                        for v in c for w in succ[v])]
+        first = min(ready, key=min)
+        ordered.append(first)
+        comps.remove(first)
+    return edges, tuple(ordered)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sccs_match_naive_reference(self, seed):
+        rng = random.Random(seed)
+        program = random_graph_program(rng, rng.randint(1, 300))
+        graph = build_depgraph(program)
+        edges, expected = reference_components(program)
+        assert graph.edges == edges
+        assert sccs(graph).components == expected
+        for comp in expected:
+            self_loop = any((a, a) in edges for a in comp)
+            assert is_recursive_scope(program, comp) == (len(comp) > 1 or self_loop)
+        assert scopes(program, "scc") == [
+            (comp, is_recursive_scope(program, comp)) for comp in expected]
 
 
 def compose_module_models(program):

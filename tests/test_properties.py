@@ -182,6 +182,22 @@ def test_ranked_leaves_are_shared(scope_mode, vub_form):
             assert {type(leaf) for leaf in first} <= {Base, Aux, LevelVar}
 
 
+@pytest.mark.parametrize("scope_mode", ["scc", "global"])
+@pytest.mark.parametrize("vub_form", [False, True])
+def test_program_leaves_are_shared(scope_mode, vub_form):
+    # toc_program builds one Base per atom, read by the flat completions, the
+    # constraints and every ranked module alike
+    mix = pathlib.Path(__file__).parent / "golden" / "ranked_mix.lp"
+    corpus = [parse_program(mix.read_text())]
+    corpus += [program for _, _, program in fuzz_corpus(1, 200)]
+    for program in corpus:
+        fs = toc_program(program, scope_mode=scope_mode, vub_form=vub_form)
+        first = {}
+        for name, formula in fs.formulas:
+            for leaf in leaves(formula):
+                assert first.setdefault(leaf, leaf) is leaf, (name, leaf)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_translation_models_recheck_cleanly(seed):

@@ -106,6 +106,24 @@ class TestEmission:
             debug_text(fs)
         assert str(emitted.value) == str(debug.value) == str(expected.value)
 
+    def test_z_without_ranking_variables_is_undeclared(self):
+        # the emitter declares __z only alongside ranking variables, so a
+        # set that mentions z without them is invalid, not silently emitted
+        fs = FormulaSet()
+        fs.declare_base("a")
+        fs.add("pin", Diff(Z, Z, 0))
+        assert Z not in fs.symbols()
+        with pytest.raises(ValidationError, match=r"undeclared variables: \['__z'\]"):
+            fs.validate()
+        with pytest.raises(EmissionError, match="__z"):
+            emit_smtlib(fs)
+        with pytest.raises(ValidationError, match="__z"):
+            debug_text(fs)
+        fs.declare_level("a", 1, 2)
+        assert fs.symbols()[Z] == "__z"
+        fs.validate()
+        assert "(assert (<= (- __z __z) 0))" in emit_smtlib(fs).splitlines()
+
     def test_hard_names_declare_distinct_legal_symbols(self):
         p = parse_program("a__b :- c. c :- a__b. a :- b__c. b__c :- a. {c}. {a}.\n"
                           "true :- not false. false :- not true. let :- true.")
