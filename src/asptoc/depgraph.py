@@ -15,19 +15,18 @@ names come back only in the finished components.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 
+from .node import Node
 from .program import Polarity, Program, program_of
 
 
-@dataclass(frozen=True)
-class DepGraph:
+class DepGraph(Node, fields="vertices targets"):
     """Vertex ``i`` is ``vertices[i]``, in sorted name order; ``targets[i]``
     holds the numbers of its distinct positive body atoms, ascending."""
 
-    vertices: tuple[str, ...]
-    targets: tuple[tuple[int, ...], ...]
+    def __new__(cls, vertices: tuple[str, ...], targets: tuple[tuple[int, ...], ...]):
+        return tuple.__new__(cls, (vertices, targets))
 
     @cached_property
     def edges(self) -> frozenset:
@@ -48,9 +47,9 @@ class DepGraph:
         return [names[j] for j in self.targets[i]]
 
 
-@dataclass(frozen=True)
-class SccPartition:
-    components: tuple[frozenset, ...]
+class SccPartition(Node, fields="components"):
+    def __new__(cls, components: tuple[frozenset, ...]):
+        return tuple.__new__(cls, (components,))
 
     @cached_property
     def index(self) -> dict:
@@ -64,8 +63,8 @@ def build_depgraph(program: Program) -> DepGraph:
     positive = Polarity.POSITIVE
     for head, rules in program.head_index.items():
         targets[number[head]] = tuple(sorted({
-            number[wl.literal.atom] for rule in rules for wl in rule.body
-            if wl.literal.polarity is positive}))
+            number[wl.atom] for rule in rules for wl in rule.body
+            if wl.polarity is positive}))
     return DepGraph(vertices, tuple(targets))
 
 
@@ -162,7 +161,7 @@ def is_recursive_scope(program: Program, scope: frozenset) -> bool:
     positive = Polarity.POSITIVE
     for rule in program.head_index.get(atom, ()):
         for wl in rule.body:
-            if wl.literal.atom == atom and wl.literal.polarity is positive:
+            if wl.atom == atom and wl.polarity is positive:
                 return True
     return False
 

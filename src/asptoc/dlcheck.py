@@ -214,7 +214,9 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
             late_ground.append(f)
 
     models = []
-    env: dict = {var_name(Z): 0}
+    # z is pinned to 0, and a model carries it only where the set ranks
+    pinned = {var_name(Z): 0} if fs.level_bounds else {}
+    env: dict = dict(pinned)
 
     def rec_base(i):
         if limit is not None and len(models) >= limit:
@@ -230,7 +232,7 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
                 per_group.append(sols)
             for combo in itertools.product(*per_group):
                 props = {n: env[n] for n in base_names}
-                ints = {var_name(Z): 0}
+                ints = dict(pinned)
                 for sol in combo:
                     for n, v in sol:
                         if isinstance(v, bool):
@@ -258,10 +260,3 @@ def recheck(fs: FormulaSet, model: DLModel) -> bool:
     env = model.prop_map
     ints = model.int_map
     return all(eval_formula(f, env, ints) for _, f in fs.formulas)
-
-
-def project_models(models, visible) -> list[frozenset]:
-    """Projections to the visible atoms, duplicates preserved."""
-    visible = frozenset(visible)
-    out = [frozenset(n for n, v in m.props if v and n in visible) for m in models]
-    return out

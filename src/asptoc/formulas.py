@@ -15,41 +15,42 @@ variable by one amount, so the emitter pins ``z`` to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
+
+from .node import Node
 
 
 # ---------------------------------------------------------------------------
 # atom and variable references
 
-@dataclass(frozen=True, order=True, slots=True)
-class Base:
-    name: str
+class Base(Node, fields="name"):
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (name,))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Aux:
+class Aux(Node, fields="kind head arg ns"):
     """Generated atom: app/int/ext/vub carry a rule ordinal, dep/gap a body
     atom; ``ns`` namespaces harness-only copies."""
 
-    kind: str
-    head: str
-    arg: Union[str, int]
-    ns: str = ""
-
+    __slots__ = ()
     KINDS = ("app", "dep", "gap", "int", "ext", "vub")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown aux kind {self.kind!r}")
+    def __new__(cls, kind: str, head: str, arg: Union[str, int], ns: str = ""):
+        if kind not in cls.KINDS:
+            raise ValueError(f"unknown aux kind {kind!r}")
+        return tuple.__new__(cls, (kind, head, arg, ns))
 
 
 AtomRef = Union[Base, Aux]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class LevelVar:
-    owner: str
+class LevelVar(Node, fields="owner"):
+    __slots__ = ()
+
+    def __new__(cls, owner: str):
+        return tuple.__new__(cls, (owner,))
 
 
 class ZVar:
@@ -128,79 +129,90 @@ def decode(symbol: str):
 # ---------------------------------------------------------------------------
 # formulas
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    atom: AtomRef
+class Var(Node, fields="atom"):
+    __slots__ = ()
+
+    def __new__(cls, atom: AtomRef):
+        return tuple.__new__(cls, (atom,))
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    sub: "Formula"
+class Not(Node, fields="sub"):
+    __slots__ = ()
+
+    def __new__(cls, sub: Formula):
+        return tuple.__new__(cls, (sub,))
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    subs: tuple
+class And(Node, fields="subs"):
+    __slots__ = ()
+
+    def __new__(cls, subs: tuple):
+        return tuple.__new__(cls, (subs,))
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    subs: tuple
+class Or(Node, fields="subs"):
+    __slots__ = ()
+
+    def __new__(cls, subs: tuple):
+        return tuple.__new__(cls, (subs,))
 
 
-@dataclass(frozen=True, slots=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(Node, fields="left right"):
+    __slots__ = ()
+
+    def __new__(cls, left: Formula, right: Formula):
+        return tuple.__new__(cls, (left, right))
 
 
-@dataclass(frozen=True, slots=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class Iff(Node, fields="left right"):
+    __slots__ = ()
+
+    def __new__(cls, left: Formula, right: Formula):
+        return tuple.__new__(cls, (left, right))
 
 
-@dataclass(frozen=True, slots=True)
-class TrueF:
-    pass
+class TrueF(Node):
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls)
 
 
-@dataclass(frozen=True, slots=True)
-class FalseF:
-    pass
+class FalseF(Node):
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls)
 
 
-@dataclass(frozen=True, slots=True)
-class Diff:
+class Diff(Node, fields="lhs rhs k"):
     """lhs - rhs <= k; a self difference is legal and constant."""
 
-    lhs: IntRef
-    rhs: IntRef
-    k: int
+    __slots__ = ()
+
+    def __new__(cls, lhs: IntRef, rhs: IntRef, k: int):
+        return tuple.__new__(cls, (lhs, rhs, k))
 
 
-@dataclass(frozen=True, slots=True)
-class PBTerm:
-    coef: int
-    atom: AtomRef
-    negated: bool = False
+class PBTerm(Node, fields="coef atom negated"):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.coef <= 0:
+    def __new__(cls, coef: int, atom: AtomRef, negated: bool = False):
+        if coef <= 0:
             raise ValueError("pseudo-Boolean coefficients must be positive")
+        return tuple.__new__(cls, (coef, atom, negated))
 
 
-@dataclass(frozen=True, slots=True)
-class PB:
+class PB(Node, fields="terms lower upper"):
     """lower <= sum of satisfied terms <= upper (either bound optional)."""
 
-    terms: tuple
-    lower: Optional[int] = None
-    upper: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lower is None and self.upper is None:
+    def __new__(cls, terms: tuple, lower: Optional[int] = None,
+                upper: Optional[int] = None):
+        if lower is None and upper is None:
             raise ValueError("pseudo-Boolean atom needs at least one bound")
+        return tuple.__new__(cls, (terms, lower, upper))
 
 
 Formula = Union[Var, Not, And, Or, Implies, Iff, TrueF, FalseF, Diff, PB]
@@ -306,21 +318,25 @@ def _collect(formula: Formula, atoms: set, ints: set):
             atoms.add(t.atom)
 
 
-@dataclass
-class FormulaSet:
+class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
     """Named formulas plus the vocabulary they may mention.
 
-    ``base_atoms`` and ``aux_atoms`` are the set's symbol table: ordered
-    dicts from each declared atom to its SMT-LIB symbol (``encode``),
-    keys in first-seen order, so a declaration costs O(1) however large
-    the set grows and names its atom once.  A base atom is keyed by its
-    name, which is also its symbol unless it is in ``SMT_RESERVED``.
+    ``formulas`` is a list of ``(name, Formula)`` pairs.  ``base_atoms``
+    and ``aux_atoms`` are the set's symbol table: ordered dicts from each
+    declared atom to its SMT-LIB symbol (``encode``), keys in first-seen
+    order, so a declaration costs O(1) however large the set grows and
+    names its atom once.  A base atom is keyed by its name, which is also
+    its symbol unless it is in ``SMT_RESERVED``.  ``level_bounds`` maps
+    each ranking variable's owner to its range ``(lo, hi)``.  The four
+    containers grow in place; the fields themselves are fixed.
     """
 
-    formulas: list = field(default_factory=list)  # (name, Formula) pairs
-    base_atoms: dict = field(default_factory=dict)  # name -> symbol
-    aux_atoms: dict = field(default_factory=dict)  # Aux -> symbol
-    level_bounds: dict = field(default_factory=dict)  # owner -> (lo, hi)
+    def __new__(cls, formulas: list | None = None, base_atoms: dict | None = None,
+                aux_atoms: dict | None = None, level_bounds: dict | None = None):
+        return tuple.__new__(cls, ([] if formulas is None else formulas,
+                                   {} if base_atoms is None else base_atoms,
+                                   {} if aux_atoms is None else aux_atoms,
+                                   {} if level_bounds is None else level_bounds))
 
     def declare_base(self, *names: str):
         self.base_atoms.update(zip(names, map(_spell, names)))
@@ -382,12 +398,9 @@ class FormulaSet:
 
     def without(self, prefix: str) -> "FormulaSet":
         """Copy dropping all formulas whose name starts with ``prefix``."""
-        out = FormulaSet(base_atoms=dict(self.base_atoms),
-                         aux_atoms=dict(self.aux_atoms),
-                         level_bounds=dict(self.level_bounds))
-        out.formulas = [(n, f) for (n, f) in self.formulas
-                        if not n.startswith(prefix)]
-        return out
+        return FormulaSet([(n, f) for (n, f) in self.formulas if not n.startswith(prefix)],
+                          dict(self.base_atoms), dict(self.aux_atoms),
+                          dict(self.level_bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,48 @@
+"""The shared base of the immutable IR nodes.
+
+A node is a tuple of its field values.  ``class Var(Node, fields="atom")``
+names the fields, and each is read through the C-level getter that
+``collections.namedtuple`` uses; a field cannot be set.  A node hashes as
+its tuple of values and equals only a node of its own class with equal
+values, never a plain tuple.  A subclass states ``__slots__ = ()`` unless
+it keeps a ``__dict__`` (as one with a ``functools.cached_property``
+must), and writes its own ``__new__``, which gives its signature, defaults
+and checks and ends in ``tuple.__new__(cls, values)``.  Every node is
+truthy, also one without fields.
+"""
+
+from __future__ import annotations
+
+from _collections import _tuplegetter
+
+_tuple_eq = tuple.__eq__
+_tuple_ne = tuple.__ne__
+
+
+class Node(tuple):
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, fields: str = "", **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(fields.split())
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, None))
+
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and _tuple_eq(self, other)
+
+    def __ne__(self, other):
+        return type(other) is not type(self) or _tuple_ne(self, other)
+
+    def __bool__(self):
+        return True
+
+    def __getnewargs__(self):
+        return tuple(self)  # copy and pickle call ``__new__`` with the fields
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__qualname__}({values})"

@@ -86,7 +86,7 @@ def normalize_subsets(rule: Rule) -> Program:
     of a cardinality body, the inclusion-minimal ones of a weight body."""
     _check_subset_input(rule)
     atoms = sorted(rule.pos_atoms())
-    weights = {wl.literal.atom: wl.weight for wl in rule.body}
+    weights = {wl.atom: wl.weight for wl in rule.body}
     if rule.origin is Origin.CARDINALITY or all(w == 1 for w in weights.values()):
         subsets = list(itertools.combinations(atoms, rule.lower)) \
             if rule.lower <= len(atoms) else []
@@ -280,18 +280,18 @@ def toc_abstract(rule: Rule, scope: frozenset, *, ordinal: int = 1,
     head = rule.head
 
     def in_scope_pos(j: int) -> bool:
-        lit = slots[j].literal
+        lit = slots[j]
         return lit.polarity is Polarity.POSITIVE and lit.atom in scope
 
     def plain(j: int):
-        lit = slots[j].literal
+        lit = slots[j]
         if lit.polarity is Polarity.NEGATIVE:
             return Not(Var(Base(lit.atom)))
         return Var(Base(lit.atom))
 
     def ordered(j: int, kind: str):
         if in_scope_pos(j):
-            return Var(Aux(kind, head, slots[j].literal.atom))
+            return Var(Aux(kind, head, slots[j].atom))
         return plain(j)
 
     exact = disj(*(conj(*(plain(j) if j in sat else Not(plain(j))
@@ -308,11 +308,11 @@ def toc_abstract(rule: Rule, scope: frozenset, *, ordinal: int = 1,
                           for sat in ext_minimal)), bound_check)
 
     fs = FormulaSet()
-    fs.declare_base(*sorted({wl.literal.atom for wl in slots} | {head}))
+    fs.declare_base(*sorted({wl.atom for wl in slots} | {head}))
     kinds = ("dep", "gap") if strong else ("dep",)
     for j in sorted(universe):
         if in_scope_pos(j):
-            fs.declare_aux(*(Aux(kind, head, slots[j].literal.atom) for kind in kinds))
+            fs.declare_aux(*(Aux(kind, head, slots[j].atom) for kind in kinds))
     emit_support(fs, LevelVar(head), ordinal, "", weak, ext_def, deny,
                  has_in=any(in_scope_pos(j) for j in universe),
                  ext_possible=bool(ext_minimal))

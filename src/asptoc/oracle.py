@@ -17,7 +17,7 @@ window.  That subset-sum reading keeps satisfaction monotone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .program import (
@@ -78,7 +78,7 @@ def aggregate_reduct(rule: Rule, interp: frozenset) -> PositiveRule:
     if not rule.body_satisfied(interp):
         raise ValueError("body not satisfied; the rule is omitted from the reduct")
     fixed = weight_sum(interp, rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED))
-    terms = tuple((wl.literal.atom, wl.weight) for wl in rule.literals(Polarity.POSITIVE))
+    terms = tuple((wl.atom, wl.weight) for wl in rule.literals(Polarity.POSITIVE))
     return PositiveRule(rule.head, terms, window=(rule.lower - fixed, rule.upper - fixed))
 
 
@@ -98,9 +98,9 @@ def reduct(program: Program, interp: frozenset) -> list[PositiveRule]:
         if rule.origin in (Origin.NORMAL, Origin.CHOICE, Origin.FACT):
             # conjunctive reading: the rule is deleted outright unless every
             # negative (and double-negated) condition holds
-            if any(not wl.literal.satisfied(interp) for wl in nonpos):
+            if any(not wl.satisfied(interp) for wl in nonpos):
                 continue
-        terms = tuple((wl.literal.atom, wl.weight)
+        terms = tuple((wl.atom, wl.weight)
                       for wl in rule.literals(Polarity.POSITIVE))
         out.append(PositiveRule(rule.head, terms, lower=max(0, rule.lower - fixed)))
     return out
@@ -116,7 +116,7 @@ def _as_positive(rules: Iterable) -> list[PositiveRule]:
             raise ContractError(f"non-positive rule in positive program: {r}")
         if r.upper is not None:
             raise ContractError("both-bounds rules must be reduced to closure form first")
-        terms = tuple((wl.literal.atom, wl.weight)
+        terms = tuple((wl.atom, wl.weight)
                       for wl in r.literals(Polarity.POSITIVE))
         converted.append(PositiveRule(r.head, terms, lower=r.lower))
     return converted
@@ -184,76 +184,6 @@ def stable_models(program: Program, cap: int = 20):
             found.append((candidate, _ranking_for(program, candidate, ranks)))
     found.sort(key=lambda pair: tuple(sorted(pair[0])))
     return found
-
-
-def supported_models(program: Program, cap: int = 20):
-    """Fixed points of the one-step operator on the reduct; a superset of
-    the stable models."""
-    _check_cap(program, cap)
-    inputs = program.input_atoms()
-    found = []
-    for candidate in _interpretations(program.atom_names):
-        if not all(c.satisfied(candidate) for c in program.constraints()):
-            continue
-        step = tp_step(reduct(program, candidate), candidate) | (candidate & inputs)
-        if step == candidate:
-            found.append(candidate)
-    found.sort(key=lambda m: tuple(sorted(m)))
-    return found
-
-
-@dataclass(frozen=True)
-class LevelNumbering:
-    atoms: dict
-    rules: dict = field(default_factory=dict)  # program rule index -> level
-
-
-def _stages(reduct_rules, input_atoms):
-    stages = [frozenset(input_atoms)]
-    while True:
-        nxt = stages[-1] | tp_step(reduct_rules, stages[-1])
-        if nxt == stages[-1]:
-            return stages
-        stages.append(nxt)
-
-
-def level_numbering(program: Program, model: frozenset) -> LevelNumbering:
-    """Levels of atoms and rules under a stable model.
-
-    A supporting rule's level is one past the first stage at which its
-    reduct body holds, which reduces to max over positive body levels
-    plus one for plain conjunctive rules.
-    """
-    inputs = program.input_atoms()
-    red = reduct(program, model)
-    lm, ranks = least_model(red, model & inputs)
-    if lm != model:
-        raise ValueError("interpretation is not a stable model")
-    atom_levels = _ranking_for(program, model, ranks).ranks
-
-    stages = _stages(red, model & inputs)
-    rule_levels = {}
-    for idx, rule in enumerate(program.rules):
-        if rule.head is None:
-            continue
-        if not rule.body_satisfied(model):
-            rule_levels[idx] = INFINITY
-            continue
-        if rule.upper is not None:
-            positive = aggregate_reduct(rule, model)
-        else:
-            fixed = weight_sum(model, rule.literals(Polarity.NEGATIVE,
-                                                    Polarity.DOUBLE_NEGATED))
-            terms = tuple((wl.literal.atom, wl.weight)
-                          for wl in rule.literals(Polarity.POSITIVE))
-            positive = PositiveRule(rule.head, terms, lower=max(0, rule.lower - fixed))
-        level = INFINITY
-        for j, stage in enumerate(stages):
-            if positive.body_satisfied(stage):
-                level = j + 1
-                break
-        rule_levels[idx] = level
-    return LevelNumbering(atom_levels, rule_levels)
 
 
 def module_ranking(program: Program, scope: frozenset, model: frozenset) -> dict:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 
 from .program import (
-    Literal,
     Origin,
     Polarity,
     Program,
@@ -99,7 +98,7 @@ def _expected(toks, kinds, i, kind) -> _Reject:
 
 def _literal(toks, kinds, i):
     """A literal's plain key ``(atom, negated)``; the rule builds one
-    ``Literal`` per distinct key."""
+    ``WeightedLiteral`` per distinct key."""
     negated = kinds[i] == "NOT"
     if negated:
         if kinds[i + 1] == "NOT":
@@ -211,7 +210,7 @@ _POLARITY = (Polarity.POSITIVE, Polarity.NEGATIVE)  # by ``negated``
 
 def _canonical_rule(head, choice, conj, agg) -> Rule:
     if agg is None:
-        body = [WeightedLiteral(Literal(atom, _POLARITY[negated]))
+        body = [WeightedLiteral(atom, _POLARITY[negated])
                 for atom, negated in dict.fromkeys(conj)]
         lower = len(body)
         if head is None:
@@ -223,7 +222,7 @@ def _canonical_rule(head, choice, conj, agg) -> Rule:
         else:
             origin = Origin.FACT
         if choice:
-            body.append(WeightedLiteral(Literal(head, Polarity.DOUBLE_NEGATED)))
+            body.append(WeightedLiteral(head, Polarity.DOUBLE_NEGATED))
             lower += 1
         return Rule(head, tuple(body), lower, None, choice, origin)
 
@@ -233,10 +232,10 @@ def _canonical_rule(head, choice, conj, agg) -> Rule:
         merged: dict[tuple[str, bool], int] = {}  # first-seen order
         for key, w in wlits:
             merged[key] = merged.get(key, 0) + (1 if w is None else w)
-        body = tuple(WeightedLiteral(Literal(atom, _POLARITY[negated]), w)
+        body = tuple(WeightedLiteral(atom, _POLARITY[negated], w)
                      for (atom, negated), w in merged.items() if w > 0)
     else:
-        body = tuple(WeightedLiteral(Literal(atom, _POLARITY[negated]))
+        body = tuple(WeightedLiteral(atom, _POLARITY[negated])
                      for atom, negated in dict.fromkeys(key for key, _ in wlits))
     if head is None:
         origin = Origin.CONSTRAINT
@@ -282,7 +281,7 @@ def parse_program(text: str) -> Program:
     return program_of(rules, extra_atoms=declared, hidden=hidden)
 
 
-def _render_literal(lit: Literal) -> str:
+def _render_literal(lit: WeightedLiteral) -> str:
     if lit.polarity is Polarity.NEGATIVE:
         return f"not {lit.atom}"
     if lit.polarity is Polarity.DOUBLE_NEGATED:
@@ -294,8 +293,8 @@ def _render_rule(rule: Rule) -> str:
     body = rule.body
     if rule.choice:
         body = tuple(wl for wl in body
-                     if not (wl.literal.polarity is Polarity.DOUBLE_NEGATED
-                             and wl.literal.atom == rule.head))
+                     if not (wl.polarity is Polarity.DOUBLE_NEGATED
+                             and wl.atom == rule.head))
     head = ""
     if rule.head is not None:
         head = "{%s}" % rule.head if rule.choice else rule.head
@@ -304,7 +303,7 @@ def _render_rule(rule: Rule) -> str:
             rule.origin is Origin.CONSTRAINT and rule.upper is None
             and all(wl.weight == 1 for wl in body)
             and rule.lower == len(body)):
-        parts = ", ".join(_render_literal(wl.literal) for wl in body)
+        parts = ", ".join(_render_literal(wl) for wl in body)
         if not parts:
             return f"{head}."
         sep = " :- " if head else ":- "
@@ -314,7 +313,7 @@ def _render_rule(rule: Rule) -> str:
         Origin.CARDINALITY, Origin.CONVEX, Origin.CONSTRAINT)
     items = []
     for wl in body:
-        text = _render_literal(wl.literal)
+        text = _render_literal(wl)
         items.append(text if bare else f"{text}={wl.weight}")
     inner = ", ".join(items)
     agg = f"{rule.lower} <= {{ {inner} }}" if items else f"{rule.lower} <= {{ }}"

@@ -13,9 +13,10 @@ satisfaction test: ``lower <= weight_sum(I, body) (<= upper)``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
+
+from .node import Node
 
 INFINITY = float("inf")
 
@@ -34,45 +35,35 @@ class Polarity(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Atom:
+class Atom(Node, fields="name visible"):
     """A named propositional atom; ``visible`` drives model projection."""
 
-    name: str
-    visible: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __new__(cls, name: str, visible: bool = True):
+        if not name:
             raise ValueError("atom name must be non-empty")
+        return tuple.__new__(cls, (name, visible))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Literal:
-    atom: str
-    polarity: Polarity = Polarity.POSITIVE
+_PREFIX = {Polarity.POSITIVE: "", Polarity.NEGATIVE: "not ",
+           Polarity.DOUBLE_NEGATED: "not not "}
+
+
+class WeightedLiteral(Node, fields="atom polarity weight"):
+    """One body literal: an atom, its polarity and its weight."""
+
+    __slots__ = ()
+
+    def __new__(cls, atom: str, polarity: Polarity = Polarity.POSITIVE, weight: int = 1):
+        if weight < 0:
+            raise ValueError(f"negative weight {weight} on {_PREFIX[polarity]}{atom}")
+        return tuple.__new__(cls, (atom, polarity, weight))
 
     def satisfied(self, interp: frozenset) -> bool:
         if self.polarity is Polarity.NEGATIVE:
             return self.atom not in interp
         return self.atom in interp
-
-    def __str__(self) -> str:
-        prefix = {
-            Polarity.POSITIVE: "",
-            Polarity.NEGATIVE: "not ",
-            Polarity.DOUBLE_NEGATED: "not not ",
-        }[self.polarity]
-        return prefix + self.atom
-
-
-@dataclass(frozen=True, order=True, slots=True)
-class WeightedLiteral:
-    literal: Literal
-    weight: int = 1
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"negative weight {self.weight} on {self.literal}")
 
 
 class Origin(enum.Enum):
@@ -85,8 +76,7 @@ class Origin(enum.Enum):
     FACT = "fact"
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(Node, fields="head body lower upper choice origin"):
     """Canonical generalized weight rule.
 
     Invariants: ``head is None`` exactly for constraints; ``choice`` implies
@@ -96,34 +86,32 @@ class Rule:
     (such rules are legal and never applicable).
     """
 
-    head: Optional[str]
-    body: tuple[WeightedLiteral, ...]
-    lower: int
-    upper: Optional[int] = None
-    choice: bool = False
-    origin: Origin = Origin.NORMAL
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.head is None) != (self.origin is Origin.CONSTRAINT):
+    def __new__(cls, head: Optional[str], body: tuple[WeightedLiteral, ...], lower: int,
+                upper: Optional[int] = None, choice: bool = False,
+                origin: Origin = Origin.NORMAL):
+        if (head is None) != (origin is Origin.CONSTRAINT):
             raise ValueError("headless rules must have constraint origin")
-        if self.choice and self.origin is not Origin.CHOICE:
+        if choice and origin is not Origin.CHOICE:
             raise ValueError("choice flag requires choice origin")
-        if self.lower < 0:
+        if lower < 0:
             raise ValueError("lower bound must be non-negative")
-        if self.upper is not None and self.upper < 0:
+        if upper is not None and upper < 0:
             raise ValueError("upper bound must be non-negative")
-        if self.upper is not None and self.origin not in (Origin.CONVEX, Origin.CONSTRAINT):
+        if upper is not None and origin not in (Origin.CONVEX, Origin.CONSTRAINT):
             raise ValueError("upper bound requires convex origin")
+        return tuple.__new__(cls, (head, body, lower, upper, choice, origin))
 
     def literals(self, *polarities: Polarity) -> tuple[WeightedLiteral, ...]:
         wanted = polarities or tuple(Polarity)
-        return tuple(wl for wl in self.body if wl.literal.polarity in wanted)
+        return tuple(wl for wl in self.body if wl.polarity in wanted)
 
     def pos_atoms(self) -> tuple[str, ...]:
-        return tuple(wl.literal.atom for wl in self.literals(Polarity.POSITIVE))
+        return tuple(wl.atom for wl in self.literals(Polarity.POSITIVE))
 
     def body_atoms(self) -> tuple[str, ...]:
-        return tuple(wl.literal.atom for wl in self.body)
+        return tuple(wl.atom for wl in self.body)
 
     def body_satisfied(self, interp: frozenset) -> bool:
         total = weight_sum(interp, self.body)
@@ -141,24 +129,21 @@ class Rule:
         return self.head in interp
 
 
-@dataclass(frozen=True)
-class Program:
-    rules: tuple[Rule, ...]
-    signature: tuple[Atom, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        known = {a.name for a in self.signature}
-        if len(known) != len(self.signature):
+class Program(Node, fields="rules signature"):
+    def __new__(cls, rules: tuple[Rule, ...], signature: tuple[Atom, ...] = ()):
+        known = {a.name for a in signature}
+        if len(known) != len(signature):
             raise ValueError("duplicate atom in signature")
-        mentioned = {wl.literal.atom for rule in self.rules for wl in rule.body}
-        mentioned.update(rule.head for rule in self.rules)
+        mentioned = {wl.atom for rule in rules for wl in rule.body}
+        mentioned.update(rule.head for rule in rules)
         mentioned.discard(None)
         missing = mentioned - known
         if missing:
             raise ValueError(f"atoms missing from signature: {sorted(missing)}")
+        return tuple.__new__(cls, (rules, signature))
 
-    # The indexes below are built once, on first use; the dataclass is
-    # frozen, so they never go stale.
+    # The indexes below are built once, on first use, into the program's
+    # __dict__; its fields cannot be set, so they never go stale.
 
     @cached_property
     def atom_names(self) -> tuple[str, ...]:
@@ -196,7 +181,7 @@ def program_of(rules: Iterable[Rule], extra_atoms: Iterable[str] = (),
                hidden: Iterable[str] = ()) -> Program:
     """Build a program, deriving the signature from the rules."""
     rules = tuple(rules)
-    names = {wl.literal.atom for rule in rules for wl in rule.body}
+    names = {wl.atom for rule in rules for wl in rule.body}
     names.update(rule.head for rule in rules)
     names.discard(None)
     names.update(extra_atoms)
@@ -215,12 +200,12 @@ def def_of(atom: str, program: Program) -> list[Rule]:
 
 def weight_sum(interp: frozenset, body: Iterable[WeightedLiteral]) -> int:
     """Total weight of the body literals satisfied by ``interp``."""
-    return sum(wl.weight for wl in body if wl.literal.satisfied(interp))
+    return sum(wl.weight for wl in body if wl.satisfied(interp))
 
 
 def normal_rule(head: str, pos: Iterable[str] = (), neg: Iterable[str] = ()) -> Rule:
     """Convenience constructor used throughout the test suite."""
-    body = [WeightedLiteral(Literal(a)) for a in pos]
-    body += [WeightedLiteral(Literal(a, Polarity.NEGATIVE)) for a in neg]
+    body = [WeightedLiteral(a) for a in pos]
+    body += [WeightedLiteral(a, Polarity.NEGATIVE) for a in neg]
     origin = Origin.NORMAL if body else Origin.FACT
     return Rule(head, tuple(body), lower=len(body), origin=origin)

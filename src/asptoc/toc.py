@@ -70,7 +70,7 @@ def _split_body(rule: Rule, scope: frozenset, base: dict):
     """
     pin, pout, dneg, neg = [], [], [], []
     for wl in rule.body:
-        atom, polarity = wl.literal.atom, wl.literal.polarity
+        atom, polarity = wl.atom, wl.polarity
         if polarity is Polarity.POSITIVE:
             if atom in scope:
                 pin.append((atom, wl.weight))
@@ -85,7 +85,7 @@ def _split_body(rule: Rule, scope: frozenset, base: dict):
 
 def _plain_terms(rule: Rule, base: dict):
     negative = Polarity.NEGATIVE
-    return [PBTerm(wl.weight, base[wl.literal.atom], wl.literal.polarity is negative)
+    return [PBTerm(wl.weight, base[wl.atom], wl.polarity is negative)
             for wl in rule.body]
 
 
@@ -204,7 +204,7 @@ def toc_module(program: Program, scope: frozenset, *,
     names = dict.fromkeys(atoms)
     for atom in atoms:
         for rule in defs[atom]:
-            names.update(dict.fromkeys(sorted({wl.literal.atom for wl in rule.body})))
+            names.update(dict.fromkeys(sorted({wl.atom for wl in rule.body})))
     fs = FormulaSet()
     fs.declare_base(*names)
     if base is None:

@@ -1,0 +1,97 @@
+"""Reference semantics only the tests use: supported models, level
+numberings and model projections.
+
+They check the oracle and the model finder from a second angle, and no
+command of asptoc needs them, so they live beside the tests.
+"""
+
+from dataclasses import dataclass, field
+
+from asptoc.oracle import (
+    PositiveRule,
+    _check_cap,
+    _interpretations,
+    _ranking_for,
+    aggregate_reduct,
+    least_model,
+    reduct,
+    tp_step,
+)
+from asptoc.program import INFINITY, Polarity, Program, weight_sum
+
+
+def supported_models(program: Program, cap: int = 20):
+    """Fixed points of the one-step operator on the reduct; a superset of
+    the stable models."""
+    _check_cap(program, cap)
+    inputs = program.input_atoms()
+    found = []
+    for candidate in _interpretations(program.atom_names):
+        if not all(c.satisfied(candidate) for c in program.constraints()):
+            continue
+        step = tp_step(reduct(program, candidate), candidate) | (candidate & inputs)
+        if step == candidate:
+            found.append(candidate)
+    found.sort(key=lambda m: tuple(sorted(m)))
+    return found
+
+
+@dataclass(frozen=True)
+class LevelNumbering:
+    atoms: dict
+    rules: dict = field(default_factory=dict)  # program rule index -> level
+
+
+def _stages(reduct_rules, input_atoms):
+    stages = [frozenset(input_atoms)]
+    while True:
+        nxt = stages[-1] | tp_step(reduct_rules, stages[-1])
+        if nxt == stages[-1]:
+            return stages
+        stages.append(nxt)
+
+
+def level_numbering(program: Program, model: frozenset) -> LevelNumbering:
+    """Levels of atoms and rules under a stable model.
+
+    A supporting rule's level is one past the first stage at which its
+    reduct body holds, which reduces to max over positive body levels
+    plus one for plain conjunctive rules.
+    """
+    inputs = program.input_atoms()
+    red = reduct(program, model)
+    lm, ranks = least_model(red, model & inputs)
+    if lm != model:
+        raise ValueError("interpretation is not a stable model")
+    atom_levels = _ranking_for(program, model, ranks).ranks
+
+    stages = _stages(red, model & inputs)
+    rule_levels = {}
+    for idx, rule in enumerate(program.rules):
+        if rule.head is None:
+            continue
+        if not rule.body_satisfied(model):
+            rule_levels[idx] = INFINITY
+            continue
+        if rule.upper is not None:
+            positive = aggregate_reduct(rule, model)
+        else:
+            fixed = weight_sum(model, rule.literals(Polarity.NEGATIVE,
+                                                    Polarity.DOUBLE_NEGATED))
+            terms = tuple((wl.atom, wl.weight)
+                          for wl in rule.literals(Polarity.POSITIVE))
+            positive = PositiveRule(rule.head, terms, lower=max(0, rule.lower - fixed))
+        level = INFINITY
+        for j, stage in enumerate(stages):
+            if positive.body_satisfied(stage):
+                level = j + 1
+                break
+        rule_levels[idx] = level
+    return LevelNumbering(atom_levels, rule_levels)
+
+
+def project_models(models, visible) -> list[frozenset]:
+    """Projections of finder models to the visible atoms, duplicates
+    preserved."""
+    visible = frozenset(visible)
+    return [frozenset(n for n, v in m.props if v and n in visible) for m in models]

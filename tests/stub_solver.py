@@ -140,10 +140,7 @@ def main():
     for name, value in model.props:
         symbol = F.encode(F.decode(name))
         print(f"  (define-fun {symbol} () Bool {'true' if value else 'false'})")
-    declared = fs.symbols()
     for name, value in model.ints:
-        if F.decode(name) not in declared:
-            continue  # like a solver, define only declared constants
         text = str(value) if value >= 0 else f"(- {-value})"
         print(f"  (define-fun {name} () Int {text})")
     print(")")

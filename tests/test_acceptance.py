@@ -18,9 +18,10 @@ from asptoc.dlcheck import enumerate_dl_models
 from asptoc.formulas import Base, Diff, LevelVar, Not, Var, Z
 from asptoc.fuzz import check_program, fuzz_corpus, generate_weight_rule, ranked_scopes
 from asptoc.normtest import check_proposition, normalize_subsets
-from asptoc.oracle import level_numbering, stable_models
+from asptoc.oracle import stable_models
 from asptoc.parser import parse_program
 from asptoc.toc import toc_module, toc_program
+from references import level_numbering
 
 STUB = f"{sys.executable} {pathlib.Path(__file__).parent / 'stub_solver.py'}"
 

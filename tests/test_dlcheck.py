@@ -8,13 +8,13 @@ from asptoc.dlcheck import (
     ContractError,
     DLModel,
     enumerate_dl_models,
-    project_models,
     recheck,
 )
 from asptoc.formulas import Aux, Base, Diff, FormulaSet, LevelVar, Not, Var, Z
 from asptoc.oracle import ResourceError
 from asptoc.parser import parse_program
 from asptoc.toc import toc_module, toc_program
+from references import project_models
 
 
 class TestSelfLoop:
@@ -33,6 +33,14 @@ class TestSelfLoop:
 
     def test_projection(self):
         assert project_models(self.models, {"a"}) == [frozenset()]
+
+
+def test_z_only_in_models_of_ranked_sets():
+    # a flat set declares no ranking variable, so its models carry no z
+    flat = enumerate_dl_models(toc_program(parse_program("{a}. b :- a. c :- not b.")))
+    assert len(flat) == 2 and all(m.ints == () for m in flat)
+    (ranked,) = enumerate_dl_models(toc_program(parse_program("a :- a.")))
+    assert ("__z", 0) in ranked.ints
 
 
 class TestRankedFact:

@@ -1,14 +1,18 @@
 """Formula IR: ranking scaffolding, validation, constant folding, the
 symbol codec."""
 
-import dataclasses
+import copy
+import pickle
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asptoc import formulas, program
+from asptoc import depgraph, formulas, program
+from asptoc.depgraph import build_depgraph, sccs
 from asptoc.formulas import (
+    FALSE,
+    TRUE,
     And,
     Aux,
     Base,
@@ -35,6 +39,8 @@ from asptoc.formulas import (
     ref_name,
     var_name,
 )
+from asptoc.node import Node
+from asptoc.parser import parse_program
 
 
 def eval_pairs(pairs, bools, ints):
@@ -320,28 +326,92 @@ def test_aux_symbols_spell_no_atom_or_variable(aux, name):
 
 def ir_samples():
     a = Var(Base("a"))
-    lit = program.Literal("a")
     return [Base("a"), Aux("app", "a", 1), LevelVar("a"), a, Not(a), And((a, a)),
             Or((a, a)), Implies(a, a), Iff(a, a), TrueF(), FalseF(),
             Diff(LevelVar("a"), Z, 1), PBTerm(1, Base("a")),
-            PB((PBTerm(1, Base("a")),), lower=1), program.Atom("a"), lit,
-            program.WeightedLiteral(lit), program.normal_rule("a", ["b"])]
+            PB((PBTerm(1, Base("a")),), lower=1), program.Atom("a"),
+            program.WeightedLiteral("a"), program.normal_rule("a", ["b"])]
+
+
+def indexed_samples():
+    """The nodes that keep a ``__dict__`` for their cached indexes."""
+    p = parse_program("a :- b.")
+    graph = build_depgraph(p)
+    return [p, FormulaSet(), graph, sccs(graph)]
 
 
 def test_samples_cover_every_slotted_ir_class():
-    frozen = {cls for module in (formulas, program) for cls in vars(module).values()
-              if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-              and cls.__module__ == module.__name__
-              and cls.__dataclass_params__.frozen}
-    # Program keeps a __dict__ for its cached indexes
-    assert frozen - {program.Program} == {type(obj) for obj in ir_samples()}
+    nodes = {cls for module in (formulas, program, depgraph)
+             for cls in vars(module).values()
+             if isinstance(cls, type) and issubclass(cls, Node)
+             and cls.__module__ == module.__name__}
+    indexed = {type(obj) for obj in indexed_samples()}
+    assert indexed == {program.Program, FormulaSet, depgraph.DepGraph,
+                       depgraph.SccPartition}
+    assert nodes - indexed == {type(obj) for obj in ir_samples()}
 
 
 @pytest.mark.parametrize("obj", ir_samples(), ids=lambda obj: type(obj).__name__)
 def test_immutability_survives_slots(obj):
     assert not hasattr(obj, "__dict__")
-    for f in dataclasses.fields(obj):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, f.name, None)
-    with pytest.raises((AttributeError, TypeError)):  # no slot to hold it
+    with pytest.raises(AttributeError):  # no slot to hold it
         obj.extra = None
+
+
+@pytest.mark.parametrize("obj", ir_samples() + indexed_samples(),
+                         ids=lambda obj: type(obj).__name__)
+def test_fields_cannot_be_set(obj):
+    assert type(obj)._fields or type(obj) in (TrueF, FalseF)
+    for name in type(obj)._fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
+@pytest.mark.parametrize("obj", ir_samples() + indexed_samples(),
+                         ids=lambda obj: type(obj).__name__)
+def test_value_semantics(obj):
+    twin = copy.deepcopy(obj)
+    assert twin is not obj and twin == obj and not twin != obj
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    assert obj
+    plain = tuple(obj)
+    assert obj != plain and plain != obj and not obj == plain and not plain == obj
+    if type(obj) is not FormulaSet:  # its containers grow, so it has no hash
+        assert hash(twin) == hash(obj)
+        assert obj not in {plain}
+
+
+def test_equality_tells_types_apart():
+    a = Var(Base("a"))
+    assert Base("a") != LevelVar("a") and not Base("a") == LevelVar("a")
+    assert a != Not(a) and And((a,)) != Or((a,)) and Implies(a, a) != Iff(a, a)
+    assert TrueF() != FalseF() and TrueF() == TRUE and FALSE == FalseF()
+    assert Base("a") != ("a",) and ("a",) != Base("a")
+    assert len({Base("a"), LevelVar("a"), ("a",), Base("a")}) == 3
+
+
+def test_reprs():
+    lit = program.WeightedLiteral("b", program.Polarity.NEGATIVE, 2)
+    assert repr(lit) == "WeightedLiteral(atom='b', polarity=neg, weight=2)"
+    assert repr(Aux("dep", "a", "b")) == "Aux(kind='dep', head='a', arg='b', ns='')"
+    assert repr(TRUE) == "TrueF()"
+    assert repr(PB((PBTerm(2, Base("a"), True),), upper=1)) == (
+        "PB(terms=(PBTerm(coef=2, atom=Base(name='a'), negated=True),), "
+        "lower=None, upper=1)")
+    assert repr(Diff(LevelVar("a"), Z, -1)) == "Diff(lhs=LevelVar(owner='a'), rhs=Z, k=-1)"
+    assert repr(parse_program("a :- not b.")) == (
+        "Program(rules=(Rule(head='a', body=(WeightedLiteral(atom='b', polarity=neg, "
+        "weight=1),), lower=1, upper=None, choice=False, origin=<Origin.NORMAL: "
+        "'normal'>),), signature=(Atom(name='a', visible=True), "
+        "Atom(name='b', visible=True)))")
+
+
+def test_ordering():
+    assert sorted([Base("b"), Base("a")]) == [Base("a"), Base("b")]
+    assert sorted([LevelVar("b"), LevelVar("a")]) == [LevelVar("a"), LevelVar("b")]
+    assert Aux("app", "a", 1) < Aux("app", "a", 2) < Aux("dep", "a", "b")
+    assert program.Atom("a", False) < program.Atom("a") < program.Atom("b", False)
+    lit = program.WeightedLiteral
+    assert lit("a") < lit("a", weight=2) < lit("b")

@@ -10,15 +10,14 @@ from asptoc.oracle import (
     ResourceError,
     aggregate_reduct,
     least_model,
-    level_numbering,
     module_ranking,
     reduct,
     stable_models,
-    supported_models,
     tp_step,
 )
 from asptoc.parser import parse_program
 from asptoc.program import INFINITY
+from references import level_numbering, supported_models
 
 EXAMPLE6 = """\
 b5. b4 :- b5. b3 :- b4. b2 :- b3. b1 :- b2.

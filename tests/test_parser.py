@@ -76,7 +76,7 @@ class TestGrammar:
         (rule,) = p.rules
         assert rule.head == "a" and rule.origin is Origin.NORMAL
         assert rule.pos_atoms() == ("b",)
-        assert [w.literal.atom for w in rule.literals(Polarity.NEGATIVE)] == ["c"]
+        assert [w.atom for w in rule.literals(Polarity.NEGATIVE)] == ["c"]
         assert rule.lower == 2
 
     def test_weight_rule(self):
@@ -98,7 +98,7 @@ class TestGrammar:
         assert fact.origin is Origin.FACT and fact.lower == 0
         assert choice.choice and choice.lower == 2
         dneg = choice.literals(Polarity.DOUBLE_NEGATED)
-        assert [w.literal.atom for w in dneg] == ["b"]
+        assert [w.atom for w in dneg] == ["b"]
         assert constraint.head is None and constraint.origin is Origin.CONSTRAINT
 
     def test_directives(self):
@@ -123,7 +123,7 @@ class TestGrammar:
     def test_zero_weights_dropped(self):
         p = parse_program("a :- 1 <= { b=0, c=2 }.")
         (rule,) = p.rules
-        assert [w.literal.atom for w in rule.body] == ["c"]
+        assert [w.atom for w in rule.body] == ["c"]
 
 
 class TestDiagnostics:

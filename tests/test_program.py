@@ -5,7 +5,6 @@ import pytest
 from asptoc.parser import parse_program
 from asptoc.program import (
     Atom,
-    Literal,
     Origin,
     Polarity,
     Rule,
@@ -18,7 +17,7 @@ from asptoc.program import (
 
 
 def wl(atom, weight=1, polarity=Polarity.POSITIVE):
-    return WeightedLiteral(Literal(atom, polarity), weight)
+    return WeightedLiteral(atom, polarity, weight)
 
 
 EXAMPLE6_BODY = tuple(wl(f"b{i}", w) for i, w in
@@ -151,6 +150,20 @@ class TestInvariants:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             wl("a", -1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(head="a", body=(), lower=0, origin=Origin.CONSTRAINT),
+        dict(head="a", body=(), lower=0, choice=True),
+        dict(head="a", body=(), lower=-1),
+        dict(head="a", body=(), lower=0, upper=-1, origin=Origin.CONVEX),
+    ], ids=["headed-constraint", "choice-flag-origin", "negative-lower", "negative-upper"])
+    def test_rule_checks_run_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            Rule(**kwargs)
+
+    def test_atom_name_required(self):
+        with pytest.raises(ValueError):
+            Atom("")
 
     def test_upper_requires_convex(self):
         with pytest.raises(ValueError):

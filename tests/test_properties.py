@@ -91,7 +91,7 @@ def test_positive_programs_have_unique_minimal_model():
 
 
 def test_stable_models_within_supported_models():
-    from asptoc.oracle import supported_models
+    from references import supported_models
     for _, _, program in fuzz_corpus(seed=6, count=25):
         stable = {m for m, _ in stable_models(program)}
         assert stable <= set(supported_models(program))

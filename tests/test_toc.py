@@ -130,8 +130,8 @@ class TestOrderedCompletionInstantiation:
         for atom in sorted(scope):
             for rule in def_of(atom, program):
                 for wlit in rule.literals(Polarity.POSITIVE):
-                    if wlit.literal.atom in scope:
-                        edges.add((atom, wlit.literal.atom))
+                    if wlit.atom in scope:
+                        edges.add((atom, wlit.atom))
         for a, b in sorted(edges):
             auxes = (Aux("dep", a, b), Aux("gap", a, b))
             fs.declare_aux(*auxes)
@@ -148,7 +148,7 @@ class TestOrderedCompletionInstantiation:
                 fs.declare_base(*rule.body_atoms())
                 inside = [b for b in rule.pos_atoms() if b in scope]
                 outside = [b for b in rule.pos_atoms() if b not in scope]
-                negs = [w.literal.atom for w in rule.literals(Polarity.NEGATIVE)]
+                negs = [w.atom for w in rule.literals(Polarity.NEGATIVE)]
                 body = conj(*(Var(Aux("dep", atom, b)) for b in inside),
                             *(Var(Base(b)) for b in outside),
                             *(Not(Var(Base(c))) for c in negs))
@@ -329,7 +329,7 @@ def assemble_abstract(program, scope, rule_index=0):
     rule = program.rules[rule_index]
     from asptoc.program import Polarity
     for wlit in rule.literals(Polarity.POSITIVE):
-        b = wlit.literal.atom
+        b = wlit.atom
         if b in scope:
             fs.extend(mk_dep_gap((Aux("dep", rule.head, b), Aux("gap", rule.head, b)),
                                  Var(Base(b)), LevelVar(rule.head), LevelVar(b)))
