@@ -90,16 +90,19 @@ def cmd_check(args) -> int:
 def cmd_fuzz(args) -> int:
     import random
 
-    from .fuzz import check_program, fuzz_corpus, generate_weight_rule
+    from .fuzz import CHECK_MODES, check_program, fuzz_corpus, generate_weight_rule
     from .normtest import check_proposition
 
     for index, source, program in fuzz_corpus(args.seed, args.count,
                                               args.max_atoms, args.max_rules):
-        report = check_program(program)
+        scope_mode, vub_form = CHECK_MODES[index % len(CHECK_MODES)]
+        report = check_program(program, scope_mode=scope_mode, vub_form=vub_form)
         if not report.ok:
-            print(json.dumps({"program": index, "status": "fail",
-                              "checks": report.checks}))
             repro = f"fuzz-counterexample-{args.seed}-{index}.lp"
+            flags = ["--global-scope"] * (scope_mode == "global") + ["--vub-form"] * vub_form
+            print(json.dumps({"program": index, "status": "fail",
+                              "reproduce": " ".join(["asptoc check", repro, *flags]),
+                              "checks": report.checks}))
             with open(repro, "w", encoding="utf-8") as handle:
                 handle.write(source)
             print(json.dumps({"counterexample": repro, "source": source}))
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scope_flag(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("fuzz", help="random differential testing")
+    p = sub.add_parser("fuzz", help="random differential testing in all scope/vub modes")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=_ranged(0), default=100)
     p.add_argument("--max-atoms", type=_ranged(2, _pool_size), default=7)

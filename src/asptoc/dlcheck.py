@@ -10,6 +10,13 @@ another are searched independently and recombined, which changes the
 order of work but not the set of visited assignments.  Soundness can be
 re-established for any returned model through the naive evaluator in
 :mod:`asptoc.formulas`.
+
+What depends only on the formula set is computed once per call: one walk
+per formula serves the bounds contract, the grouping, the ground formulas'
+trigger positions and each group's fixed parts.  A group's search plan
+(variable order, the formulas checked at each position, the domains)
+reads the base assignment only through the truth of its ranking variables'
+owners, so it is built once per such truth pattern and then reused.
 """
 
 from __future__ import annotations
@@ -42,28 +49,20 @@ class DLModel:
         return frozenset(n for n, v in self.props if v)
 
 
-def _formula_vars(formula) -> tuple[set, set]:
-    atoms: set = set()
-    ints: set = set()
-    F._collect(formula, atoms, ints)
-    return atoms, ints
-
-
 _KIND_RANK = {"dep": 0, "gap": 1, "int": 2, "ext": 3, "vub": 4, "app": 5}
-
-
-def _aux_key(ref: Aux):
-    return (_KIND_RANK[ref.kind], ref.head, str(ref.arg), ref.ns)
 
 
 def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
                         limit: int | None = None) -> list[DLModel]:
     """All satisfying assignments over the declared vocabulary, or the
     first ``limit`` of them in enumeration order."""
-    # Every ranking variable must come with range bounds.
+    # one walk per formula: its atoms and its integer variables
+    walked = [(f, set(), set()) for _, f in fs.formulas]
     used_ints: set = set()
-    for _, f in fs.formulas:
-        used_ints |= _formula_vars(f)[1]
+    for f, atoms, ints in walked:
+        F._collect(f, atoms, ints)
+        used_ints |= ints
+    # Every ranking variable must come with range bounds.
     for v in used_ints:
         if isinstance(v, LevelVar) and v.owner not in fs.level_bounds:
             raise ContractError(f"ranking variable {var_name(v)} carries no bounds")
@@ -93,16 +92,15 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
         if rx != ry:
             parent[rx] = ry
 
-    for ref in fs.aux_atoms:
+    # one node per ranking variable, so that the lookups below hit by identity
+    level_of = {owner: LevelVar(owner) for owner in fs.level_bounds}
+    for ref in (*fs.aux_atoms, *level_of.values()):
         parent.setdefault(ref, ref)
-    for owner in fs.level_bounds:
-        parent.setdefault(LevelVar(owner), LevelVar(owner))
 
     formula_locals = []
-    for name, f in fs.formulas:
-        atoms, ints = _formula_vars(f)
+    for _, atoms, ints in walked:
         local = [a for a in atoms if isinstance(a, Aux)]
-        local += [v for v in ints if isinstance(v, LevelVar)]
+        local += [level_of[v.owner] for v in ints if isinstance(v, LevelVar)]
         formula_locals.append(local)
         for x, y in zip(local, local[1:]):
             union(x, y)
@@ -111,42 +109,48 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
     for v in parent:
         groups.setdefault(find(v), []).append(v)
 
-    ground_formulas = []  # (formula, trigger index in base order)
+    # a ground formula is checked once its last base atom is assigned; the
+    # extra last slot, index -1, holds those with no base atom at all
+    ground_by_trigger: list[list] = [[] for _ in range(len(base_names) + 1)]
     group_formulas: dict = {r: [] for r in groups}
-    for (name, f), local in zip(fs.formulas, formula_locals):
+    for (f, atoms, _), local in zip(walked, formula_locals):
         if local:
-            group_formulas[find(local[0])].append(f)
+            group_formulas[find(local[0])].append((f, local))
         else:
-            atoms, _ = _formula_vars(f)
             trigger = max((base_index[a.name] for a in atoms if isinstance(a, Base)),
                           default=-1)
-            ground_formulas.append((f, trigger))
+            ground_by_trigger[trigger].append(f)
 
-    def group_order(root, env):
-        """Rank variables with false owners first (their range is pinned),
-        every other rank variable in name order, and each auxiliary atom as
-        soon as the rank variables it can constrain are all placed.  That
-        lets definitions force auxiliary values immediately and cuts failing
-        rank prefixes early; correctness never depends on the order."""
+    def group_parts(root):
+        """What a group's plan takes from the formula set alone: its ranking
+        variables by owner, its auxiliary atoms by kind, and the ranking
+        variables each auxiliary atom can constrain."""
         vars_ = set(groups[root])
-        levels = sorted((v for v in vars_ if isinstance(v, LevelVar)),
-                        key=lambda v: (env.get(v.owner, False), v.owner))
-        auxes = sorted((v for v in vars_ if isinstance(v, Aux)), key=_aux_key)
+        levels = sorted((v for v in vars_ if isinstance(v, LevelVar)), key=lambda v: v.owner)
+        auxes = sorted((v for v in vars_ if isinstance(v, Aux)),
+                       key=lambda a: (_KIND_RANK[a.kind], a.head, str(a.arg), a.ns))
         needed: dict = {a: set() for a in auxes}
-        for f in group_formulas[root]:
-            atoms, ints = _formula_vars(f)
-            xs = {v for v in ints if isinstance(v, LevelVar) and v in vars_}
-            if not xs:
-                continue
-            for a in atoms:
-                if a in needed:
+        for _, local in group_formulas[root]:
+            xs = {v for v in local if isinstance(v, LevelVar)}
+            for a in local:
+                if xs and isinstance(a, Aux):
                     needed[a] |= xs
         for a in auxes:
             owners = (a.head, a.arg) if a.kind in ("dep", "gap") else (a.head,)
             for owner in owners:
-                if LevelVar(owner) in vars_:
-                    needed[a].add(LevelVar(owner))
+                if level_of.get(owner) in vars_:
+                    needed[a].add(level_of[owner])
+        return levels, auxes, needed
 
+    def group_plan(root, truths):
+        """A group's search plan under one truth pattern of its level owners:
+        each position's symbol and domain, and the formulas checked there,
+        at their last variable.  Ranking variables with false owners come
+        first (their range is pinned), then the others in name order, and
+        each auxiliary atom once the ranking variables it can constrain are
+        placed, so definitions force auxiliary values at once and failing
+        rank prefixes are cut early; correctness never depends on the order."""
+        levels, auxes, needed = parts[root]
         order = []
         placed: set = set()
         pending = list(auxes)
@@ -158,39 +162,37 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
             pending = [a for a in pending if needed[a] - placed]
 
         flush()
-        for x in levels:
+        for _, x in sorted(zip(truths, levels), key=lambda p: (p[0], p[1].owner)):
             order.append(x)
             placed.add(x)
             flush()
         order.extend(pending)
-        return order
+
+        position = {v: i for i, v in enumerate(order)}
+        triggers: list[list] = [[] for _ in order]
+        for f, local in group_formulas[root]:
+            triggers[max(position[v] for v in local)].append(f)
+        return [slot[v] for v in order], [tuple(t) for t in triggers]
+
+    parts = {root: group_parts(root) for root in groups}
+    # each variable's symbol and domain, built once and shared by every plan
+    slot = {ref: (name, (False, True)) for ref, name in fs.aux_atoms.items()}
+    for owner, (lo, hi) in fs.level_bounds.items():
+        slot[level_of[owner]] = (var_name(level_of[owner]), range(lo, hi + 1))
+    plans: dict = {}  # (root, owner truths) -> plan, shared by all base assignments
 
     def solve_group(root, env):
-        order = group_order(root, env)
-        names = [encode(v) for v in order]
-        position = {n: i for i, n in enumerate(names)}
-        triggers: list[list] = [[] for _ in order]
-        for f in group_formulas[root]:
-            atoms, ints = _formula_vars(f)
-            idx = -1
-            for v in (*atoms, *ints):
-                if type(v) is Aux or type(v) is LevelVar:
-                    idx = max(idx, position[encode(v)])
-            triggers[max(idx, 0)].append(f)
-
+        truths = tuple(env.get(v.owner, False) for v in parts[root][0])
+        if (root, truths) not in plans:
+            plans[root, truths] = group_plan(root, truths)
+        slots, triggers = plans[root, truths]
         solutions = []
 
         def rec(i):
-            if i == len(order):
-                solutions.append([(n, env[n]) for n in names])
+            if i == len(slots):
+                solutions.append([(n, env[n]) for n, _ in slots])
                 return
-            v = order[i]
-            name = names[i]
-            if isinstance(v, LevelVar):
-                lo, hi = fs.level_bounds[v.owner]
-                domain = range(lo, hi + 1)
-            else:
-                domain = (False, True)
+            name, domain = slots[i]
             for value in domain:
                 env[name] = value
                 if all(eval_formula(f, env, env) for f in triggers[i]):
@@ -198,20 +200,13 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
             del env[name]
 
         rec(0)
+        del rec  # a closure that calls itself is a cycle; free it now, not at the next GC
         return solutions
 
     # groups by least symbol, ranking variables after auxiliary atoms: on
     # fuzz programs that evaluates 7-11% fewer formulas than the reverse
     group_roots = sorted(groups, key=lambda r: min(
         (type(v) is LevelVar, encode(v)) for v in groups[r]))
-
-    ground_by_trigger: list[list] = [[] for _ in base_names]
-    late_ground = []
-    for f, trig in ground_formulas:
-        if trig >= 0:
-            ground_by_trigger[trig].append(f)
-        else:
-            late_ground.append(f)
 
     models = []
     # z is pinned to 0, and a model carries it only where the set ranks
@@ -222,7 +217,7 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
         if limit is not None and len(models) >= limit:
             return
         if i == len(base_names):
-            if not all(eval_formula(f, env, env) for f in late_ground):
+            if not all(eval_formula(f, env, env) for f in ground_by_trigger[-1]):
                 return
             per_group = []
             for root in group_roots:
@@ -252,6 +247,7 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
         del env[name]
 
     rec_base(0)
+    del rec_base  # as in solve_group: the search state is garbage once this returns
     return models
 
 

@@ -368,14 +368,13 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
     def symbols(self) -> dict:
         """Every declared symbol, keyed as the emitter looks it up: a base
         atom by its name, an auxiliary atom by its ``Aux``, a ranking
-        variable by its ``LevelVar`` and ``z`` by ``Z``.  ``z`` is declared
-        exactly when some ranking variable is, as the emitter declares it."""
+        variable and ``z`` by their symbol (``var_name``), which no atom
+        name spells.  ``z`` is declared exactly when some ranking variable
+        is, as the emitter declares it."""
         table = {**self.base_atoms, **self.aux_atoms}
         if self.level_bounds:
-            table[Z] = var_name(Z)
-            for owner in self.level_bounds:
-                var = LevelVar(owner)
-                table[var] = var_name(var)
+            names = [var_name(Z), *(var_name(LevelVar(o)) for o in self.level_bounds)]
+            table.update(zip(names, names))
         return table
 
     def validate(self):

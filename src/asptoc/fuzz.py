@@ -22,6 +22,8 @@ from .program import INFINITY, Program, Rule
 from .toc import toc_program
 
 ATOM_POOL = "abcdefghijklmn"
+# (scope_mode, vub_form) of the i-th program ``asptoc fuzz`` checks: i % 4
+CHECK_MODES = [("scc", False), ("global", False), ("scc", True), ("global", True)]
 
 
 def generate_source(rng: random.Random, max_atoms: int = 7,
@@ -102,7 +104,7 @@ def generate_weight_rule(rng: random.Random) -> Rule:
     return parse_program(f"a :- {bound} <= {{ {items} }}.").rules[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     ok: bool = True
     checks: list = field(default_factory=list)

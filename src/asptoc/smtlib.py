@@ -89,8 +89,8 @@ def to_sexpr(formula, table) -> str:
     if t is Implies:
         return f"(=> {to_sexpr(formula.left, table)} {to_sexpr(formula.right, table)})"
     if t is Diff:
-        return (f"(<= (- {table[formula.lhs]} {table[formula.rhs]}) "
-                f"{_int(formula.k)})")
+        lhs, rhs = table[var_name(formula.lhs)], table[var_name(formula.rhs)]
+        return f"(<= (- {lhs} {rhs}) {_int(formula.k)})"
     if t is PB:
         total = _sum_text(formula.terms, table)
         checks = []
@@ -178,9 +178,9 @@ def _model_key(symbol: str, sort: str, table):
         ref = decode(symbol)
     except ValueError:
         return None
-    key = ref.name if type(ref) is Base else ref
     if (type(ref) in (Base, Aux)) != (sort == "Bool"):
         return None
+    key = ref.name if type(ref) is Base else ref if type(ref) is Aux else symbol
     if table is not None and table.get(key) != symbol:
         return None
     return key if type(ref) is Base else symbol

@@ -1,12 +1,15 @@
 """Reference semantics only the tests use: supported models, level
-numberings and model projections.
+numberings, model projections and a brute-force model finder.
 
 They check the oracle and the model finder from a second angle, and no
 command of asptoc needs them, so they live beside the tests.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
+from asptoc.dlcheck import DLModel
+from asptoc.formulas import FormulaSet, LevelVar, Z, eval_formula, ref_name, var_name
 from asptoc.oracle import (
     PositiveRule,
     _check_cap,
@@ -95,3 +98,24 @@ def project_models(models, visible) -> list[frozenset]:
     preserved."""
     visible = frozenset(visible)
     return [frozenset(n for n, v in m.props if v and n in visible) for m in models]
+
+
+def brute_force_models(fs: FormulaSet) -> list[DLModel]:
+    """Every assignment over the declared vocabulary, each ranking variable
+    at every value of its ``level_bounds`` range and ``z`` at 0, on which
+    ``eval_formula`` holds for every formula: no grouping, no variable
+    order, no early cut."""
+    names = sorted([*fs.base_atoms, *map(ref_name, fs.aux_atoms)])
+    owners = sorted(fs.level_bounds)
+    ranges = [range(lo, hi + 1) for lo, hi in map(fs.level_bounds.get, owners)]
+    found = []
+    for bits in itertools.product((False, True), repeat=len(names)):
+        bools = dict(zip(names, bits))
+        for ranks in itertools.product(*ranges):
+            ints = {var_name(LevelVar(o)): r for o, r in zip(owners, ranks)}
+            if owners:
+                ints[var_name(Z)] = 0
+            if all(eval_formula(f, bools, ints) for _, f in fs.formulas):
+                found.append(DLModel(tuple(sorted(bools.items())),
+                                     tuple(sorted(ints.items()))))
+    return found

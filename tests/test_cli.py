@@ -228,6 +228,49 @@ class TestFuzz:
         parse_program(repro.read_text())
 
 
+    def test_programs_cycle_scope_and_vub_modes(self, capsys, monkeypatch):
+        import asptoc.fuzz as fuzz_mod
+
+        seen = []
+        real = fuzz_mod.check_program
+
+        def recording(program, **kwargs):
+            seen.append(kwargs)
+            return real(program, **kwargs)
+
+        monkeypatch.setattr(fuzz_mod, "check_program", recording)
+        assert main(["fuzz", "--seed", "1", "--count", "8"]) == 0
+        modes = [("scc", False), ("global", False), ("scc", True), ("global", True)]
+        assert [(k["scope_mode"], k["vub_form"]) for k in seen] == modes * 2
+
+    @pytest.mark.parametrize("failing, index, flags", [
+        (lambda scope_mode, vub_form: scope_mode == "global", 1, " --global-scope"),
+        (lambda scope_mode, vub_form: vub_form, 2, " --vub-form"),
+        (lambda scope_mode, vub_form: scope_mode == "global" and vub_form, 3,
+         " --global-scope --vub-form"),
+    ], ids=["global", "vub", "global-vub"])
+    def test_failure_names_the_check_flags(self, capsys, monkeypatch, tmp_path,
+                                           failing, index, flags):
+        import asptoc.fuzz as fuzz_mod
+        from asptoc.fuzz import CheckReport
+
+        def check(program, scope_mode="scc", vub_form=False):
+            report = CheckReport()
+            report.record("bijection", not failing(scope_mode, vub_form))
+            return report
+
+        monkeypatch.setattr(fuzz_mod, "check_program", check)
+        monkeypatch.chdir(tmp_path)
+        assert main(["fuzz", "--seed", "9", "--count", "4"]) == 3
+        failure = json.loads(capsys.readouterr().out.splitlines()[0])
+        repro = f"fuzz-counterexample-9-{index}.lp"
+        assert failure["program"] == index
+        assert failure["reproduce"] == f"asptoc check {repro}{flags}"
+        # the named flags reproduce the failure, the file alone does not
+        assert main(failure["reproduce"].split()[1:]) == 3
+        assert main(["check", repro]) == 0
+
+
 class TestSolve:
     def test_example6_rank_five(self, tmp_path, capsys):
         path = write(tmp_path, "b5. b4 :- b5. b3 :- b4. b2 :- b3. b1 :- b2.\n"

@@ -1,5 +1,6 @@
 """Bounded model finder: exactness, soundness, completeness sampling."""
 
+import math
 import random
 
 import pytest
@@ -11,10 +12,11 @@ from asptoc.dlcheck import (
     recheck,
 )
 from asptoc.formulas import Aux, Base, Diff, FormulaSet, LevelVar, Not, Var, Z
+from asptoc.fuzz import CHECK_MODES, fuzz_corpus
 from asptoc.oracle import ResourceError
 from asptoc.parser import parse_program
 from asptoc.toc import toc_module, toc_program
-from references import project_models
+from references import brute_force_models, project_models
 
 
 class TestSelfLoop:
@@ -137,3 +139,25 @@ class TestProjection:
     def test_limit_short_circuits(self):
         fs = toc_program(parse_program("{a}. {b}. {c}."))
         assert len(enumerate_dl_models(fs, max_atoms=30, limit=3)) == 3
+
+
+def test_finder_equals_brute_force_on_fuzz_sets():
+    # every fuzz translation small enough to enumerate outright (at most
+    # 4,096 assignments), in all four scope/vub modes; sets with two or
+    # more ranking variables reach one search plan per owner-truth pattern
+    checked = {mode: 0 for mode in CHECK_MODES}
+    ranked = 0
+    for _, _, program in fuzz_corpus(1, 100):
+        for scope_mode, vub_form in CHECK_MODES:
+            fs = toc_program(program, scope_mode=scope_mode, vub_form=vub_form)
+            assignments = 2 ** (len(fs.base_atoms) + len(fs.aux_atoms)) * math.prod(
+                hi - lo + 1 for lo, hi in fs.level_bounds.values())
+            if assignments > 4096:
+                continue
+            models = enumerate_dl_models(fs, max_atoms=30)
+            assert len(set(models)) == len(models)
+            assert set(models) == set(brute_force_models(fs))
+            checked[scope_mode, vub_form] += 1
+            ranked += len(fs.level_bounds) >= 2
+    assert sum(checked.values()) >= 30 and ranked >= 10
+    assert min(checked.values()) >= 5

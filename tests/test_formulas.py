@@ -257,7 +257,7 @@ class TestDeclarationOrder:
                                   Aux("gap", "b", "a"): "|gap:b:a|",
                                   Aux("app", "b", 1, "x"): "|app:b:1:x|",
                                   Aux("app", "a", 2): "|app:a:2|",
-                                  Z: "__z", LevelVar("b"): "__x_b"}
+                                  "__z": "__z", "__x_b": "__x_b"}
 
 
 # ---------------------------------------------------------------------------
