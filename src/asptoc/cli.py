@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -23,8 +22,8 @@ from .smtlib import (
     EmissionError,
     SolverInvocationError,
     SolverResponseError,
-    debug_text,
-    emit_smtlib,
+    debug_lines,
+    smtlib_lines,
 )
 from .toc import toc_program
 
@@ -47,27 +46,24 @@ def _parse(path: str) -> Program:
     return parse_program(_read_input(path))
 
 
-def _emit(args, program: Program):
-    fs = toc_program(program, scope_mode=args.scope_mode,
-                     strong=not args.no_strong,
-                     vub_form=args.vub_form)
-    if args.format == "debug":
-        return debug_text(fs), fs
-    return emit_smtlib(fs, model=True), fs
-
-
 def cmd_translate(args) -> int:
-    program = _parse(args.input)
-    text, _ = _emit(args, program)
+    # the program is not bound here, so it is freed before emission starts
+    fs = toc_program(_parse(args.input), scope_mode=args.scope_mode,
+                     strong=not args.no_strong, vub_form=args.vub_form)
+    # the whole list is built before the first write: an emission error
+    # writes nothing
+    lines = debug_lines(fs) if args.format == "debug" else smtlib_lines(fs, model=True)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
+    import json
+
     from .fuzz import check_program
 
     program = _parse(args.input)
@@ -88,6 +84,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    import json
     import random
 
     from .fuzz import CHECK_MODES, check_program, fuzz_corpus, generate_weight_rule
@@ -124,17 +121,22 @@ def cmd_fuzz(args) -> int:
 
 
 def _block_model(fs, model):
+    """Add to ``fs`` the formula that excludes ``model``'s base atoms and
+    return it as its ``(name, formula)`` pair."""
+    true = model.prop_map
     literals = []
     for name in fs.base_atoms:
         var = Var(Base(name))
-        literals.append(var if model.prop_map.get(name) else Not(var))
+        literals.append(var if true.get(name) else Not(var))
     fs.add(f"block:{len(fs.formulas)}", Not(conj(*literals)))
+    return fs.formulas[-1]
 
 
 def cmd_solve(args) -> int:
+    import json
     import tempfile
 
-    from .smtlib import read_solver_model, run_solver
+    from .smtlib import assertion, read_solver_model, run_solver
 
     program = _parse(args.input)
     solver = args.solver or os.environ.get("TOC_SOLVER")
@@ -143,11 +145,14 @@ def cmd_solve(args) -> int:
         return EXIT_SOLVER
     fs = toc_program(program, scope_mode=args.scope_mode)
     visible = program.visible_atoms
+    # emitted once; each blocking assertion joins the query as one more
+    # line before its (check-sat) (get-model) tail
+    lines = smtlib_lines(fs, model=True)
+    table = fs.symbols()
     found = 0
     while True:
-        text = emit_smtlib(fs, model=True)
         with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as tmp:
-            tmp.write(text)
+            tmp.writelines(lines)
             path = tmp.name
         try:
             response = run_solver(solver, path, args.timeout)
@@ -172,7 +177,7 @@ def cmd_solve(args) -> int:
         found += 1
         if not args.all or found >= args.limit:
             return EXIT_OK
-        _block_model(fs, model)
+        lines.insert(len(lines) - 2, assertion(*_block_model(fs, model), table))
 
 
 def _ranged(lo: int, hi=None):

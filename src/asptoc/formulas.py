@@ -379,21 +379,19 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
 
     def validate(self):
         """Reference check, one naive walk: every mentioned atom and
-        variable is declared (``z`` only alongside ranking variables)."""
-        declared_atoms = set(self.atom_refs())
-        declared_ints = {LevelVar(o) for o in self.level_bounds}
-        if declared_ints:
-            declared_ints.add(Z)
+        variable is declared (``z`` only alongside ranking variables).
+        Each is looked up as the emitter does, in ``symbols()``."""
+        table = self.symbols()
         atoms: set = set()
         ints: set = set()
         for _, f in self.formulas:
             _collect(f, atoms, ints)
-        bad_atoms = atoms - declared_atoms
+        bad_atoms = [a for a in atoms if (a.name if type(a) is Base else a) not in table]
         if bad_atoms:
             raise ValidationError(f"undeclared atoms: {sorted(map(ref_name, bad_atoms))}")
-        bad_ints = ints - declared_ints
+        bad_ints = {var_name(v) for v in ints} - table.keys()
         if bad_ints:
-            raise ValidationError(f"undeclared variables: {sorted(map(var_name, bad_ints))}")
+            raise ValidationError(f"undeclared variables: {sorted(bad_ints)}")
 
     def without(self, prefix: str) -> "FormulaSet":
         """Copy dropping all formulas whose name starts with ``prefix``."""

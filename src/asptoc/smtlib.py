@@ -8,8 +8,10 @@ linear-integer-arithmetic solver can consume the output; difference atoms
 keep their subtraction shape for solvers that specialize them.  Output is
 byte-deterministic for a given formula set and option choice.
 
-Validation happens during emission, in the one walk that writes each
-formula: every atom and variable resolves through the formula set's
+The text is built once, as a list of newline-terminated strings
+(``smtlib_lines``, ``debug_lines``) that a caller writes as it is or
+joins.  Validation happens during emission, in the one walk that writes
+each formula: every atom and variable resolves through the formula set's
 symbol table (:meth:`asptoc.formulas.FormulaSet.symbols`).  A lookup miss
 means the set is invalid; only then does ``FormulaSet.validate`` run, to
 name the fault.
@@ -106,65 +108,74 @@ def to_sexpr(formula, table) -> str:
     raise EmissionError(f"cannot serialize {formula!r}")
 
 
-def _resolved(fs: FormulaSet, write):
-    """``write(table)`` over the symbol table of ``fs``.  A lookup miss
-    means the set is invalid; ``validate`` then raises ``ValidationError``
-    naming the fault."""
+def assertion(name: str, formula, table) -> str:
+    """One formula as a comment line naming it, then its assertion, each
+    line newline-terminated."""
+    return f"; {name}\n(assert {to_sexpr(formula, table)})\n"
+
+
+def _add_formulas(fs: FormulaSet, lines: list, line):
+    """Append ``line(name, formula, table)`` for each formula of ``fs``,
+    over its symbol table, to ``lines``.  A lookup miss means the set is
+    invalid; ``validate`` then raises ``ValidationError`` naming the
+    fault."""
     table = fs.symbols()
     try:
-        return write(table)
+        for name, formula in fs.formulas:
+            lines.append(line(name, formula, table))
     except KeyError:
         fs.validate()
         raise
 
 
-def _assertions(formulas, table):
-    """A comment line naming each formula, then its assertion."""
-    lines = []
-    for name, formula in formulas:
-        lines.append(f"; {name}")
-        lines.append(f"(assert {to_sexpr(formula, table)})")
+def smtlib_lines(fs: FormulaSet, *, model: bool = False) -> list:
+    """The SMT-LIB text of the formula set as newline-terminated strings:
+    one per declaration, one per formula (see ``assertion``), then
+    ``(check-sat)`` and, with ``model``, ``(get-model)``."""
+    lines = ["(set-logic QF_LIA)\n"]
+    for _, name in sorted(fs.base_atoms.items()):
+        lines.append(f"(declare-const {name} Bool)\n")
+    for name in sorted(fs.aux_atoms.values()):
+        lines.append(f"(declare-const {name} Bool)\n")
+    if fs.level_bounds:
+        # only differences matter, so z is fixed at 0
+        lines.append(f"(declare-const {var_name(Z)} Int)\n")
+        for owner in sorted(fs.level_bounds):
+            lines.append(f"(declare-const {var_name(LevelVar(owner))} Int)\n")
+        lines.append(f"(assert (= {var_name(Z)} 0))\n")
+    try:
+        _add_formulas(fs, lines, assertion)
+    except ValidationError as exc:
+        raise EmissionError(str(exc)) from exc
+    lines.append("(check-sat)\n")
+    if model:
+        lines.append("(get-model)\n")
     return lines
 
 
 def emit_smtlib(fs: FormulaSet, *, model: bool = False) -> str:
     """Serialize the formula set; ``model`` appends ``(get-model)``."""
-    try:
-        body = _resolved(fs, lambda table: _assertions(fs.formulas, table))
-    except ValidationError as exc:
-        raise EmissionError(str(exc)) from exc
-    lines = ["(set-logic QF_LIA)"]
+    return "".join(smtlib_lines(fs, model=model))
+
+
+def debug_lines(fs: FormulaSet) -> list:
+    """Golden-file format as newline-terminated strings: declarations, then
+    one named formula per line."""
+    lines = []
     for _, name in sorted(fs.base_atoms.items()):
-        lines.append(f"(declare-const {name} Bool)")
+        lines.append(f"(base {name})\n")
     for name in sorted(fs.aux_atoms.values()):
-        lines.append(f"(declare-const {name} Bool)")
-    if fs.level_bounds:
-        # only differences matter, so z is fixed at 0
-        lines.append(f"(declare-const {var_name(Z)} Int)")
-        for owner in sorted(fs.level_bounds):
-            lines.append(f"(declare-const {var_name(LevelVar(owner))} Int)")
-        lines.append(f"(assert (= {var_name(Z)} 0))")
-    lines += body
-    lines.append("(check-sat)")
-    if model:
-        lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
+        lines.append(f"(aux {name})\n")
+    for owner in sorted(fs.level_bounds):
+        lo, hi = fs.level_bounds[owner]
+        lines.append(f"(level {var_name(LevelVar(owner))} {lo} {hi})\n")
+    _add_formulas(fs, lines, lambda name, f, table: f"(formula {name} {to_sexpr(f, table)})\n")
+    return lines
 
 
 def debug_text(fs: FormulaSet) -> str:
-    """Golden-file format: declarations, then one named formula per line."""
-    body = _resolved(fs, lambda table: [f"(formula {name} {to_sexpr(formula, table)})"
-                                        for name, formula in fs.formulas])
-    lines = []
-    for _, name in sorted(fs.base_atoms.items()):
-        lines.append(f"(base {name})")
-    for name in sorted(fs.aux_atoms.values()):
-        lines.append(f"(aux {name})")
-    for owner in sorted(fs.level_bounds):
-        lo, hi = fs.level_bounds[owner]
-        lines.append(f"(level {var_name(LevelVar(owner))} {lo} {hi})")
-    lines += body
-    return "\n".join(lines) + "\n"
+    """``debug_lines`` as one string."""
+    return "".join(debug_lines(fs))
 
 
 _DEFINE_RE = re.compile(

@@ -29,6 +29,18 @@ def write(tmp_path, text, name="prog.lp"):
     return str(path)
 
 
+def ranked_source(n):
+    """One cyclic component over ``a0..a<n-1>`` with normal and weight
+    chords, some choices and negation."""
+    rules = [f"{{a{i}}}." for i in range(0, n, 7)]
+    for i in range(n):
+        j, k = (i + 1) % n, (i * 5 + 3) % n
+        rules.append(f"a{i} :- a{j}, not b{i}.")
+        rules.append(f"a{i} :- 3 <= {{ a{j}=2, a{k}=1, b{i}=2 }}.")
+        rules.append(f"b{i} :- not a{i}.")
+    return "\n".join(rules)
+
+
 class TestTranslate:
     def test_smtlib_output(self, tmp_path, capsys):
         path = write(tmp_path, "a :- a.")
@@ -55,6 +67,50 @@ class TestTranslate:
         out = tmp_path / "out.smt2"
         assert main(["translate", path, "--out", str(out)]) == 0
         assert "__x_a" in out.read_text()
+
+    @pytest.mark.parametrize("flags", [[], ["--global-scope", "--vub-form"], ["--no-strong"]])
+    def test_outputs_are_the_emitters_text(self, tmp_path, capsys, flags):
+        from asptoc.parser import parse_program
+        from asptoc.smtlib import debug_text, emit_smtlib
+        from asptoc.toc import toc_program
+
+        src = ranked_source(20)
+        fs = toc_program(parse_program(src), strong="--no-strong" not in flags,
+                         scope_mode="global" if "--global-scope" in flags else "scc",
+                         vub_form="--vub-form" in flags)
+        assert fs.level_bounds
+        path, out = write(tmp_path, src), tmp_path / "out.smt2"
+        assert main(["translate", path, "--out", str(out), *flags]) == 0
+        assert out.read_bytes() == emit_smtlib(fs, model=True).encode("utf-8")
+        assert main(["translate", path, *flags]) == 0
+        assert capsys.readouterr().out == emit_smtlib(fs, model=True)
+        assert main(["translate", path, "--format", "debug", *flags]) == 0
+        assert capsys.readouterr().out == debug_text(fs)
+
+    def test_peak_memory_is_one_copy_of_the_output(self, tmp_path):
+        # the program is freed before emission, and the text is held once,
+        # as the list of lines that is written: the peak stays within the
+        # completion's own peak plus 1.5 times the output
+        import tracemalloc
+
+        from asptoc.parser import parse_program
+        from asptoc.toc import toc_program
+
+        src = ranked_source(100)
+        path, out = write(tmp_path, src), tmp_path / "out.smt2"
+        argv = ["translate", path, "--out", str(out)]
+        assert main(argv) == 0  # argparse and lazy imports outside the trace
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        toc_peak = peak(lambda: toc_program(parse_program(src)))
+        assert peak(lambda: main(argv)) <= toc_peak + 1.5 * out.stat().st_size
 
     @pytest.mark.parametrize("golden, flags", [
         pytest.param("ranked_mix.smt2", ["--global-scope", "--vub-form"], id="global-vub"),
@@ -320,6 +376,36 @@ class TestSolve:
         assert found == oracle_models(src)
         assert len(found) == (4 if src == COLLISION else 2)
 
+    def test_all_emits_each_query_as_the_grown_set(self, tmp_path, capsys, monkeypatch):
+        # the query is emitted once and grown by one line per blocked model;
+        # each file the solver reads equals a fresh emission of the set
+        # grown by the same blocks
+        from asptoc import smtlib
+        from asptoc.formulas import Base, Not, Var, conj
+        from asptoc.parser import parse_program
+        from asptoc.toc import toc_program
+
+        queries = []
+        real = smtlib.run_solver
+
+        def recording(command, path, timeout=None):
+            queries.append(pathlib.Path(path).read_text())
+            return real(command, path, timeout)
+
+        monkeypatch.setattr(smtlib, "run_solver", recording)
+        path = write(tmp_path, COLLISION)
+        assert main(["solve", path, "--solver", STUB, "--all"]) == 0
+        models = [json.loads(l)["model"] for l in capsys.readouterr().out.splitlines()]
+        assert len(models) == 4 and len(queries) == 5
+        fs = toc_program(parse_program(COLLISION))
+        assert fs.level_bounds
+        for query, model in zip(queries, models):
+            assert query == smtlib.emit_smtlib(fs, model=True)
+            literals = [Var(Base(n)) if n in model else Not(Var(Base(n)))
+                        for n in fs.base_atoms]
+            fs.add(f"block:{len(fs.formulas)}", Not(conj(*literals)))
+        assert queries[-1] == smtlib.emit_smtlib(fs, model=True)
+
     def test_reserved_words_are_not_declared(self, tmp_path, capsys):
         path = write(tmp_path, RESERVED)
         assert main(["translate", path]) == 0
@@ -411,5 +497,6 @@ def test_startup_imports_only_the_translator():
                             capture_output=True, text=True).stdout.split()
     assert "asptoc.toc" in loaded
     assert not {"asptoc.dlcheck", "asptoc.oracle", "asptoc.fuzz", "asptoc.normtest"} & set(loaded)
-    # IR nodes share one base instead of generated dataclass code
-    assert not {"dataclasses", "inspect"} & set(loaded)
+    # IR nodes share one base instead of generated dataclass code, and only
+    # the JSON reports of check, fuzz and solve need json
+    assert not {"dataclasses", "inspect", "json"} & set(loaded)

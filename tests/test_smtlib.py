@@ -68,6 +68,7 @@ class TestEmission:
                             lambda self, other: calls.append(self) or real(self, other))
         emit_smtlib(fs)
         debug_text(fs)
+        fs.validate()
         assert calls == []
 
     def test_self_loop_golden(self):
