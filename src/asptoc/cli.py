@@ -34,6 +34,10 @@ EXIT_MISMATCH = 3
 EXIT_SOLVER = 4
 EXIT_MODEL = 5
 
+# lines joined per write: one call per line costs an encode each, and one
+# join of the whole text would hold the output twice
+WRITE_CHUNK = 1024
+
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -53,11 +57,12 @@ def cmd_translate(args) -> int:
     # the whole list is built before the first write: an emission error
     # writes nothing
     lines = debug_lines(fs) if args.format == "debug" else smtlib_lines(fs, model=True)
+    chunks = ("".join(lines[i:i + WRITE_CHUNK]) for i in range(0, len(lines), WRITE_CHUNK))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+            handle.writelines(chunks)
     else:
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 

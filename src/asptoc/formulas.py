@@ -362,9 +362,6 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
         self.aux_atoms.update(other.aux_atoms)
         self.level_bounds.update(other.level_bounds)
 
-    def atom_refs(self) -> list:
-        return [Base(n) for n in self.base_atoms] + list(self.aux_atoms)
-
     def symbols(self) -> dict:
         """Every declared symbol, keyed as the emitter looks it up: a base
         atom by its name, an auxiliary atom by its ``Aux``, a ranking

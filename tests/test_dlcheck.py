@@ -1,5 +1,6 @@
 """Bounded model finder: exactness, soundness, completeness sampling."""
 
+import itertools
 import math
 import random
 
@@ -11,7 +12,7 @@ from asptoc.dlcheck import (
     enumerate_dl_models,
     recheck,
 )
-from asptoc.formulas import Aux, Base, Diff, FormulaSet, LevelVar, Not, Var, Z
+from asptoc.formulas import TRUE, Aux, Base, Diff, FormulaSet, Iff, LevelVar, Not, Var, Z
 from asptoc.fuzz import CHECK_MODES, fuzz_corpus
 from asptoc.oracle import ResourceError
 from asptoc.parser import parse_program
@@ -123,6 +124,43 @@ class TestGuards:
         assert len(models) == 2
 
 
+def _definition_case(name):
+    """A small set exercising one rule for telling definitions from checks."""
+    fs = FormulaSet()
+    fs.declare_base("a", "b")
+    d, e = Aux("app", "a", 1), Aux("app", "b", 1)
+    fs.declare_aux(d, e)
+    if name == "second-iff-prunes":
+        # d's first Iff defines it; the second is a check that keeps a == b
+        fs.add("def:d", Iff(Var(d), Var(Base("a"))))
+        fs.add("def2:d", Iff(Var(d), Var(Base("b"))))
+    elif name == "mutual-definitions":
+        # each reads the other: a cycle, so both are searched
+        fs.add("def:d", Iff(Var(d), Var(e)))
+        fs.add("def:e", Iff(Var(e), Var(d)))
+        fs.add("link", Iff(Var(Base("a")), Var(d)))
+    elif name == "constant-definition":
+        fs.add("def:d", Iff(Var(d), TRUE))
+        fs.add("def:e", Iff(Var(e), Not(Var(d))))
+    else:  # owner-not-base: q ranks but is no declared atom
+        fs.declare_level("q", 1, 3)
+        fs.add("def:d", Iff(Var(d), Diff(LevelVar("q"), Z, 1)))
+        fs.add("def:e", Iff(Var(e), Diff(Z, LevelVar("q"), -3)))
+        fs.add("link", Iff(Var(Base("a")), Var(d)))
+    return fs
+
+
+@pytest.mark.parametrize("name, count", [
+    ("second-iff-prunes", 4), ("mutual-definitions", 4),
+    ("constant-definition", 4), ("owner-not-base", 6)])
+def test_definition_rules_equal_brute_force(name, count):
+    fs = _definition_case(name)
+    models = enumerate_dl_models(fs)
+    assert len(set(models)) == len(models) == count
+    assert set(models) == set(brute_force_models(fs))
+    assert all(recheck(fs, m) for m in models)
+
+
 class TestProjection:
     def test_empty_visible_set(self):
         fs = toc_program(parse_program("{a}."))
@@ -143,13 +181,15 @@ class TestProjection:
 
 def test_finder_equals_brute_force_on_fuzz_sets():
     # every fuzz translation small enough to enumerate outright (at most
-    # 4,096 assignments), in all four scope/vub modes; sets with two or
-    # more ranking variables reach one search plan per owner-truth pattern
+    # 4,096 assignments), in all four scope/vub modes, strong and weak;
+    # weak ranking lets several rank vectors share one model, and sets with
+    # two or more ranking variables search ranks under computed aux atoms
     checked = {mode: 0 for mode in CHECK_MODES}
     ranked = 0
     for _, _, program in fuzz_corpus(1, 100):
-        for scope_mode, vub_form in CHECK_MODES:
-            fs = toc_program(program, scope_mode=scope_mode, vub_form=vub_form)
+        for (scope_mode, vub_form), strong in itertools.product(CHECK_MODES, (True, False)):
+            fs = toc_program(program, scope_mode=scope_mode, vub_form=vub_form,
+                             strong=strong)
             assignments = 2 ** (len(fs.base_atoms) + len(fs.aux_atoms)) * math.prod(
                 hi - lo + 1 for lo, hi in fs.level_bounds.values())
             if assignments > 4096:

@@ -213,9 +213,6 @@ class TestDeclarationOrder:
         assert list(fs.base_atoms) == ["c", "a", "b", "d"]
         assert list(fs.aux_atoms) == [Aux("app", "c", 1), Aux("dep", "a", "b"),
                                       Aux("app", "a", 1)]
-        assert fs.atom_refs() == [Base("c"), Base("a"), Base("b"), Base("d"),
-                                  Aux("app", "c", 1), Aux("dep", "a", "b"),
-                                  Aux("app", "a", 1)]
 
     def test_merge_appends_only_unseen(self):
         left, right = FormulaSet(), FormulaSet()
