@@ -19,7 +19,6 @@ from .formulas import Base, Not, ValidationError, Var, Z, conj, decode, var_name
 from .parser import ParseError, UnsupportedFeatureError, parse_program
 from .program import Program, ResourceError
 from .smtlib import (
-    EmissionError,
     SolverInvocationError,
     SolverResponseError,
     debug_lines,
@@ -271,7 +270,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedFeatureError, ValidationError, EmissionError) as exc:
+    except (UnsupportedFeatureError, ValidationError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ParseError as exc:

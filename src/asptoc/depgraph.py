@@ -18,7 +18,7 @@ import heapq
 from functools import cached_property
 
 from .node import Node
-from .program import Polarity, Program, program_of
+from .program import Polarity, Program
 
 
 class DepGraph(Node, fields="vertices targets"):
@@ -183,12 +183,3 @@ def scopes(program: Program, scope_mode: str) -> list[tuple[frozenset, bool]]:
         return [(defined, True)] if defined else []
     raise ValueError(f"unknown scope mode {scope_mode!r}")
 
-
-def module_program(program: Program, scope: frozenset) -> Program:
-    """The module as a stand-alone program: atoms outside the scope keep no
-    defining rules and therefore vary freely as inputs."""
-    rules = tuple(r for r in program.rules if r.head in scope)
-    names = set(scope)
-    for rule in rules:
-        names.update(rule.body_atoms())
-    return program_of(rules, extra_atoms=names)

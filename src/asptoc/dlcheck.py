@@ -26,7 +26,11 @@ from dataclasses import dataclass
 
 from . import formulas as F
 from .formulas import Aux, FormulaSet, Iff, LevelVar, Var, Z, eval_formula, ref_name, var_name
-from .oracle import ContractError, ResourceError
+from .program import ResourceError
+
+
+class ContractError(Exception):
+    """A formula set breaks the finder's input contract."""
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def check_program(program: Program, *, scope_mode: str = "scc",
         for scope in ranked:
             local = module_ranking(program, scope, projection)
             for atom in sorted(scope):
-                expected = local[atom] if atom in projection else INFINITY
+                expected = local[atom]
                 if expected == INFINITY:
                     expected = len(scope) + 1
                 actual = ints.get(var_name(LevelVar(atom)))

@@ -46,8 +46,7 @@ from .formulas import (
     eval_formula,
     ref_name,
 )
-from .oracle import ResourceError
-from .program import Origin, Polarity, Program, Rule, normal_rule, program_of
+from .program import Origin, Polarity, Program, ResourceError, Rule, normal_rule, program_of
 from .toc import emit_support, toc_module
 
 
@@ -82,21 +81,16 @@ def _minimal(family: set) -> list:
 
 
 def normalize_subsets(rule: Rule) -> Program:
-    """One positive rule per bound-reaching subset: the exact-size subsets
-    of a cardinality body, the inclusion-minimal ones of a weight body."""
+    """One positive rule per inclusion-minimal bound-reaching subset of the
+    body, smallest first, then by name."""
     _check_subset_input(rule)
     atoms = sorted(rule.pos_atoms())
     weights = {wl.atom: wl.weight for wl in rule.body}
-    if rule.origin is Origin.CARDINALITY or all(w == 1 for w in weights.values()):
-        subsets = list(itertools.combinations(atoms, rule.lower)) \
-            if rule.lower <= len(atoms) else []
-    else:
-        satisfying = {frozenset(combo)
-                      for k in range(len(atoms) + 1)
-                      for combo in itertools.combinations(atoms, k)
-                      if sum(weights[a] for a in combo) >= rule.lower}
-        subsets = [tuple(sorted(s)) for s in _minimal(satisfying)]
-    rules = [normal_rule(rule.head, subset) for subset in subsets]
+    satisfying = {frozenset(combo)
+                  for k in range(len(atoms) + 1)
+                  for combo in itertools.combinations(atoms, k)
+                  if sum(weights[a] for a in combo) >= rule.lower}
+    rules = [normal_rule(rule.head, sorted(s)) for s in _minimal(satisfying)]
     return program_of(rules, extra_atoms=[rule.head, *atoms])
 
 
@@ -245,7 +239,7 @@ def _check_convex(family: set, universe: frozenset):
                                 f"and {sorted(large)}")
 
 
-def toc_abstract(rule: Rule, scope: frozenset, *, ordinal: int = 1,
+def toc_abstract(rule: Rule, scope: frozenset, *,
                  family: set | None = None, strong: bool = True) -> FormulaSet:
     """Ordered completion of one rule with its aggregate kept extensional.
 
@@ -313,7 +307,7 @@ def toc_abstract(rule: Rule, scope: frozenset, *, ordinal: int = 1,
     for j in sorted(universe):
         if in_scope_pos(j):
             fs.declare_aux(*(Aux(kind, head, slots[j].atom) for kind in kinds))
-    emit_support(fs, LevelVar(head), ordinal, "", weak, ext_def, deny,
+    emit_support(fs, LevelVar(head), 1, "", weak, ext_def, deny,
                  has_in=any(in_scope_pos(j) for j in universe),
                  ext_possible=bool(ext_minimal))
     return fs

@@ -12,13 +12,22 @@ their reduct body is the monotone upward closure of the aggregate with
 the negative part frozen: an interpretation satisfies it when some
 subset of its true body atoms has a weight sum inside the original
 window.  That subset-sum reading keeps satisfaction monotone.
+
+Module ranks are read off the same reduct.  For a scope S and a stable
+model M, take the rules of ``reduct(P, M)`` whose heads lie in S and seed
+their least model with the atoms of M that no rule of S defines.  An
+atom of S true in M ranks at the stage it enters that least model (0 if
+it is a seed), a false one at infinity: these are the values the
+translation's ranking variables must take.
+
+The oracle reads programs only and imports nothing of the translation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .program import (
     INFINITY,
@@ -29,21 +38,6 @@ from .program import (
     Rule,
     weight_sum,
 )
-
-
-class ContractError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class LevelRanking:
-    """Rank of each atom: 0 for inputs, the derivation stage for derived
-    atoms, infinity for false atoms."""
-
-    ranks: dict
-
-    def rank(self, atom: str):
-        return self.ranks.get(atom, INFINITY)
 
 
 @dataclass(frozen=True)
@@ -106,33 +100,15 @@ def reduct(program: Program, interp: frozenset) -> list[PositiveRule]:
     return out
 
 
-def _as_positive(rules: Iterable) -> list[PositiveRule]:
-    converted = []
-    for r in rules:
-        if isinstance(r, PositiveRule):
-            converted.append(r)
-            continue
-        if r.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED) or r.head is None:
-            raise ContractError(f"non-positive rule in positive program: {r}")
-        if r.upper is not None:
-            raise ContractError("both-bounds rules must be reduced to closure form first")
-        terms = tuple((wl.atom, wl.weight)
-                      for wl in r.literals(Polarity.POSITIVE))
-        converted.append(PositiveRule(r.head, terms, lower=r.lower))
-    return converted
+def tp_step(rules: list[PositiveRule], interp: frozenset) -> frozenset:
+    """Heads of reduct rules immediately applicable under ``interp``."""
+    return frozenset(r.head for r in rules if r.body_satisfied(interp))
 
 
-def tp_step(rules: Iterable, interp: frozenset) -> frozenset:
-    """Heads of rules immediately applicable under ``interp``."""
-    pos = _as_positive(rules)
-    return frozenset(r.head for r in pos if r.body_satisfied(interp))
-
-
-def least_model(rules: Iterable, input_atoms: frozenset = frozenset()):
-    """Least fixed point seeded with the input atoms, plus the stage each
-    atom first appeared at (inputs get stage 0)."""
-    pos = _as_positive(rules)
-    heads = {r.head for r in pos}
+def least_model(rules: list[PositiveRule], input_atoms: frozenset = frozenset()):
+    """Least fixed point of reduct rules seeded with the input atoms, plus
+    the stage each atom first appeared at (inputs get stage 0)."""
+    heads = {r.head for r in rules}
     clash = set(input_atoms) & heads
     if clash:
         raise ValueError(f"input atoms with defining rules: {sorted(clash)}")
@@ -141,7 +117,7 @@ def least_model(rules: Iterable, input_atoms: frozenset = frozenset()):
     stage = 0
     while True:
         stage += 1
-        new = tp_step(pos, current) - current
+        new = tp_step(rules, current) - current
         if not new:
             break
         for a in new:
@@ -157,14 +133,6 @@ def _interpretations(atoms: tuple[str, ...]):
             yield frozenset(combo)
 
 
-def _ranking_for(program: Program, model: frozenset, ranks: dict) -> LevelRanking:
-    full = dict(ranks)
-    for a in program.atom_names:
-        if a not in model:
-            full[a] = INFINITY
-    return LevelRanking(full)
-
-
 def _check_cap(program: Program, cap: int):
     if len(program.signature) > cap:
         raise ResourceError(
@@ -172,7 +140,8 @@ def _check_cap(program: Program, cap: int):
 
 
 def stable_models(program: Program, cap: int = 20):
-    """All stable models with their level rankings, sorted by atom set."""
+    """All stable models, each paired with the stages ``least_model`` gives
+    its atoms (a false atom has none), sorted by atom set."""
     _check_cap(program, cap)
     inputs = program.input_atoms()
     found = []
@@ -181,23 +150,18 @@ def stable_models(program: Program, cap: int = 20):
             continue
         lm, ranks = least_model(reduct(program, candidate), candidate & inputs)
         if lm == candidate:
-            found.append((candidate, _ranking_for(program, candidate, ranks)))
+            found.append((candidate, ranks))
     found.sort(key=lambda pair: tuple(sorted(pair[0])))
     return found
 
 
 def module_ranking(program: Program, scope: frozenset, model: frozenset) -> dict:
-    """Module-local derivation stages for the scope atoms of a stable model;
-    these are the values the ranking variables must take."""
-    from .depgraph import module_program
-
-    sub = module_program(program, scope)
-    restricted = model & frozenset(sub.atom_names)
-    lm, ranks = least_model(reduct(sub, restricted),
-                            restricted & sub.input_atoms())
-    if lm != restricted:
+    """Module-local derivation stages of the scope atoms under ``model``,
+    infinity for false ones (see the module docstring); ``ValueError``
+    if the model is not stable for the module."""
+    defined = scope & program.heads()
+    lm, ranks = least_model([r for r in reduct(program, model) if r.head in scope],
+                            model - defined)
+    if lm != model:
         raise ValueError("model is not stable for the module")
-    out = {}
-    for atom in scope:
-        out[atom] = ranks.get(atom, INFINITY) if atom in restricted else INFINITY
-    return out
+    return {atom: ranks[atom] if atom in model else INFINITY for atom in scope}

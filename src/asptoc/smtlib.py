@@ -36,16 +36,11 @@ from .formulas import (
     Or,
     PB,
     TrueF,
-    ValidationError,
     Var,
     Z,
     decode,
     var_name,
 )
-
-
-class EmissionError(Exception):
-    pass
 
 
 class SolverResponseError(Exception):
@@ -105,7 +100,7 @@ def to_sexpr(formula, table) -> str:
         return "true"
     if t is FalseF:
         return "false"
-    raise EmissionError(f"cannot serialize {formula!r}")
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 def assertion(name: str, formula, table) -> str:
@@ -143,10 +138,7 @@ def smtlib_lines(fs: FormulaSet, *, model: bool = False) -> list:
         for owner in sorted(fs.level_bounds):
             lines.append(f"(declare-const {var_name(LevelVar(owner))} Int)\n")
         lines.append(f"(assert (= {var_name(Z)} 0))\n")
-    try:
-        _add_formulas(fs, lines, assertion)
-    except ValidationError as exc:
-        raise EmissionError(str(exc)) from exc
+    _add_formulas(fs, lines, assertion)
     lines.append("(check-sat)\n")
     if model:
         lines.append("(get-model)\n")

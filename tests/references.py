@@ -1,8 +1,12 @@
 """Reference semantics only the tests use: supported models, level
-numberings, model projections and a brute-force model finder.
+numberings, modules as stand-alone programs, model projections and a
+brute-force model finder.
 
 They check the oracle and the model finder from a second angle, and no
-command of asptoc needs them, so they live beside the tests.
+command of asptoc needs them, so they live beside the tests.  The module
+program gives the oracle's module ranks a second derivation: the least
+model of the module's own reduct, where the oracle reads the scope's
+rules off the whole program's reduct.
 """
 
 import itertools
@@ -14,13 +18,12 @@ from asptoc.oracle import (
     PositiveRule,
     _check_cap,
     _interpretations,
-    _ranking_for,
     aggregate_reduct,
     least_model,
     reduct,
     tp_step,
 )
-from asptoc.program import INFINITY, Polarity, Program, weight_sum
+from asptoc.program import INFINITY, Polarity, Program, program_of, weight_sum
 
 
 def supported_models(program: Program, cap: int = 20):
@@ -66,7 +69,7 @@ def level_numbering(program: Program, model: frozenset) -> LevelNumbering:
     lm, ranks = least_model(red, model & inputs)
     if lm != model:
         raise ValueError("interpretation is not a stable model")
-    atom_levels = _ranking_for(program, model, ranks).ranks
+    atom_levels = {a: ranks.get(a, INFINITY) for a in program.atom_names}
 
     stages = _stages(red, model & inputs)
     rule_levels = {}
@@ -91,6 +94,29 @@ def level_numbering(program: Program, model: frozenset) -> LevelNumbering:
                 break
         rule_levels[idx] = level
     return LevelNumbering(atom_levels, rule_levels)
+
+
+def module_program(program: Program, scope: frozenset) -> Program:
+    """The module as a stand-alone program: atoms outside the scope keep no
+    defining rules and therefore vary freely as inputs."""
+    rules = tuple(r for r in program.rules if r.head in scope)
+    names = set(scope)
+    for rule in rules:
+        names.update(rule.body_atoms())
+    return program_of(rules, extra_atoms=names)
+
+
+def module_least_model_ranks(program: Program, scope: frozenset, model: frozenset) -> dict:
+    """Module ranks through ``module_program``: the least model of the
+    module's own reduct, seeded with its input atoms that ``model`` makes
+    true; ``ValueError`` if that least model is not ``model`` on the
+    module's atoms."""
+    sub = module_program(program, scope)
+    restricted = model & sub.atom_set
+    lm, ranks = least_model(reduct(sub, restricted), restricted & sub.input_atoms())
+    if lm != restricted:
+        raise ValueError("model is not stable for the module")
+    return {atom: ranks[atom] if atom in restricted else INFINITY for atom in scope}
 
 
 def project_models(models, visible) -> list[frozenset]:

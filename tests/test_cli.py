@@ -91,6 +91,7 @@ class TestTranslate:
         # the program is freed before emission, and the text is held once,
         # as the list of lines that is written: the peak stays within the
         # completion's own peak plus 1.5 times the output
+        import gc
         import tracemalloc
 
         from asptoc.parser import parse_program
@@ -102,6 +103,10 @@ class TestTranslate:
         assert main(argv) == 0  # argparse and lazy imports outside the trace
 
         def peak(call):
+            # a full collection empties the interpreter's free lists, whose
+            # reused objects tracemalloc would not see, so that both peaks
+            # count every allocation
+            gc.collect()
             tracemalloc.start()
             try:
                 call()
@@ -492,11 +497,27 @@ def test_startup_imports_only_the_translator():
     src = str(pathlib.Path(asptoc.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, asptoc.cli; print(' '.join(sorted(sys.modules)))"
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
+
+    def loaded_by(code):
+        code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
+        return set(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True).stdout.split())
+
+    loaded = loaded_by("import asptoc.cli")
     assert "asptoc.toc" in loaded
-    assert not {"asptoc.dlcheck", "asptoc.oracle", "asptoc.fuzz", "asptoc.normtest"} & set(loaded)
+    assert not {"asptoc.dlcheck", "asptoc.oracle", "asptoc.fuzz", "asptoc.normtest"} & loaded
     # IR nodes share one base instead of generated dataclass code, and only
     # the JSON reports of check, fuzz and solve need json
-    assert not {"dataclasses", "inspect", "json"} & set(loaded)
+    assert not {"dataclasses", "inspect", "json"} & loaded
+    # the model finder, the proposition checks and reading a solver model
+    # stand apart from the oracle ...
+    loaded = loaded_by("import asptoc.dlcheck, asptoc.normtest, asptoc.toc\n"
+                       "from asptoc.smtlib import read_solver_model\n"
+                       "assert read_solver_model('sat (define-fun a () Bool true)')")
+    assert {"asptoc.dlcheck", "asptoc.normtest"} <= loaded
+    assert "asptoc.oracle" not in loaded
+    # ... and the oracle imports nothing of the translation
+    loaded = loaded_by("import asptoc.oracle")
+    assert "asptoc.oracle" in loaded
+    assert not {"asptoc.formulas", "asptoc.toc", "asptoc.depgraph", "asptoc.dlcheck",
+                "asptoc.smtlib"} & loaded

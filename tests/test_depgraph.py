@@ -10,7 +10,6 @@ import pytest
 from asptoc.depgraph import (
     build_depgraph,
     is_recursive_scope,
-    module_program,
     sccs,
     scopes,
 )
@@ -18,6 +17,7 @@ from asptoc.fuzz import fuzz_corpus
 from asptoc.oracle import stable_models
 from asptoc.parser import parse_program
 from asptoc.program import normal_rule, program_of
+from references import module_program
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -14,8 +14,8 @@ from asptoc.dlcheck import (
 )
 from asptoc.formulas import TRUE, Aux, Base, Diff, FormulaSet, Iff, LevelVar, Not, Var, Z
 from asptoc.fuzz import CHECK_MODES, fuzz_corpus
-from asptoc.oracle import ResourceError
 from asptoc.parser import parse_program
+from asptoc.program import ResourceError
 from asptoc.toc import toc_module, toc_program
 from references import brute_force_models, project_models
 

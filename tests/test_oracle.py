@@ -1,11 +1,12 @@
 """Semantics oracle: reduct, fixpoints, stable/supported models, levels."""
 
 import itertools
+import random
 
 import pytest
 
+from asptoc.fuzz import fuzz_corpus, ranked_scopes
 from asptoc.oracle import (
-    ContractError,
     PositiveRule,
     ResourceError,
     aggregate_reduct,
@@ -17,7 +18,7 @@ from asptoc.oracle import (
 )
 from asptoc.parser import parse_program
 from asptoc.program import INFINITY
-from references import level_numbering, supported_models
+from references import level_numbering, module_least_model_ranks, supported_models
 
 EXAMPLE6 = """\
 b5. b4 :- b5. b3 :- b4. b2 :- b3. b1 :- b2.
@@ -117,11 +118,6 @@ class TestTpAndLeastModel:
         p = parse_program("a :- 1 <= { b1, b2 }.")
         assert tp_step(reduct(p, frozenset({"b2"})), frozenset({"b2"})) == {"a"}
 
-    def test_non_positive_rule_rejected(self):
-        p = parse_program("a :- not b. #atom b.")
-        with pytest.raises(ContractError):
-            tp_step(p.rules, frozenset())
-
     def test_example6_needs_five_applications(self):
         p = parse_program(EXAMPLE6)
         model = frozenset({"a", "b1", "b2", "b3", "b4", "b5"})
@@ -186,9 +182,9 @@ class TestStableModels:
 
     def test_ranking_infinite_iff_false(self):
         p = parse_program("{b}. a :- b.")
-        for model, ranking in stable_models(p):
+        for model, ranks in stable_models(p):
             for atom in p.atom_names:
-                assert (ranking.rank(atom) == INFINITY) == (atom not in model)
+                assert (ranks.get(atom, INFINITY) == INFINITY) == (atom not in model)
 
 
 class TestSupportedModels:
@@ -204,7 +200,6 @@ class TestSupportedModels:
         assert supported_models(p) == [m for m, _ in stable_models(p)]
 
     def test_stable_subset_of_supported(self):
-        from asptoc.fuzz import fuzz_corpus
         for _, _, program in fuzz_corpus(seed=5, count=20):
             stable = {m for m, _ in stable_models(program)}
             assert stable <= set(supported_models(program))
@@ -244,7 +239,6 @@ class TestLevelNumbering:
             level_numbering(p, frozenset({"a"}))
 
     def test_atom_level_is_min_over_supporting_rules(self):
-        from asptoc.fuzz import fuzz_corpus
         for _, _, program in fuzz_corpus(seed=31, count=20, max_atoms=5):
             for model, _ in stable_models(program):
                 numbering = level_numbering(program, model)
@@ -259,7 +253,6 @@ class TestLevelNumbering:
 
     def test_numbering_unique_among_candidates(self):
         # exhaustive search over alternative stage assignments
-        from asptoc.fuzz import fuzz_corpus
         for _, _, program in fuzz_corpus(seed=77, count=12, max_atoms=5,
                                          max_rules=6):
             inputs = program.input_atoms()
@@ -320,3 +313,35 @@ class TestModuleRanking:
         p = parse_program("a :- b. b :- a.")
         ranks = module_ranking(p, frozenset({"a", "b"}), frozenset())
         assert ranks == {"a": INFINITY, "b": INFINITY}
+
+    @pytest.mark.parametrize("scope_mode", ["scc", "global"])
+    def test_agrees_with_module_program_on_stable_models(self, scope_mode):
+        pairs = 0
+        for i, _, program in fuzz_corpus(1, 200):
+            scopes = ranked_scopes(program, scope_mode)
+            for model, _ in stable_models(program):
+                for scope in scopes:
+                    assert module_ranking(program, scope, model) == \
+                        module_least_model_ranks(program, scope, model), f"program {i}"
+                    pairs += 1
+        assert pairs > 500
+
+    @pytest.mark.parametrize("scope_mode", ["scc", "global"])
+    def test_agrees_with_module_program_on_any_interpretation(self, scope_mode):
+        # both raise, or both give the same ranks
+        rng = random.Random(7)
+        outcomes = {"raised": 0, "ranked": 0}
+        for i, _, program in fuzz_corpus(2, 60):
+            for scope in ranked_scopes(program, scope_mode):
+                for _ in range(8):
+                    interp = frozenset(a for a in program.atom_names if rng.random() < 0.5)
+                    try:
+                        expected = module_least_model_ranks(program, scope, interp)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            module_ranking(program, scope, interp)
+                        outcomes["raised"] += 1
+                        continue
+                    assert module_ranking(program, scope, interp) == expected, f"program {i}"
+                    outcomes["ranked"] += 1
+        assert min(outcomes.values()) > 50, outcomes

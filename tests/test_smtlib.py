@@ -21,13 +21,13 @@ from asptoc.formulas import (
 )
 from asptoc.parser import parse_program
 from asptoc.smtlib import (
-    EmissionError,
     SolverInvocationError,
     SolverResponseError,
     debug_text,
     emit_smtlib,
     read_solver_model,
     run_solver,
+    to_sexpr,
 )
 from asptoc.toc import toc_program
 
@@ -102,8 +102,12 @@ class TestEmission:
     def test_undeclared_reference_fails(self):
         fs = FormulaSet()
         fs.add("f", Var(Base("a")))
-        with pytest.raises(EmissionError):
+        with pytest.raises(ValidationError):
             emit_smtlib(fs)
+
+    def test_non_formula_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not a formula"):
+            to_sexpr(object(), {})
 
     @pytest.mark.parametrize("formula", [
         Var(Base("q")),
@@ -120,7 +124,7 @@ class TestEmission:
         fs.add("bad", formula)
         with pytest.raises(ValidationError) as expected:
             fs.validate()
-        with pytest.raises(EmissionError) as emitted:
+        with pytest.raises(ValidationError) as emitted:
             emit_smtlib(fs)
         with pytest.raises(ValidationError) as debug:
             debug_text(fs)
@@ -135,7 +139,7 @@ class TestEmission:
         assert "__z" not in fs.symbols()
         with pytest.raises(ValidationError, match=r"undeclared variables: \['__z'\]"):
             fs.validate()
-        with pytest.raises(EmissionError, match="__z"):
+        with pytest.raises(ValidationError, match="__z"):
             emit_smtlib(fs)
         with pytest.raises(ValidationError, match="__z"):
             debug_text(fs)
