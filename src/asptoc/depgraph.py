@@ -35,25 +35,12 @@ class DepGraph(Node, fields="vertices targets"):
         return frozenset((names[i], names[j])
                          for i, targets in enumerate(self.targets) for j in targets)
 
-    @cached_property
-    def _number(self) -> dict[str, int]:
-        return {a: i for i, a in enumerate(self.vertices)}
-
-    def successors(self, atom: str) -> list[str]:
-        i = self._number.get(atom)
-        if i is None:
-            return []
-        names = self.vertices
-        return [names[j] for j in self.targets[i]]
-
 
 class SccPartition(Node, fields="components"):
+    __slots__ = ()
+
     def __new__(cls, components: tuple[frozenset, ...]):
         return tuple.__new__(cls, (components,))
-
-    @cached_property
-    def index(self) -> dict:
-        return {a: i for i, comp in enumerate(self.components) for a in comp}
 
 
 def build_depgraph(program: Program) -> DepGraph:

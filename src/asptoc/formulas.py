@@ -30,17 +30,17 @@ class Base(Node, fields="name"):
         return tuple.__new__(cls, (name,))
 
 
-class Aux(Node, fields="kind head arg ns"):
-    """Generated atom: app/int/ext/vub carry a rule ordinal, dep/gap a body
-    atom; ``ns`` namespaces harness-only copies."""
+class Aux(Node, fields="kind head arg"):
+    """Generated atom of the head ``head``: app/int/ext/vub carry a rule
+    ordinal, dep/gap a body atom."""
 
     __slots__ = ()
     KINDS = ("app", "dep", "gap", "int", "ext", "vub")
 
-    def __new__(cls, kind: str, head: str, arg: Union[str, int], ns: str = ""):
+    def __new__(cls, kind: str, head: str, arg: Union[str, int]):
         if kind not in cls.KINDS:
             raise ValueError(f"unknown aux kind {kind!r}")
-        return tuple.__new__(cls, (kind, head, arg, ns))
+        return tuple.__new__(cls, (kind, head, arg))
 
 
 AtomRef = Union[Base, Aux]
@@ -87,11 +87,9 @@ def _spell(name: str) -> str:
 
 def ref_name(ref: AtomRef) -> str:
     """Key of an atom in evaluation environments and ``DLModel``s: a base
-    atom's own name, an auxiliary atom's symbol ``|kind:head:arg[:ns]|``."""
+    atom's own name, an auxiliary atom's symbol ``|kind:head:arg|``."""
     if type(ref) is Base:
         return ref.name
-    if ref.ns:
-        return f"|{ref.kind}:{ref.head}:{ref.arg}:{ref.ns}|"
     return f"|{ref.kind}:{ref.head}:{ref.arg}|"
 
 
@@ -114,11 +112,11 @@ def decode(symbol: str):
     """The reference a symbol (or a key) names; the inverse of ``encode``.
     Raises ``ValueError`` on a quoted symbol ``encode`` does not produce."""
     if symbol.startswith("|"):
-        kind, head, *rest = symbol[1:-1].split(":", 3)
+        kind, head, *rest = symbol[1:-1].split(":")
         if kind == "atom" and not rest:
             return Base(head)
-        arg, *ns = rest
-        return Aux(kind, head, arg if kind in ("dep", "gap") else int(arg), *ns)
+        (arg,) = rest  # exactly three fields, else ValueError
+        return Aux(kind, head, arg if kind in ("dep", "gap") else int(arg))
     if symbol == "__z":
         return Z
     if symbol.startswith("__x_"):

@@ -1,18 +1,15 @@
-"""Alternative completion forms, checked against the weight path.
+"""The subset normalization, checked against the weight path.
 
-The translator emits one form per rule, the canonical weight form.  This
-module keeps two other forms of the same completion for the tests and
-the proposition checks: the subset normalization, one positive rule per
-bound-reaching subset of the body, and the extensional form of
-:func:`toc_abstract`, which feeds the translator's support skeleton with
-a family of accepted body subsets instead of a weighted sum.
-
-For a positive in-scope rule, the completion can be written with one
-applicability atom per bound-reaching subset of the body, or with a
-single applicability atom over a weighted sum of ``dep`` atoms.  A
-connecting formula ties the subset atoms' disjunction to the aggregated
-atom; the two formula sets must then constrain the shared vocabulary
-identically.
+The translator emits one form per rule, the canonical weight form.  For
+a positive in-scope rule, the completion can also be written with one
+applicability atom per bound-reaching subset of the body: the subset
+normalization, one positive rule per inclusion-minimal satisfier.  The
+proposition checks of ``asptoc fuzz --props`` translate both programs
+and compare the two formula sets: they must constrain the shared
+vocabulary identically, and wherever both hold, some subset rule must
+apply exactly when the aggregated rule does.  Each side is evaluated in
+its own environment, so the two sides' applicability atoms, named
+alike, stay apart.
 
 The check enumerates the shared vocabulary exactly.  Ranking variables
 enter the formulas only through ``dep``/``gap`` atoms and the range
@@ -31,27 +28,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .formulas import (
-    FALSE,
-    TRUE,
-    Aux,
-    Base,
-    FormulaSet,
-    Iff,
-    LevelVar,
-    Not,
-    Var,
-    conj,
-    disj,
-    eval_formula,
-    ref_name,
-)
+from .formulas import FALSE, Aux, Base, FormulaSet, Iff, Var, eval_formula, ref_name
 from .program import Origin, Polarity, Program, ResourceError, Rule, normal_rule, program_of
-from .toc import emit_support, toc_module
-
-
-class ConvexityError(Exception):
-    pass
+from .toc import toc_module
 
 
 @dataclass(frozen=True)
@@ -115,20 +94,18 @@ def _validate(rule: Rule, variant: int) -> None:
 
 
 def proposition_sides(rule: Rule):
-    """Subset-form set, aggregated set, connecting formula, subset count."""
+    """Subset-form set, aggregated set, subset count."""
     head = rule.head
     scope = frozenset({head, *rule.pos_atoms()})
     normalized = normalize_subsets(rule)
-    side_a = toc_module(normalized, scope, aux_ns="n")
+    side_a = toc_module(normalized, scope)
     side_b = toc_module(program_of([rule], extra_atoms=[head, *rule.pos_atoms()]), scope)
     k = len(normalized.rules)
     if k == 0:
         # an unreachable bound normalizes to no rules at all; the head then
         # keeps its empty completion instead of becoming an input atom
         side_a.add(f"def:{head}", Iff(Var(Base(head)), FALSE))
-    connecting = Iff(disj(*(Var(Aux("app", head, i, "n")) for i in range(1, k + 1))),
-                     Var(Aux("app", head, 1)))
-    return side_a, side_b, connecting, k
+    return side_a, side_b, k
 
 
 def _shared_assignments(head: str, body: list[str], scope_size: int):
@@ -173,38 +150,27 @@ def _derive_and_check(fs: FormulaSet, env: dict) -> bool:
     return ok
 
 
-def check_proposition(rule: Rule, variant: int, *,
-                      drop_strong_side: str | None = None) -> Verdict:
-    """PASS when the subset and aggregated formula sets agree on every
-    realizable shared assignment, linked by the connecting formula.
-
-    ``drop_strong_side`` removes the strong formulas from one side; the
-    harness self-test uses it to confirm they are not vacuous.
-    """
-    _validate(rule, variant)
-    side_a, side_b, connecting, k = proposition_sides(rule)
-    if drop_strong_side == "a":
-        side_a = side_a.without("strong:")
-    elif drop_strong_side == "b":
-        side_b = side_b.without("strong:")
-
+def compare_sides(rule: Rule, side_a: FormulaSet, side_b: FormulaSet, k: int) -> Verdict:
+    """PASS when the subset side ``side_a`` of ``k`` rules and the
+    aggregated side ``side_b`` agree on every realizable shared assignment,
+    and wherever both hold some subset rule applies exactly when the
+    aggregated rule does."""
     head = rule.head
     body = sorted(rule.pos_atoms())
-    scope_size = len(body) + 1
+    subset_apps = [ref_name(Aux("app", head, i)) for i in range(1, k + 1)]
+    aggregate_app = ref_name(Aux("app", head, 1))
     checked = 0
-    for env in _shared_assignments(head, body, scope_size):
+    for env in _shared_assignments(head, body, len(body) + 1):
         checked += 1
         env_a = dict(env)
         env_b = dict(env)
         sat_a = _derive_and_check(side_a, env_a)
         sat_b = _derive_and_check(side_b, env_b)
-        joint = {**env_a, **env_b}
-        link = eval_formula(connecting, joint, {})
+        link = any(env_a[name] for name in subset_apps) == env_b[aggregate_app]
         if sat_a != sat_b or (sat_a and sat_b and not link):
-            shared = dict(env)
             return Verdict(False, checked, k,
                            len(side_a.formulas), len(side_b.formulas),
-                           counterexample={"assignment": shared,
+                           counterexample={"assignment": env,
                                            "subset_sat": sat_a,
                                            "aggregate_sat": sat_b,
                                            "connecting": link})
@@ -212,102 +178,8 @@ def check_proposition(rule: Rule, variant: int, *,
                    len(side_a.formulas), len(side_b.formulas))
 
 
-# ---------------------------------------------------------------------------
-# extensional convex aggregates
-
-def _upward_closure(family: set, universe: frozenset) -> set:
-    closed = set()
-    for sat in family:
-        for rest in itertools.chain.from_iterable(
-                itertools.combinations(sorted(universe - sat), k)
-                for k in range(len(universe - sat) + 1)):
-            closed.add(sat | frozenset(rest))
-    return closed
-
-
-def _check_convex(family: set, universe: frozenset):
-    fam = set(family)
-    for small in fam:
-        for large in fam:
-            if small < large:
-                extra = sorted(large - small)
-                for k in range(1, len(extra)):
-                    for mid in itertools.combinations(extra, k):
-                        if small | frozenset(mid) not in fam:
-                            raise ConvexityError(
-                                f"family not convex between {sorted(small)} "
-                                f"and {sorted(large)}")
-
-
-def toc_abstract(rule: Rule, scope: frozenset, *,
-                 family: set | None = None, strong: bool = True) -> FormulaSet:
-    """Ordered completion of one rule with its aggregate kept extensional.
-
-    Internal support substitutes in-scope positive atoms by their ``dep``
-    atoms inside the disjunction over inclusion-minimal satisfiers (the
-    upward closure); the strong condition negates the same disjunction
-    with ``gap`` substitutions; external support substitutes in-scope
-    positives by falsity.  Non-monotone aggregates additionally conjoin
-    the exact aggregate over unsubstituted atoms into both supports, so
-    applicability is judged at the candidate model.
-    """
-    if rule.head is None:
-        raise ValueError("constraints have no completion")
-    slots = list(rule.body)
-    if len(slots) > 6:
-        raise ResourceError("extensional aggregates are capped at 6 body atoms")
-    universe = frozenset(range(len(slots)))
-    if family is None:
-        def accepted(js: frozenset) -> bool:
-            total = sum(slots[j].weight for j in js)
-            return total >= rule.lower and (rule.upper is None or total <= rule.upper)
-
-        family = {frozenset(js)
-                  for k in range(len(slots) + 1)
-                  for js in itertools.combinations(sorted(universe), k)
-                  if accepted(frozenset(js))}
-    else:
-        family = {frozenset(s) for s in family}
-        _check_convex(family, universe)
-    minimal = _minimal(family)
-    monotone = family == _upward_closure(family, universe)
-    head = rule.head
-
-    def in_scope_pos(j: int) -> bool:
-        lit = slots[j]
-        return lit.polarity is Polarity.POSITIVE and lit.atom in scope
-
-    def plain(j: int):
-        lit = slots[j]
-        if lit.polarity is Polarity.NEGATIVE:
-            return Not(Var(Base(lit.atom)))
-        return Var(Base(lit.atom))
-
-    def ordered(j: int, kind: str):
-        if in_scope_pos(j):
-            return Var(Aux(kind, head, slots[j].atom))
-        return plain(j)
-
-    exact = disj(*(conj(*(plain(j) if j in sat else Not(plain(j))
-                          for j in sorted(universe)))
-                   for sat in sorted(family, key=lambda s: tuple(sorted(s)))))
-    bound_check = TRUE if monotone else exact
-
-    weak = conj(disj(*(conj(*(ordered(j, "dep") for j in sorted(sat)))
-                       for sat in minimal)), bound_check)
-    deny = Not(disj(*(conj(*(ordered(j, "gap") for j in sorted(sat)))
-                      for sat in minimal))) if strong else None
-    ext_minimal = [sat for sat in minimal if not any(in_scope_pos(j) for j in sat)]
-    ext_def = conj(disj(*(conj(*(plain(j) for j in sorted(sat)))
-                          for sat in ext_minimal)), bound_check)
-
-    fs = FormulaSet()
-    fs.declare_base(*sorted({wl.atom for wl in slots} | {head}))
-    kinds = ("dep", "gap") if strong else ("dep",)
-    for j in sorted(universe):
-        if in_scope_pos(j):
-            fs.declare_aux(*(Aux(kind, head, slots[j].atom) for kind in kinds))
-    emit_support(fs, LevelVar(head), 1, "", weak, ext_def, deny,
-                 has_in=any(in_scope_pos(j) for j in universe),
-                 ext_possible=bool(ext_minimal))
-    return fs
+def check_proposition(rule: Rule, variant: int) -> Verdict:
+    """The proposition check of ``variant`` on ``rule``: its subset and
+    aggregated sides compared."""
+    _validate(rule, variant)
+    return compare_sides(rule, *proposition_sides(rule))

@@ -95,7 +95,7 @@ def plain_body_formula(rule: Rule, base: dict):
     return make_pb(_plain_terms(rule, base), rule.lower, rule.upper)
 
 
-def emit_support(fs: FormulaSet, x: LevelVar, i: int, ns: str, weak, ext, deny,
+def emit_support(fs: FormulaSet, x: LevelVar, i: int, weak, ext, deny,
                  has_in: bool, ext_possible: bool) -> Var:
     """The support formulas of rule ``i`` of the head ranked by ``x`` in a
     ranked scope.
@@ -109,7 +109,7 @@ def emit_support(fs: FormulaSet, x: LevelVar, i: int, ns: str, weak, ext, deny,
     the ``Var`` of the applicability atom.
     """
     head = x.owner
-    applies = Var(Aux("app", head, i, ns))
+    applies = Var(Aux("app", head, i))
     fs.declare_aux(applies.atom)
     if has_in and not ext_possible:
         fs.add(f"app:{head}:{i}", Iff(applies, weak))
@@ -120,8 +120,8 @@ def emit_support(fs: FormulaSet, x: LevelVar, i: int, ns: str, weak, ext, deny,
         fs.add(f"app:{head}:{i}", Iff(applies, ext))
         resets = applies
     else:
-        internal = Var(Aux("int", head, i, ns))
-        external = Var(Aux("ext", head, i, ns))
+        internal = Var(Aux("int", head, i))
+        external = Var(Aux("ext", head, i))
         fs.declare_aux(internal.atom, external.atom)
         fs.add(f"split:{head}:{i}", Iff(applies, disj(internal, external)))
         fs.add(f"int:{head}:{i}", Iff(internal, weak))
@@ -133,21 +133,20 @@ def emit_support(fs: FormulaSet, x: LevelVar, i: int, ns: str, weak, ext, deny,
     return applies
 
 
-def _upper_check(fs: FormulaSet, head: str, i: int, ns: str, terms, upper: int,
-                 vub_form: bool):
+def _upper_check(fs: FormulaSet, head: str, i: int, terms, upper: int, vub_form: bool):
     """Rule ``i``'s check that ``terms`` sum to at most ``upper``: the bound
     itself, or with ``vub_form`` the negation of a violation atom defined
     completion-style."""
     if not vub_form:
         return make_pb(terms, upper=upper)
-    violated = Var(Aux("vub", head, i, ns))
+    violated = Var(Aux("vub", head, i))
     fs.declare_aux(violated.atom)
     fs.add(f"vub:{head}:{i}", Iff(violated, make_pb(terms, lower=upper + 1)))
     return Not(violated)
 
 
 def _ranked_rule(fs: FormulaSet, x: LevelVar, i: int, rule: Rule, parts,
-                 base: dict, edges: dict, strong: bool, vub_form: bool, ns: str):
+                 base: dict, edges: dict, strong: bool, vub_form: bool):
     """Rule ``i`` of the head ranked by ``x``; ``edges`` maps each of its
     in-scope body atoms to the edge's declared ``dep`` (and ``gap``) atom."""
     pin, out = parts
@@ -157,14 +156,14 @@ def _ranked_rule(fs: FormulaSet, x: LevelVar, i: int, rule: Rule, parts,
         bound_check = TRUE
     else:
         plain = [PBTerm(w, base[b]) for b, w in pin] + out
-        bound_check = _upper_check(fs, x.owner, i, ns, plain, upper, vub_form)
+        bound_check = _upper_check(fs, x.owner, i, plain, upper, vub_form)
 
     dep_terms = [PBTerm(w, edges[b][0]) for b, w in pin]
     deny = None
     if strong:
         gap_terms = [PBTerm(w, edges[b][1]) for b, w in pin]
         deny = make_pb(gap_terms + out, upper=lower - 1)
-    return emit_support(fs, x, i, ns,
+    return emit_support(fs, x, i,
                         weak=conj(make_pb(dep_terms + out, lower=lower), bound_check),
                         ext=conj(make_pb(out, lower=lower), bound_check),
                         deny=deny,
@@ -181,7 +180,7 @@ def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, base: dict,
         return plain_body_formula(rule, base)
     terms = _plain_terms(rule, base)
     return conj(make_pb(terms, lower=rule.lower),
-                _upper_check(fs, head, i, "", terms, rule.upper, vub_form))
+                _upper_check(fs, head, i, terms, rule.upper, vub_form))
 
 
 def _define(fs: FormulaSet, holds: Var, supports: list):
@@ -191,13 +190,14 @@ def _define(fs: FormulaSet, holds: Var, supports: list):
 
 def toc_module(program: Program, scope: frozenset, *,
                strong: bool = True, vub_form: bool = False,
-               aux_ns: str = "", base: dict | None = None) -> FormulaSet:
+               base: dict | None = None) -> FormulaSet:
     """Ordered completion of the scope's defining rules.  Scope atoms
     without defining rules stay free but still receive range formulas.
     The scope need not be a strongly connected component: the global mode
-    and the harnesses rank larger or hand-picked scopes.  ``base`` maps
-    each atom name the rules mention to the ``Base`` node the caller
-    shares; without it the module builds its own.
+    ranks every defined atom at once, and the proposition check ranks a
+    rule's head with its body.  ``base`` maps each atom name the rules
+    mention to the ``Base`` node the caller shares; without it the module
+    builds its own.
     """
     atoms = sorted(scope)
     defs = {a: def_of(a, program) for a in atoms}
@@ -230,7 +230,7 @@ def toc_module(program: Program, scope: frozenset, *,
         if defs[atom]:
             _define(fs, holds[atom],
                     [_ranked_rule(fs, level[atom], i, rule, part, base, edges[atom],
-                                  strong, vub_form, aux_ns)
+                                  strong, vub_form)
                      for i, (rule, part) in enumerate(zip(defs[atom], parts[atom]), 1)])
     return fs
 

@@ -1,19 +1,37 @@
-"""Reference semantics only the tests use: supported models, level
-numberings, modules as stand-alone programs, model projections and a
-brute-force model finder.
+"""Reference semantics and forms only the tests use: supported models,
+level numberings, modules as stand-alone programs, model projections, a
+brute-force model finder and the extensional completion form.
 
-They check the oracle and the model finder from a second angle, and no
-command of asptoc needs them, so they live beside the tests.  The module
-program gives the oracle's module ranks a second derivation: the least
-model of the module's own reduct, where the oracle reads the scope's
-rules off the whole program's reduct.
+They check the oracle, the model finder and the translator from a second
+angle, and no command of asptoc needs them, so they live beside the
+tests.  The module program gives the oracle's module ranks a second
+derivation: the least model of the module's own reduct, where the oracle
+reads the scope's rules off the whole program's reduct.  The extensional
+form, :func:`toc_abstract`, feeds the translator's support skeleton with
+a family of accepted body subsets instead of a weighted sum; the tests
+check it against the weight path.
 """
 
 import itertools
 from dataclasses import dataclass, field
 
 from asptoc.dlcheck import DLModel
-from asptoc.formulas import FormulaSet, LevelVar, Z, eval_formula, ref_name, var_name
+from asptoc.formulas import (
+    TRUE,
+    Aux,
+    Base,
+    FormulaSet,
+    LevelVar,
+    Not,
+    Var,
+    Z,
+    conj,
+    disj,
+    eval_formula,
+    ref_name,
+    var_name,
+)
+from asptoc.normtest import _minimal
 from asptoc.oracle import (
     PositiveRule,
     _check_cap,
@@ -23,7 +41,8 @@ from asptoc.oracle import (
     reduct,
     tp_step,
 )
-from asptoc.program import INFINITY, Polarity, Program, program_of, weight_sum
+from asptoc.program import INFINITY, Polarity, Program, ResourceError, Rule, program_of, weight_sum
+from asptoc.toc import emit_support
 
 
 def supported_models(program: Program, cap: int = 20):
@@ -145,3 +164,108 @@ def brute_force_models(fs: FormulaSet) -> list[DLModel]:
                 found.append(DLModel(tuple(sorted(bools.items())),
                                      tuple(sorted(ints.items()))))
     return found
+
+
+# ---------------------------------------------------------------------------
+# extensional convex aggregates
+
+class ConvexityError(Exception):
+    pass
+
+
+def _upward_closure(family: set, universe: frozenset) -> set:
+    closed = set()
+    for sat in family:
+        for rest in itertools.chain.from_iterable(
+                itertools.combinations(sorted(universe - sat), k)
+                for k in range(len(universe - sat) + 1)):
+            closed.add(sat | frozenset(rest))
+    return closed
+
+
+def _check_convex(family: set, universe: frozenset):
+    fam = set(family)
+    for small in fam:
+        for large in fam:
+            if small < large:
+                extra = sorted(large - small)
+                for k in range(1, len(extra)):
+                    for mid in itertools.combinations(extra, k):
+                        if small | frozenset(mid) not in fam:
+                            raise ConvexityError(
+                                f"family not convex between {sorted(small)} "
+                                f"and {sorted(large)}")
+
+
+def toc_abstract(rule: Rule, scope: frozenset, *,
+                 family: set | None = None, strong: bool = True) -> FormulaSet:
+    """Ordered completion of one rule with its aggregate kept extensional.
+
+    Internal support substitutes in-scope positive atoms by their ``dep``
+    atoms inside the disjunction over inclusion-minimal satisfiers (the
+    upward closure); the strong condition negates the same disjunction
+    with ``gap`` substitutions; external support substitutes in-scope
+    positives by falsity.  Non-monotone aggregates additionally conjoin
+    the exact aggregate over unsubstituted atoms into both supports, so
+    applicability is judged at the candidate model.
+    """
+    if rule.head is None:
+        raise ValueError("constraints have no completion")
+    slots = list(rule.body)
+    if len(slots) > 6:
+        raise ResourceError("extensional aggregates are capped at 6 body atoms")
+    universe = frozenset(range(len(slots)))
+    if family is None:
+        def accepted(js: frozenset) -> bool:
+            total = sum(slots[j].weight for j in js)
+            return total >= rule.lower and (rule.upper is None or total <= rule.upper)
+
+        family = {frozenset(js)
+                  for k in range(len(slots) + 1)
+                  for js in itertools.combinations(sorted(universe), k)
+                  if accepted(frozenset(js))}
+    else:
+        family = {frozenset(s) for s in family}
+        _check_convex(family, universe)
+    minimal = _minimal(family)
+    monotone = family == _upward_closure(family, universe)
+    head = rule.head
+
+    def in_scope_pos(j: int) -> bool:
+        lit = slots[j]
+        return lit.polarity is Polarity.POSITIVE and lit.atom in scope
+
+    def plain(j: int):
+        lit = slots[j]
+        if lit.polarity is Polarity.NEGATIVE:
+            return Not(Var(Base(lit.atom)))
+        return Var(Base(lit.atom))
+
+    def ordered(j: int, kind: str):
+        if in_scope_pos(j):
+            return Var(Aux(kind, head, slots[j].atom))
+        return plain(j)
+
+    exact = disj(*(conj(*(plain(j) if j in sat else Not(plain(j))
+                          for j in sorted(universe)))
+                   for sat in sorted(family, key=lambda s: tuple(sorted(s)))))
+    bound_check = TRUE if monotone else exact
+
+    weak = conj(disj(*(conj(*(ordered(j, "dep") for j in sorted(sat)))
+                       for sat in minimal)), bound_check)
+    deny = Not(disj(*(conj(*(ordered(j, "gap") for j in sorted(sat)))
+                      for sat in minimal))) if strong else None
+    ext_minimal = [sat for sat in minimal if not any(in_scope_pos(j) for j in sat)]
+    ext_def = conj(disj(*(conj(*(plain(j) for j in sorted(sat)))
+                          for sat in ext_minimal)), bound_check)
+
+    fs = FormulaSet()
+    fs.declare_base(*sorted({wl.atom for wl in slots} | {head}))
+    kinds = ("dep", "gap") if strong else ("dep",)
+    for j in sorted(universe):
+        if in_scope_pos(j):
+            fs.declare_aux(*(Aux(kind, head, slots[j].atom) for kind in kinds))
+    emit_support(fs, LevelVar(head), 1, weak, ext_def, deny,
+                 has_in=any(in_scope_pos(j) for j in universe),
+                 ext_possible=bool(ext_minimal))
+    return fs

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asptoc import depgraph, formulas, program
-from asptoc.depgraph import build_depgraph, sccs
+from asptoc.depgraph import build_depgraph
 from asptoc.formulas import (
     FALSE,
     TRUE,
@@ -138,7 +138,6 @@ class TestNaming:
         assert ref_name(Aux("int", "a", 2)) == "|int:a:2|"
         assert ref_name(Aux("ext", "a", 2)) == "|ext:a:2|"
         assert ref_name(Aux("vub", "a", 1)) == "|vub:a:1|"
-        assert ref_name(Aux("app", "a", 1, "n")) == "|app:a:1:n|"
         assert var_name(LevelVar("a")) == "__x_a"
         assert var_name(Z) == "__z"
 
@@ -163,7 +162,8 @@ class TestNaming:
         assert len(set(fs.symbols().values())) == len(fs.symbols())
 
     @pytest.mark.parametrize("symbol", [
-        "|app:a|", "|app:a:b|", "|foo:a:1|", "|atom:a:b|", "|a|", "||"])
+        "|app:a|", "|app:a:b|", "|foo:a:1|", "|atom:a:b|", "|a|", "||",
+        "|app:a:1:n|", "|dep:a:b:c|"])
     def test_foreign_quoted_symbols_rejected(self, symbol):
         with pytest.raises(ValueError):
             decode(symbol)
@@ -239,20 +239,20 @@ class TestDeclarationOrder:
     def test_symbol_table_follows_declarations(self):
         left, right = FormulaSet(), FormulaSet()
         left.declare_base("b", "a")
-        left.declare_aux(Aux("gap", "b", "a"), Aux("app", "b", 1, "x"))
+        left.declare_aux(Aux("gap", "b", "a"), Aux("app", "b", 1))
         right.declare_base("c", "b")
         right.declare_aux(Aux("app", "a", 2), Aux("gap", "b", "a"))
         left.merge(right)
         kept = left.without("strong:")
         for fs in (left, kept):
             assert list(fs.base_atoms.items()) == [("b", "b"), ("a", "a"), ("c", "c")]
-            assert list(fs.aux_atoms) == [Aux("gap", "b", "a"), Aux("app", "b", 1, "x"),
+            assert list(fs.aux_atoms) == [Aux("gap", "b", "a"), Aux("app", "b", 1),
                                           Aux("app", "a", 2)]
             assert all(sym == ref_name(ref) for ref, sym in fs.aux_atoms.items())
         kept.declare_level("b", 1, 3)
         assert kept.symbols() == {"b": "b", "a": "a", "c": "c",
                                   Aux("gap", "b", "a"): "|gap:b:a|",
-                                  Aux("app", "b", 1, "x"): "|app:b:1:x|",
+                                  Aux("app", "b", 1): "|app:b:1|",
                                   Aux("app", "a", 2): "|app:a:2|",
                                   "__z": "__z", "__x_b": "__x_b"}
 
@@ -289,11 +289,10 @@ atom_names = st.one_of(
     plain_names.map(lambda n: n + "_"),
     st.sampled_from(sorted(w for w in SMT_WORDS if ATOM_RE.fullmatch(w))),
 )
-namespaces = st.one_of(st.just(""), plain_names)
 aux_refs = st.one_of(
-    st.builds(Aux, st.sampled_from(["dep", "gap"]), atom_names, atom_names, namespaces),
+    st.builds(Aux, st.sampled_from(["dep", "gap"]), atom_names, atom_names),
     st.builds(Aux, st.sampled_from(["app", "int", "ext", "vub"]), atom_names,
-              st.integers(1, 999), namespaces),
+              st.integers(1, 999)),
 )
 refs = st.one_of(atom_names.map(Base), aux_refs, atom_names.map(LevelVar), st.just(Z))
 
@@ -327,14 +326,15 @@ def ir_samples():
             Or((a, a)), Implies(a, a), Iff(a, a), TrueF(), FalseF(),
             Diff(LevelVar("a"), Z, 1), PBTerm(1, Base("a")),
             PB((PBTerm(1, Base("a")),), lower=1), program.Atom("a"),
-            program.WeightedLiteral("a"), program.normal_rule("a", ["b"])]
+            program.WeightedLiteral("a"), program.normal_rule("a", ["b"]),
+            depgraph.SccPartition((frozenset("a"),))]
 
 
 def indexed_samples():
     """The nodes that keep a ``__dict__`` for their cached indexes."""
     p = parse_program("a :- b.")
     graph = build_depgraph(p)
-    return [p, FormulaSet(), graph, sccs(graph)]
+    return [p, FormulaSet(), graph]
 
 
 def test_samples_cover_every_slotted_ir_class():
@@ -343,8 +343,7 @@ def test_samples_cover_every_slotted_ir_class():
              if isinstance(cls, type) and issubclass(cls, Node)
              and cls.__module__ == module.__name__}
     indexed = {type(obj) for obj in indexed_samples()}
-    assert indexed == {program.Program, FormulaSet, depgraph.DepGraph,
-                       depgraph.SccPartition}
+    assert indexed == {program.Program, FormulaSet, depgraph.DepGraph}
     assert nodes - indexed == {type(obj) for obj in ir_samples()}
 
 
@@ -392,7 +391,7 @@ def test_equality_tells_types_apart():
 def test_reprs():
     lit = program.WeightedLiteral("b", program.Polarity.NEGATIVE, 2)
     assert repr(lit) == "WeightedLiteral(atom='b', polarity=neg, weight=2)"
-    assert repr(Aux("dep", "a", "b")) == "Aux(kind='dep', head='a', arg='b', ns='')"
+    assert repr(Aux("dep", "a", "b")) == "Aux(kind='dep', head='a', arg='b')"
     assert repr(TRUE) == "TrueF()"
     assert repr(PB((PBTerm(2, Base("a"), True),), upper=1)) == (
         "PB(terms=(PBTerm(coef=2, atom=Base(name='a'), negated=True),), "

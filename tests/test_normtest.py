@@ -5,8 +5,7 @@ import math
 import pytest
 
 from asptoc.dlcheck import enumerate_dl_models
-from asptoc.formulas import FormulaSet, ref_name
-from asptoc.normtest import check_proposition, proposition_sides
+from asptoc.normtest import check_proposition, compare_sides, proposition_sides
 from asptoc.parser import parse_program
 
 
@@ -55,9 +54,10 @@ class TestValidation:
 class TestStrongConstraintsMatter:
     def test_dropping_one_side_breaks_agreement(self):
         rule = rule_of("a :- 2 <= { b1, b2, b3 }.")
-        assert check_proposition(rule, 2).passed
-        assert not check_proposition(rule, 2, drop_strong_side="a").passed
-        assert not check_proposition(rule, 2, drop_strong_side="b").passed
+        side_a, side_b, k = proposition_sides(rule)
+        assert compare_sides(rule, side_a, side_b, k).passed
+        assert not compare_sides(rule, side_a.without("strong:"), side_b, k).passed
+        assert not compare_sides(rule, side_a, side_b.without("strong:"), k).passed
 
 
 class TestSizes:
@@ -71,27 +71,26 @@ class TestSizes:
             assert verdict.aggregate_formula_count == 3 * (n + 1) + 2 * n + 3
 
 
-def joint_projection_check(rule):
-    """Reference check by full enumeration: the side sets and the connected
-    union must agree after projection."""
-    side_a, side_b, connecting, _ = proposition_sides(rule)
-    joint = FormulaSet()
-    joint.merge(side_a)
-    joint.merge(side_b)
-    joint.add("connect", connecting)
+def sides_agree(side_a, side_b):
+    """Reference check by full enumeration.  The join pairs a model of each
+    side that agree on the shared vocabulary (base atoms, dep/gap atoms and
+    ranks; each side's app atoms are its own) and satisfy the link: some
+    subset rule of side A applies exactly when side B's one rule does.
+    Each side's projection of the join must be all of its models."""
+    def models(fs):
+        return set(enumerate_dl_models(fs, max_atoms=len(fs.base_atoms) + len(fs.aux_atoms)))
 
-    def model_set(fs, keep_atoms):
-        cap = len(fs.base_atoms) + len(fs.aux_atoms)
-        out = set()
-        for m in enumerate_dl_models(fs, max_atoms=cap):
-            props = tuple(sorted((k, v) for k, v in m.props if k in keep_atoms))
-            out.add((props, m.ints))
-        return out
+    def shared(m):
+        return tuple(p for p in m.props if not p[0].startswith("|app:")), m.ints
 
-    vocab_a = set(side_a.base_atoms) | {ref_name(x) for x in side_a.aux_atoms}
-    vocab_b = set(side_b.base_atoms) | {ref_name(x) for x in side_b.aux_atoms}
-    return (model_set(joint, vocab_a) == model_set(side_a, vocab_a)
-            and model_set(joint, vocab_b) == model_set(side_b, vocab_b))
+    def applies(m):
+        return any(v for n, v in m.props if n.startswith("|app:"))
+
+    models_a, models_b = models(side_a), models(side_b)
+    join = [(ma, mb) for ma in models_a for mb in models_b
+            if shared(ma) == shared(mb) and applies(ma) == applies(mb)]
+    return ({ma for ma, _ in join} == models_a
+            and {mb for _, mb in join} == models_b)
 
 
 class TestCrossValidation:
@@ -102,20 +101,10 @@ class TestCrossValidation:
     ])
     def test_classed_enumeration_matches_full(self, src, variant):
         rule = rule_of(src)
-        assert check_proposition(rule, variant).passed == \
-            joint_projection_check(rule)
+        side_a, side_b, _ = proposition_sides(rule)
+        assert check_proposition(rule, variant).passed == sides_agree(side_a, side_b)
 
     def test_full_check_detects_missing_strong(self):
-        rule = rule_of("a :- 1 <= { b1, b2 }.")
-        side_a, side_b, connecting, _ = proposition_sides(rule)
-        weakened = side_a.without("strong:")
-        joint = FormulaSet()
-        joint.merge(weakened)
-        joint.merge(side_b)
-        joint.add("connect", connecting)
-
-        def count(fs):
-            cap = len(fs.base_atoms) + len(fs.aux_atoms)
-            return len(enumerate_dl_models(fs, max_atoms=cap))
-
-        assert count(weakened) > count(joint)
+        side_a, side_b, _ = proposition_sides(rule_of("a :- 1 <= { b1, b2 }."))
+        assert sides_agree(side_a, side_b)
+        assert not sides_agree(side_a.without("strong:"), side_b)

@@ -114,8 +114,8 @@ def test_translation_size_linear_in_module_size():
 def test_scope_topological_order_in_output():
     for _, _, program in fuzz_corpus(seed=9, count=20):
         fs = toc_program(program)
-        partition = sccs(build_depgraph(program))
-        index = partition.index
+        components = sccs(build_depgraph(program)).components
+        index = {a: i for i, comp in enumerate(components) for a in comp}
         seen = []
         for name, _ in fs.formulas:
             if name.startswith("def:"):

@@ -1,6 +1,7 @@
 """Translation shape and semantics: worked examples, goldens, both
-upper-bound encodings, and the alternative forms of ``asptoc.normtest``
-(subset normalization, extensional aggregates)."""
+upper-bound encodings, and the alternative forms: the subset
+normalization of ``asptoc.normtest`` and the extensional aggregates of
+``references.toc_abstract``."""
 
 import math
 import pathlib
@@ -29,8 +30,9 @@ from asptoc.formulas import (
 from asptoc.oracle import ResourceError, stable_models
 from asptoc.parser import parse_program
 from asptoc.smtlib import debug_text, to_sexpr
-from asptoc.normtest import ConvexityError, normalize_subsets, toc_abstract
+from asptoc.normtest import normalize_subsets
 from asptoc.toc import toc_module, toc_program
+from references import ConvexityError, toc_abstract
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
