@@ -29,10 +29,6 @@ from .formulas import Aux, FormulaSet, Iff, LevelVar, Var, Z, eval_formula, ref_
 from .program import ResourceError
 
 
-class ContractError(Exception):
-    """A formula set breaks the finder's input contract."""
-
-
 @dataclass(frozen=True)
 class DLModel:
     """Propositional assignment plus ranking-variable values, keyed by
@@ -71,11 +67,6 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
         else:
             F._collect(f, atoms, ints)
         walked.append((f, atoms, ints))
-    # Every ranking variable must come with range bounds.
-    for _, _, ints in walked:
-        for v in ints:
-            if isinstance(v, LevelVar) and v.owner not in fs.level_bounds:
-                raise ContractError(f"ranking variable {var_name(v)} carries no bounds")
 
     fs.validate()
     atom_count = len(fs.base_atoms) + len(fs.aux_atoms)
@@ -131,7 +122,10 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
                 env[sym] = eval_formula(f, env, env)
         return True
 
-    prop_names = sorted([*fs.base_atoms, *fs.aux_atoms.values()])
+    # models share one (name, value) pair per atom and value, so each
+    # model allocates its tuples and nothing else
+    prop_pairs = {n: ((n, False), (n, True))
+                  for n in sorted([*fs.base_atoms, *fs.aux_atoms.values()])}
     # z is pinned to 0, and a model carries it only where the set ranks
     pinned = {var_name(Z): 0} if fs.level_bounds else {}
     int_names = sorted([*pinned, *(n for n, _ in levels)])
@@ -140,7 +134,7 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
 
     def rec(p):
         if p == len(searched):
-            models.append(DLModel(tuple((n, env[n]) for n in prop_names),
+            models.append(DLModel(tuple(pair[env[n]] for n, pair in prop_pairs.items()),
                                   tuple((n, env[n]) for n in int_names)))
             return
         name, domain = searched[p]

@@ -388,12 +388,6 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
         if bad_ints:
             raise ValidationError(f"undeclared variables: {sorted(bad_ints)}")
 
-    def without(self, prefix: str) -> "FormulaSet":
-        """Copy dropping all formulas whose name starts with ``prefix``."""
-        return FormulaSet([(n, f) for (n, f) in self.formulas if not n.startswith(prefix)],
-                          dict(self.base_atoms), dict(self.aux_atoms),
-                          dict(self.level_bounds))
-
 
 # ---------------------------------------------------------------------------
 # reference evaluator (kept naive on purpose; the model finder evaluates

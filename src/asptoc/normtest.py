@@ -7,20 +7,27 @@ normalization, one positive rule per inclusion-minimal satisfier.  The
 proposition checks of ``asptoc fuzz --props`` translate both programs
 and compare the two formula sets: they must constrain the shared
 vocabulary identically, and wherever both hold, some subset rule must
-apply exactly when the aggregated rule does.  Each side is evaluated in
-its own environment, so the two sides' applicability atoms, named
-alike, stay apart.
+apply exactly when the aggregated rule does.  Each side is enumerated
+on its own, so the two sides' applicability atoms, named alike, stay
+apart.
 
-The check enumerates the shared vocabulary exactly.  Ranking variables
-enter the formulas only through ``dep``/``gap`` atoms and the range
-bounds, so assignments are enumerated as realizability classes: a body
-atom that is false fixes both atoms false; a true one admits
-(dep, gap) in {(F,F), (T,F), (T,T)} gated by the head rank (the (T,F)
-case needs rank at least two, (T,T) at least three).  Every realizable
-combination is covered, and so are a few that the range bounds exclude
-(they rank a true atom at most the scope size); a superset can only add
-disagreements, and a test cross-checks the verdicts against full
-enumeration on small bodies.
+Ranking variables enter both sides only through the range bounds, the
+``dep``/``gap`` definitions and the rank resets, so the check drops
+every formula that reads one and abstracts the ranks to
+``gap -> dep -> atom`` for each body atom: an atom derived two stages
+before the head was derived before it, and one derived before it holds.
+Each side then goes through the model finder, and each model's
+projection onto the shared vocabulary (the base atoms and the dep/gap
+atoms of every body atom) is mapped to whether one of the side's
+applicability atoms holds; the two maps must be equal.
+
+The abstraction admits (atom, dep, gap) in {FFF, TFF, TTF, TTT} per body
+atom under either head value, 2 * 4^n shared assignments.  That covers
+every valuation ranks can realize, and a few they cannot: a false head
+ranks above every true atom, which is then always a dependency, and
+with a single body atom a true head ranks at most two, too low for a
+gap.  A superset can only add disagreements; a test cross-checks the
+verdicts against full enumeration on small bodies.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .formulas import FALSE, Aux, Base, FormulaSet, Iff, Var, eval_formula, ref_name
+from .dlcheck import enumerate_dl_models
+from .formulas import FALSE, Aux, Base, FormulaSet, Iff, Implies, Var, _collect, ref_name
 from .program import Origin, Polarity, Program, ResourceError, Rule, normal_rule, program_of
 from .toc import toc_module
 
@@ -43,17 +51,6 @@ class Verdict:
     counterexample: dict | None = None
 
 
-def _check_subset_input(rule: Rule, cap: int = 6):
-    if rule.head is None:
-        raise ValueError("constraints cannot be subset-normalized")
-    if rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED):
-        raise ValueError("subset normalization expects a positive rule")
-    if rule.upper is not None:
-        raise ValueError("subset normalization expects a lower bound only")
-    if len(rule.body) > cap:
-        raise ResourceError(f"{len(rule.body)} body atoms exceed the cap of {cap}")
-
-
 def _minimal(family: set) -> list:
     return sorted((s for s in family if not any(t < s for t in family)),
                   key=lambda s: (len(s), tuple(sorted(s))))
@@ -62,7 +59,14 @@ def _minimal(family: set) -> list:
 def normalize_subsets(rule: Rule) -> Program:
     """One positive rule per inclusion-minimal bound-reaching subset of the
     body, smallest first, then by name."""
-    _check_subset_input(rule)
+    if rule.head is None:
+        raise ValueError("constraints cannot be subset-normalized")
+    if rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED):
+        raise ValueError("subset normalization expects a positive rule")
+    if rule.upper is not None:
+        raise ValueError("subset normalization expects a lower bound only")
+    if len(rule.body) > 6:
+        raise ResourceError(f"{len(rule.body)} body atoms exceed the cap of 6")
     atoms = sorted(rule.pos_atoms())
     weights = {wl.atom: wl.weight for wl in rule.body}
     satisfying = {frozenset(combo)
@@ -74,12 +78,10 @@ def normalize_subsets(rule: Rule) -> Program:
 
 
 def _validate(rule: Rule, variant: int) -> None:
+    """The variant's demands on ``rule``; ``normalize_subsets`` rejects a
+    rule that is not positive, headed and bounded from below only."""
     if variant not in (1, 2, 3):
         raise ValueError(f"unknown proposition variant {variant}")
-    if rule.head is None or rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED):
-        raise ValueError("proposition checks expect a positive headed rule")
-    if rule.upper is not None:
-        raise ValueError("proposition checks expect lower bounds only")
     if not rule.body or len(rule.body) > 5:
         raise ValueError("proposition checks cover 1 to 5 body atoms")
     if rule.lower < 1:
@@ -108,74 +110,53 @@ def proposition_sides(rule: Rule):
     return side_a, side_b, k
 
 
-def _shared_assignments(head: str, body: list[str], scope_size: int):
-    """All realizable valuations of bases plus dep/gap atoms."""
-    for head_true in (False, True):
-        # Only the thresholds 2 and 3 on the head rank matter; a false
-        # head pins the rank to the maximum, which sits in the top class.
-        rank_classes = (1, 2, 3) if head_true else (scope_size + 1,)
-        for head_rank in rank_classes:
-            per_atom = []
-            for b in body:
-                cases = [(False, False, False)]  # atom false
-                cases.append((True, False, False))
-                if head_rank >= 2:
-                    cases.append((True, True, False))
-                if head_rank >= 3:
-                    cases.append((True, True, True))
-                per_atom.append(cases)
-            for combo in itertools.product(*per_atom):
-                env = {head: head_true}
-                for b, (value, dep, gap) in zip(body, combo):
-                    env[b] = value
-                    env[ref_name(Aux("dep", head, b))] = dep
-                    env[ref_name(Aux("gap", head, b))] = gap
-                yield env
-
-
-def _derive_and_check(fs: FormulaSet, env: dict) -> bool:
-    """Derive applicability atoms from their definitions, then evaluate the
-    completion and strong formulas; range and dep/gap definitions hold by
-    construction of the assignment stream."""
-    ok = True
-    for name, formula in fs.formulas:
-        if name.startswith(("bounds:", "dep:", "gap:", "reset:")):
-            continue
-        if name.startswith("app:"):
-            assert isinstance(formula, Iff) and isinstance(formula.left, Var)
-            env[ref_name(formula.left.atom)] = eval_formula(formula.right, env, {})
-            continue
-        if not eval_formula(formula, env, {}):
-            ok = False
-    return ok
+def _applications(side: FormulaSet, head: str, body: list[str]) -> dict:
+    """The shared assignments ``side`` holds on, each mapped to whether one
+    of its applicability atoms holds there: its rank-free formulas with
+    ``gap -> dep -> atom`` for every body atom, through the model finder.
+    An assignment is keyed by the bytes of its shared atoms' values in
+    name order, which keeps the garbage of a check small."""
+    fs = FormulaSet(base_atoms=dict(side.base_atoms), aux_atoms=dict(side.aux_atoms))
+    for name, formula in side.formulas:
+        ints: set = set()
+        _collect(formula, set(), ints)
+        if not ints:
+            fs.add(name, formula)
+    for b in body:
+        dep, gap = Var(Aux("dep", head, b)), Var(Aux("gap", head, b))
+        fs.declare_aux(dep.atom, gap.atom)
+        fs.add(f"order:{head}:{b}:gap", Implies(gap, dep))
+        fs.add(f"order:{head}:{b}:dep", Implies(dep, Var(Base(b))))
+    apps = {sym for aux, sym in fs.aux_atoms.items() if aux.kind == "app"}
+    applies = {}
+    for model in enumerate_dl_models(fs, max_atoms=len(fs.base_atoms) + len(fs.aux_atoms)):
+        shared = bytes(v for n, v in model.props if n not in apps)
+        applies[shared] = any(v for n, v in model.props if n in apps)
+    return applies
 
 
 def compare_sides(rule: Rule, side_a: FormulaSet, side_b: FormulaSet, k: int) -> Verdict:
     """PASS when the subset side ``side_a`` of ``k`` rules and the
-    aggregated side ``side_b`` agree on every realizable shared assignment,
-    and wherever both hold some subset rule applies exactly when the
-    aggregated rule does."""
+    aggregated side ``side_b`` hold on the same shared assignments, and on
+    each some subset rule applies exactly when the aggregated rule does.
+    A failing verdict's counterexample is the first assignment, in sorted
+    order, where they differ; it never connects, since there one side
+    fails or the two disagree on applicability."""
     head = rule.head
     body = sorted(rule.pos_atoms())
-    subset_apps = [ref_name(Aux("app", head, i)) for i in range(1, k + 1)]
-    aggregate_app = ref_name(Aux("app", head, 1))
-    checked = 0
-    for env in _shared_assignments(head, body, len(body) + 1):
-        checked += 1
-        env_a = dict(env)
-        env_b = dict(env)
-        sat_a = _derive_and_check(side_a, env_a)
-        sat_b = _derive_and_check(side_b, env_b)
-        link = any(env_a[name] for name in subset_apps) == env_b[aggregate_app]
-        if sat_a != sat_b or (sat_a and sat_b and not link):
-            return Verdict(False, checked, k,
-                           len(side_a.formulas), len(side_b.formulas),
-                           counterexample={"assignment": env,
-                                           "subset_sat": sat_a,
-                                           "aggregate_sat": sat_b,
-                                           "connecting": link})
-    return Verdict(True, checked, k,
-                   len(side_a.formulas), len(side_b.formulas))
+    shared = sorted({head, *body, *(ref_name(Aux(kind, head, b))
+                                    for b in body for kind in ("dep", "gap"))})
+    applies_a = _applications(side_a, head, body)
+    applies_b = _applications(side_b, head, body)
+    counts = (2 * 4 ** len(body), k, len(side_a.formulas), len(side_b.formulas))
+    for key in sorted(applies_a.keys() | applies_b.keys()):
+        if applies_a.get(key) != applies_b.get(key):
+            return Verdict(False, *counts,
+                           counterexample={"assignment": dict(zip(shared, map(bool, key))),
+                                           "subset_sat": key in applies_a,
+                                           "aggregate_sat": key in applies_b,
+                                           "connecting": False})
+    return Verdict(True, *counts)
 
 
 def check_proposition(rule: Rule, variant: int) -> Verdict:

@@ -176,7 +176,8 @@ _DEFINE_RE = re.compile(
 
 
 def _model_key(symbol: str, sort: str, table):
-    """The key of a model symbol; ``None`` if it names nothing of ``sort``."""
+    """The key of a model symbol; ``None`` if it names nothing of ``sort``
+    in ``table``."""
     try:
         ref = decode(symbol)
     except ValueError:
@@ -184,17 +185,17 @@ def _model_key(symbol: str, sort: str, table):
     if (type(ref) in (Base, Aux)) != (sort == "Bool"):
         return None
     key = ref.name if type(ref) is Base else ref if type(ref) is Aux else symbol
-    if table is not None and table.get(key) != symbol:
+    if table.get(key) != symbol:
         return None
     return key if type(ref) is Base else symbol
 
 
-def read_solver_model(text: str, fs: FormulaSet | None = None):
-    """Parse a solver response; ``None`` for unsat.
+def read_solver_model(text: str, fs: FormulaSet):
+    """Parse a solver response to the emission of ``fs``; ``None`` for unsat.
 
     Accepts ``(define-fun name () Bool true|false)`` and the Int analogue
     with plain or ``(- n)`` literals, decoding each symbol to its key.  Symbols
-    naming nothing of their sort (or not declared in ``fs``) are dropped with
+    naming nothing of their sort or not declared in ``fs`` are dropped with
     a warning, and omitted declared Booleans default to false.
     """
     stripped = text.strip()
@@ -209,7 +210,7 @@ def read_solver_model(text: str, fs: FormulaSet | None = None):
 
     from .dlcheck import DLModel
 
-    table = None if fs is None else fs.symbols()
+    table = fs.symbols()
     props: dict = {}
     ints: dict = {}
     for pos in [m.start() for m in re.finditer(r"\(\s*define-fun", stripped)]:
@@ -226,9 +227,8 @@ def read_solver_model(text: str, fs: FormulaSet | None = None):
         else:
             inner = value.strip("() \t\n")
             ints[key] = -int(inner[1:].strip()) if inner.startswith("-") else int(inner)
-    if fs is not None:
-        for key in (*fs.base_atoms, *fs.aux_atoms.values()):
-            props.setdefault(key, False)
+    for key in (*fs.base_atoms, *fs.aux_atoms.values()):
+        props.setdefault(key, False)
     return DLModel(tuple(sorted(props.items())), tuple(sorted(ints.items())))
 
 

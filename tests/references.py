@@ -1,6 +1,7 @@
 """Reference semantics and forms only the tests use: supported models,
 level numberings, modules as stand-alone programs, model projections, a
-brute-force model finder and the extensional completion form.
+brute-force model finder, formula sets with formulas dropped by name, and
+the extensional completion form.
 
 They check the oracle, the model finder and the translator from a second
 angle, and no command of asptoc needs them, so they live beside the
@@ -164,6 +165,13 @@ def brute_force_models(fs: FormulaSet) -> list[DLModel]:
                 found.append(DLModel(tuple(sorted(bools.items())),
                                      tuple(sorted(ints.items()))))
     return found
+
+
+def drop_formulas(fs: FormulaSet, prefix: str) -> FormulaSet:
+    """A copy of ``fs`` without the formulas whose name starts with
+    ``prefix``; the vocabulary is copied whole."""
+    return FormulaSet([(n, f) for n, f in fs.formulas if not n.startswith(prefix)],
+                      dict(fs.base_atoms), dict(fs.aux_atoms), dict(fs.level_bounds))
 
 
 # ---------------------------------------------------------------------------

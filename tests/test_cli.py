@@ -8,6 +8,7 @@ import pytest
 
 from asptoc.cli import main
 from asptoc.fuzz import ATOM_POOL
+from references import drop_formulas
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 STUB = f"{sys.executable} {pathlib.Path(__file__).parent / 'stub_solver.py'}"
@@ -203,7 +204,7 @@ class TestCheck:
         from asptoc.toc import toc_program as real
 
         def corrupted(program, **kwargs):
-            return real(program, **kwargs).without("def:")
+            return drop_formulas(real(program, **kwargs), "def:")
 
         monkeypatch.setattr(fuzz_mod, "toc_program", corrupted)
         path = write(tmp_path, "a :- a.")
@@ -512,8 +513,10 @@ def test_startup_imports_only_the_translator():
     # the model finder, the proposition checks and reading a solver model
     # stand apart from the oracle ...
     loaded = loaded_by("import asptoc.dlcheck, asptoc.normtest, asptoc.toc\n"
+                       "from asptoc.formulas import FormulaSet\n"
                        "from asptoc.smtlib import read_solver_model\n"
-                       "assert read_solver_model('sat (define-fun a () Bool true)')")
+                       "fs = FormulaSet(); fs.declare_base('a')\n"
+                       "assert read_solver_model('sat (define-fun a () Bool true)', fs)")
     assert {"asptoc.dlcheck", "asptoc.normtest"} <= loaded
     assert "asptoc.oracle" not in loaded
     # ... and the oracle imports nothing of the translation

@@ -41,6 +41,7 @@ from asptoc.formulas import (
 )
 from asptoc.node import Node
 from asptoc.parser import parse_program
+from references import drop_formulas
 
 
 def eval_pairs(pairs, bools, ints):
@@ -199,7 +200,7 @@ class TestValidation:
         fs.declare_base("a")
         fs.add("strong:a:1", TrueF())
         fs.add("def:a", Var(Base("a")))
-        kept = fs.without("strong:")
+        kept = drop_formulas(fs, "strong:")
         assert [n for n, _ in kept.formulas] == ["def:a"]
 
 
@@ -230,7 +231,7 @@ class TestDeclarationOrder:
         fs.declare_base("b", "a")
         fs.declare_aux(Aux("gap", "b", "a"), Aux("app", "b", 1))
         fs.add("strong:b:1", TrueF())
-        kept = fs.without("strong:")
+        kept = drop_formulas(fs, "strong:")
         assert list(kept.base_atoms) == ["b", "a"]
         assert list(kept.aux_atoms) == [Aux("gap", "b", "a"), Aux("app", "b", 1)]
         kept.declare_base("z")
@@ -243,7 +244,7 @@ class TestDeclarationOrder:
         right.declare_base("c", "b")
         right.declare_aux(Aux("app", "a", 2), Aux("gap", "b", "a"))
         left.merge(right)
-        kept = left.without("strong:")
+        kept = drop_formulas(left, "strong:")
         for fs in (left, kept):
             assert list(fs.base_atoms.items()) == [("b", "b"), ("a", "a"), ("c", "c")]
             assert list(fs.aux_atoms) == [Aux("gap", "b", "a"), Aux("app", "b", 1),

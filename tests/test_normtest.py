@@ -1,5 +1,6 @@
 """Subset-normalization vs aggregation equisatisfiability checks."""
 
+import json
 import math
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from asptoc.dlcheck import enumerate_dl_models
 from asptoc.normtest import check_proposition, compare_sides, proposition_sides
 from asptoc.parser import parse_program
+from references import drop_formulas
 
 
 def rule_of(src):
@@ -17,6 +19,8 @@ class TestPropositionPass:
     def test_variant1_three_atoms(self):
         verdict = check_proposition(rule_of("a :- 1 <= { b1, b2, b3 }."), 1)
         assert verdict.passed and verdict.subset_rules == 3
+        # either head value times (atom, dep, gap) in {FFF, TFF, TTF, TTT}
+        assert verdict.instances_checked == 2 * 4 ** 3
 
     def test_variant2_two_of_four(self):
         verdict = check_proposition(rule_of("a :- 2 <= { b1, b2, b3, b4 }."), 2)
@@ -51,13 +55,30 @@ class TestValidation:
                 rule_of("a :- 1 <= { b1, b2, b3, b4, b5, b6 }."), 2)
 
 
+def side_variants(rule):
+    """The rule's sides in full, then with side A's strong formulas
+    dropped, then with side B's."""
+    side_a, side_b, k = proposition_sides(rule)
+    return [(side_a, side_b, k),
+            (drop_formulas(side_a, "strong:"), side_b, k),
+            (side_a, drop_formulas(side_b, "strong:"), k)]
+
+
 class TestStrongConstraintsMatter:
     def test_dropping_one_side_breaks_agreement(self):
         rule = rule_of("a :- 2 <= { b1, b2, b3 }.")
-        side_a, side_b, k = proposition_sides(rule)
-        assert compare_sides(rule, side_a, side_b, k).passed
-        assert not compare_sides(rule, side_a.without("strong:"), side_b, k).passed
-        assert not compare_sides(rule, side_a, side_b.without("strong:"), k).passed
+        full, *dropped = side_variants(rule)
+        assert compare_sides(rule, *full).passed
+        assert not any(compare_sides(rule, *sides).passed for sides in dropped)
+
+    def test_counterexample_reports_as_json(self):
+        # the CLI prints a failing verdict's counterexample with json.dumps
+        rule = rule_of("a :- 2 <= { b1, b2, b3 }.")
+        for sides in side_variants(rule)[1:]:
+            found = json.loads(json.dumps(compare_sides(rule, *sides).counterexample))
+            assert set(found) == {"assignment", "subset_sat", "aggregate_sat", "connecting"}
+            assert found["subset_sat"] != found["aggregate_sat"] or not found["connecting"]
+            assert len(found["assignment"]) == 1 + 3 * 3  # head, then atom, dep, gap
 
 
 class TestSizes:
@@ -93,18 +114,42 @@ def sides_agree(side_a, side_b):
             and {mb for _, mb in join} == models_b)
 
 
+UNIT_BODIES = [f"a :- {k} <= {{ {', '.join(f'b{i}' for i in range(1, n + 1))} }}."
+               for n in (2, 3) for k in range(1, n + 1)]
+
+
 class TestCrossValidation:
-    @pytest.mark.parametrize("src,variant", [
-        ("a :- 1 <= { b1, b2 }.", 1),
-        ("a :- 2 <= { b1, b2, b3 }.", 2),
-        ("a :- 3 <= { b1=2, b2=2, b3=1 }.", 3),
-    ])
-    def test_classed_enumeration_matches_full(self, src, variant):
+    @pytest.mark.parametrize("src", [*UNIT_BODIES, "a :- 3 <= { b1=2, b2=2, b3=1 }."])
+    def test_classed_enumeration_matches_full(self, src):
         rule = rule_of(src)
-        side_a, side_b, _ = proposition_sides(rule)
-        assert check_proposition(rule, variant).passed == sides_agree(side_a, side_b)
+        for side_a, side_b, k in side_variants(rule):
+            assert compare_sides(rule, side_a, side_b, k).passed == sides_agree(side_a, side_b)
 
     def test_full_check_detects_missing_strong(self):
         side_a, side_b, _ = proposition_sides(rule_of("a :- 1 <= { b1, b2 }."))
         assert sides_agree(side_a, side_b)
-        assert not sides_agree(side_a.without("strong:"), side_b)
+        assert not sides_agree(drop_formulas(side_a, "strong:"), side_b)
+
+    def test_one_atom_without_strong_is_a_false_alarm(self):
+        # With one body atom the scope has two atoms, so a true head ranks
+        # at most two and its body atom is never gapped.  The check still
+        # admits that assignment, and there the side that keeps its strong
+        # formula fails while the other holds: a superset of what ranks
+        # realize, which full enumeration does not share.
+        rule = rule_of("a :- 1 <= { b1 }.")
+        gapped = {"a": True, "b1": True, "|dep:a:b1|": True, "|gap:a:b1|": True}
+        for side_a, side_b, k in side_variants(rule)[1:]:
+            verdict = compare_sides(rule, side_a, side_b, k)
+            assert not verdict.passed and verdict.counterexample["assignment"] == gapped
+            assert sides_agree(side_a, side_b)
+
+    @pytest.mark.parametrize("src", ["a :- 2 <= { b1 }.", "a :- 3 <= { b1, b2 }.",
+                                     "a :- 4 <= { b1, b2, b3 }."])
+    def test_unreachable_bound_has_nothing_to_join(self, src):
+        # k = 0: side A has no rules, so no dep/gap atoms for sides_agree
+        # to join side B's models on; the check declares them on both sides
+        rule = rule_of(src)
+        for side_a, side_b, k in side_variants(rule):
+            assert k == 0 and not any(aux.kind in ("dep", "gap") for aux in side_a.aux_atoms)
+            assert compare_sides(rule, side_a, side_b, k).passed
+            assert not sides_agree(side_a, side_b)

@@ -159,9 +159,17 @@ class TestEmission:
         assert "(aux |gap:a:b__c|)" in debug_text(toc_program(p))
 
 
+def ranked_a():
+    """The atom ``a`` with its ranking variable declared."""
+    fs = FormulaSet()
+    fs.declare_base("a")
+    fs.declare_level("a", 1, 2)
+    return fs
+
+
 class TestReadSolverModel:
     def test_unsat(self):
-        assert read_solver_model("unsat\n") is None
+        assert read_solver_model("unsat\n", ranked_a()) is None
 
     def test_sat_with_values(self):
         text = """sat
@@ -171,22 +179,22 @@ class TestReadSolverModel:
   (define-fun __z () Int 0)
 )
 """
-        model = read_solver_model(text)
+        model = read_solver_model(text, ranked_a())
         assert model.prop_map == {"a": False}
         assert model.int_map == {"__x_a": 2, "__z": 0}
 
     def test_negative_integer_syntax(self):
         text = "sat\n((define-fun __x_a () Int (- 1)))\n"
-        assert read_solver_model(text).int_map == {"__x_a": -1}
+        assert read_solver_model(text, ranked_a()).int_map == {"__x_a": -1}
 
     def test_garbage_rejected(self):
         with pytest.raises(SolverResponseError):
-            read_solver_model("segmentation fault\n")
+            read_solver_model("segmentation fault\n", ranked_a())
 
     def test_malformed_entry_carries_line(self):
         text = "sat\n((define-fun a () Bool maybe))\n"
         with pytest.raises(SolverResponseError) as err:
-            read_solver_model(text)
+            read_solver_model(text, ranked_a())
         assert "define-fun" in err.value.line
 
     def test_known_symbols_come_from_the_table(self, monkeypatch):
