@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .dlcheck import enumerate_dl_models
 from .formulas import FALSE, Aux, Base, FormulaSet, Iff, Implies, Var, _collect, ref_name
-from .program import Origin, Polarity, Program, ResourceError, Rule, normal_rule, program_of
+from .program import Polarity, Program, ResourceError, Rule, normal_rule, program_of
 from .toc import toc_module
 
 
@@ -78,8 +78,10 @@ def normalize_subsets(rule: Rule) -> Program:
 
 
 def _validate(rule: Rule, variant: int) -> None:
-    """The variant's demands on ``rule``; ``normalize_subsets`` rejects a
-    rule that is not positive, headed and bounded from below only."""
+    """The variant's demands on ``rule``: variant 1 takes unit weights and
+    bound 1, variant 2 unit weights, variant 3 every weight rule, unit
+    weights included; ``normalize_subsets`` rejects a rule that is not
+    positive, headed and bounded from below only."""
     if variant not in (1, 2, 3):
         raise ValueError(f"unknown proposition variant {variant}")
     if not rule.body or len(rule.body) > 5:
@@ -91,8 +93,6 @@ def _validate(rule: Rule, variant: int) -> None:
         raise ValueError("variant 1 expects a cardinality rule with bound 1")
     if variant == 2 and not unit:
         raise ValueError("variant 2 expects a cardinality rule")
-    if variant == 3 and unit and rule.origin is Origin.CARDINALITY:
-        raise ValueError("variant 3 expects a weight rule")
 
 
 def proposition_sides(rule: Rule):

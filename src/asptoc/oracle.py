@@ -6,7 +6,8 @@ with the candidate's input atoms (atoms without defining rules vary
 freely, as if defined by choice rules).  No solver shortcuts are taken;
 this module is the oracle everything else is measured against.
 
-Reduct construction follows the standard definition.  Rules with both
+Reduct construction follows the standard definition, the same for
+every rule whatever its source spelling (see ``reduct``).  Rules with both
 bounds are kept only when the candidate satisfies the whole body, and
 their reduct body is the monotone upward closure of the aggregate with
 the negative part frozen: an interpretation satisfies it when some
@@ -31,7 +32,6 @@ from typing import Optional
 
 from .program import (
     INFINITY,
-    Origin,
     Polarity,
     Program,
     ResourceError,  # re-exported: it lives in program so the CLI skips the oracle
@@ -78,7 +78,14 @@ def aggregate_reduct(rule: Rule, interp: frozenset) -> PositiveRule:
 
 def reduct(program: Program, interp: frozenset) -> list[PositiveRule]:
     """Positive program relative to ``interp``; constraints are dropped and
-    checked separately."""
+    checked separately.
+
+    A rule without an upper bound is kept exactly when its positive
+    weights can still reach ``lower`` minus the weight of its satisfied
+    negative and double-negated literals, and its reduct body asks for
+    that remainder.  With unit weights and ``lower`` equal to the body
+    size, this is the conjunctive reading: the rule is deleted unless
+    every negative and double-negated condition holds."""
     out = []
     for rule in program.rules:
         if rule.head is None:
@@ -87,16 +94,11 @@ def reduct(program: Program, interp: frozenset) -> list[PositiveRule]:
             if rule.body_satisfied(interp):
                 out.append(aggregate_reduct(rule, interp))
             continue
-        nonpos = rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED)
-        fixed = weight_sum(interp, nonpos)
-        if rule.origin in (Origin.NORMAL, Origin.CHOICE, Origin.FACT):
-            # conjunctive reading: the rule is deleted outright unless every
-            # negative (and double-negated) condition holds
-            if any(not wl.satisfied(interp) for wl in nonpos):
-                continue
+        fixed = weight_sum(interp, rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED))
         terms = tuple((wl.atom, wl.weight)
                       for wl in rule.literals(Polarity.POSITIVE))
-        out.append(PositiveRule(rule.head, terms, lower=max(0, rule.lower - fixed)))
+        if sum(w for _, w in terms) + fixed >= rule.lower:
+            out.append(PositiveRule(rule.head, terms, lower=max(0, rule.lower - fixed)))
     return out
 
 

@@ -18,6 +18,12 @@ semantics, duplicates collapse); with weights, duplicate literals merge
 by summing and zero-weight literals are dropped.  A choice head combined
 with an aggregate body is not part of the supported fragment.
 
+Every rule is built by one function, ``_canonical_rule``: a conjunction
+is the unweighted aggregate whose bound is its count of distinct
+literals, so ``a :- b, c.`` and ``a :- 2 <= { b, c }.`` parse to one
+rule.  The rule keeps no source spelling; ``render_program`` writes the
+conjunctive one wherever the rule's shape allows it.
+
 Parsing makes one scan: a single pattern's ``findall`` returns the token
 strings, each token's kind comes from a dict lookup or its first
 character, and a flat recursive descent walks an index over the two
@@ -32,7 +38,6 @@ from __future__ import annotations
 import re
 
 from .program import (
-    Origin,
     Polarity,
     Program,
     Rule,
@@ -125,15 +130,19 @@ def _aggregate(toks, kinds, i):
         if kinds[i] != kind:
             raise _expected(toks, kinds, i, kind)
     i += 1
-    wlits: list[tuple[tuple[str, bool], int | None]] = []
+    keys: list[tuple[str, bool]] = []
+    weights: list[int] = []
+    weighted = False
     if kinds[i] != "RBRACE":
         while True:
             lit, i = _literal(toks, kinds, i)
-            weight = None
+            keys.append(lit)
             if kinds[i] == "EQ":
-                weight = _integer(toks, kinds, i + 1, "weight")
+                weights.append(_integer(toks, kinds, i + 1, "weight"))
+                weighted = True
                 i += 2
-            wlits.append((lit, weight))
+            else:
+                weights.append(1)
             if kinds[i] != "COMMA":
                 break
             i += 1
@@ -143,7 +152,7 @@ def _aggregate(toks, kinds, i):
     if kinds[i + 1] == "LEQ":
         upper = _integer(toks, kinds, i + 2, "upper bound")
         i += 2
-    return (wlits, lower, upper), i + 1
+    return (keys, weights if weighted else None, lower, upper), i + 1
 
 
 def _rule(toks, kinds, i):
@@ -183,7 +192,7 @@ def _rule(toks, kinds, i):
     if choice and agg is not None:
         raise _Reject(UnsupportedFeatureError,
                       "choice heads with aggregate bodies are not supported", start)
-    return _canonical_rule(head, choice, conj, agg), i + 1
+    return _canonical_rule(head, choice, *(agg or (conj, None, None, None))), i + 1
 
 
 def _directive(toks, kinds, i, hidden: set, declared: set) -> int:
@@ -208,44 +217,25 @@ def _directive(toks, kinds, i, hidden: set, declared: set) -> int:
 _POLARITY = (Polarity.POSITIVE, Polarity.NEGATIVE)  # by ``negated``
 
 
-def _canonical_rule(head, choice, conj, agg) -> Rule:
-    if agg is None:
+def _canonical_rule(head, choice, keys, weights, lower, upper) -> Rule:
+    """The one rule builder: ``(atom, negated)`` keys form a set without
+    ``weights`` and sum by key with them; a conjunction passes no
+    ``lower``, which becomes its count of distinct literals."""
+    if weights is None:
         body = [WeightedLiteral(atom, _POLARITY[negated])
-                for atom, negated in dict.fromkeys(conj)]
-        lower = len(body)
-        if head is None:
-            origin = Origin.CONSTRAINT
-        elif choice:
-            origin = Origin.CHOICE
-        elif body:
-            origin = Origin.NORMAL
-        else:
-            origin = Origin.FACT
-        if choice:
-            body.append(WeightedLiteral(head, Polarity.DOUBLE_NEGATED))
-            lower += 1
-        return Rule(head, tuple(body), lower, None, choice, origin)
-
-    wlits, lower, upper = agg
-    weighted = any(w is not None for _, w in wlits)
-    if weighted:
+                for atom, negated in dict.fromkeys(keys)]
+    else:
         merged: dict[tuple[str, bool], int] = {}  # first-seen order
-        for key, w in wlits:
-            merged[key] = merged.get(key, 0) + (1 if w is None else w)
-        body = tuple(WeightedLiteral(atom, _POLARITY[negated], w)
-                     for (atom, negated), w in merged.items() if w > 0)
-    else:
-        body = tuple(WeightedLiteral(atom, _POLARITY[negated])
-                     for atom, negated in dict.fromkeys(key for key, _ in wlits))
-    if head is None:
-        origin = Origin.CONSTRAINT
-    elif upper is not None:
-        origin = Origin.CONVEX
-    elif weighted and body:
-        origin = Origin.WEIGHT
-    else:
-        origin = Origin.CARDINALITY
-    return Rule(head, body, lower, upper, False, origin)
+        for key, w in zip(keys, weights):
+            merged[key] = merged.get(key, 0) + w
+        body = [WeightedLiteral(atom, _POLARITY[negated], w)
+                for (atom, negated), w in merged.items() if w > 0]
+    if lower is None:
+        lower = len(body)
+    if choice:
+        body.append(WeightedLiteral(head, Polarity.DOUBLE_NEGATED))
+        lower += 1
+    return Rule(head, tuple(body), lower, upper)
 
 
 def parse_program(text: str) -> Program:
@@ -290,36 +280,24 @@ def _render_literal(lit: WeightedLiteral) -> str:
 
 
 def _render_rule(rule: Rule) -> str:
+    """The conjunctive spelling for a rule of unit weights whose bound is
+    its body size, with a choice head when the body ends in the
+    double-negated head literal; the aggregate spelling otherwise."""
     body = rule.body
-    if rule.choice:
-        body = tuple(wl for wl in body
-                     if not (wl.polarity is Polarity.DOUBLE_NEGATED
-                             and wl.atom == rule.head))
-    head = ""
-    if rule.head is not None:
-        head = "{%s}" % rule.head if rule.choice else rule.head
+    head = rule.head or ""
+    sep = " :- " if head else ":- "
+    unit = all(wl.weight == 1 for wl in body)
+    if unit and rule.upper is None and rule.lower == len(body):
+        if head and body and body[-1] == WeightedLiteral(head, Polarity.DOUBLE_NEGATED):
+            body, head = body[:-1], "{%s}" % head
+        parts = ", ".join(map(_render_literal, body))
+        return f"{head}{sep}{parts}." if parts or not head else f"{head}."
 
-    if rule.origin in (Origin.NORMAL, Origin.CHOICE, Origin.FACT) or (
-            rule.origin is Origin.CONSTRAINT and rule.upper is None
-            and all(wl.weight == 1 for wl in body)
-            and rule.lower == len(body)):
-        parts = ", ".join(_render_literal(wl) for wl in body)
-        if not parts:
-            return f"{head}."
-        sep = " :- " if head else ":- "
-        return f"{head}{sep}{parts}."
-
-    bare = all(wl.weight == 1 for wl in body) and rule.origin in (
-        Origin.CARDINALITY, Origin.CONVEX, Origin.CONSTRAINT)
-    items = []
-    for wl in body:
-        text = _render_literal(wl)
-        items.append(text if bare else f"{text}={wl.weight}")
-    inner = ", ".join(items)
-    agg = f"{rule.lower} <= {{ {inner} }}" if items else f"{rule.lower} <= {{ }}"
+    items = [_render_literal(wl) if unit else f"{_render_literal(wl)}={wl.weight}"
+             for wl in body]
+    agg = f"{rule.lower} <= {{ {', '.join(items)} }}" if items else f"{rule.lower} <= {{ }}"
     if rule.upper is not None:
         agg += f" <= {rule.upper}"
-    sep = " :- " if head else ":- "
     return f"{head}{sep}{agg}."
 
 

@@ -66,42 +66,25 @@ class WeightedLiteral(Node, fields="atom polarity weight"):
         return self.atom in interp
 
 
-class Origin(enum.Enum):
-    NORMAL = "normal"
-    CHOICE = "choice"
-    CARDINALITY = "cardinality"
-    WEIGHT = "weight"
-    CONVEX = "convex"
-    CONSTRAINT = "constraint"
-    FACT = "fact"
-
-
-class Rule(Node, fields="head body lower upper choice origin"):
+class Rule(Node, fields="head body lower upper"):
     """Canonical generalized weight rule.
 
-    Invariants: ``head is None`` exactly for constraints; ``choice`` implies
-    the body carries the double-negated head literal; normal/choice rules
-    have unit weights and ``lower`` equal to the total body weight.  An
-    upper bound marks a convex rule; ``lower <= upper`` is not required
-    (such rules are legal and never applicable).
+    Invariants: bounds and weights are non-negative; ``head is None``
+    marks a constraint.  The rule keeps no source spelling: ``a :- b, c.``
+    and ``a :- 2 <= { b, c }.`` are one rule, and a choice rule is the rule
+    whose body ends in the double-negated head literal.  ``lower <= upper``
+    is not required (such rules are legal and never applicable).
     """
 
     __slots__ = ()
 
     def __new__(cls, head: Optional[str], body: tuple[WeightedLiteral, ...], lower: int,
-                upper: Optional[int] = None, choice: bool = False,
-                origin: Origin = Origin.NORMAL):
-        if (head is None) != (origin is Origin.CONSTRAINT):
-            raise ValueError("headless rules must have constraint origin")
-        if choice and origin is not Origin.CHOICE:
-            raise ValueError("choice flag requires choice origin")
+                upper: Optional[int] = None):
         if lower < 0:
             raise ValueError("lower bound must be non-negative")
         if upper is not None and upper < 0:
             raise ValueError("upper bound must be non-negative")
-        if upper is not None and origin not in (Origin.CONVEX, Origin.CONSTRAINT):
-            raise ValueError("upper bound requires convex origin")
-        return tuple.__new__(cls, (head, body, lower, upper, choice, origin))
+        return tuple.__new__(cls, (head, body, lower, upper))
 
     def literals(self, *polarities: Polarity) -> tuple[WeightedLiteral, ...]:
         wanted = polarities or tuple(Polarity)
@@ -207,5 +190,4 @@ def normal_rule(head: str, pos: Iterable[str] = (), neg: Iterable[str] = ()) -> 
     """Convenience constructor used throughout the test suite."""
     body = [WeightedLiteral(a) for a in pos]
     body += [WeightedLiteral(a, Polarity.NEGATIVE) for a in neg]
-    origin = Origin.NORMAL if body else Origin.FACT
-    return Rule(head, tuple(body), lower=len(body), origin=origin)
+    return Rule(head, tuple(body), lower=len(body))

@@ -24,7 +24,6 @@ import warnings
 
 from .formulas import (
     And,
-    Aux,
     Base,
     Diff,
     FalseF,
@@ -38,7 +37,6 @@ from .formulas import (
     TrueF,
     Var,
     Z,
-    decode,
     var_name,
 )
 
@@ -175,28 +173,15 @@ _DEFINE_RE = re.compile(
     r"(Bool|Int)\s+(true|false|\d+|\(\s*-\s*\d+\s*\))\s*\)")
 
 
-def _model_key(symbol: str, sort: str, table):
-    """The key of a model symbol; ``None`` if it names nothing of ``sort``
-    in ``table``."""
-    try:
-        ref = decode(symbol)
-    except ValueError:
-        return None
-    if (type(ref) in (Base, Aux)) != (sort == "Bool"):
-        return None
-    key = ref.name if type(ref) is Base else ref if type(ref) is Aux else symbol
-    if table.get(key) != symbol:
-        return None
-    return key if type(ref) is Base else symbol
-
-
 def read_solver_model(text: str, fs: FormulaSet):
     """Parse a solver response to the emission of ``fs``; ``None`` for unsat.
 
     Accepts ``(define-fun name () Bool true|false)`` and the Int analogue
-    with plain or ``(- n)`` literals, decoding each symbol to its key.  Symbols
-    naming nothing of their sort or not declared in ``fs`` are dropped with
-    a warning, and omitted declared Booleans default to false.
+    with plain or ``(- n)`` literals.  A Bool symbol maps to its key (a
+    base atom's name, an auxiliary atom's symbol), an Int symbol to itself,
+    both read off the declarations of ``fs``; a symbol ``fs`` does not
+    declare with that sort is dropped with a warning, and omitted declared
+    Booleans default to false.
     """
     stripped = text.strip()
     if not stripped:
@@ -210,8 +195,11 @@ def read_solver_model(text: str, fs: FormulaSet):
 
     from .dlcheck import DLModel
 
-    table = fs.symbols()
-    props: dict = {}
+    bools = {sym: name for name, sym in fs.base_atoms.items()}
+    bools.update((sym, sym) for sym in fs.aux_atoms.values())
+    ranked = [Z, *map(LevelVar, fs.level_bounds)] if fs.level_bounds else []
+    keys = {"Bool": bools, "Int": {var_name(v): var_name(v) for v in ranked}}
+    props = dict.fromkeys(bools.values(), False)
     ints: dict = {}
     for pos in [m.start() for m in re.finditer(r"\(\s*define-fun", stripped)]:
         m = _DEFINE_RE.match(stripped, pos)
@@ -219,7 +207,7 @@ def read_solver_model(text: str, fs: FormulaSet):
             line = stripped[pos:].splitlines()[0]
             raise SolverResponseError("malformed model entry", line)
         symbol, sort, value = m.groups()
-        key = _model_key(symbol, sort, table)
+        key = keys[sort].get(symbol)
         if key is None:
             warnings.warn(f"ignoring unknown model symbol {symbol}")
         elif sort == "Bool":
@@ -227,8 +215,6 @@ def read_solver_model(text: str, fs: FormulaSet):
         else:
             inner = value.strip("() \t\n")
             ints[key] = -int(inner[1:].strip()) if inner.startswith("-") else int(inner)
-    for key in (*fs.base_atoms, *fs.aux_atoms.values()):
-        props.setdefault(key, False)
     return DLModel(tuple(sorted(props.items())), tuple(sorted(ints.items())))
 
 

@@ -400,8 +400,7 @@ def test_reprs():
     assert repr(Diff(LevelVar("a"), Z, -1)) == "Diff(lhs=LevelVar(owner='a'), rhs=Z, k=-1)"
     assert repr(parse_program("a :- not b.")) == (
         "Program(rules=(Rule(head='a', body=(WeightedLiteral(atom='b', polarity=neg, "
-        "weight=1),), lower=1, upper=None, choice=False, origin=<Origin.NORMAL: "
-        "'normal'>),), signature=(Atom(name='a', visible=True), "
+        "weight=1),), lower=1, upper=None),), signature=(Atom(name='a', visible=True), "
         "Atom(name='b', visible=True)))")
 
 

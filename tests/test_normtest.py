@@ -31,6 +31,12 @@ class TestPropositionPass:
         verdict = check_proposition(rule, 3)
         assert verdict.passed and verdict.subset_rules == 3
 
+    def test_variant3_takes_unit_weights(self):
+        # variant 3 goes by the rule's weights, not by how it was written
+        rule = rule_of("a :- 2 <= { b1, b2, b3 }.")
+        verdict = check_proposition(rule, 3)
+        assert verdict.passed and verdict == check_proposition(rule, 2)
+
     def test_unreachable_bound_still_agrees(self):
         verdict = check_proposition(rule_of("a :- 19 <= { b1=2, b2=3 }."), 3)
         assert verdict.passed and verdict.subset_rules == 0

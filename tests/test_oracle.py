@@ -48,6 +48,11 @@ class TestReduct:
         assert len(kept) == 1 and kept[0].body_satisfied(frozenset({"b"}))
         assert reduct(p, frozenset({"b"})) == []
 
+    def test_unreachable_bound_deleted(self):
+        # with c true only b=1 counts, which can never reach 3
+        p = parse_program("a :- 3 <= { b=1, not c=2 }.")
+        assert reduct(p, frozenset({"b", "c"})) == []
+
     def test_weight_bound_adjustment(self):
         p = parse_program("a :- 7 <= { b1=7, b2=5, b3=3, b4=2, b5=1, not c=4 }.")
         (with_c,) = reduct(p, frozenset({"c"}))

@@ -13,7 +13,7 @@ from asptoc.parser import (
     parse_program,
     render_program,
 )
-from asptoc.program import Origin, Polarity
+from asptoc.program import Polarity, Rule, WeightedLiteral
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -74,7 +74,7 @@ class TestGrammar:
     def test_normal_rule(self):
         p = parse_program("a :- b, not c.")
         (rule,) = p.rules
-        assert rule.head == "a" and rule.origin is Origin.NORMAL
+        assert rule.head == "a" and rule.upper is None
         assert rule.pos_atoms() == ("b",)
         assert [w.atom for w in rule.literals(Polarity.NEGATIVE)] == ["c"]
         assert rule.lower == 2
@@ -82,24 +82,31 @@ class TestGrammar:
     def test_weight_rule(self):
         p = parse_program("a :- 7 <= { b1=7, b2=5, b3=3, b4=2, b5=1 }.")
         (rule,) = p.rules
-        assert rule.origin is Origin.WEIGHT and rule.lower == 7
+        assert rule.lower == 7 and rule.upper is None
         assert [w.weight for w in rule.body] == [7, 5, 3, 2, 1]
 
     def test_convex_rule(self):
         p = parse_program("a :- 2 <= { b1, b2, b3, b4 } <= 3.")
         (rule,) = p.rules
-        assert rule.origin is Origin.CONVEX
         assert (rule.lower, rule.upper) == (2, 3)
         assert all(w.weight == 1 for w in rule.body)
 
     def test_fact_choice_constraint(self):
         p = parse_program("a. {b} :- a. :- 2 <= { a, b }.")
         fact, choice, constraint = p.rules
-        assert fact.origin is Origin.FACT and fact.lower == 0
-        assert choice.choice and choice.lower == 2
-        dneg = choice.literals(Polarity.DOUBLE_NEGATED)
-        assert [w.atom for w in dneg] == ["b"]
-        assert constraint.head is None and constraint.origin is Origin.CONSTRAINT
+        assert fact == Rule("a", (), 0)
+        assert choice.lower == 2 and choice.upper is None
+        assert choice.body[-1] == WeightedLiteral("b", Polarity.DOUBLE_NEGATED)
+        assert [w.weight for w in choice.body] == [1, 1]
+        assert constraint.head is None and constraint.lower == 2
+        assert [w.weight for w in constraint.body] == [1, 1]
+
+    @pytest.mark.parametrize("src", ["a :- b, c.", "a :- 2 <= { b, c }.",
+                                     "a :- 2 <= { b=1, c=1 }."])
+    def test_rule_shape_does_not_depend_on_spelling(self, src):
+        p = parse_program(src)
+        assert p.rules == (Rule("a", (WeightedLiteral("b"), WeightedLiteral("c")), 2),)
+        assert render_program(p) == "a :- b, c.\n"
 
     def test_directives(self):
         p = parse_program("a :- b.\n#atom q.\n#hide b, q.")
@@ -235,6 +242,12 @@ class TestRoundTrip:
 
     def test_unsatisfiable_empty_body_weight(self):
         self.roundtrip("a :- 3 <= { b=0 }.")
+
+    @pytest.mark.parametrize("src", [":- .", ":- 0 <= { }."])
+    def test_empty_constraint(self, src):
+        p = self.roundtrip(src)
+        assert p.rules == (Rule(None, (), 0),)
+        assert render_program(p) == ":- .\n"
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,7 +5,6 @@ import pytest
 from asptoc.parser import parse_program
 from asptoc.program import (
     Atom,
-    Origin,
     Polarity,
     Rule,
     WeightedLiteral,
@@ -73,8 +72,8 @@ class TestDefOf:
         p = parse_program(src)
         for atom in p.atom_names:
             assert def_of(atom, p) == [r for r in p.rules if r.head == atom]
-        assert [r.origin for r in def_of("a", p)] == [
-            Origin.NORMAL, Origin.NORMAL, Origin.CARDINALITY, Origin.FACT]
+        assert [(r.body, r.lower) for r in def_of("a", p)] == [
+            ((wl("b"),), 1), ((wl("c"),), 1), ((wl("b"), wl("c")), 1), ((), 0)]
 
     def test_result_is_a_fresh_list(self):
         p = parse_program("a :- b. a :- c.")
@@ -143,20 +142,14 @@ class TestCanonicalSatisfaction:
 
 
 class TestInvariants:
-    def test_headless_requires_constraint_origin(self):
-        with pytest.raises(ValueError):
-            Rule(None, (), 0, origin=Origin.NORMAL)
-
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             wl("a", -1)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(head="a", body=(), lower=0, origin=Origin.CONSTRAINT),
-        dict(head="a", body=(), lower=0, choice=True),
         dict(head="a", body=(), lower=-1),
-        dict(head="a", body=(), lower=0, upper=-1, origin=Origin.CONVEX),
-    ], ids=["headed-constraint", "choice-flag-origin", "negative-lower", "negative-upper"])
+        dict(head="a", body=(), lower=0, upper=-1),
+    ], ids=["negative-lower", "negative-upper"])
     def test_rule_checks_run_at_construction(self, kwargs):
         with pytest.raises(ValueError):
             Rule(**kwargs)
@@ -165,12 +158,8 @@ class TestInvariants:
         with pytest.raises(ValueError):
             Atom("")
 
-    def test_upper_requires_convex(self):
-        with pytest.raises(ValueError):
-            Rule("a", (wl("b"),), 1, upper=2, origin=Origin.WEIGHT)
-
     def test_empty_satisfier_window_is_legal(self):
-        rule = Rule("a", (wl("b"),), 2, upper=1, origin=Origin.CONVEX)
+        rule = Rule("a", (wl("b"),), 2, upper=1)
         for interp in (frozenset(), frozenset({"b"})):
             assert not rule.body_satisfied(interp)
 
