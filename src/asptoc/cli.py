@@ -15,7 +15,7 @@ import functools
 import os
 import sys
 
-from .formulas import Base, Not, ValidationError, Var, Z, conj, decode, var_name
+from .formulas import Base, LevelVar, Not, ValidationError, Var, conj, var_name
 from .parser import ParseError, UnsupportedFeatureError, parse_program
 from .program import Program, ResourceError
 from .smtlib import (
@@ -71,9 +71,9 @@ def cmd_check(args) -> int:
     from .fuzz import check_program
 
     program = _parse(args.input)
-    if len(program.signature) > args.max_atoms:
+    if len(program.atom_names) > args.max_atoms:
         print(json.dumps({"check": "size", "status": "fail",
-                          "atoms": len(program.signature),
+                          "atoms": len(program.atom_names),
                           "cap": args.max_atoms}))
         return EXIT_UNSUPPORTED
     report = check_program(program, scope_mode=args.scope_mode,
@@ -153,6 +153,7 @@ def cmd_solve(args) -> int:
     # line before its (check-sat) (get-model) tail
     lines = smtlib_lines(fs, model=True)
     table = fs.symbols()
+    owners = {var_name(LevelVar(owner)): owner for owner in fs.level_bounds}
     found = 0
     while True:
         with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as tmp:
@@ -175,8 +176,7 @@ def cmd_solve(args) -> int:
                 print("UNSATISFIABLE")
             return EXIT_OK
         atoms = sorted(model.true_atoms() & visible)
-        ranks = {decode(name).owner: value for name, value in model.ints
-                 if name != var_name(Z)}
+        ranks = {owners[name]: value for name, value in model.ints if name in owners}
         print(json.dumps({"model": atoms, "ranks": ranks}))
         found += 1
         if not args.all or found >= args.limit:

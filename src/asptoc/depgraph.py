@@ -25,9 +25,6 @@ class DepGraph(Node, fields="vertices targets"):
     """Vertex ``i`` is ``vertices[i]``, in sorted name order; ``targets[i]``
     holds the numbers of its distinct positive body atoms, ascending."""
 
-    def __new__(cls, vertices: tuple[str, ...], targets: tuple[tuple[int, ...], ...]):
-        return tuple.__new__(cls, (vertices, targets))
-
     @cached_property
     def edges(self) -> frozenset:
         """Pairs ``(head, body_atom)``."""
@@ -38,9 +35,6 @@ class DepGraph(Node, fields="vertices targets"):
 
 class SccPartition(Node, fields="components"):
     __slots__ = ()
-
-    def __new__(cls, components: tuple[frozenset, ...]):
-        return tuple.__new__(cls, (components,))
 
 
 def build_depgraph(program: Program) -> DepGraph:

@@ -22,20 +22,19 @@ model through the naive evaluator in :mod:`asptoc.formulas`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import formulas as F
 from .formulas import Aux, FormulaSet, Iff, LevelVar, Var, Z, eval_formula, ref_name, var_name
+from .node import Node
 from .program import ResourceError
 
 
-@dataclass(frozen=True)
-class DLModel:
+class DLModel(Node, fields="props ints"):
     """Propositional assignment plus ranking-variable values, keyed by
-    ``ref_name``/``var_name`` (a base atom by its plain name)."""
+    ``ref_name``/``var_name`` (a base atom by its plain name): ``props``
+    holds sorted ``(name, bool)`` pairs, ``ints`` sorted ``(name, int)``
+    pairs."""
 
-    props: tuple  # sorted (name, bool) pairs
-    ints: tuple   # sorted (name, int) pairs
+    __slots__ = ()
 
     @property
     def prop_map(self) -> dict:
@@ -49,10 +48,9 @@ class DLModel:
         return frozenset(n for n, v in self.props if v)
 
 
-def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
-                        limit: int | None = None) -> list[DLModel]:
-    """All satisfying assignments over the declared vocabulary, or the
-    first ``limit`` of them in enumeration order."""
+def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22) -> list[DLModel]:
+    """All satisfying assignments over the declared vocabulary, in
+    enumeration order."""
     # one walk per formula: the atoms and integer variables it reads, and
     # for a candidate definition those of its body alone
     walked = []
@@ -142,10 +140,8 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22,
             env[name] = value
             if run(work[p + 1]):
                 rec(p + 1)
-                if limit is not None and len(models) >= limit:
-                    return
 
-    if run(work[0]) and (limit is None or limit > 0):
+    if run(work[0]):
         rec(0)
     del rec  # a closure that calls itself is a cycle; free it now, not at the next GC
     return models

@@ -26,9 +26,6 @@ from .node import Node
 class Base(Node, fields="name"):
     __slots__ = ()
 
-    def __new__(cls, name: str):
-        return tuple.__new__(cls, (name,))
-
 
 class Aux(Node, fields="kind head arg"):
     """Generated atom of the head ``head``: app/int/ext/vub carry a rule
@@ -49,17 +46,11 @@ AtomRef = Union[Base, Aux]
 class LevelVar(Node, fields="owner"):
     __slots__ = ()
 
-    def __new__(cls, owner: str):
-        return tuple.__new__(cls, (owner,))
 
+class ZVar(Node):
+    """The distinguished variable ``z``; every ``ZVar`` names it."""
 
-class ZVar:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ()
 
     def __repr__(self):
         return "Z"
@@ -70,9 +61,9 @@ IntRef = Union[LevelVar, ZVar]
 
 
 # ---------------------------------------------------------------------------
-# symbol codec (SMT-LIB 2.6, section 3.1).  No atom name starts with ``_`` or
-# contains ``:``, so ``__x_<atom>``, ``__z`` and the quoted ``:``-separated
-# fields of every other generated symbol make the mapping injective.
+# symbol naming (SMT-LIB 2.6, section 3.1).  No atom name starts with ``_``
+# or contains ``:``, so ``__x_<atom>``, ``__z`` and the quoted ``:``-separated
+# fields of every other generated symbol name each reference apart.
 
 # reserved words (commands included) and Core/Ints symbols an atom name can
 # spell; such an atom is declared as ``|atom:<name>|``
@@ -82,6 +73,7 @@ SMT_RESERVED = frozenset((
 
 
 def _spell(name: str) -> str:
+    """The SMT-LIB symbol of the base atom ``name``."""
     return f"|atom:{name}|" if name in SMT_RESERVED else name
 
 
@@ -94,34 +86,10 @@ def ref_name(ref: AtomRef) -> str:
 
 
 def var_name(var: IntRef) -> str:
-    if var is Z:
+    """The SMT-LIB symbol of a ranking variable or ``z``."""
+    if type(var) is ZVar:
         return "__z"
     return f"__x_{var.owner}"
-
-
-def encode(ref) -> str:
-    """The SMT-LIB symbol of a ``Base``, ``Aux``, ``LevelVar`` or ``Z``."""
-    if type(ref) is Base:
-        return _spell(ref.name)
-    if type(ref) is Aux:
-        return ref_name(ref)
-    return var_name(ref)
-
-
-def decode(symbol: str):
-    """The reference a symbol (or a key) names; the inverse of ``encode``.
-    Raises ``ValueError`` on a quoted symbol ``encode`` does not produce."""
-    if symbol.startswith("|"):
-        kind, head, *rest = symbol[1:-1].split(":")
-        if kind == "atom" and not rest:
-            return Base(head)
-        (arg,) = rest  # exactly three fields, else ValueError
-        return Aux(kind, head, arg if kind in ("dep", "gap") else int(arg))
-    if symbol == "__z":
-        return Z
-    if symbol.startswith("__x_"):
-        return LevelVar(symbol[4:])
-    return Base(symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -130,66 +98,39 @@ def decode(symbol: str):
 class Var(Node, fields="atom"):
     __slots__ = ()
 
-    def __new__(cls, atom: AtomRef):
-        return tuple.__new__(cls, (atom,))
-
 
 class Not(Node, fields="sub"):
     __slots__ = ()
-
-    def __new__(cls, sub: Formula):
-        return tuple.__new__(cls, (sub,))
 
 
 class And(Node, fields="subs"):
     __slots__ = ()
 
-    def __new__(cls, subs: tuple):
-        return tuple.__new__(cls, (subs,))
-
 
 class Or(Node, fields="subs"):
     __slots__ = ()
-
-    def __new__(cls, subs: tuple):
-        return tuple.__new__(cls, (subs,))
 
 
 class Implies(Node, fields="left right"):
     __slots__ = ()
 
-    def __new__(cls, left: Formula, right: Formula):
-        return tuple.__new__(cls, (left, right))
-
 
 class Iff(Node, fields="left right"):
     __slots__ = ()
-
-    def __new__(cls, left: Formula, right: Formula):
-        return tuple.__new__(cls, (left, right))
 
 
 class TrueF(Node):
     __slots__ = ()
 
-    def __new__(cls):
-        return tuple.__new__(cls)
-
 
 class FalseF(Node):
     __slots__ = ()
-
-    def __new__(cls):
-        return tuple.__new__(cls)
 
 
 class Diff(Node, fields="lhs rhs k"):
     """lhs - rhs <= k; a self difference is legal and constant."""
 
     __slots__ = ()
-
-    def __new__(cls, lhs: IntRef, rhs: IntRef, k: int):
-        return tuple.__new__(cls, (lhs, rhs, k))
 
 
 class PBTerm(Node, fields="coef atom negated"):
@@ -321,10 +262,11 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
 
     ``formulas`` is a list of ``(name, Formula)`` pairs.  ``base_atoms``
     and ``aux_atoms`` are the set's symbol table: ordered dicts from each
-    declared atom to its SMT-LIB symbol (``encode``), keys in first-seen
-    order, so a declaration costs O(1) however large the set grows and
-    names its atom once.  A base atom is keyed by its name, which is also
-    its symbol unless it is in ``SMT_RESERVED``.  ``level_bounds`` maps
+    declared atom to its SMT-LIB symbol (``_spell`` of a base atom's name,
+    ``ref_name`` of an auxiliary atom), keys in first-seen order, so a
+    declaration costs O(1) however large the set grows and names its atom
+    once.  A base atom is keyed by its name, which is also its symbol
+    unless it is in ``SMT_RESERVED``.  ``level_bounds`` maps
     each ranking variable's owner to its range ``(lo, hi)``.  The four
     containers grow in place; the fields themselves are fixed.
     """

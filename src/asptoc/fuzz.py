@@ -11,11 +11,11 @@ rank assignments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .depgraph import scopes
 from .dlcheck import enumerate_dl_models
 from .formulas import LevelVar, var_name
+from .node import Node
 from .oracle import module_ranking, stable_models
 from .parser import parse_program
 from .program import INFINITY, Program, Rule
@@ -104,44 +104,30 @@ def generate_weight_rule(rng: random.Random) -> Rule:
     return parse_program(f"a :- {bound} <= {{ {items} }}.").rules[0]
 
 
-@dataclass(slots=True)
-class CheckReport:
-    ok: bool = True
-    checks: list = field(default_factory=list)
-    stable_count: int = 0
-    model_count: int = 0
+class CheckReport(Node, fields="checks stable_count model_count"):
+    """The JSON-ready entries of the checks ``check_program`` ran, in
+    order, and the model counts of the two sides; ``ok`` when every check
+    passed."""
 
-    def record(self, name: str, ok: bool, **detail):
-        self.checks.append({"check": name, "status": "pass" if ok else "fail",
-                            **detail})
-        if not ok:
-            self.ok = False
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return all(entry["status"] == "pass" for entry in self.checks)
+
+
+def _entry(name: str, ok: bool, **detail) -> dict:
+    return {"check": name, "status": "pass" if ok else "fail", **detail}
 
 
 def ranked_scopes(program: Program, scope_mode: str = "scc") -> list[frozenset]:
     return [scope for scope, ranked in scopes(program, scope_mode) if ranked]
 
 
-def check_program(program: Program, *, scope_mode: str = "scc",
-                  vub_form: bool = False) -> CheckReport:
-    """Compare the oracle with the translation on one program."""
-    report = CheckReport()
-    stable = stable_models(program)
-    fs = toc_program(program, scope_mode=scope_mode, vub_form=vub_form)
-    atom_count = len(fs.base_atoms) + len(fs.aux_atoms)
-    models = enumerate_dl_models(fs, max_atoms=atom_count)
-    report.stable_count = len(stable)
-    report.model_count = len(models)
-
-    signature = frozenset(program.atom_names)
-    stable_sets = sorted(tuple(sorted(m)) for m, _ in stable)
-    projections = sorted(tuple(sorted(m.true_atoms() & signature)) for m in models)
-    report.record("bijection", stable_sets == projections,
-                  stable=len(stable_sets), translated=len(projections))
-    report.record("uniqueness", len(set(projections)) == len(projections))
-    if not report.ok:
-        return report
-
+def _rank_check(program: Program, scope_mode: str, models, signature: frozenset) -> dict:
+    """The ``ranks`` entry: each model's ranking variables must carry the
+    module ranks of its projection onto ``signature``, a false atom the
+    scope's size plus one; it fails on the first that does not."""
     ranked = ranked_scopes(program, scope_mode)
     for model in models:
         projection = model.true_atoms() & signature
@@ -154,12 +140,31 @@ def check_program(program: Program, *, scope_mode: str = "scc",
                     expected = len(scope) + 1
                 actual = ints.get(var_name(LevelVar(atom)))
                 if actual != expected:
-                    report.record("ranks", False, atom=atom,
-                                  model=sorted(projection),
+                    return _entry("ranks", False, atom=atom, model=sorted(projection),
                                   expected=expected, actual=actual)
-                    return report
-    report.record("ranks", True, scopes=len(ranked))
-    return report
+    return _entry("ranks", True, scopes=len(ranked))
+
+
+def check_program(program: Program, *, scope_mode: str = "scc",
+                  vub_form: bool = False) -> CheckReport:
+    """Compare the oracle with the translation on one program; the ranks
+    are checked only once the model sets agree."""
+    stable = stable_models(program)
+    fs = toc_program(program, scope_mode=scope_mode, vub_form=vub_form)
+    atom_count = len(fs.base_atoms) + len(fs.aux_atoms)
+    models = enumerate_dl_models(fs, max_atoms=atom_count)
+
+    signature = frozenset(program.atom_names)
+    stable_sets = sorted(tuple(sorted(m)) for m, _ in stable)
+    projections = sorted(tuple(sorted(m.true_atoms() & signature)) for m in models)
+    bijection = stable_sets == projections
+    unique = len(set(projections)) == len(projections)
+    checks = [_entry("bijection", bijection, stable=len(stable_sets),
+                     translated=len(projections)),
+              _entry("uniqueness", unique)]
+    if bijection and unique:
+        checks.append(_rank_check(program, scope_mode, models, signature))
+    return CheckReport(tuple(checks), len(stable), len(models))
 
 
 def fuzz_corpus(seed: int, count: int, max_atoms: int = 7,

@@ -1,4 +1,4 @@
-"""The shared base of the immutable IR nodes.
+"""The shared base of the immutable records.
 
 A node is a tuple of its field values.  ``class Var(Node, fields="atom")``
 names the fields, and each is read through the C-level getter that
@@ -6,9 +6,10 @@ names the fields, and each is read through the C-level getter that
 its tuple of values and equals only a node of its own class with equal
 values, never a plain tuple.  A subclass states ``__slots__ = ()`` unless
 it keeps a ``__dict__`` (as one with a ``functools.cached_property``
-must), and writes its own ``__new__``, which gives its signature, defaults
-and checks and ends in ``tuple.__new__(cls, values)``.  Every node is
-truthy, also one without fields.
+must).  It is built from exactly its field values, positionally; a
+subclass writes its own ``__new__`` only for checks or defaults, ending
+in ``tuple.__new__(cls, values)``.  Every node is truthy, also one
+without fields.
 """
 
 from __future__ import annotations
@@ -17,6 +18,17 @@ from _collections import _tuplegetter
 
 _tuple_eq = tuple.__eq__
 _tuple_ne = tuple.__ne__
+_tuple_new = tuple.__new__
+
+
+def _positional_new(count: int):
+    """A ``__new__`` taking exactly ``count`` positional field values."""
+    def __new__(cls, *values):
+        if len(values) != count:
+            raise TypeError(f"{cls.__qualname__}() takes {count} field values, "
+                            f"{len(values)} given")
+        return _tuple_new(cls, values)
+    return staticmethod(__new__)
 
 
 class Node(tuple):
@@ -28,6 +40,8 @@ class Node(tuple):
         cls._fields = tuple(fields.split())
         for i, name in enumerate(cls._fields):
             setattr(cls, name, _tuplegetter(i, None))
+        if "__new__" not in vars(cls):
+            cls.__new__ = _positional_new(len(cls._fields))
 
     __hash__ = tuple.__hash__
 

@@ -33,22 +33,20 @@ verdicts against full enumeration on small bodies.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .dlcheck import enumerate_dl_models
 from .formulas import FALSE, Aux, Base, FormulaSet, Iff, Implies, Var, _collect, ref_name
+from .node import Node
 from .program import Polarity, Program, ResourceError, Rule, normal_rule, program_of
 from .toc import toc_module
 
 
-@dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    instances_checked: int
-    subset_rules: int
-    subset_formula_count: int
-    aggregate_formula_count: int
-    counterexample: dict | None = None
+class Verdict(Node, fields="passed instances_checked subset_rules subset_formula_count "
+                           "aggregate_formula_count counterexample"):
+    """A proposition check's outcome and sizes; ``counterexample`` is
+    ``None`` on a pass."""
+
+    __slots__ = ()
 
 
 def _minimal(family: set) -> list:
@@ -151,12 +149,11 @@ def compare_sides(rule: Rule, side_a: FormulaSet, side_b: FormulaSet, k: int) ->
     counts = (2 * 4 ** len(body), k, len(side_a.formulas), len(side_b.formulas))
     for key in sorted(applies_a.keys() | applies_b.keys()):
         if applies_a.get(key) != applies_b.get(key):
-            return Verdict(False, *counts,
-                           counterexample={"assignment": dict(zip(shared, map(bool, key))),
-                                           "subset_sat": key in applies_a,
-                                           "aggregate_sat": key in applies_b,
-                                           "connecting": False})
-    return Verdict(True, *counts)
+            return Verdict(False, *counts, {"assignment": dict(zip(shared, map(bool, key))),
+                                            "subset_sat": key in applies_a,
+                                            "aggregate_sat": key in applies_b,
+                                            "connecting": False})
+    return Verdict(True, *counts, None)
 
 
 def check_proposition(rule: Rule, variant: int) -> Verdict:

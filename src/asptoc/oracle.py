@@ -27,9 +27,8 @@ The oracle reads programs only and imports nothing of the translation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
 
+from .node import Node
 from .program import (
     INFINITY,
     Polarity,
@@ -40,15 +39,12 @@ from .program import (
 )
 
 
-@dataclass(frozen=True)
-class PositiveRule:
-    """Reduct rule: plain weight body (``window=None``) or upward-closure
-    body with a fixed subset-sum window."""
+class PositiveRule(Node, fields="head terms lower window"):
+    """Reduct rule over ``(atom, weight)`` terms: plain weight body
+    reaching ``lower`` (``window`` None) or upward-closure body with a
+    fixed subset-sum window (``lower`` 0)."""
 
-    head: str
-    terms: tuple[tuple[str, int], ...]
-    lower: int = 0
-    window: Optional[tuple[int, int]] = None
+    __slots__ = ()
 
     def body_satisfied(self, interp: frozenset) -> bool:
         if self.window is None:
@@ -73,7 +69,7 @@ def aggregate_reduct(rule: Rule, interp: frozenset) -> PositiveRule:
         raise ValueError("body not satisfied; the rule is omitted from the reduct")
     fixed = weight_sum(interp, rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED))
     terms = tuple((wl.atom, wl.weight) for wl in rule.literals(Polarity.POSITIVE))
-    return PositiveRule(rule.head, terms, window=(rule.lower - fixed, rule.upper - fixed))
+    return PositiveRule(rule.head, terms, 0, (rule.lower - fixed, rule.upper - fixed))
 
 
 def reduct(program: Program, interp: frozenset) -> list[PositiveRule]:
@@ -98,7 +94,7 @@ def reduct(program: Program, interp: frozenset) -> list[PositiveRule]:
         terms = tuple((wl.atom, wl.weight)
                       for wl in rule.literals(Polarity.POSITIVE))
         if sum(w for _, w in terms) + fixed >= rule.lower:
-            out.append(PositiveRule(rule.head, terms, lower=max(0, rule.lower - fixed)))
+            out.append(PositiveRule(rule.head, terms, max(0, rule.lower - fixed), None))
     return out
 
 
@@ -136,9 +132,9 @@ def _interpretations(atoms: tuple[str, ...]):
 
 
 def _check_cap(program: Program, cap: int):
-    if len(program.signature) > cap:
+    if len(program.atom_names) > cap:
         raise ResourceError(
-            f"signature has {len(program.signature)} atoms, cap is {cap}")
+            f"signature has {len(program.atom_names)} atoms, cap is {cap}")
 
 
 def stable_models(program: Program, cap: int = 20):

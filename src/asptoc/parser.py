@@ -309,10 +309,9 @@ def render_program(program: Program) -> str:
         if rule.head is not None:
             mentioned.add(rule.head)
         mentioned.update(rule.body_atoms())
-    for atom in program.signature:
-        if atom.name not in mentioned:
-            lines.append(f"#atom {atom.name}.")
-    hidden = sorted(a.name for a in program.signature if not a.visible)
-    if hidden:
-        lines.append("#hide " + ", ".join(hidden) + ".")
+    for atom in program.atom_names:
+        if atom not in mentioned:
+            lines.append(f"#atom {atom}.")
+    if program.hidden:
+        lines.append("#hide " + ", ".join(sorted(program.hidden)) + ".")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -35,17 +35,6 @@ class Polarity(enum.Enum):
         return self.value
 
 
-class Atom(Node, fields="name visible"):
-    """A named propositional atom; ``visible`` drives model projection."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, visible: bool = True):
-        if not name:
-            raise ValueError("atom name must be non-empty")
-        return tuple.__new__(cls, (name, visible))
-
-
 _PREFIX = {Polarity.POSITIVE: "", Polarity.NEGATIVE: "not ",
            Polarity.DOUBLE_NEGATED: "not not "}
 
@@ -112,25 +101,30 @@ class Rule(Node, fields="head body lower upper"):
         return self.head in interp
 
 
-class Program(Node, fields="rules signature"):
-    def __new__(cls, rules: tuple[Rule, ...], signature: tuple[Atom, ...] = ()):
-        known = {a.name for a in signature}
-        if len(known) != len(signature):
-            raise ValueError("duplicate atom in signature")
+class Program(Node, fields="rules atom_names hidden"):
+    """Rules over the atoms ``atom_names``; ``hidden`` names the atoms that
+    model projection leaves out."""
+
+    def __new__(cls, rules: tuple[Rule, ...], atom_names: tuple[str, ...],
+                hidden: Iterable[str]):
+        known = set(atom_names)
+        if "" in known:
+            raise ValueError("atom name must be non-empty")
+        if len(known) != len(atom_names):
+            raise ValueError("duplicate atom in atom_names")
         mentioned = {wl.atom for rule in rules for wl in rule.body}
         mentioned.update(rule.head for rule in rules)
         mentioned.discard(None)
         missing = mentioned - known
         if missing:
-            raise ValueError(f"atoms missing from signature: {sorted(missing)}")
-        return tuple.__new__(cls, (rules, signature))
+            raise ValueError(f"atoms missing from atom_names: {sorted(missing)}")
+        hidden = frozenset(hidden)
+        if not hidden <= known:
+            raise ValueError(f"hidden atoms missing from atom_names: {sorted(hidden - known)}")
+        return tuple.__new__(cls, (rules, atom_names, hidden))
 
     # The indexes below are built once, on first use, into the program's
     # __dict__; its fields cannot be set, so they never go stale.
-
-    @cached_property
-    def atom_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.signature)
 
     @cached_property
     def atom_set(self) -> frozenset:
@@ -147,7 +141,7 @@ class Program(Node, fields="rules signature"):
 
     @property
     def visible_atoms(self) -> frozenset:
-        return frozenset(a.name for a in self.signature if a.visible)
+        return self.atom_set - self.hidden
 
     def heads(self) -> frozenset:
         return frozenset(self.head_index)
@@ -162,15 +156,14 @@ class Program(Node, fields="rules signature"):
 
 def program_of(rules: Iterable[Rule], extra_atoms: Iterable[str] = (),
                hidden: Iterable[str] = ()) -> Program:
-    """Build a program, deriving the signature from the rules."""
+    """Build a program over the atoms its rules mention and ``extra_atoms``,
+    in name order."""
     rules = tuple(rules)
     names = {wl.atom for rule in rules for wl in rule.body}
     names.update(rule.head for rule in rules)
     names.discard(None)
     names.update(extra_atoms)
-    hidden = set(hidden)
-    signature = tuple(Atom(n, visible=n not in hidden) for n in sorted(names))
-    return Program(rules, signature)
+    return Program(rules, tuple(sorted(names)), hidden)
 
 
 def def_of(atom: str, program: Program) -> list[Rule]:

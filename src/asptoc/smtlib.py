@@ -1,7 +1,7 @@
 """SMT-LIB2 serialization (QF_LIA) and solver-response parsing.
 
 Propositional atoms become Bool constants and ranking variables Int
-constants, named by the symbol codec of :mod:`asptoc.formulas`; a set with
+constants, named by the symbol naming of :mod:`asptoc.formulas`; a set with
 ranking variables also declares ``__z`` and asserts it zero.
 Pseudo-Boolean sums turn into sums of conditional terms, so any
 linear-integer-arithmetic solver can consume the output; difference atoms

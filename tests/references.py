@@ -1,7 +1,7 @@
 """Reference semantics and forms only the tests use: supported models,
 level numberings, modules as stand-alone programs, model projections, a
-brute-force model finder, formula sets with formulas dropped by name, and
-the extensional completion form.
+brute-force model finder, formula sets with formulas dropped by name, the
+extensional completion form, and the symbol naming with its inverse.
 
 They check the oracle, the model finder and the translator from a second
 angle, and no command of asptoc needs them, so they live beside the
@@ -14,7 +14,6 @@ check it against the weight path.
 """
 
 import itertools
-from dataclasses import dataclass, field
 
 from asptoc.dlcheck import DLModel
 from asptoc.formulas import (
@@ -27,11 +26,13 @@ from asptoc.formulas import (
     Var,
     Z,
     conj,
+    _spell,
     disj,
     eval_formula,
     ref_name,
     var_name,
 )
+from asptoc.node import Node
 from asptoc.normtest import _minimal
 from asptoc.oracle import (
     PositiveRule,
@@ -62,10 +63,10 @@ def supported_models(program: Program, cap: int = 20):
     return found
 
 
-@dataclass(frozen=True)
-class LevelNumbering:
-    atoms: dict
-    rules: dict = field(default_factory=dict)  # program rule index -> level
+class LevelNumbering(Node, fields="atoms rules"):
+    """Atom -> level, and program rule index -> level."""
+
+    __slots__ = ()
 
 
 def _stages(reduct_rules, input_atoms):
@@ -106,7 +107,7 @@ def level_numbering(program: Program, model: frozenset) -> LevelNumbering:
                                                     Polarity.DOUBLE_NEGATED))
             terms = tuple((wl.atom, wl.weight)
                           for wl in rule.literals(Polarity.POSITIVE))
-            positive = PositiveRule(rule.head, terms, lower=max(0, rule.lower - fixed))
+            positive = PositiveRule(rule.head, terms, max(0, rule.lower - fixed), None)
         level = INFINITY
         for j, stage in enumerate(stages):
             if positive.body_satisfied(stage):
@@ -277,3 +278,32 @@ def toc_abstract(rule: Rule, scope: frozenset, *,
                  has_in=any(in_scope_pos(j) for j in universe),
                  ext_possible=bool(ext_minimal))
     return fs
+
+
+# ---------------------------------------------------------------------------
+# symbol naming and its inverse
+
+def encode(ref) -> str:
+    """The SMT-LIB symbol of a ``Base``, ``Aux``, ``LevelVar`` or ``Z``, as
+    the emitter spells it."""
+    if type(ref) is Base:
+        return _spell(ref.name)
+    if type(ref) is Aux:
+        return ref_name(ref)
+    return var_name(ref)
+
+
+def decode(symbol: str):
+    """The reference a symbol (or a key) names; the inverse of ``encode``.
+    Raises ``ValueError`` on a quoted symbol ``encode`` does not produce."""
+    if symbol.startswith("|"):
+        kind, head, *rest = symbol[1:-1].split(":")
+        if kind == "atom" and not rest:
+            return Base(head)
+        (arg,) = rest  # exactly three fields, else ValueError
+        return Aux(kind, head, arg if kind in ("dep", "gap") else int(arg))
+    if symbol == "__z":
+        return Z
+    if symbol.startswith("__x_"):
+        return LevelVar(symbol[4:])
+    return Base(symbol)

@@ -2,9 +2,11 @@
 """Bounded SMT-LIB solver stub for exercising the external-solver pipeline.
 
 Reads the QF_LIA subset the translator emits (Bool/Int constants, ite-sum
-pseudo-Boolean bounds, difference atoms), finds one model with the bounded
-search engine, and answers in standard solver syntax: ``sat`` plus a
-``(define-fun ...)`` model block, or ``unsat``.
+pseudo-Boolean bounds, difference atoms), enumerates its models with the
+bounded search engine, and answers in standard solver syntax: ``sat`` plus
+a ``(define-fun ...)`` block of the first model, or ``unsat``.  Symbols
+are read and written by ``decode`` and ``encode`` of ``references.py``,
+beside this script.
 """
 
 import re
@@ -12,6 +14,7 @@ import sys
 
 from asptoc import dlcheck
 from asptoc import formulas as F
+from references import decode, encode
 
 
 def tokenize(text):
@@ -52,7 +55,7 @@ def parse_sum(node):
             return None
         negated = isinstance(lit, list) and lit[0] == "not"
         name = lit[1] if negated else lit
-        terms.append(F.PBTerm(coef, F.decode(name), negated))
+        terms.append(F.PBTerm(coef, decode(name), negated))
     return terms
 
 
@@ -62,7 +65,7 @@ def parse_formula(node, ints):
     if node == "false":
         return F.FalseF()
     if isinstance(node, str):
-        return F.Var(F.decode(node))
+        return F.Var(decode(node))
     op = node[0]
     if op == "not":
         return F.Not(parse_formula(node[1], ints))
@@ -74,8 +77,8 @@ def parse_formula(node, ints):
         return F.Implies(parse_formula(node[1], ints), parse_formula(node[2], ints))
     if op == "=":
         lhs, rhs = node[1], node[2]
-        if isinstance(lhs, str) and F.decode(lhs) in ints:
-            if F.decode(lhs) is F.Z and arith_const(rhs) == 0:
+        if isinstance(lhs, str) and decode(lhs) in ints:
+            if decode(lhs) == F.Z and arith_const(rhs) == 0:
                 return F.TRUE  # the search fixes z at 0
             raise ValueError(f"unsupported integer equality {node}")
         return F.Iff(parse_formula(lhs, ints), parse_formula(rhs, ints))
@@ -83,7 +86,7 @@ def parse_formula(node, ints):
         lhs, rhs = node[1], node[2]
         if isinstance(lhs, list) and lhs[0] == "-" and len(lhs) == 3:
             k = arith_const(rhs)
-            return F.Diff(F.decode(lhs[1]), F.decode(lhs[2]), k)
+            return F.Diff(decode(lhs[1]), decode(lhs[2]), k)
         k = arith_const(lhs)
         if k is not None:
             return F.PB(tuple(parse_sum(rhs)), lower=k)
@@ -100,7 +103,7 @@ def build_formula_set(sexprs):
         if not isinstance(node, list) or not node:
             continue
         if node[0] == "declare-const":
-            ref = F.decode(node[1])
+            ref = decode(node[1])
             if isinstance(ref, F.Base):
                 fs.declare_base(ref.name)
             elif isinstance(ref, F.Aux):
@@ -117,9 +120,9 @@ def build_formula_set(sexprs):
         lo, hi = 1, None
         for _, f in fs.formulas:
             if isinstance(f, F.Diff):
-                if f.lhs == var and f.rhs is F.Z:
+                if f.lhs == var and f.rhs == F.Z:
                     hi = f.k if hi is None else min(hi, f.k)
-                if f.lhs is F.Z and f.rhs == var:
+                if f.lhs == F.Z and f.rhs == var:
                     lo = max(lo, -f.k)
         fs.declare_level(var.owner, lo, 64 if hi is None else hi)
     return fs
@@ -130,15 +133,15 @@ def main():
         text = handle.read()
     fs = build_formula_set(parse_sexprs(tokenize(text)))
     atom_count = len(fs.base_atoms) + len(fs.aux_atoms)
-    models = dlcheck.enumerate_dl_models(fs, max_atoms=max(atom_count, 22), limit=1)
+    models = dlcheck.enumerate_dl_models(fs, max_atoms=max(atom_count, 22))
     if not models:
         print("unsat")
         return
-    model = models[0]
+    model = models[0]  # the first in enumeration order
     print("sat")
     print("(")
     for name, value in model.props:
-        symbol = F.encode(F.decode(name))
+        symbol = encode(decode(name))
         print(f"  (define-fun {symbol} () Bool {'true' if value else 'false'})")
     for name, value in model.ints:
         text = str(value) if value >= 0 else f"(- {-value})"

@@ -182,10 +182,6 @@ class TestProjection:
         assert len(projections) == 4
         assert len(set(projections)) == 4
 
-    def test_limit_short_circuits(self):
-        fs = toc_program(parse_program("{a}. {b}. {c}."))
-        assert len(enumerate_dl_models(fs, max_atoms=30, limit=3)) == 3
-
 
 def test_finder_equals_brute_force_on_fuzz_sets():
     # every fuzz translation small enough to enumerate outright (at most

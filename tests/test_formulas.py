@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asptoc import depgraph, formulas, program
+from asptoc import depgraph, dlcheck, formulas, fuzz, normtest, oracle, program
 from asptoc.depgraph import build_depgraph
 from asptoc.formulas import (
     FALSE,
@@ -30,8 +30,7 @@ from asptoc.formulas import (
     ValidationError,
     Var,
     Z,
-    decode,
-    encode,
+    ZVar,
     eval_formula,
     make_pb,
     mk_bounds,
@@ -41,7 +40,7 @@ from asptoc.formulas import (
 )
 from asptoc.node import Node
 from asptoc.parser import parse_program
-from references import drop_formulas
+from references import decode, drop_formulas, encode
 
 
 def eval_pairs(pairs, bools, ints):
@@ -326,9 +325,13 @@ def ir_samples():
     return [Base("a"), Aux("app", "a", 1), LevelVar("a"), a, Not(a), And((a, a)),
             Or((a, a)), Implies(a, a), Iff(a, a), TrueF(), FalseF(),
             Diff(LevelVar("a"), Z, 1), PBTerm(1, Base("a")),
-            PB((PBTerm(1, Base("a")),), lower=1), program.Atom("a"),
+            PB((PBTerm(1, Base("a")),), lower=1), Z,
             program.WeightedLiteral("a"), program.normal_rule("a", ["b"]),
-            depgraph.SccPartition((frozenset("a"),))]
+            depgraph.SccPartition((frozenset("a"),)),
+            oracle.PositiveRule("a", (("b", 1),), 1, None),
+            dlcheck.DLModel((("a", True),), (("__z", 0),)),
+            normtest.Verdict(True, 2, 1, 3, 4, None),
+            fuzz.CheckReport(({"check": "uniqueness", "status": "pass"},), 1, 1)]
 
 
 def indexed_samples():
@@ -339,7 +342,7 @@ def indexed_samples():
 
 
 def test_samples_cover_every_slotted_ir_class():
-    nodes = {cls for module in (formulas, program, depgraph)
+    nodes = {cls for module in (formulas, program, depgraph, oracle, dlcheck, normtest, fuzz)
              for cls in vars(module).values()
              if isinstance(cls, type) and issubclass(cls, Node)
              and cls.__module__ == module.__name__}
@@ -358,7 +361,7 @@ def test_immutability_survives_slots(obj):
 @pytest.mark.parametrize("obj", ir_samples() + indexed_samples(),
                          ids=lambda obj: type(obj).__name__)
 def test_fields_cannot_be_set(obj):
-    assert type(obj)._fields or type(obj) in (TrueF, FalseF)
+    assert type(obj)._fields or type(obj) in (TrueF, FalseF, ZVar)
     for name in type(obj)._fields:
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
@@ -375,7 +378,9 @@ def test_value_semantics(obj):
     assert obj
     plain = tuple(obj)
     assert obj != plain and plain != obj and not obj == plain and not plain == obj
-    if type(obj) is not FormulaSet:  # its containers grow, so it has no hash
+    # a formula set's containers grow and a report's entries are dicts,
+    # so neither has a hash
+    if type(obj) not in (FormulaSet, fuzz.CheckReport):
         assert hash(twin) == hash(obj)
         assert obj not in {plain}
 
@@ -400,14 +405,38 @@ def test_reprs():
     assert repr(Diff(LevelVar("a"), Z, -1)) == "Diff(lhs=LevelVar(owner='a'), rhs=Z, k=-1)"
     assert repr(parse_program("a :- not b.")) == (
         "Program(rules=(Rule(head='a', body=(WeightedLiteral(atom='b', polarity=neg, "
-        "weight=1),), lower=1, upper=None),), signature=(Atom(name='a', visible=True), "
-        "Atom(name='b', visible=True)))")
+        "weight=1),), lower=1, upper=None),), atom_names=('a', 'b'), hidden=frozenset())")
+    assert repr(Z) == "Z"
+    assert repr(oracle.PositiveRule("a", (("b", 2),), 0, (1, 3))) == (
+        "PositiveRule(head='a', terms=(('b', 2),), lower=0, window=(1, 3))")
+    assert repr(dlcheck.DLModel((("a", True),), ())) == "DLModel(props=(('a', True),), ints=())"
+    assert repr(normtest.Verdict(True, 2, 1, 3, 4, None)) == (
+        "Verdict(passed=True, instances_checked=2, subset_rules=1, subset_formula_count=3, "
+        "aggregate_formula_count=4, counterexample=None)")
 
 
 def test_ordering():
     assert sorted([Base("b"), Base("a")]) == [Base("a"), Base("b")]
     assert sorted([LevelVar("b"), LevelVar("a")]) == [LevelVar("a"), LevelVar("b")]
     assert Aux("app", "a", 1) < Aux("app", "a", 2) < Aux("dep", "a", "b")
-    assert program.Atom("a", False) < program.Atom("a") < program.Atom("b", False)
+    assert Diff(LevelVar("a"), Z, 1) < Diff(LevelVar("a"), Z, 2) < Diff(LevelVar("b"), Z, 0)
+    assert dlcheck.DLModel((("a", False),), ()) < dlcheck.DLModel((("a", True),), ())
     lit = program.WeightedLiteral
     assert lit("a") < lit("a", weight=2) < lit("b")
+
+
+@pytest.mark.parametrize("cls, values", [
+    (Base, ()), (Base, ("a", "b")), (Var, ()), (Iff, (TRUE,)), (TrueF, (1,)),
+    (Diff, (Z, Z)), (ZVar, (0,)), (depgraph.SccPartition, ((), ())),
+    (oracle.PositiveRule, ("a", ())), (dlcheck.DLModel, ((),)),
+    (normtest.Verdict, (True, 2, 1, 3, 4)), (fuzz.CheckReport, ((), 0, 0, 0)),
+], ids=lambda x: x.__name__ if isinstance(x, type) else str(len(x)))
+def test_wrong_field_count_rejected(cls, values):
+    with pytest.raises(TypeError, match="field values"):
+        cls(*values)
+
+
+def test_copied_z_still_names_z():
+    for twin in (copy.copy(Z), copy.deepcopy(Z), pickle.loads(pickle.dumps(Z)), ZVar()):
+        assert twin == Z and var_name(twin) == "__z"
+        assert var_name(Diff(twin, LevelVar("a"), 0).lhs) == "__z"

@@ -140,7 +140,7 @@ class TestTpAndLeastModel:
 
     def test_input_overlap_rejected(self):
         with pytest.raises(ValueError):
-            least_model([PositiveRule("a", ())], frozenset({"a"}))
+            least_model([PositiveRule("a", (), 0, None)], frozenset({"a"}))
 
 
 class TestStableModels:

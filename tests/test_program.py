@@ -4,13 +4,12 @@ import pytest
 
 from asptoc.parser import parse_program
 from asptoc.program import (
-    Atom,
     Polarity,
+    Program,
     Rule,
     WeightedLiteral,
     def_of,
     normal_rule,
-    program_of,
     weight_sum,
 )
 
@@ -155,8 +154,8 @@ class TestInvariants:
             Rule(**kwargs)
 
     def test_atom_name_required(self):
-        with pytest.raises(ValueError):
-            Atom("")
+        with pytest.raises(ValueError, match="non-empty"):
+            Program((), ("",), ())
 
     def test_empty_satisfier_window_is_legal(self):
         rule = Rule("a", (wl("b"),), 2, upper=1)
@@ -164,11 +163,16 @@ class TestInvariants:
             assert not rule.body_satisfied(interp)
 
     def test_signature_closure(self):
-        with pytest.raises(ValueError):
-            program_of([normal_rule("a", ["b"])]).__class__(
-                rules=(normal_rule("a", ["b"]),), signature=(Atom("a"),))
+        with pytest.raises(ValueError, match="missing"):
+            Program((normal_rule("a", ["b"]),), ("a",), ())
 
     def test_duplicate_signature_atom(self):
-        from asptoc.program import Program
-        with pytest.raises(ValueError):
-            Program((), (Atom("a"), Atom("a", visible=False)))
+        with pytest.raises(ValueError, match="duplicate"):
+            Program((), ("a", "a"), ("a",))
+
+    def test_hidden_atoms_are_known(self):
+        with pytest.raises(ValueError, match="hidden"):
+            Program((), ("a",), ("b",))
+        program = Program((), ("a", "b"), ("b",))
+        assert program.hidden == frozenset({"b"})
+        assert program.visible_atoms == frozenset({"a"})
