@@ -8,8 +8,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-_HOME = {"parse_program": "parser", "render_program": "parser", "Program": "program",
-         "Rule": "program", "toc_module": "toc", "toc_program": "toc"}
+_HOME = {"parse_program": "parser", "Program": "program", "Rule": "program",
+         "toc_module": "toc", "toc_program": "toc"}
 
 __all__ = [*_HOME, "__version__"]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 
@@ -50,19 +51,28 @@ def _parse(path: str) -> Program:
 
 
 def cmd_translate(args) -> int:
-    # the program is not bound here, so it is freed before emission starts
-    fs = toc_program(_parse(args.input), scope_mode=args.scope_mode,
-                     strong=not args.no_strong, vub_form=args.vub_form)
-    # the whole list is built before the first write: an emission error
-    # writes nothing
-    lines = debug_lines(fs) if args.format == "debug" else smtlib_lines(fs, model=True)
-    chunks = ("".join(lines[i:i + WRITE_CHUNK]) for i in range(0, len(lines), WRITE_CHUNK))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
-    return EXIT_OK
+    # Translation makes no reference cycles (a test in test_cli.py pins
+    # this), so the cyclic collector would only walk the growing formula
+    # set again and again: its nodes are tuples, which it never untracks.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # the program is not bound here, so it is freed before emission starts
+        fs = toc_program(_parse(args.input), scope_mode=args.scope_mode,
+                         strong=not args.no_strong, vub_form=args.vub_form)
+        # the whole list is built before the first write: an emission error
+        # writes nothing
+        lines = debug_lines(fs) if args.format == "debug" else smtlib_lines(fs, model=True)
+        chunks = ("".join(lines[i:i + WRITE_CHUNK]) for i in range(0, len(lines), WRITE_CHUNK))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+        return EXIT_OK
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def cmd_check(args) -> int:
@@ -77,7 +87,7 @@ def cmd_check(args) -> int:
                           "cap": args.max_atoms}))
         return EXIT_UNSUPPORTED
     report = check_program(program, scope_mode=args.scope_mode,
-                           vub_form=args.vub_form)
+                           vub_form=args.vub_form, strong=not args.no_strong)
     for entry in report.checks:
         print(json.dumps(entry))
     print(json.dumps({"check": "summary",
@@ -97,10 +107,13 @@ def cmd_fuzz(args) -> int:
     for index, source, program in fuzz_corpus(args.seed, args.count,
                                               args.max_atoms, args.max_rules):
         scope_mode, vub_form = CHECK_MODES[index % len(CHECK_MODES)]
-        report = check_program(program, scope_mode=scope_mode, vub_form=vub_form)
+        strong = index % (2 * len(CHECK_MODES)) < len(CHECK_MODES)
+        report = check_program(program, scope_mode=scope_mode, vub_form=vub_form,
+                               strong=strong)
         if not report.ok:
             repro = f"fuzz-counterexample-{args.seed}-{index}.lp"
-            flags = ["--global-scope"] * (scope_mode == "global") + ["--vub-form"] * vub_form
+            flags = (["--global-scope"] * (scope_mode == "global")
+                     + ["--vub-form"] * vub_form + ["--no-strong"] * (not strong))
             print(json.dumps({"program": index, "status": "fail",
                               "reproduce": " ".join(["asptoc check", repro, *flags]),
                               "checks": report.checks}))
@@ -239,11 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify the translation against the oracle")
     p.add_argument("input")
     p.add_argument("--max-atoms", type=_ranged(1), default=14)
+    p.add_argument("--no-strong", action="store_true",
+                   help="check the translation without the strong ranking constraints")
     p.add_argument("--vub-form", action="store_true")
     _add_scope_flag(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("fuzz", help="random differential testing in all scope/vub modes")
+    p = sub.add_parser("fuzz", help="random differential testing in all scope/vub/strong modes")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--count", type=_ranged(0), default=100)
     p.add_argument("--max-atoms", type=_ranged(2, _pool_size), default=7)

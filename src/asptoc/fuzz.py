@@ -5,7 +5,8 @@ models of the program (oracle side) must be in one-to-one correspondence
 with the models of the translation (checker side), each translation model
 must carry exactly the module-local derivation stages on its ranking
 variables, and no propositional projection may appear with two different
-rank assignments.
+rank assignments.  Without the strong constraints only the first holds,
+up to repeated projections, and only it is checked.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .program import INFINITY, Program, Rule
 from .toc import toc_program
 
 ATOM_POOL = "abcdefghijklmn"
-# (scope_mode, vub_form) of the i-th program ``asptoc fuzz`` checks: i % 4
+# (scope_mode, vub_form) of the i-th program ``asptoc fuzz`` checks: i % 4;
+# the program is checked with the strong constraints when i % 8 < 4
 CHECK_MODES = [("scc", False), ("global", False), ("scc", True), ("global", True)]
 
 
@@ -105,19 +107,24 @@ def generate_weight_rule(rng: random.Random) -> Rule:
 
 
 class CheckReport(Node, fields="checks stable_count model_count"):
-    """The JSON-ready entries of the checks ``check_program`` ran, in
-    order, and the model counts of the two sides; ``ok`` when every check
-    passed."""
+    """The JSON-ready entries of the checks ``check_program`` ran or
+    skipped, in order, and the model counts of the two sides; ``ok`` when
+    no check failed."""
 
     __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return all(entry["status"] == "pass" for entry in self.checks)
+        return all(entry["status"] != "fail" for entry in self.checks)
 
 
 def _entry(name: str, ok: bool, **detail) -> dict:
     return {"check": name, "status": "pass" if ok else "fail", **detail}
+
+
+def _skip(name: str) -> dict:
+    return {"check": name, "status": "skip",
+            "reason": "ranks need not be unique without the strong constraints"}
 
 
 def ranked_scopes(program: Program, scope_mode: str = "scc") -> list[frozenset]:
@@ -146,17 +153,26 @@ def _rank_check(program: Program, scope_mode: str, models, signature: frozenset)
 
 
 def check_program(program: Program, *, scope_mode: str = "scc",
-                  vub_form: bool = False) -> CheckReport:
+                  vub_form: bool = False, strong: bool = True) -> CheckReport:
     """Compare the oracle with the translation on one program; the ranks
-    are checked only once the model sets agree."""
+    are checked only once the model sets agree.  Without the strong
+    constraints (``strong=False``) a stable model may carry several rank
+    assignments, so only the set of projections is compared, and the
+    uniqueness and rank checks are reported as skipped."""
     stable = stable_models(program)
-    fs = toc_program(program, scope_mode=scope_mode, vub_form=vub_form)
+    fs = toc_program(program, scope_mode=scope_mode, strong=strong, vub_form=vub_form)
     atom_count = len(fs.base_atoms) + len(fs.aux_atoms)
     models = enumerate_dl_models(fs, max_atoms=atom_count)
 
     signature = frozenset(program.atom_names)
     stable_sets = sorted(tuple(sorted(m)) for m, _ in stable)
     projections = sorted(tuple(sorted(m.true_atoms() & signature)) for m in models)
+    if not strong:
+        distinct = sorted(set(projections))
+        checks = (_entry("projections", stable_sets == distinct, stable=len(stable_sets),
+                         translated=len(distinct)),
+                  _skip("uniqueness"), _skip("ranks"))
+        return CheckReport(checks, len(stable), len(models))
     bijection = stable_sets == projections
     unique = len(set(projections)) == len(projections)
     checks = [_entry("bijection", bijection, stable=len(stable_sets),

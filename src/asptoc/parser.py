@@ -1,4 +1,4 @@
-"""Parser and renderer for the textual ground-program format.
+"""Parser for the textual ground-program format.
 
 Grammar (statements end with ".", comments run from "%" to end of line)::
 
@@ -21,8 +21,7 @@ with an aggregate body is not part of the supported fragment.
 Every rule is built by one function, ``_canonical_rule``: a conjunction
 is the unweighted aggregate whose bound is its count of distinct
 literals, so ``a :- b, c.`` and ``a :- 2 <= { b, c }.`` parse to one
-rule.  The rule keeps no source spelling; ``render_program`` writes the
-conjunctive one wherever the rule's shape allows it.
+rule.  The rule keeps no source spelling.
 
 Parsing makes one scan: a single pattern's ``findall`` returns the token
 strings, each token's kind comes from a dict lookup or its first
@@ -270,48 +269,3 @@ def parse_program(text: str) -> Program:
         raise cls(message, *_position(text, k)) from None
     return program_of(rules, extra_atoms=declared, hidden=hidden)
 
-
-def _render_literal(lit: WeightedLiteral) -> str:
-    if lit.polarity is Polarity.NEGATIVE:
-        return f"not {lit.atom}"
-    if lit.polarity is Polarity.DOUBLE_NEGATED:
-        raise ValueError("double negation has no source form")
-    return lit.atom
-
-
-def _render_rule(rule: Rule) -> str:
-    """The conjunctive spelling for a rule of unit weights whose bound is
-    its body size, with a choice head when the body ends in the
-    double-negated head literal; the aggregate spelling otherwise."""
-    body = rule.body
-    head = rule.head or ""
-    sep = " :- " if head else ":- "
-    unit = all(wl.weight == 1 for wl in body)
-    if unit and rule.upper is None and rule.lower == len(body):
-        if head and body and body[-1] == WeightedLiteral(head, Polarity.DOUBLE_NEGATED):
-            body, head = body[:-1], "{%s}" % head
-        parts = ", ".join(map(_render_literal, body))
-        return f"{head}{sep}{parts}." if parts or not head else f"{head}."
-
-    items = [_render_literal(wl) if unit else f"{_render_literal(wl)}={wl.weight}"
-             for wl in body]
-    agg = f"{rule.lower} <= {{ {', '.join(items)} }}" if items else f"{rule.lower} <= {{ }}"
-    if rule.upper is not None:
-        agg += f" <= {rule.upper}"
-    return f"{head}{sep}{agg}."
-
-
-def render_program(program: Program) -> str:
-    """Render a program; ``parse_program(render_program(p))`` is identity."""
-    lines = [_render_rule(rule) for rule in program.rules]
-    mentioned = set()
-    for rule in program.rules:
-        if rule.head is not None:
-            mentioned.add(rule.head)
-        mentioned.update(rule.body_atoms())
-    for atom in program.atom_names:
-        if atom not in mentioned:
-            lines.append(f"#atom {atom}.")
-    if program.hidden:
-        lines.append("#hide " + ", ".join(sorted(program.hidden)) + ".")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -82,9 +82,6 @@ class Rule(Node, fields="head body lower upper"):
     def pos_atoms(self) -> tuple[str, ...]:
         return tuple(wl.atom for wl in self.literals(Polarity.POSITIVE))
 
-    def body_atoms(self) -> tuple[str, ...]:
-        return tuple(wl.atom for wl in self.body)
-
     def body_satisfied(self, interp: frozenset) -> bool:
         total = weight_sum(interp, self.body)
         if total < self.lower:

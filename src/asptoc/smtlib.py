@@ -163,11 +163,6 @@ def debug_lines(fs: FormulaSet) -> list:
     return lines
 
 
-def debug_text(fs: FormulaSet) -> str:
-    """``debug_lines`` as one string."""
-    return "".join(debug_lines(fs))
-
-
 _DEFINE_RE = re.compile(
     r"\(\s*define-fun\s+([A-Za-z_][A-Za-z0-9_]*|\|[^|\\]*\|)\s*\(\s*\)\s*"
     r"(Bool|Int)\s+(true|false|\d+|\(\s*-\s*\d+\s*\))\s*\)")

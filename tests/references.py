@@ -1,6 +1,7 @@
 """Reference semantics and forms only the tests use: supported models,
 level numberings, modules as stand-alone programs, model projections, a
-brute-force model finder, formula sets with formulas dropped by name, the
+brute-force model finder, formula sets with formulas dropped by name,
+programs rendered back to source and formula sets as debug text, the
 extensional completion form, and the symbol naming with its inverse.
 
 They check the oracle, the model finder and the translator from a second
@@ -43,7 +44,17 @@ from asptoc.oracle import (
     reduct,
     tp_step,
 )
-from asptoc.program import INFINITY, Polarity, Program, ResourceError, Rule, program_of, weight_sum
+from asptoc.program import (
+    INFINITY,
+    Polarity,
+    Program,
+    ResourceError,
+    Rule,
+    WeightedLiteral,
+    program_of,
+    weight_sum,
+)
+from asptoc.smtlib import debug_lines
 from asptoc.toc import emit_support
 
 
@@ -123,7 +134,7 @@ def module_program(program: Program, scope: frozenset) -> Program:
     rules = tuple(r for r in program.rules if r.head in scope)
     names = set(scope)
     for rule in rules:
-        names.update(rule.body_atoms())
+        names.update(body_atoms(rule))
     return program_of(rules, extra_atoms=names)
 
 
@@ -173,6 +184,64 @@ def drop_formulas(fs: FormulaSet, prefix: str) -> FormulaSet:
     ``prefix``; the vocabulary is copied whole."""
     return FormulaSet([(n, f) for n, f in fs.formulas if not n.startswith(prefix)],
                       dict(fs.base_atoms), dict(fs.aux_atoms), dict(fs.level_bounds))
+
+
+# ---------------------------------------------------------------------------
+# source text and debug text
+
+def body_atoms(rule: Rule) -> tuple[str, ...]:
+    return tuple(wl.atom for wl in rule.body)
+
+
+def _render_literal(lit: WeightedLiteral) -> str:
+    if lit.polarity is Polarity.NEGATIVE:
+        return f"not {lit.atom}"
+    if lit.polarity is Polarity.DOUBLE_NEGATED:
+        raise ValueError("double negation has no source form")
+    return lit.atom
+
+
+def _render_rule(rule: Rule) -> str:
+    """The conjunctive spelling for a rule of unit weights whose bound is
+    its body size, with a choice head when the body ends in the
+    double-negated head literal; the aggregate spelling otherwise."""
+    body = rule.body
+    head = rule.head or ""
+    sep = " :- " if head else ":- "
+    unit = all(wl.weight == 1 for wl in body)
+    if unit and rule.upper is None and rule.lower == len(body):
+        if head and body and body[-1] == WeightedLiteral(head, Polarity.DOUBLE_NEGATED):
+            body, head = body[:-1], "{%s}" % head
+        parts = ", ".join(map(_render_literal, body))
+        return f"{head}{sep}{parts}." if parts or not head else f"{head}."
+
+    items = [_render_literal(wl) if unit else f"{_render_literal(wl)}={wl.weight}"
+             for wl in body]
+    agg = f"{rule.lower} <= {{ {', '.join(items)} }}" if items else f"{rule.lower} <= {{ }}"
+    if rule.upper is not None:
+        agg += f" <= {rule.upper}"
+    return f"{head}{sep}{agg}."
+
+
+def render_program(program: Program) -> str:
+    """Render a program; ``parse_program(render_program(p))`` is identity."""
+    lines = [_render_rule(rule) for rule in program.rules]
+    mentioned = set()
+    for rule in program.rules:
+        if rule.head is not None:
+            mentioned.add(rule.head)
+        mentioned.update(body_atoms(rule))
+    for atom in program.atom_names:
+        if atom not in mentioned:
+            lines.append(f"#atom {atom}.")
+    if program.hidden:
+        lines.append("#hide " + ", ".join(sorted(program.hidden)) + ".")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def debug_text(fs: FormulaSet) -> str:
+    """``debug_lines`` as one string."""
+    return "".join(debug_lines(fs))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from asptoc.cli import main
 from asptoc.fuzz import ATOM_POOL
-from references import drop_formulas
+from references import debug_text, drop_formulas
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 STUB = f"{sys.executable} {pathlib.Path(__file__).parent / 'stub_solver.py'}"
@@ -72,7 +72,7 @@ class TestTranslate:
     @pytest.mark.parametrize("flags", [[], ["--global-scope", "--vub-form"], ["--no-strong"]])
     def test_outputs_are_the_emitters_text(self, tmp_path, capsys, flags):
         from asptoc.parser import parse_program
-        from asptoc.smtlib import debug_text, emit_smtlib
+        from asptoc.smtlib import emit_smtlib
         from asptoc.toc import toc_program
 
         src = ranked_source(20)
@@ -117,6 +117,85 @@ class TestTranslate:
 
         toc_peak = peak(lambda: toc_program(parse_program(src)))
         assert peak(lambda: main(argv)) <= toc_peak + 1.5 * out.stat().st_size
+
+    def test_translate_leaves_no_cyclic_garbage(self, tmp_path, capsys):
+        # translate runs with the collector off, which is safe only while
+        # translation makes no reference cycles: under DEBUG_SAVEALL every
+        # object a collection finds unreachable stays in gc.garbage, so an
+        # empty list after each input's runs means no run made a cycle.
+        # The argument parser's first build makes some; it is built once
+        # per process, before any command runs.
+        import gc
+
+        from asptoc.cli import build_parser
+        from asptoc.fuzz import fuzz_corpus
+        from test_scaling import chain_source
+
+        build_parser()
+        sources = {"ranked_mix": (GOLDEN / "ranked_mix.lp").read_text()}
+        sources.update((f"fuzz{i}", src) for i, src, _ in fuzz_corpus(1, 8))
+        sources.update((f"chain{n}", chain_source(n)) for n in (2000, 8000))
+        flag_sets = [[], ["--global-scope"], ["--vub-form"], ["--no-strong"],
+                     ["--format", "debug"], ["--global-scope", "--vub-form", "--no-strong"]]
+        failures = {"parse": ("a :-", 1), "disjunctive": ("a | b :- c.", 2),
+                    "choice-aggregate": ("{a} :- 1 <= { b }.", 2),
+                    "negative-bound": ("a :- -1 <= { b }.", 1)}
+        out = str(tmp_path / "out.smt2")
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for name, src in sources.items():
+                path = write(tmp_path, src)
+                gc.collect()
+                gc.garbage.clear()
+                for flags in flag_sets:
+                    assert main(["translate", path, "--out", out, *flags]) == 0
+                    assert main(["translate", path, *flags]) == 0
+                    capsys.readouterr()
+                gc.collect()
+                assert gc.garbage == [], name
+            for name, (src, code) in failures.items():
+                path = write(tmp_path, src)
+                gc.collect()
+                gc.garbage.clear()
+                assert main(["translate", path, "--out", out]) == code, name
+                assert main(["translate", path]) == code, name
+                capsys.readouterr()
+                gc.collect()
+                assert gc.garbage == [], name
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_translate_runs_with_the_collector_off(self, tmp_path, monkeypatch, enabled):
+        # the collector is off while the translation is built, and main
+        # leaves it as it found it, after a success and after an error
+        import gc
+
+        import asptoc.cli as cli_mod
+
+        seen = []
+        real = cli_mod.toc_program
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "toc_program", recording)
+        good, bad = write(tmp_path, "a :- a."), write(tmp_path, "a :-", "bad.lp")
+        was = gc.isenabled()
+        after = []
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["translate", good, "--out", str(tmp_path / "out.smt2")]) == 0
+            after.append(gc.isenabled())
+            assert main(["translate", bad]) == 1
+            after.append(gc.isenabled())
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+        assert after == [enabled, enabled]
 
     @pytest.mark.parametrize("golden, flags", [
         pytest.param("ranked_mix.smt2", ["--global-scope", "--vub-form"], id="global-vub"),
@@ -216,6 +295,34 @@ class TestCheck:
         path = write(tmp_path, "b. a :- b.")
         assert main(["check", path, "--global-scope"]) == 0
 
+    def test_no_strong_checks_projections_only(self, tmp_path, capsys):
+        # b and c rest on a alone, yet without the strong constraints each
+        # may also rank one stage late: one stable model, several rankings
+        path = write(tmp_path, "a. b :- a. a :- b. c :- a. a :- c.")
+        assert main(["check", path, "--no-strong"]) == 0
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [(l["check"], l["status"]) for l in lines] == [
+            ("projections", "pass"), ("uniqueness", "skip"), ("ranks", "skip"),
+            ("summary", "pass")]
+        assert lines[-1]["translation_models"] > lines[-1]["stable_models"] == 1
+        assert main(["check", path]) == 0
+
+    def test_no_strong_catches_a_corrupted_translation(self, tmp_path, capsys,
+                                                      monkeypatch):
+        import asptoc.fuzz as fuzz_mod
+        from asptoc.toc import toc_program as real
+
+        def corrupted(program, **kwargs):
+            assert kwargs["strong"] is False
+            return drop_formulas(real(program, **kwargs), "def:")
+
+        monkeypatch.setattr(fuzz_mod, "toc_program", corrupted)
+        path = write(tmp_path, "a :- a.")
+        assert main(["check", path, "--no-strong"]) == 3
+        lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert lines[0]["check"] == "projections" and lines[0]["status"] == "fail"
+        assert lines[-1]["status"] == "fail"
+
 
 class TestFuzz:
     def test_small_run_passes(self, capsys):
@@ -300,28 +407,32 @@ class TestFuzz:
             return real(program, **kwargs)
 
         monkeypatch.setattr(fuzz_mod, "check_program", recording)
-        assert main(["fuzz", "--seed", "1", "--count", "8"]) == 0
+        assert main(["fuzz", "--seed", "1", "--count", "16"]) == 0
         modes = [("scc", False), ("global", False), ("scc", True), ("global", True)]
-        assert [(k["scope_mode"], k["vub_form"]) for k in seen] == modes * 2
+        assert [(k["scope_mode"], k["vub_form"]) for k in seen] == modes * 4
+        assert [k["strong"] for k in seen] == ([True] * 4 + [False] * 4) * 2
 
     @pytest.mark.parametrize("failing, index, flags", [
-        (lambda scope_mode, vub_form: scope_mode == "global", 1, " --global-scope"),
-        (lambda scope_mode, vub_form: vub_form, 2, " --vub-form"),
-        (lambda scope_mode, vub_form: scope_mode == "global" and vub_form, 3,
+        (lambda scope_mode, vub_form, strong: scope_mode == "global", 1, " --global-scope"),
+        (lambda scope_mode, vub_form, strong: vub_form, 2, " --vub-form"),
+        (lambda scope_mode, vub_form, strong: scope_mode == "global" and vub_form, 3,
          " --global-scope --vub-form"),
-    ], ids=["global", "vub", "global-vub"])
+        (lambda scope_mode, vub_form, strong: not strong, 4, " --no-strong"),
+        (lambda scope_mode, vub_form, strong: vub_form and not strong, 6,
+         " --vub-form --no-strong"),
+    ], ids=["global", "vub", "global-vub", "weak", "vub-weak"])
     def test_failure_names_the_check_flags(self, capsys, monkeypatch, tmp_path,
                                            failing, index, flags):
         import asptoc.fuzz as fuzz_mod
         from asptoc.fuzz import CheckReport
 
-        def check(program, scope_mode="scc", vub_form=False):
-            status = "fail" if failing(scope_mode, vub_form) else "pass"
+        def check(program, scope_mode="scc", vub_form=False, strong=True):
+            status = "fail" if failing(scope_mode, vub_form, strong) else "pass"
             return CheckReport(({"check": "bijection", "status": status},), 0, 0)
 
         monkeypatch.setattr(fuzz_mod, "check_program", check)
         monkeypatch.chdir(tmp_path)
-        assert main(["fuzz", "--seed", "9", "--count", "4"]) == 3
+        assert main(["fuzz", "--seed", "9", "--count", "8"]) == 3
         failure = json.loads(capsys.readouterr().out.splitlines()[0])
         repro = f"fuzz-counterexample-9-{index}.lp"
         assert failure["program"] == index

@@ -11,9 +11,9 @@ from asptoc.parser import (
     UnsupportedFeatureError,
     WeightError,
     parse_program,
-    render_program,
 )
 from asptoc.program import Polarity, Rule, WeightedLiteral
+from references import render_program
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

@@ -1,19 +1,21 @@
 """Translation time grows linearly with program size.
 
-Parsing, the dependency graph and the completion each index the program
-once, so each of these stages takes about four times as long on a program
-four times as large; a list scan left on any of them makes it about
-sixteen.  Each stage is bounded on its own, so a slow stage cannot hide
-behind the others.  The bound of eight leaves room for the machine's speed
-to drift between runs, which the interleaved best-of-three absorbs only in
-part.
+Parsing, the dependency graph, the completion and the emission each index
+the program once, so each of these stages takes about four times as long
+on a program four times as large; a list scan left on any of them makes
+it about sixteen.  Each stage is bounded on its own, so a slow stage
+cannot hide behind the others.  The bound of eight leaves room for the
+machine's speed to drift between runs, which the interleaved best-of-three
+absorbs only in part.
 """
 
 import gc
 import time
 
+from asptoc.cli import main
 from asptoc.depgraph import build_depgraph, sccs
 from asptoc.parser import parse_program
+from asptoc.smtlib import smtlib_lines
 from asptoc.toc import toc_program
 
 N = 2000
@@ -41,18 +43,23 @@ def stage_seconds(source: str) -> dict:
     # the graph stage takes milliseconds, so one timing of it is mostly noise
     graph_s = min(seconds(lambda: sccs(build_depgraph(program)))
                   for _ in range(GRAPH_REPEATS))
-    toc_s = seconds(lambda: (toc_program(program, scope_mode="scc"),
-                             toc_program(program, scope_mode="global")))
-    return {"parse": parse_s, "depgraph": graph_s, "toc": toc_s}
+    sets = []
+    toc_s = seconds(lambda: sets.extend((toc_program(program, scope_mode="scc"),
+                                         toc_program(program, scope_mode="global"))))
+    emit_s = seconds(lambda: [smtlib_lines(fs, model=True) for fs in sets])
+    return {"parse": parse_s, "depgraph": graph_s, "toc": toc_s, "emit": emit_s}
 
 
-def assert_linear(sources: dict, stages) -> None:
+def assert_linear(sources: dict, stages, *, collector_off: bool = True) -> None:
     """Bound each stage's ratio between the best of RUNS interleaved
-    timings of ``stages(source)`` on the N-rule and the 4N-rule source."""
+    timings of ``stages(source)`` on the N-rule and the 4N-rule source.
+    With ``collector_off`` no collection runs in between, since a full one
+    mid-run would charge one size only."""
     best = {n: {} for n in sources}
     enabled = gc.isenabled()
     gc.collect()
-    gc.disable()  # a full collection mid-run would charge one size only
+    if collector_off:
+        gc.disable()
     try:
         for _ in range(RUNS):
             for n, source in sources.items():
@@ -78,3 +85,23 @@ def test_parse_time_is_linear_on_one_line():
     parse quadratic."""
     assert_linear({n: chain_source(n).replace("\n", " ") for n in (N, 4 * N)},
                   lambda source: {"parse": seconds(lambda: parse_program(source))})
+
+
+def test_translate_command_time_is_linear(tmp_path):
+    """``asptoc translate`` as a whole, argument parsing and the write
+    included, with the collector as the command sets it: the collector
+    stays on outside the command, and the command turns it off."""
+    out = str(tmp_path / "out.smt2")
+    paths = {}
+    for n in (N, 4 * N):
+        paths[n] = tmp_path / f"chain{n}.lp"
+        paths[n].write_text(chain_source(n))
+
+    def translate(path) -> dict:
+        start = time.perf_counter()
+        code = main(["translate", str(path), "--out", out])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        return {"translate": elapsed}
+
+    assert_linear(paths, translate, collector_off=False)

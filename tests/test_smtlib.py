@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from asptoc.dlcheck import recheck
+from asptoc.dlcheck import enumerate_dl_models, recheck
 from asptoc.formulas import (
     Aux,
     Base,
@@ -23,13 +23,16 @@ from asptoc.parser import parse_program
 from asptoc.smtlib import (
     SolverInvocationError,
     SolverResponseError,
-    debug_text,
     emit_smtlib,
     read_solver_model,
     run_solver,
+    smtlib_lines,
     to_sexpr,
 )
+from asptoc.fuzz import CHECK_MODES, fuzz_corpus
 from asptoc.toc import toc_program
+from references import debug_text
+from stub_solver import build_formula_set, parse_sexprs, tokenize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 STUB = [sys.executable, str(pathlib.Path(__file__).parent / "stub_solver.py")]
@@ -270,3 +273,33 @@ class TestSolverPipeline:
         sleeper = f"{sys.executable} -c 'import time; time.sleep(10)'"
         with pytest.raises(SolverInvocationError, match="timed out after 0.5 s"):
             run_solver(sleeper, "x.smt2", timeout=0.5)
+
+
+# Convex (two-bound) rules, tight and on a cycle.  Only the flat
+# completion (scc scope, no --vub-form) writes one sum under both bounds,
+# and the fuzz slice below draws too few such rules to catch a fault in
+# how the two bounds join.
+CONVEX = """{b}. {c}. {d}.
+a :- 1 <= { b, c, d } <= 1.
+e :- 2 <= { e=1, b=1, c=2, d=1 } <= 3.
+"""
+READ_BACK_SOURCES = [CONVEX, *(src for _, src, _ in fuzz_corpus(1, 24))]
+
+
+def finder_models(fs):
+    return enumerate_dl_models(fs, max_atoms=len(fs.base_atoms) + len(fs.aux_atoms))
+
+
+@pytest.mark.parametrize("strong", [True, False], ids=["strong", "weak"])
+@pytest.mark.parametrize("scope_mode, vub_form", CHECK_MODES,
+                         ids=["scc", "global", "scc-vub", "global-vub"])
+def test_emitted_text_reads_back_to_the_same_models(scope_mode, vub_form, strong):
+    # the text a solver reads, not only the formula set it was written
+    # from, must have exactly the finder's models: read back through the
+    # stub solver's reader, each set keeps every model and gains none
+    for source in READ_BACK_SOURCES:
+        fs = toc_program(parse_program(source), scope_mode=scope_mode,
+                         strong=strong, vub_form=vub_form)
+        text = "".join(smtlib_lines(fs, model=True))
+        back = build_formula_set(parse_sexprs(tokenize(text)))
+        assert sorted(finder_models(back)) == sorted(finder_models(fs)), source

@@ -29,10 +29,10 @@ from asptoc.formulas import (
 )
 from asptoc.oracle import ResourceError, stable_models
 from asptoc.parser import parse_program
-from asptoc.smtlib import debug_text, to_sexpr
+from asptoc.smtlib import to_sexpr
 from asptoc.normtest import normalize_subsets
 from asptoc.toc import toc_module, toc_program
-from references import ConvexityError, toc_abstract
+from references import ConvexityError, body_atoms, debug_text, toc_abstract
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -147,7 +147,7 @@ class TestOrderedCompletionInstantiation:
                 app = Aux("app", atom, i)
                 fs.declare_aux(app)
                 apps.append(Var(app))
-                fs.declare_base(*rule.body_atoms())
+                fs.declare_base(*body_atoms(rule))
                 inside = [b for b in rule.pos_atoms() if b in scope]
                 outside = [b for b in rule.pos_atoms() if b not in scope]
                 negs = [w.atom for w in rule.literals(Polarity.NEGATIVE)]
