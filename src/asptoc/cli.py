@@ -16,7 +16,7 @@ import gc
 import os
 import sys
 
-from .formulas import Base, LevelVar, Not, ValidationError, Var, conj, var_name
+from .formulas import Base, LevelVar, Not, ValidationError, Var, conj
 from .parser import ParseError, UnsupportedFeatureError, parse_program
 from .program import Program, ResourceError
 from .smtlib import (
@@ -166,7 +166,7 @@ def cmd_solve(args) -> int:
     # line before its (check-sat) (get-model) tail
     lines = smtlib_lines(fs, model=True)
     table = fs.symbols()
-    owners = {var_name(LevelVar(owner)): owner for owner in fs.level_bounds}
+    owners = {LevelVar(owner).name: owner for owner in fs.level_bounds}
     found = 0
     while True:
         with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as tmp:

@@ -23,14 +23,14 @@ model through the naive evaluator in :mod:`asptoc.formulas`.
 from __future__ import annotations
 
 from . import formulas as F
-from .formulas import Aux, FormulaSet, Iff, LevelVar, Var, Z, eval_formula, ref_name, var_name
+from .formulas import Aux, FormulaSet, Iff, LevelVar, Var, Z, eval_formula
 from .node import Node
 from .program import ResourceError
 
 
 class DLModel(Node, fields="props ints"):
     """Propositional assignment plus ranking-variable values, keyed by
-    ``ref_name``/``var_name`` (a base atom by its plain name): ``props``
+    each reference's ``name`` (a base atom by its plain name): ``props``
     holds sorted ``(name, bool)`` pairs, ``ints`` sorted ``(name, int)``
     pairs."""
 
@@ -83,18 +83,17 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22) -> list[DLModel]:
         walked[i][1].add(a)
 
     # the searched variables in order, and each one's position
-    levels = [(var_name(LevelVar(o)), range(lo, hi + 1))
+    levels = [(LevelVar(o).name, range(lo, hi + 1))
               for o, (lo, hi) in sorted(fs.level_bounds.items())]
     searched = [(n, (False, True)) for n in sorted(fs.base_atoms)]
     searched += sorted((sym, (False, True)) for a, sym in fs.aux_atoms.items()
                        if a not in defined)
     searched += levels
     position = {name: p for p, (name, _) in enumerate(searched)}
-    position[var_name(Z)] = -1  # pinned
+    position[Z.name] = -1  # pinned
 
     def last(atoms, ints):
-        return max([*(position[ref_name(a)] for a in atoms),
-                    *(position[var_name(v)] for v in ints)], default=-1)
+        return max([position[r.name] for r in (*atoms, *ints)], default=-1)
 
     # work[p + 1] runs once the variable at position p is assigned: each
     # step is (symbol, body) for a definition or (None, formula) for a
@@ -103,7 +102,7 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22) -> list[DLModel]:
     work: list[list] = [[] for _ in range(len(searched) + 1)]
     for a, i in defined.items():
         f, atoms, ints = walked[i]
-        sym = fs.aux_atoms[a]
+        sym = a.name
         position[sym] = p = last(atoms, ints)
         work[p + 1].append((sym, f.right))
     definitions = set(defined.values())
@@ -125,7 +124,7 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22) -> list[DLModel]:
     prop_pairs = {n: ((n, False), (n, True))
                   for n in sorted([*fs.base_atoms, *fs.aux_atoms.values()])}
     # z is pinned to 0, and a model carries it only where the set ranks
-    pinned = {var_name(Z): 0} if fs.level_bounds else {}
+    pinned = {Z.name: 0} if fs.level_bounds else {}
     int_names = sorted([*pinned, *(n for n, _ in levels)])
     env: dict = dict(pinned)
     models: list[DLModel] = []
@@ -146,9 +145,3 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22) -> list[DLModel]:
     del rec  # a closure that calls itself is a cycle; free it now, not at the next GC
     return models
 
-
-def recheck(fs: FormulaSet, model: DLModel) -> bool:
-    """Independent full re-evaluation of a model, no search shortcuts."""
-    env = model.prop_map
-    ints = model.int_map
-    return all(eval_formula(f, env, ints) for _, f in fs.formulas)

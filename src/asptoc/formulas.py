@@ -21,33 +21,39 @@ from .node import Node
 
 
 # ---------------------------------------------------------------------------
-# atom and variable references
+# atom and variable references.  Each carries, as ``name``, the string that
+# keys it in the symbol table, evaluation environments and ``DLModel``s:
+# a base atom its own name, an auxiliary atom its SMT-LIB symbol
+# ``|kind:head:arg|``, a ranking variable ``__x_<owner>`` and ``z``
+# ``__z``.  No atom name starts with ``_`` or contains ``:``, so the keys
+# (and the quoted fields of an auxiliary symbol) tell every reference apart.
 
 class Base(Node, fields="name"):
     __slots__ = ()
 
 
-class Aux(Node, fields="kind head arg"):
+def _aux_symbol(kind: str, head: str, arg: Union[str, int]) -> str:
+    if kind not in Aux.KINDS:
+        raise ValueError(f"unknown aux kind {kind!r}")
+    return f"|{kind}:{head}:{arg}|"
+
+
+class Aux(Node, fields="kind head arg", key=_aux_symbol):
     """Generated atom of the head ``head``: app/int/ext/vub carry a rule
     ordinal, dep/gap a body atom."""
 
     __slots__ = ()
     KINDS = ("app", "dep", "gap", "int", "ext", "vub")
 
-    def __new__(cls, kind: str, head: str, arg: Union[str, int]):
-        if kind not in cls.KINDS:
-            raise ValueError(f"unknown aux kind {kind!r}")
-        return tuple.__new__(cls, (kind, head, arg))
-
 
 AtomRef = Union[Base, Aux]
 
 
-class LevelVar(Node, fields="owner"):
+class LevelVar(Node, fields="owner", key=lambda owner: f"__x_{owner}"):
     __slots__ = ()
 
 
-class ZVar(Node):
+class ZVar(Node, key=lambda: "__z"):
     """The distinguished variable ``z``; every ``ZVar`` names it."""
 
     __slots__ = ()
@@ -57,16 +63,19 @@ class ZVar(Node):
 
 
 Z = ZVar()
-IntRef = Union[LevelVar, ZVar]
 
 
-# ---------------------------------------------------------------------------
-# symbol naming (SMT-LIB 2.6, section 3.1).  No atom name starts with ``_``
-# or contains ``:``, so ``__x_<atom>``, ``__z`` and the quoted ``:``-separated
-# fields of every other generated symbol name each reference apart.
+def ref_name(ref) -> str:
+    """The key of an atom, a ranking variable or ``z``: its ``name``."""
+    return ref.name
 
-# reserved words (commands included) and Core/Ints symbols an atom name can
-# spell; such an atom is declared as ``|atom:<name>|``
+
+var_name = ref_name
+
+
+# SMT-LIB 2.6, section 3.1: reserved words (commands included) and
+# Core/Ints symbols an atom name can spell; such an atom is declared as
+# ``|atom:<name>|``
 SMT_RESERVED = frozenset((
     "as exists forall let match par assert echo exit pop push reset "
     "true false not and or xor ite distinct div mod abs").split())
@@ -75,21 +84,6 @@ SMT_RESERVED = frozenset((
 def _spell(name: str) -> str:
     """The SMT-LIB symbol of the base atom ``name``."""
     return f"|atom:{name}|" if name in SMT_RESERVED else name
-
-
-def ref_name(ref: AtomRef) -> str:
-    """Key of an atom in evaluation environments and ``DLModel``s: a base
-    atom's own name, an auxiliary atom's symbol ``|kind:head:arg|``."""
-    if type(ref) is Base:
-        return ref.name
-    return f"|{ref.kind}:{ref.head}:{ref.arg}|"
-
-
-def var_name(var: IntRef) -> str:
-    """The SMT-LIB symbol of a ranking variable or ``z``."""
-    if type(var) is ZVar:
-        return "__z"
-    return f"__x_{var.owner}"
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +257,15 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
     ``formulas`` is a list of ``(name, Formula)`` pairs.  ``base_atoms``
     and ``aux_atoms`` are the set's symbol table: ordered dicts from each
     declared atom to its SMT-LIB symbol (``_spell`` of a base atom's name,
-    ``ref_name`` of an auxiliary atom), keys in first-seen order, so a
+    an auxiliary atom's ``name``), keys in first-seen order, so a
     declaration costs O(1) however large the set grows and names its atom
     once.  A base atom is keyed by its name, which is also its symbol
     unless it is in ``SMT_RESERVED``.  ``level_bounds`` maps
     each ranking variable's owner to its range ``(lo, hi)``.  The four
     containers grow in place; the fields themselves are fixed.
     """
+
+    __slots__ = ()
 
     def __new__(cls, formulas: list | None = None, base_atoms: dict | None = None,
                 aux_atoms: dict | None = None, level_bounds: dict | None = None):
@@ -285,7 +281,7 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
         aux = self.aux_atoms
         for ref in refs:
             if ref not in aux:
-                aux[ref] = ref_name(ref)
+                aux[ref] = ref.name
 
     def declare_level(self, owner: str, lo: int, hi: int):
         self.level_bounds[owner] = (lo, hi)
@@ -303,14 +299,13 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
         self.level_bounds.update(other.level_bounds)
 
     def symbols(self) -> dict:
-        """Every declared symbol, keyed as the emitter looks it up: a base
-        atom by its name, an auxiliary atom by its ``Aux``, a ranking
-        variable and ``z`` by their symbol (``var_name``), which no atom
-        name spells.  ``z`` is declared exactly when some ranking variable
-        is, as the emitter declares it."""
-        table = {**self.base_atoms, **self.aux_atoms}
+        """Every declared symbol, keyed by the ``name`` of its reference,
+        as the emitter looks it up.  ``z`` is declared exactly when some
+        ranking variable is, as the emitter declares it."""
+        table = dict(self.base_atoms)
+        table.update((sym, sym) for sym in self.aux_atoms.values())
         if self.level_bounds:
-            names = [var_name(Z), *(var_name(LevelVar(o)) for o in self.level_bounds)]
+            names = [Z.name, *(LevelVar(o).name for o in self.level_bounds)]
             table.update(zip(names, names))
         return table
 
@@ -323,21 +318,19 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
         ints: set = set()
         for _, f in self.formulas:
             _collect(f, atoms, ints)
-        bad_atoms = [a for a in atoms if (a.name if type(a) is Base else a) not in table]
-        if bad_atoms:
-            raise ValidationError(f"undeclared atoms: {sorted(map(ref_name, bad_atoms))}")
-        bad_ints = {var_name(v) for v in ints} - table.keys()
-        if bad_ints:
-            raise ValidationError(f"undeclared variables: {sorted(bad_ints)}")
+        for what, refs in (("atoms", atoms), ("variables", ints)):
+            bad = {r.name for r in refs} - table.keys()
+            if bad:
+                raise ValidationError(f"undeclared {what}: {sorted(bad)}")
 
 
 # ---------------------------------------------------------------------------
-# reference evaluator (kept naive on purpose; the model finder evaluates
-# with it, and ``dlcheck.recheck`` re-evaluates a found model in full)
+# reference evaluator, kept naive on purpose: the model finder evaluates
+# with it, and the tests re-evaluate every formula on a found model with it
 
 def eval_formula(formula: Formula, bools: dict, ints: dict) -> bool:
     if isinstance(formula, Var):
-        return bools[ref_name(formula.atom)]
+        return bools[formula.atom.name]
     if isinstance(formula, Not):
         return not eval_formula(formula.sub, bools, ints)
     if isinstance(formula, And):
@@ -354,11 +347,11 @@ def eval_formula(formula: Formula, bools: dict, ints: dict) -> bool:
     if isinstance(formula, FalseF):
         return False
     if isinstance(formula, Diff):
-        return ints[var_name(formula.lhs)] - ints[var_name(formula.rhs)] <= formula.k
+        return ints[formula.lhs.name] - ints[formula.rhs.name] <= formula.k
     if isinstance(formula, PB):
         total = 0
         for t in formula.terms:
-            value = bools[ref_name(t.atom)]
+            value = bools[t.atom.name]
             if t.negated:
                 value = not value
             if value:

@@ -15,7 +15,7 @@ import random
 
 from .depgraph import scopes
 from .dlcheck import enumerate_dl_models
-from .formulas import LevelVar, var_name
+from .formulas import LevelVar
 from .node import Node
 from .oracle import module_ranking, stable_models
 from .parser import parse_program
@@ -145,7 +145,7 @@ def _rank_check(program: Program, scope_mode: str, models, signature: frozenset)
                 expected = local[atom]
                 if expected == INFINITY:
                     expected = len(scope) + 1
-                actual = ints.get(var_name(LevelVar(atom)))
+                actual = ints.get(LevelVar(atom).name)
                 if actual != expected:
                     return _entry("ranks", False, atom=atom, model=sorted(projection),
                                   expected=expected, actual=actual)

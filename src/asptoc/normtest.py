@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 
 from .dlcheck import enumerate_dl_models
-from .formulas import FALSE, Aux, Base, FormulaSet, Iff, Implies, Var, _collect, ref_name
+from .formulas import FALSE, Aux, Base, FormulaSet, Iff, Implies, Var, _collect
 from .node import Node
 from .program import Polarity, Program, ResourceError, Rule, normal_rule, program_of
 from .toc import toc_module
@@ -142,7 +142,7 @@ def compare_sides(rule: Rule, side_a: FormulaSet, side_b: FormulaSet, k: int) ->
     fails or the two disagree on applicability."""
     head = rule.head
     body = sorted(rule.pos_atoms())
-    shared = sorted({head, *body, *(ref_name(Aux(kind, head, b))
+    shared = sorted({head, *body, *(Aux(kind, head, b).name
                                     for b in body for kind in ("dep", "gap"))})
     applies_a = _applications(side_a, head, body)
     applies_b = _applications(side_b, head, body)

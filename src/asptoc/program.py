@@ -120,16 +120,11 @@ class Program(Node, fields="rules atom_names hidden"):
             raise ValueError(f"hidden atoms missing from atom_names: {sorted(hidden - known)}")
         return tuple.__new__(cls, (rules, atom_names, hidden))
 
-    # The indexes below are built once, on first use, into the program's
-    # __dict__; its fields cannot be set, so they never go stale.
-
-    @cached_property
-    def atom_set(self) -> frozenset:
-        return frozenset(self.atom_names)
-
     @cached_property
     def head_index(self) -> dict[str, list[Rule]]:
-        """Each head's defining rules in program order; read-only."""
+        """Each head's defining rules in program order; read-only.  Built
+        once, on first use, into the program's ``__dict__``; the fields
+        cannot be set, so it never goes stale."""
         index: dict[str, list[Rule]] = {}
         for rule in self.rules:
             if rule.head is not None:
@@ -138,14 +133,14 @@ class Program(Node, fields="rules atom_names hidden"):
 
     @property
     def visible_atoms(self) -> frozenset:
-        return self.atom_set - self.hidden
+        return frozenset(self.atom_names) - self.hidden
 
     def heads(self) -> frozenset:
         return frozenset(self.head_index)
 
     def input_atoms(self) -> frozenset:
         """Atoms without defining rules; they vary freely like choice atoms."""
-        return self.atom_set - self.heads()
+        return frozenset(self.atom_names).difference(self.head_index)
 
     def constraints(self) -> tuple[Rule, ...]:
         return tuple(r for r in self.rules if r.head is None)
@@ -161,14 +156,6 @@ def program_of(rules: Iterable[Rule], extra_atoms: Iterable[str] = (),
     names.discard(None)
     names.update(extra_atoms)
     return Program(rules, tuple(sorted(names)), hidden)
-
-
-def def_of(atom: str, program: Program) -> list[Rule]:
-    """Defining rules of ``atom`` in program order, read from the program's
-    head index (built once, so each call costs only its result)."""
-    if atom not in program.atom_set:
-        raise KeyError(f"unknown atom {atom!r}")
-    return list(program.head_index.get(atom, ()))
 
 
 def weight_sum(interp: frozenset, body: Iterable[WeightedLiteral]) -> int:

@@ -24,7 +24,6 @@ import warnings
 
 from .formulas import (
     And,
-    Base,
     Diff,
     FalseF,
     FormulaSet,
@@ -37,7 +36,6 @@ from .formulas import (
     TrueF,
     Var,
     Z,
-    var_name,
 )
 
 
@@ -54,8 +52,7 @@ def _int(k: int) -> str:
 def _sum_text(terms, table) -> str:
     parts = []
     for t in terms:
-        atom = t.atom
-        lit = table[atom.name if type(atom) is Base else atom]
+        lit = table[t.atom.name]
         if t.negated:
             lit = f"(not {lit})"
         parts.append(f"(ite {lit} {t.coef} 0)")
@@ -71,8 +68,7 @@ def to_sexpr(formula, table) -> str:
     (see ``FormulaSet.symbols``), raising ``KeyError`` on a miss."""
     t = type(formula)
     if t is Var:
-        atom = formula.atom
-        return table[atom.name if type(atom) is Base else atom]
+        return table[formula.atom.name]
     if t is Iff:
         return f"(= {to_sexpr(formula.left, table)} {to_sexpr(formula.right, table)})"
     if t is And:
@@ -84,7 +80,7 @@ def to_sexpr(formula, table) -> str:
     if t is Implies:
         return f"(=> {to_sexpr(formula.left, table)} {to_sexpr(formula.right, table)})"
     if t is Diff:
-        lhs, rhs = table[var_name(formula.lhs)], table[var_name(formula.rhs)]
+        lhs, rhs = table[formula.lhs.name], table[formula.rhs.name]
         return f"(<= (- {lhs} {rhs}) {_int(formula.k)})"
     if t is PB:
         total = _sum_text(formula.terms, table)
@@ -132,10 +128,10 @@ def smtlib_lines(fs: FormulaSet, *, model: bool = False) -> list:
         lines.append(f"(declare-const {name} Bool)\n")
     if fs.level_bounds:
         # only differences matter, so z is fixed at 0
-        lines.append(f"(declare-const {var_name(Z)} Int)\n")
+        lines.append(f"(declare-const {Z.name} Int)\n")
         for owner in sorted(fs.level_bounds):
-            lines.append(f"(declare-const {var_name(LevelVar(owner))} Int)\n")
-        lines.append(f"(assert (= {var_name(Z)} 0))\n")
+            lines.append(f"(declare-const {LevelVar(owner).name} Int)\n")
+        lines.append(f"(assert (= {Z.name} 0))\n")
     _add_formulas(fs, lines, assertion)
     lines.append("(check-sat)\n")
     if model:
@@ -158,7 +154,7 @@ def debug_lines(fs: FormulaSet) -> list:
         lines.append(f"(aux {name})\n")
     for owner in sorted(fs.level_bounds):
         lo, hi = fs.level_bounds[owner]
-        lines.append(f"(level {var_name(LevelVar(owner))} {lo} {hi})\n")
+        lines.append(f"(level {LevelVar(owner).name} {lo} {hi})\n")
     _add_formulas(fs, lines, lambda name, f, table: f"(formula {name} {to_sexpr(f, table)})\n")
     return lines
 
@@ -193,7 +189,7 @@ def read_solver_model(text: str, fs: FormulaSet):
     bools = {sym: name for name, sym in fs.base_atoms.items()}
     bools.update((sym, sym) for sym in fs.aux_atoms.values())
     ranked = [Z, *map(LevelVar, fs.level_bounds)] if fs.level_bounds else []
-    keys = {"Bool": bools, "Int": {var_name(v): var_name(v) for v in ranked}}
+    keys = {"Bool": bools, "Int": {v.name: v.name for v in ranked}}
     props = dict.fromkeys(bools.values(), False)
     ints: dict = {}
     for pos in [m.start() for m in re.finditer(r"\(\s*define-fun", stripped)]:

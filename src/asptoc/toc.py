@@ -57,7 +57,7 @@ from .formulas import (
     mk_bounds,
     mk_dep_gap,
 )
-from .program import Polarity, Program, Rule, def_of
+from .program import Polarity, Program, Rule
 
 
 def _split_body(rule: Rule, scope: frozenset, base: dict):
@@ -200,7 +200,8 @@ def toc_module(program: Program, scope: frozenset, *,
     builds its own.
     """
     atoms = sorted(scope)
-    defs = {a: def_of(a, program) for a in atoms}
+    head_index = program.head_index
+    defs = {a: head_index.get(a, ()) for a in atoms}
     names = dict.fromkeys(atoms)
     for atom in atoms:
         for rule in defs[atom]:

@@ -1,8 +1,9 @@
 """Reference semantics and forms only the tests use: supported models,
-level numberings, modules as stand-alone programs, model projections, a
-brute-force model finder, formula sets with formulas dropped by name,
-programs rendered back to source and formula sets as debug text, the
-extensional completion form, and the symbol naming with its inverse.
+level numberings, modules as stand-alone programs, one atom's defining
+rules, model projections, a brute-force model finder, a full
+re-evaluation of a found model, formula sets with formulas dropped by
+name, programs rendered back to source and formula sets as debug text,
+the extensional completion form, and the symbol naming with its inverse.
 
 They check the oracle, the model finder and the translator from a second
 angle, and no command of asptoc needs them, so they live beside the
@@ -30,8 +31,6 @@ from asptoc.formulas import (
     _spell,
     disj,
     eval_formula,
-    ref_name,
-    var_name,
 )
 from asptoc.node import Node
 from asptoc.normtest import _minimal
@@ -144,11 +143,19 @@ def module_least_model_ranks(program: Program, scope: frozenset, model: frozense
     true; ``ValueError`` if that least model is not ``model`` on the
     module's atoms."""
     sub = module_program(program, scope)
-    restricted = model & sub.atom_set
+    restricted = model & frozenset(sub.atom_names)
     lm, ranks = least_model(reduct(sub, restricted), restricted & sub.input_atoms())
     if lm != restricted:
         raise ValueError("model is not stable for the module")
     return {atom: ranks[atom] if atom in restricted else INFINITY for atom in scope}
+
+
+def def_of(atom: str, program: Program) -> list[Rule]:
+    """Defining rules of ``atom`` in program order, read from the program's
+    head index."""
+    if atom not in program.atom_names:
+        raise KeyError(f"unknown atom {atom!r}")
+    return list(program.head_index.get(atom, ()))
 
 
 def project_models(models, visible) -> list[frozenset]:
@@ -163,20 +170,27 @@ def brute_force_models(fs: FormulaSet) -> list[DLModel]:
     at every value of its ``level_bounds`` range and ``z`` at 0, on which
     ``eval_formula`` holds for every formula: no grouping, no variable
     order, no early cut."""
-    names = sorted([*fs.base_atoms, *map(ref_name, fs.aux_atoms)])
+    names = sorted([*fs.base_atoms, *fs.aux_atoms.values()])
     owners = sorted(fs.level_bounds)
     ranges = [range(lo, hi + 1) for lo, hi in map(fs.level_bounds.get, owners)]
     found = []
     for bits in itertools.product((False, True), repeat=len(names)):
         bools = dict(zip(names, bits))
         for ranks in itertools.product(*ranges):
-            ints = {var_name(LevelVar(o)): r for o, r in zip(owners, ranks)}
+            ints = {LevelVar(o).name: r for o, r in zip(owners, ranks)}
             if owners:
-                ints[var_name(Z)] = 0
+                ints[Z.name] = 0
             if all(eval_formula(f, bools, ints) for _, f in fs.formulas):
                 found.append(DLModel(tuple(sorted(bools.items())),
                                      tuple(sorted(ints.items()))))
     return found
+
+
+def recheck(fs: FormulaSet, model: DLModel) -> bool:
+    """Independent full re-evaluation of a model, no search shortcuts."""
+    env = model.prop_map
+    ints = model.int_map
+    return all(eval_formula(f, env, ints) for _, f in fs.formulas)
 
 
 def drop_formulas(fs: FormulaSet, prefix: str) -> FormulaSet:
@@ -355,11 +369,7 @@ def toc_abstract(rule: Rule, scope: frozenset, *,
 def encode(ref) -> str:
     """The SMT-LIB symbol of a ``Base``, ``Aux``, ``LevelVar`` or ``Z``, as
     the emitter spells it."""
-    if type(ref) is Base:
-        return _spell(ref.name)
-    if type(ref) is Aux:
-        return ref_name(ref)
-    return var_name(ref)
+    return _spell(ref.name) if type(ref) is Base else ref.name
 
 
 def decode(symbol: str):

@@ -538,13 +538,19 @@ class TestSolve:
         from asptoc.fuzz import fuzz_corpus
         from asptoc.oracle import stable_models
 
+        # --all prints one line per stable model, projected to the visible
+        # atoms, and UNSATISFIABLE exactly when there is none
         for index, source, program in fuzz_corpus(seed=17, count=8,
                                                   max_atoms=5, max_rules=6):
             path = write(tmp_path, source, name=f"p{index}.lp")
-            assert main(["solve", path, "--solver", STUB]) == 0
-            out = capsys.readouterr().out.strip()
-            has_stable = bool(stable_models(program))
-            assert (out != "UNSATISFIABLE") == has_stable, source
+            assert main(["solve", path, "--solver", STUB, "--all"]) == 0
+            out = capsys.readouterr().out
+            printed = sorted(json.loads(line)["model"] for line in out.splitlines()
+                             if line.startswith("{"))
+            expected = sorted(sorted(m & program.visible_atoms)
+                              for m, _ in stable_models(program))
+            assert printed == expected, source
+            assert ("UNSATISFIABLE" in out) == (not expected), source
 
     def test_missing_solver_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("TOC_SOLVER", raising=False)

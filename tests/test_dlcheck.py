@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from asptoc.dlcheck import DLModel, enumerate_dl_models, recheck
+from asptoc.dlcheck import DLModel, enumerate_dl_models
 from asptoc.formulas import (
     TRUE,
     Aux,
@@ -24,7 +24,7 @@ from asptoc.fuzz import CHECK_MODES, fuzz_corpus
 from asptoc.parser import parse_program
 from asptoc.program import ResourceError
 from asptoc.toc import toc_module, toc_program
-from references import brute_force_models, project_models
+from references import brute_force_models, project_models, recheck
 
 
 class TestSelfLoop:

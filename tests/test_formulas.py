@@ -40,6 +40,7 @@ from asptoc.formulas import (
 )
 from asptoc.node import Node
 from asptoc.parser import parse_program
+from asptoc.toc import toc_program
 from references import decode, drop_formulas, encode
 
 
@@ -251,10 +252,28 @@ class TestDeclarationOrder:
             assert all(sym == ref_name(ref) for ref, sym in fs.aux_atoms.items())
         kept.declare_level("b", 1, 3)
         assert kept.symbols() == {"b": "b", "a": "a", "c": "c",
-                                  Aux("gap", "b", "a"): "|gap:b:a|",
-                                  Aux("app", "b", 1): "|app:b:1|",
-                                  Aux("app", "a", 2): "|app:a:2|",
+                                  "|gap:b:a|": "|gap:b:a|",
+                                  "|app:b:1|": "|app:b:1|",
+                                  "|app:a:2|": "|app:a:2|",
                                   "__z": "__z", "__x_b": "__x_b"}
+
+
+# one reference of each class and auxiliary kind, all of which the
+# translation of KEYED_SOURCE declares
+KEYED_REFS = [Base("p"), Base("true"), *(Aux(kind, "a", "b" if kind in ("dep", "gap") else 1)
+                                          for kind in Aux.KINDS),
+              LevelVar("a"), Z]
+KEYED_SOURCE = "a :- 1 <= { b, c } <= 1. b :- a. {c}. p :- true. {true}."
+
+
+@pytest.mark.parametrize("ref", KEYED_REFS, ids=repr)
+def test_every_reference_carries_its_key(ref):
+    assert ref_name(ref) == var_name(ref) == ref.name
+    rebuilt = type(ref)(*(getattr(ref, field) for field in ref._fields))
+    for twin in (copy.copy(ref), copy.deepcopy(ref), pickle.loads(pickle.dumps(ref)), rebuilt):
+        assert twin == ref and twin.name == ref.name
+    table = toc_program(parse_program(KEYED_SOURCE), vub_form=True).symbols()
+    assert ref.name in table and all(type(key) is str for key in table)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +350,15 @@ def ir_samples():
             oracle.PositiveRule("a", (("b", 1),), 1, None),
             dlcheck.DLModel((("a", True),), (("__z", 0),)),
             normtest.Verdict(True, 2, 1, 3, 4, None),
-            fuzz.CheckReport(({"check": "uniqueness", "status": "pass"},), 1, 1)]
+            fuzz.CheckReport(({"check": "uniqueness", "status": "pass"},), 1, 1),
+            FormulaSet()]
 
 
 def indexed_samples():
     """The nodes that keep a ``__dict__`` for their cached indexes."""
     p = parse_program("a :- b.")
     graph = build_depgraph(p)
-    return [p, FormulaSet(), graph]
+    return [p, graph]
 
 
 def test_samples_cover_every_slotted_ir_class():
@@ -347,7 +367,7 @@ def test_samples_cover_every_slotted_ir_class():
              if isinstance(cls, type) and issubclass(cls, Node)
              and cls.__module__ == module.__name__}
     indexed = {type(obj) for obj in indexed_samples()}
-    assert indexed == {program.Program, FormulaSet, depgraph.DepGraph}
+    assert indexed == {program.Program, depgraph.DepGraph}
     assert nodes - indexed == {type(obj) for obj in ir_samples()}
 
 

