@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 parse error, 2 unsupported feature or size cap,
-3 correctness mismatch, 4 solver invocation failure or timeout, 5 solver
-model parse failure.  Reports are line-delimited JSON on stdout.
+Exit codes: 0 success, 1 parse error or I/O error (an unreadable input,
+an unwritable output), 2 unsupported feature or size cap, 3 correctness
+mismatch, 4 solver invocation failure or timeout, 5 solver model parse
+failure.  Reports are line-delimited JSON on stdout.
 
 Start-up loads only the translator; the checkers, the fuzzer and the
 solver plumbing are imported by the commands that use them.

@@ -292,12 +292,6 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
     def extend(self, pairs):
         self.formulas.extend(pairs)
 
-    def merge(self, other: "FormulaSet"):
-        self.extend(other.formulas)
-        self.base_atoms.update(other.base_atoms)
-        self.aux_atoms.update(other.aux_atoms)
-        self.level_bounds.update(other.level_bounds)
-
     def symbols(self) -> dict:
         """Every declared symbol, keyed by the ``name`` of its reference,
         as the emitter looks it up.  ``z`` is declared exactly when some

@@ -27,12 +27,12 @@ bound is exceeded only by atoms derived after the head.  The alternative
 emission mode spells each upper-bound check as the negation of an
 explicit ``vub`` atom defined completion-style; nothing else changes.
 
-Each leaf is built once and every formula shares it.  ``toc_program``
-builds one ``Base`` per atom, read by the flat completions, the
-constraints and every ranked scope; a ranked scope builds one ``Var`` and
-``LevelVar`` per scope atom and the ``dep``/``gap`` atoms of each edge,
-declared once and read by their definitions and by every rule's sums
-alike.
+Every scope writes into one formula set, which declares the program's
+atoms once, and each leaf is built once and every formula shares it: one
+``Base`` per atom, read by the flat completions, the constraints and
+every ranked scope; a ranked scope builds one ``Var`` and ``LevelVar``
+per scope atom and the ``dep``/``gap`` atoms of each edge, declared once
+and read by their definitions and by every rule's sums alike.
 """
 
 from __future__ import annotations
@@ -188,28 +188,14 @@ def _define(fs: FormulaSet, holds: Var, supports: list):
     fs.add(f"def:{holds.atom.name}", Iff(holds, disj(*supports)))
 
 
-def toc_module(program: Program, scope: frozenset, *,
-               strong: bool = True, vub_form: bool = False,
-               base: dict | None = None) -> FormulaSet:
-    """Ordered completion of the scope's defining rules.  Scope atoms
-    without defining rules stay free but still receive range formulas.
-    The scope need not be a strongly connected component: the global mode
-    ranks every defined atom at once, and the proposition check ranks a
-    rule's head with its body.  ``base`` maps each atom name the rules
-    mention to the ``Base`` node the caller shares; without it the module
-    builds its own.
-    """
+def _rank(fs: FormulaSet, program: Program, scope: frozenset, base: dict,
+          strong: bool, vub_form: bool):
+    """Write the ordered completion of the scope's defining rules into
+    ``fs``, reading the ``Base`` of each atom from ``base``.  Scope atoms
+    without defining rules stay free but still receive range formulas."""
     atoms = sorted(scope)
     head_index = program.head_index
     defs = {a: head_index.get(a, ()) for a in atoms}
-    names = dict.fromkeys(atoms)
-    for atom in atoms:
-        for rule in defs[atom]:
-            names.update(dict.fromkeys(sorted({wl.atom for wl in rule.body})))
-    fs = FormulaSet()
-    fs.declare_base(*names)
-    if base is None:
-        base = {n: Base(n) for n in names}
     holds = {a: Var(base[a]) for a in atoms}
     level = {a: LevelVar(a) for a in atoms}
 
@@ -233,27 +219,43 @@ def toc_module(program: Program, scope: frozenset, *,
                     [_ranked_rule(fs, level[atom], i, rule, part, base, edges[atom],
                                   strong, vub_form)
                      for i, (rule, part) in enumerate(zip(defs[atom], parts[atom]), 1)])
+
+
+def _declared(program: Program):
+    """A formula set declaring the program's atoms in name order, and one
+    ``Base`` per atom, read by every formula written into it."""
+    names = sorted(program.atom_names)
+    fs = FormulaSet()
+    fs.declare_base(*names)
+    return fs, {n: Base(n) for n in names}
+
+
+def toc_module(program: Program, scope: frozenset, *,
+               strong: bool = True, vub_form: bool = False) -> FormulaSet:
+    """Ordered completion of the scope's defining rules, as ``toc_program``
+    writes it, in a set of its own declaring the program's atoms.  The
+    scope need not be a strongly connected component: the global mode
+    ranks every defined atom at once, and the proposition check ranks a
+    rule's head with its body."""
+    fs, base = _declared(program)
+    _rank(fs, program, scope, base, strong, vub_form)
     return fs
 
 
 def toc_program(program: Program, *, scope_mode: str = "scc",
                 strong: bool = True, vub_form: bool = False) -> FormulaSet:
-    """Union of the per-scope completions and the integrity constraints.
+    """Every scope's completion and the integrity constraints in one set.
 
     ``scope_mode="scc"`` ranks each recursive strongly connected component
     and completes every other head, always a singleton scope, in place;
     ``"global"`` ranks the whole signature as one scope, which makes every
     derivation stage observable on a ranking variable.
     """
-    names = sorted(program.atom_names)
-    fs = FormulaSet()
-    fs.declare_base(*names)
-    base = {n: Base(n) for n in names}  # one leaf per atom, read by every formula
+    fs, base = _declared(program)
     head_index = program.head_index
     for scope, ranked in scopes(program, scope_mode):
         if ranked:
-            fs.merge(toc_module(program, scope, strong=strong, vub_form=vub_form,
-                                base=base))
+            _rank(fs, program, scope, base, strong, vub_form)
         else:
             (atom,) = scope
             rules = head_index.get(atom)

@@ -289,9 +289,10 @@ def _check_convex(family: set, universe: frozenset):
                                 f"and {sorted(large)}")
 
 
-def toc_abstract(rule: Rule, scope: frozenset, *,
-                 family: set | None = None, strong: bool = True) -> FormulaSet:
-    """Ordered completion of one rule with its aggregate kept extensional.
+def toc_abstract(fs: FormulaSet, rule: Rule, scope: frozenset, *,
+                 family: set | None = None, strong: bool = True):
+    """Write into ``fs`` the ordered completion of one rule with its
+    aggregate kept extensional.
 
     Internal support substitutes in-scope positive atoms by their ``dep``
     atoms inside the disjunction over inclusion-minimal satisfiers (the
@@ -351,7 +352,6 @@ def toc_abstract(rule: Rule, scope: frozenset, *,
     ext_def = conj(disj(*(conj(*(plain(j) for j in sorted(sat)))
                           for sat in ext_minimal)), bound_check)
 
-    fs = FormulaSet()
     fs.declare_base(*sorted({wl.atom for wl in slots} | {head}))
     kinds = ("dep", "gap") if strong else ("dep",)
     for j in sorted(universe):
@@ -360,7 +360,6 @@ def toc_abstract(rule: Rule, scope: frozenset, *,
     emit_support(fs, LevelVar(head), 1, weak, ext_def, deny,
                  has_in=any(in_scope_pos(j) for j in universe),
                  ext_possible=bool(ext_minimal))
-    return fs
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, reports, solver pipeline."""
 
+import errno
 import json
+import os
 import pathlib
 import sys
 
@@ -89,24 +91,37 @@ class TestTranslate:
         assert capsys.readouterr().out == debug_text(fs)
 
     def test_peak_memory_is_one_copy_of_the_output(self, tmp_path):
-        # the program is freed before emission, and the text is held once,
-        # as the list of lines that is written: the peak stays within the
-        # completion's own peak plus 1.5 times the output
+        # two bounds on traced peaks, each against the stage before it.
+        # (a) The emitter holds the text once, as its list of lines: the
+        # pipeline's peak stays within the completion's own peak plus one
+        # output.  The parsed program and the completion's temporaries,
+        # freed before emission, cover the lines' per-line headers; a
+        # second, joined copy of the text adds a whole output.
+        # (b) The command adds only the chunk being written: joined, and
+        # encoded by the text layer, one byte per character of ASCII each.
+        # Joining the whole output, or keeping the program alive through
+        # emission, exceeds that.
         import gc
         import tracemalloc
 
+        from asptoc.cli import WRITE_CHUNK
         from asptoc.parser import parse_program
+        from asptoc.smtlib import smtlib_lines
         from asptoc.toc import toc_program
 
         src = ranked_source(100)
         path, out = write(tmp_path, src), tmp_path / "out.smt2"
         argv = ["translate", path, "--out", str(out)]
         assert main(argv) == 0  # argparse and lazy imports outside the trace
+        lines = smtlib_lines(toc_program(parse_program(src)), model=True)
+        chunk = max(len("".join(lines[i:i + WRITE_CHUNK]))
+                    for i in range(0, len(lines), WRITE_CHUNK))
+        del lines
 
         def peak(call):
             # a full collection empties the interpreter's free lists, whose
-            # reused objects tracemalloc would not see, so that both peaks
-            # count every allocation
+            # reused objects tracemalloc would not see, so that every peak
+            # counts every allocation
             gc.collect()
             tracemalloc.start()
             try:
@@ -116,7 +131,9 @@ class TestTranslate:
                 tracemalloc.stop()
 
         toc_peak = peak(lambda: toc_program(parse_program(src)))
-        assert peak(lambda: main(argv)) <= toc_peak + 1.5 * out.stat().st_size
+        pipeline_peak = peak(lambda: smtlib_lines(toc_program(parse_program(src)), model=True))
+        assert pipeline_peak <= toc_peak + out.stat().st_size
+        assert peak(lambda: main(argv)) <= pipeline_peak + 2 * chunk
 
     def test_translate_leaves_no_cyclic_garbage(self, tmp_path, capsys):
         # translate runs with the collector off, which is safe only while
@@ -213,6 +230,19 @@ class TestTranslate:
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "a :-")
         assert main(["translate", path]) == 1
+
+    @pytest.mark.parametrize("missing", ["input", "output"])
+    def test_io_error_exit_code(self, tmp_path, capsys, missing):
+        # an unreadable input or an unwritable output exits 1 with the
+        # OS message and writes nothing to stdout
+        path, gone = write(tmp_path, "a :- a."), tmp_path / "missing" / "x"
+        argv = ["translate", str(gone)] if missing == "input" else \
+            ["translate", path, "--out", str(gone)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        expected = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(gone))
+        assert captured.err == f"{expected}\n"
+        assert captured.out == ""
 
     def test_unsupported_feature_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "a | b :- c.")

@@ -215,17 +215,6 @@ class TestDeclarationOrder:
         assert list(fs.aux_atoms) == [Aux("app", "c", 1), Aux("dep", "a", "b"),
                                       Aux("app", "a", 1)]
 
-    def test_merge_appends_only_unseen(self):
-        left, right = FormulaSet(), FormulaSet()
-        left.declare_base("b", "a")
-        left.declare_aux(Aux("app", "b", 1))
-        right.declare_base("c", "a", "d", "b")
-        right.declare_aux(Aux("app", "a", 1), Aux("app", "b", 1))
-        left.merge(right)
-        assert list(left.base_atoms) == ["b", "a", "c", "d"]
-        assert list(left.aux_atoms) == [Aux("app", "b", 1), Aux("app", "a", 1)]
-        assert list(right.base_atoms) == ["c", "a", "d", "b"]
-
     def test_without_copies_the_vocabulary(self):
         fs = FormulaSet()
         fs.declare_base("b", "a")
@@ -238,14 +227,13 @@ class TestDeclarationOrder:
         assert "z" not in fs.base_atoms
 
     def test_symbol_table_follows_declarations(self):
-        left, right = FormulaSet(), FormulaSet()
-        left.declare_base("b", "a")
-        left.declare_aux(Aux("gap", "b", "a"), Aux("app", "b", 1))
-        right.declare_base("c", "b")
-        right.declare_aux(Aux("app", "a", 2), Aux("gap", "b", "a"))
-        left.merge(right)
-        kept = drop_formulas(left, "strong:")
-        for fs in (left, kept):
+        grown = FormulaSet()
+        grown.declare_base("b", "a")
+        grown.declare_aux(Aux("gap", "b", "a"), Aux("app", "b", 1))
+        grown.declare_base("c", "b")
+        grown.declare_aux(Aux("app", "a", 2), Aux("gap", "b", "a"))
+        kept = drop_formulas(grown, "strong:")
+        for fs in (grown, kept):
             assert list(fs.base_atoms.items()) == [("b", "b"), ("a", "a"), ("c", "c")]
             assert list(fs.aux_atoms) == [Aux("gap", "b", "a"), Aux("app", "b", 1),
                                           Aux("app", "a", 2)]

@@ -241,6 +241,42 @@ class TestTocProgram:
             if props[ref_name(Aux("ext", "a", 1))]:
                 assert props[ref_name(Aux("int", "a", 1))]
 
+    @pytest.mark.parametrize("scope_mode", ["scc", "global"])
+    def test_one_formula_set_per_translation(self, monkeypatch, scope_mode):
+        made = []
+        real = FormulaSet.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(cls)
+            return real(cls, *args, **kwargs)
+
+        program = parse_program((GOLDEN / "ranked_mix.lp").read_text())
+        monkeypatch.setattr(FormulaSet, "__new__", staticmethod(counting))
+        fs = toc_program(program, scope_mode=scope_mode)
+        assert made == [FormulaSet] and fs.level_bounds
+
+    def test_module_is_the_programs_run_for_its_scope(self):
+        # every ranked scope is written by one writer: standalone, its
+        # formulas are the run toc_program writes for it, in order, and
+        # both sets declare the program's atoms alike
+        import itertools
+
+        from asptoc.depgraph import scopes
+        from asptoc.fuzz import fuzz_corpus
+
+        programs = [p for _, _, p in fuzz_corpus(1, 200)]
+        programs.append(parse_program((GOLDEN / "ranked_mix.lp").read_text()))
+        for program, scope_mode, vub_form, strong in itertools.product(
+                programs, ("scc", "global"), (False, True), (True, False)):
+            whole = toc_program(program, scope_mode=scope_mode, vub_form=vub_form,
+                                strong=strong)
+            at = {name: i for i, (name, _) in enumerate(whole.formulas)}
+            for scope in (s for s, ranked in scopes(program, scope_mode) if ranked):
+                fs = toc_module(program, scope, vub_form=vub_form, strong=strong)
+                start = at[fs.formulas[0][0]]
+                assert whole.formulas[start:start + len(fs.formulas)] == fs.formulas
+                assert list(fs.base_atoms) == list(whole.base_atoms)
+
 
 class TestUpperBoundEncodings:
     @pytest.mark.parametrize("src", [
@@ -335,7 +371,7 @@ def assemble_abstract(program, scope, rule_index=0):
         if b in scope:
             fs.extend(mk_dep_gap((Aux("dep", rule.head, b), Aux("gap", rule.head, b)),
                                  Var(Base(b)), LevelVar(rule.head), LevelVar(b)))
-    fs.merge(toc_abstract(rule, scope))
+    toc_abstract(fs, rule, scope)
     fs.add(f"def:{rule.head}", Iff(Var(Base(rule.head)),
                                    Var(Aux("app", rule.head, 1))))
     return fs
@@ -368,7 +404,8 @@ def abstract_forms_text():
     for src, scope_atoms in ABSTRACT_SHAPES:
         for strong in (True, False):
             scope = scope_atoms.split()
-            fs = toc_abstract(parse_program(src).rules[0], frozenset(scope), strong=strong)
+            fs = FormulaSet()
+            toc_abstract(fs, parse_program(src).rules[0], frozenset(scope), strong=strong)
             for atom in scope:  # the bare set mentions ranks it does not declare
                 fs.declare_level(atom, 1, len(scope) + 1)
             table = fs.symbols()
@@ -385,8 +422,9 @@ class TestAbstractAggregates:
 
     def test_all_subsets_family_is_trivially_true(self):
         p = parse_program("a :- 0 <= { b }. b :- a.")
-        fs = toc_abstract(p.rules[0], frozenset({"a", "b"}),
-                          family={frozenset(), frozenset({0})})
+        fs = FormulaSet()
+        toc_abstract(fs, p.rules[0], frozenset({"a", "b"}),
+                     family={frozenset(), frozenset({0})})
         from asptoc.formulas import TrueF
         defs = dict(fs.formulas)
         assert isinstance(defs["int:a:1"].right, TrueF)
@@ -395,7 +433,7 @@ class TestAbstractAggregates:
     def test_non_convex_family_rejected(self):
         p = parse_program("a :- 1 <= { b, c }. b :- a. c :- a.")
         with pytest.raises(ConvexityError):
-            toc_abstract(p.rules[0], frozenset({"a", "b", "c"}),
+            toc_abstract(FormulaSet(), p.rules[0], frozenset({"a", "b", "c"}),
                          family={frozenset(), frozenset({0, 1})})
 
     @pytest.mark.parametrize("src,scope_atoms", WEIGHT_PATH_RULES)
