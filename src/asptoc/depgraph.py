@@ -102,16 +102,19 @@ def _components(targets) -> tuple[list[int], list[list[int]]]:
     return comp_of, comps
 
 
-def sccs(graph: DepGraph) -> SccPartition:
-    targets = graph.targets
+def _ordered_components(targets) -> list[list[int]]:
+    """The components as lists of vertex numbers, in canonical order: a
+    component is ready once all components it depends on are emitted, and
+    ties go to the smallest member, that is, the smallest number.  Each
+    condensation edge is counted once."""
     comp_of, comps = _components(targets)
-    # Re-sort the condensation canonically: a component is ready once all
-    # components it depends on are emitted; ties go to the smallest member,
-    # that is, the smallest number.  Each condensation edge is counted once.
     remaining = [0] * len(comps)
     dependants: list[list[int]] = [[] for _ in comps]
     for c, comp in enumerate(comps):
-        dependencies = {comp_of[w] for v in comp for w in targets[v]}
+        if len(comp) == 1:
+            dependencies = set(map(comp_of.__getitem__, targets[comp[0]]))
+        else:
+            dependencies = {comp_of[w] for v in comp for w in targets[v]}
         dependencies.discard(c)
         remaining[c] = len(dependencies)
         for d in dependencies:
@@ -120,17 +123,22 @@ def sccs(graph: DepGraph) -> SccPartition:
     comp_at = dict(zip(key, range(len(comps))))
     heap = [k for k, r in zip(key, remaining) if r == 0]
     heapq.heapify(heap)
-    name = graph.vertices.__getitem__
     ordered = []
     while heap:
         c = comp_at[heapq.heappop(heap)]
-        ordered.append(frozenset(map(name, comps[c])))
+        ordered.append(comps[c])
         for d in dependants[c]:
             remaining[d] -= 1
             if remaining[d] == 0:
                 heapq.heappush(heap, key[d])
     assert len(ordered) == len(comps)
-    return SccPartition(tuple(ordered))
+    return ordered
+
+
+def sccs(graph: DepGraph) -> SccPartition:
+    name = graph.vertices.__getitem__
+    return SccPartition(tuple(frozenset(map(name, comp))
+                              for comp in _ordered_components(graph.targets)))
 
 
 def is_recursive_scope(program: Program, scope: frozenset) -> bool:
@@ -157,8 +165,12 @@ def scopes(program: Program, scope_mode: str) -> list[tuple[frozenset, bool]]:
     per-component translation.
     """
     if scope_mode == "scc":
-        return [(comp, is_recursive_scope(program, comp))
-                for comp in sccs(build_depgraph(program)).components]
+        # the flag of :func:`is_recursive_scope`, read off the numbered graph
+        graph = build_depgraph(program)
+        targets = graph.targets
+        name = graph.vertices.__getitem__
+        return [(frozenset(map(name, comp)), len(comp) > 1 or comp[0] in targets[comp[0]])
+                for comp in _ordered_components(targets)]
     if scope_mode == "global":
         defined = program.heads()
         return [(defined, True)] if defined else []

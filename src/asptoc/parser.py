@@ -23,13 +23,16 @@ is the unweighted aggregate whose bound is its count of distinct
 literals, so ``a :- b, c.`` and ``a :- 2 <= { b, c }.`` parse to one
 rule.  The rule keeps no source spelling.
 
-Parsing makes one scan: a single pattern's ``findall`` returns the token
-strings, each token's kind comes from a dict lookup or its first
-character, and a flat recursive descent walks an index over the two
-lists.  No position is kept per token.  A rejected input re-scans the
-text for the offending token's offset and turns it into ``line:col``
-(tabs and carriage returns count one column each); a character no token
-starts with is reported ahead of any grammar error.
+Parsing splits the text rather than scanning it: comments are cut out,
+punctuation that is always a token of its own is spaced out, and
+``str.split`` yields chunks.  Each distinct chunk is classified once, by
+a dict lookup or its first character; a rare chunk of several tokens
+(``x-1``) is split by ``_SCAN``, the one definition of a token.  A flat
+recursive descent walks an index over the token and kind lists.  No
+position is kept per token.  A rejected input re-scans the text for the
+offending token's offset and turns it into ``line:col`` (tabs and
+carriage returns count one column each); a character no token starts
+with is reported ahead of any grammar error.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ class UnsupportedFeatureError(ParseError):
 
 # One match per token; a comment matches with its group empty, whitespace
 # is skipped by the search, and ``\S`` takes any character no token starts.
-_SCAN = re.compile(r"%[^\n]*|(:-|<=|#[a-z]+|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S)")
+_TOKEN = r":-|<=|#[a-z]+|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S"
+_SCAN = re.compile(rf"%[^\n]*|({_TOKEN})")
+_ONE_TOKEN = re.compile(_TOKEN)  # by ``fullmatch``
 _KINDS = {":-": "IF", "<=": "LEQ", ".": "DOT", ",": "COMMA", "{": "LBRACE",
           "}": "RBRACE", "=": "EQ", "|": "PIPE", "not": "NOT", "-": "CHAR", "#": "CHAR"}
 # Kind by first character: ATOM is an identifier that is a legal atom name,
@@ -73,6 +78,38 @@ _KINDS = {":-": "IF", "<=": "LEQ", ".": "DOT", ",": "COMMA", "{": "LBRACE",
 _FIRST = {**dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "ATOM"),
           **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "NAME"),
           **dict.fromkeys("0123456789-", "INT"), "#": "DIRECTIVE"}
+
+
+class _Kinds(dict):
+    """The kind of each distinct chunk, worked out on first sight; None
+    for a chunk that holds more than one token."""
+
+    def __missing__(self, chunk):
+        kind = None
+        if _ONE_TOKEN.fullmatch(chunk):
+            kind = _KINDS.get(chunk) or _FIRST.get(chunk[0], "CHAR")
+        self[chunk] = kind
+        return kind
+
+
+def _tokens(text: str) -> tuple[list[str], list[str]]:
+    """The tokens ``_SCAN`` finds in ``text``, and their kinds.  Each
+    character or pair spaced out here is always a whole token and no token
+    holds whitespace, so ``split`` cuts only where the scanner does; a
+    chunk it leaves whole is one token or is split again by the scanner."""
+    if "%" in text:
+        text = re.sub(r"%[^\n]*", "", text)
+    for char in ".,{}|=":
+        text = text.replace(char, f" {char} ")
+    # only a source "<=" reads "< =" now; a source "< =" reads "<  ="
+    chunks = text.replace("< =", "<=").replace(":-", " :- ").split()
+    kind_of = _Kinds()
+    kinds = list(map(kind_of.__getitem__, chunks))
+    if None in kind_of.values():
+        chunks = [tok for chunk, kind in zip(chunks, kinds)
+                  for tok in ([chunk] if kind else _SCAN.findall(chunk))]
+        kinds = list(map(kind_of.__getitem__, chunks))
+    return chunks, kinds
 
 
 class _Reject(Exception):
@@ -116,7 +153,11 @@ def _literal(toks, kinds, i):
 def _integer(toks, kinds, i, what):
     if kinds[i] != "INT":
         raise _expected(toks, kinds, i, "INT")
-    value = int(toks[i])
+    try:
+        value = int(toks[i])
+    except ValueError:  # more digits than int() converts
+        digits = len(toks[i].lstrip("-"))
+        raise _Reject(ParseError, f"integer too long ({digits} digits)", i) from None
     if value < 0:
         raise _Reject(WeightError, f"negative {what} {value}", i)
     return value
@@ -239,8 +280,7 @@ def _canonical_rule(head, choice, keys, weights, lower, upper) -> Rule:
 
 def parse_program(text: str) -> Program:
     """Parse source text into a canonical :class:`Program`."""
-    toks = list(filter(None, _SCAN.findall(text)))
-    kinds = [_KINDS.get(tok) or _FIRST.get(tok[0], "CHAR") for tok in toks]
+    toks, kinds = _tokens(text)
     toks.append("")
     kinds.append("EOF")
     rules = []
@@ -254,16 +294,13 @@ def parse_program(text: str) -> Program:
             else:
                 rule, i = _rule(toks, kinds, i)
                 rules.append(rule)
-    except (_Reject, ValueError) as err:
-        # the first character no token starts with outranks any grammar
-        # error, and int()'s refusal of an over-long digit string too
+    except _Reject as err:
+        # the first character no token starts with outranks any grammar error
         if "CHAR" in kinds:
             k = kinds.index("CHAR")
             cls = ParseError
             message = ("malformed directive" if toks[k] == "#"
                        else f"unexpected character {toks[k]!r}")
-        elif isinstance(err, ValueError):
-            raise
         else:
             cls, message, k = err.args
         raise cls(message, *_position(text, k)) from None

@@ -231,6 +231,14 @@ class TestTranslate:
         path = write(tmp_path, "a :-")
         assert main(["translate", path]) == 1
 
+    def test_overlong_integer_is_a_parse_error(self, tmp_path, capsys):
+        # int() converts at most 4,300 digits by default; more is a parse error
+        path = write(tmp_path, f"a :- {'5' * 5000} <= {{ b }}.")
+        assert main(["translate", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "parse error: 1:6: integer too long (5000 digits)\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("missing", ["input", "output"])
     def test_io_error_exit_code(self, tmp_path, capsys, missing):
         # an unreadable input or an unwritable output exits 1 with the

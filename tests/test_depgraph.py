@@ -64,6 +64,23 @@ class TestSccs:
         assert not is_recursive_scope(p, frozenset({"b"}))
         assert is_recursive_scope(p, frozenset({"c", "d"}))
 
+    def test_scope_flags_match_reference(self):
+        corpus = [*fuzz_corpus(1, 300), *fuzz_corpus(1, 60, max_atoms=11, max_rules=14)]
+        for _, src, p in corpus:
+            assert scopes(p, "scc") == [(c, is_recursive_scope(p, c))
+                                        for c in sccs(build_depgraph(p)).components], src
+
+    @pytest.mark.parametrize("src, recursive", [
+        ("{a}.", False),
+        ("a :- not a.", False),
+        ("a :- 1 <= { a=2, b }.", True),
+        ("a :- 0 <= { a=0 }.", False),  # the zero-weight literal is dropped
+    ])
+    def test_singleton_scope_flag(self, src, recursive):
+        p = parse_program(src)
+        assert dict(scopes(p, "scc"))[frozenset({"a"})] is recursive
+        assert is_recursive_scope(p, frozenset({"a"})) is recursive
+
     def test_scopes_per_mode(self):
         p = parse_program("a :- a. b :- not x. c :- d. d :- c.")
         assert scopes(p, "scc") == [(frozenset({"a"}), True), (frozenset({"b"}), False),

@@ -6,10 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asptoc.fuzz import fuzz_corpus
 from asptoc.parser import (
+    _SCAN,
     ParseError,
     UnsupportedFeatureError,
     WeightError,
+    _tokens,
     parse_program,
 )
 from asptoc.program import Polarity, Rule, WeightedLiteral
@@ -207,9 +210,41 @@ class TestDiagnostics:
                        "double negation", "expected DOT, found ''"):
             assert any(needle in line for line in expected), needle
 
+    def test_overlong_integer(self):
+        # more digits than int() converts is a located error, and a bad
+        # character anywhere in the text still outranks it
+        text = f"a :- {'1' * 5000} <= {{ b }}."
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == "1:6: integer too long (5000 digits)"
+        with pytest.raises(ParseError) as err:
+            parse_program(f"a :- 1 <= {{ b=-{'2' * 5000} }}.")
+        assert str(err.value) == "1:15: integer too long (5000 digits)"
+        with pytest.raises(ParseError) as err:
+            parse_program(text + "\n?")
+        assert str(err.value) == "2:1: unexpected character '?'"
+
     def test_comment_at_eof_without_newline(self):
         p = parse_program("a :- b.\n% no newline after the comment")
         assert [r.head for r in p.rules] == ["a"]
+
+
+# Texts where a chunk between spaces holds several tokens, where "<=" or
+# ":-" is spelt apart or run together, comments, and whitespace that is
+# not ASCII.
+TOKEN_EDGE_CASES = (
+    "x-1", "a=-x", "5:-3", "::-", "<==", "< =", ":=", "#hidea.", "a%c\nb.",
+    "a :- b. % comment at EOF", "a\u00e4", "a\xa0b", "a\x0bb", "a\x1cb",
+    "a\u2028b", "a :- b.\r\nb.\r\n",
+)
+
+
+def test_tokens_are_the_scanners():
+    texts = [*error_corpus(), *(src for _, src, _ in fuzz_corpus(1, 300)),
+             *(path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.lp"))),
+             *TOKEN_EDGE_CASES]
+    for text in texts:
+        assert _tokens(text)[0] == list(filter(None, _SCAN.findall(text))), repr(text)
 
 
 class TestRoundTrip:

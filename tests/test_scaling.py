@@ -6,7 +6,8 @@ on a program four times as large; a list scan left on any of them makes
 it about sixteen.  Each stage is bounded on its own, so a slow stage
 cannot hide behind the others.  The bound of eight leaves room for the
 machine's speed to drift between runs, which the interleaved best-of-three
-absorbs only in part.
+absorbs only in part.  Stages are timed in process CPU time, so time spent
+descheduled while other processes hold the CPU counts against neither size.
 """
 
 import gc
@@ -31,15 +32,15 @@ def chain_source(n: int) -> str:
 
 
 def seconds(work) -> float:
-    start = time.perf_counter()
+    start = time.process_time()
     work()
-    return time.perf_counter() - start
+    return time.process_time() - start
 
 
 def stage_seconds(source: str) -> dict:
-    start = time.perf_counter()
+    start = time.process_time()
     program = parse_program(source)
-    parse_s = time.perf_counter() - start
+    parse_s = time.process_time() - start
     # the graph stage takes milliseconds, so one timing of it is mostly noise
     graph_s = min(seconds(lambda: sccs(build_depgraph(program)))
                   for _ in range(GRAPH_REPEATS))
@@ -98,9 +99,9 @@ def test_translate_command_time_is_linear(tmp_path):
         paths[n].write_text(chain_source(n))
 
     def translate(path) -> dict:
-        start = time.perf_counter()
+        start = time.process_time()
         code = main(["translate", str(path), "--out", out])
-        elapsed = time.perf_counter() - start
+        elapsed = time.process_time() - start
         assert code == 0
         return {"translate": elapsed}
 
