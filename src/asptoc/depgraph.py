@@ -102,19 +102,17 @@ def _components(targets) -> tuple[list[int], list[list[int]]]:
     return comp_of, comps
 
 
-def _ordered_components(targets) -> list[list[int]]:
-    """The components as lists of vertex numbers, in canonical order: a
+def _ordered_components(graph: DepGraph) -> list[tuple[frozenset, list[int]]]:
+    """Each component's names and vertex numbers, in canonical order: a
     component is ready once all components it depends on are emitted, and
     ties go to the smallest member, that is, the smallest number.  Each
     condensation edge is counted once."""
+    targets = graph.targets
     comp_of, comps = _components(targets)
     remaining = [0] * len(comps)
     dependants: list[list[int]] = [[] for _ in comps]
     for c, comp in enumerate(comps):
-        if len(comp) == 1:
-            dependencies = set(map(comp_of.__getitem__, targets[comp[0]]))
-        else:
-            dependencies = {comp_of[w] for v in comp for w in targets[v]}
+        dependencies = {comp_of[w] for v in comp for w in targets[v]}
         dependencies.discard(c)
         remaining[c] = len(dependencies)
         for d in dependencies:
@@ -123,10 +121,11 @@ def _ordered_components(targets) -> list[list[int]]:
     comp_at = dict(zip(key, range(len(comps))))
     heap = [k for k, r in zip(key, remaining) if r == 0]
     heapq.heapify(heap)
+    name = graph.vertices.__getitem__
     ordered = []
     while heap:
         c = comp_at[heapq.heappop(heap)]
-        ordered.append(comps[c])
+        ordered.append((frozenset(map(name, comps[c])), comps[c]))
         for d in dependants[c]:
             remaining[d] -= 1
             if remaining[d] == 0:
@@ -136,9 +135,7 @@ def _ordered_components(targets) -> list[list[int]]:
 
 
 def sccs(graph: DepGraph) -> SccPartition:
-    name = graph.vertices.__getitem__
-    return SccPartition(tuple(frozenset(map(name, comp))
-                              for comp in _ordered_components(graph.targets)))
+    return SccPartition(tuple(names for names, _ in _ordered_components(graph)))
 
 
 def is_recursive_scope(program: Program, scope: frozenset) -> bool:
@@ -168,9 +165,8 @@ def scopes(program: Program, scope_mode: str) -> list[tuple[frozenset, bool]]:
         # the flag of :func:`is_recursive_scope`, read off the numbered graph
         graph = build_depgraph(program)
         targets = graph.targets
-        name = graph.vertices.__getitem__
-        return [(frozenset(map(name, comp)), len(comp) > 1 or comp[0] in targets[comp[0]])
-                for comp in _ordered_components(targets)]
+        return [(names, len(comp) > 1 or comp[0] in targets[comp[0]])
+                for names, comp in _ordered_components(graph)]
     if scope_mode == "global":
         defined = program.heads()
         return [(defined, True)] if defined else []

@@ -231,8 +231,8 @@ class TestTranslate:
         path = write(tmp_path, "a :-")
         assert main(["translate", path]) == 1
 
-    def test_overlong_integer_is_a_parse_error(self, tmp_path, capsys):
-        # int() converts at most 4,300 digits by default; more is a parse error
+    def test_overlong_integer_is_a_parse_error(self, tmp_path, capsys, int_digit_limit):
+        # more digits than int() converts is a parse error
         path = write(tmp_path, f"a :- {'5' * 5000} <= {{ b }}.")
         assert main(["translate", path]) == 1
         captured = capsys.readouterr()

@@ -1,13 +1,17 @@
 """Grammar coverage, diagnostics, and the parse/render round trip."""
 
+import itertools
 import pathlib
 import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from asptoc.fuzz import fuzz_corpus
 from asptoc.parser import (
+    _FIRST,
+    _KINDS,
     _SCAN,
     ParseError,
     UnsupportedFeatureError,
@@ -210,7 +214,7 @@ class TestDiagnostics:
                        "double negation", "expected DOT, found ''"):
             assert any(needle in line for line in expected), needle
 
-    def test_overlong_integer(self):
+    def test_overlong_integer(self, int_digit_limit):
         # more digits than int() converts is a located error, and a bad
         # character anywhere in the text still outranks it
         text = f"a :- {'1' * 5000} <= {{ b }}."
@@ -239,12 +243,38 @@ TOKEN_EDGE_CASES = (
 )
 
 
+# Pieces of random tokenizer input: every ASCII punctuation character,
+# letters and digits, "<=" and ":-" whole and spelt apart, comments, and
+# whitespace and letters that are not ASCII.
+TOKEN_PIECES = (
+    *string.punctuation, *"aqzAZ09", "<=", ":-", "< =", ": -", "not", "#hide", "12",
+    *" \t\r\n\x0b\x1c\x85\xa0\u2028\u3000", "\u00e4", "\u00e9", "\u03bb",
+)
+
+
+def scanned(text):
+    """The tokens ``_SCAN`` finds in ``text`` and their kinds."""
+    toks = list(filter(None, _SCAN.findall(text)))
+    return toks, [_KINDS.get(tok) or _FIRST.get(tok[0], "CHAR") for tok in toks]
+
+
 def test_tokens_are_the_scanners():
-    texts = [*error_corpus(), *(src for _, src, _ in fuzz_corpus(1, 300)),
+    # every text of two characters, and of three punctuation characters:
+    # a token such as ">=" or "..." that _tokens would space apart fails
+    chars = [piece for piece in TOKEN_PIECES if len(piece) == 1]
+    texts = [*map("".join, itertools.product(chars, repeat=2)),
+             *map("".join, itertools.product(string.punctuation, repeat=3)),
+             *error_corpus(), *(src for _, src, _ in fuzz_corpus(1, 300)),
              *(path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.lp"))),
              *TOKEN_EDGE_CASES]
     for text in texts:
-        assert _tokens(text)[0] == list(filter(None, _SCAN.findall(text))), repr(text)
+        assert _tokens(text) == scanned(text), repr(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=40).map("".join))
+def test_tokens_are_the_scanners_on_random_text(text):
+    assert _tokens(text) == scanned(text)
 
 
 class TestRoundTrip:
