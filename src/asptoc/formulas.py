@@ -33,7 +33,7 @@ class Base(Node, fields="name"):
 
 
 def _aux_symbol(kind: str, head: str, arg: Union[str, int]) -> str:
-    if kind not in Aux.KINDS:
+    if kind not in _AUX_KINDS:
         raise ValueError(f"unknown aux kind {kind!r}")
     return f"|{kind}:{head}:{arg}|"
 
@@ -45,6 +45,8 @@ class Aux(Node, fields="kind head arg", key=_aux_symbol):
     __slots__ = ()
     KINDS = ("app", "dep", "gap", "int", "ext", "vub")
 
+
+_AUX_KINDS = frozenset(Aux.KINDS)
 
 AtomRef = Union[Base, Aux]
 
@@ -221,7 +223,7 @@ def mk_dep_gap(auxes, holds: Var, xa: LevelVar, xb: LevelVar):
     ``xb``.  dep: the body atom holds and was derived strictly before the
     head; gap: it was derived at least two stages before."""
     return [(f"{aux.kind}:{aux.head}:{aux.arg}",
-             Iff(Var(aux), conj(holds, Diff(xb, xa, -_STAGES[aux.kind]))))
+             Iff(Var(aux), And((holds, Diff(xb, xa, -_STAGES[aux.kind])))))
             for aux in auxes]
 
 

@@ -49,47 +49,44 @@ def _int(k: int) -> str:
     return str(k) if k >= 0 else f"(- {-k})"
 
 
-def _sum_text(terms, table) -> str:
-    parts = []
-    for t in terms:
-        lit = table[t.atom.name]
-        if t.negated:
-            lit = f"(not {lit})"
-        parts.append(f"(ite {lit} {t.coef} 0)")
-    if not parts:
-        return "0"
-    if len(parts) == 1:
-        return parts[0]
-    return "(+ " + " ".join(parts) + ")"
-
-
 def to_sexpr(formula, table) -> str:
     """One formula as an SMT-LIB term.  Symbols resolve through ``table``
-    (see ``FormulaSet.symbols``), raising ``KeyError`` on a miss."""
+    (see ``FormulaSet.symbols``), raising ``KeyError`` on a miss.
+
+    One recursive walk, testing the types in the order of how often the
+    translator writes them.  A ``Var`` operand of a connective is resolved
+    in place rather than by a call of its own, a sum is one list of
+    ``ite`` terms (``0`` when empty, the term itself when alone), and a
+    two-bound sum is the conjunction of its two checks.
+    """
     t = type(formula)
+    if t is Iff or t is Implies:
+        left, right = formula
+        left = table[left.atom.name] if type(left) is Var else to_sexpr(left, table)
+        right = table[right.atom.name] if type(right) is Var else to_sexpr(right, table)
+        return f"(= {left} {right})" if t is Iff else f"(=> {left} {right})"
+    if t is Diff:
+        lhs, rhs, k = formula
+        return f"(<= (- {table[lhs.name]} {table[rhs.name]}) {_int(k)})"
+    if t is And or t is Or:
+        subs = " ".join([table[s.atom.name] if type(s) is Var else to_sexpr(s, table)
+                         for s in formula.subs])
+        return f"(and {subs})" if t is And else f"(or {subs})"
+    if t is PB:
+        terms, lower, upper = formula
+        parts = [f"(ite (not {table[atom.name]}) {coef} 0)" if negated
+                 else f"(ite {table[atom.name]} {coef} 0)" for coef, atom, negated in terms]
+        total = parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")" if parts else "0"
+        if upper is None:
+            return f"(<= {_int(lower)} {total})"
+        if lower is None:
+            return f"(<= {total} {_int(upper)})"
+        return f"(and (<= {_int(lower)} {total}) (<= {total} {_int(upper)}))"
+    if t is Not:
+        sub = formula.sub
+        return f"(not {table[sub.atom.name] if type(sub) is Var else to_sexpr(sub, table)})"
     if t is Var:
         return table[formula.atom.name]
-    if t is Iff:
-        return f"(= {to_sexpr(formula.left, table)} {to_sexpr(formula.right, table)})"
-    if t is And:
-        return "(and " + " ".join(to_sexpr(s, table) for s in formula.subs) + ")"
-    if t is Or:
-        return "(or " + " ".join(to_sexpr(s, table) for s in formula.subs) + ")"
-    if t is Not:
-        return f"(not {to_sexpr(formula.sub, table)})"
-    if t is Implies:
-        return f"(=> {to_sexpr(formula.left, table)} {to_sexpr(formula.right, table)})"
-    if t is Diff:
-        lhs, rhs = table[formula.lhs.name], table[formula.rhs.name]
-        return f"(<= (- {lhs} {rhs}) {_int(formula.k)})"
-    if t is PB:
-        total = _sum_text(formula.terms, table)
-        checks = []
-        if formula.lower is not None:
-            checks.append(f"(<= {_int(formula.lower)} {total})")
-        if formula.upper is not None:
-            checks.append(f"(<= {total} {_int(formula.upper)})")
-        return checks[0] if len(checks) == 1 else "(and " + " ".join(checks) + ")"
     if t is TrueF:
         return "true"
     if t is FalseF:

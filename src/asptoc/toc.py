@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from .depgraph import scopes
 from .formulas import (
-    TRUE,
     Aux,
     Base,
     Diff,
@@ -152,22 +151,18 @@ def _ranked_rule(fs: FormulaSet, x: LevelVar, i: int, rule: Rule, parts,
     pin, out = parts
     lower, upper = rule.lower, rule.upper
 
-    if upper is None:
-        bound_check = TRUE
-    else:
+    weak = make_pb([PBTerm(w, edges[b][0]) for b, w in pin] + out, lower=lower)
+    ext = make_pb(out, lower=lower)
+    if upper is not None:
         plain = [PBTerm(w, base[b]) for b, w in pin] + out
         bound_check = _upper_check(fs, x.owner, i, plain, upper, vub_form)
+        weak, ext = conj(weak, bound_check), conj(ext, bound_check)
 
-    dep_terms = [PBTerm(w, edges[b][0]) for b, w in pin]
     deny = None
     if strong:
         gap_terms = [PBTerm(w, edges[b][1]) for b, w in pin]
         deny = make_pb(gap_terms + out, upper=lower - 1)
-    return emit_support(fs, x, i,
-                        weak=conj(make_pb(dep_terms + out, lower=lower), bound_check),
-                        ext=conj(make_pb(out, lower=lower), bound_check),
-                        deny=deny,
-                        has_in=bool(pin),
+    return emit_support(fs, x, i, weak=weak, ext=ext, deny=deny, has_in=bool(pin),
                         ext_possible=sum(t.coef for t in out) >= lower)
 
 

@@ -2,8 +2,9 @@
 level numberings, modules as stand-alone programs, one atom's defining
 rules, model projections, a brute-force model finder, a full
 re-evaluation of a found model, formula sets with formulas dropped by
-name, programs rendered back to source and formula sets as debug text,
-the extensional completion form, and the symbol naming with its inverse.
+name, programs rendered back to source and formula sets as debug text, the
+plain recursive emitter of one formula, the extensional completion form,
+and the symbol naming with its inverse.
 
 They check the oracle, the model finder and the translator from a second
 angle, and no command of asptoc needs them, so they live beside the
@@ -19,12 +20,20 @@ import itertools
 
 from asptoc.dlcheck import DLModel
 from asptoc.formulas import (
+    PB,
     TRUE,
+    And,
     Aux,
     Base,
+    Diff,
+    FalseF,
     FormulaSet,
+    Iff,
+    Implies,
     LevelVar,
     Not,
+    Or,
+    TrueF,
     Var,
     Z,
     conj,
@@ -256,6 +265,64 @@ def render_program(program: Program) -> str:
 def debug_text(fs: FormulaSet) -> str:
     """``debug_lines`` as one string."""
     return "".join(debug_lines(fs))
+
+
+# ---------------------------------------------------------------------------
+# the emitter's reference
+
+def _int(k: int) -> str:
+    return str(k) if k >= 0 else f"(- {-k})"
+
+
+def _sum_text(terms, table) -> str:
+    parts = []
+    for t in terms:
+        lit = table[t.atom.name]
+        if t.negated:
+            lit = f"(not {lit})"
+        parts.append(f"(ite {lit} {t.coef} 0)")
+    if not parts:
+        return "0"
+    if len(parts) == 1:
+        return parts[0]
+    return "(+ " + " ".join(parts) + ")"
+
+
+def reference_sexpr(formula, table) -> str:
+    """One formula as an SMT-LIB term, as ``asptoc.smtlib.to_sexpr``
+    writes it, by the plain recursion over every node: symbols resolve
+    through ``table``, raising ``KeyError`` on a miss."""
+    t = type(formula)
+    if t is Var:
+        return table[formula.atom.name]
+    if t is Iff:
+        return (f"(= {reference_sexpr(formula.left, table)} "
+                f"{reference_sexpr(formula.right, table)})")
+    if t is And:
+        return "(and " + " ".join(reference_sexpr(s, table) for s in formula.subs) + ")"
+    if t is Or:
+        return "(or " + " ".join(reference_sexpr(s, table) for s in formula.subs) + ")"
+    if t is Not:
+        return f"(not {reference_sexpr(formula.sub, table)})"
+    if t is Implies:
+        return (f"(=> {reference_sexpr(formula.left, table)} "
+                f"{reference_sexpr(formula.right, table)})")
+    if t is Diff:
+        lhs, rhs = table[formula.lhs.name], table[formula.rhs.name]
+        return f"(<= (- {lhs} {rhs}) {_int(formula.k)})"
+    if t is PB:
+        total = _sum_text(formula.terms, table)
+        checks = []
+        if formula.lower is not None:
+            checks.append(f"(<= {_int(formula.lower)} {total})")
+        if formula.upper is not None:
+            checks.append(f"(<= {total} {_int(formula.upper)})")
+        return checks[0] if len(checks) == 1 else "(and " + " ".join(checks) + ")"
+    if t is TrueF:
+        return "true"
+    if t is FalseF:
+        return "false"
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 symbol codec."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import asptoc
 from asptoc import depgraph, dlcheck, formulas, fuzz, normtest, oracle, program
 from asptoc.depgraph import build_depgraph
 from asptoc.formulas import (
@@ -433,15 +436,92 @@ def test_ordering():
     assert lit("a") < lit("a", weight=2) < lit("b")
 
 
-@pytest.mark.parametrize("cls, values", [
-    (Base, ()), (Base, ("a", "b")), (Var, ()), (Iff, (TRUE,)), (TrueF, (1,)),
-    (Diff, (Z, Z)), (ZVar, (0,)), (depgraph.SccPartition, ((), ())),
-    (oracle.PositiveRule, ("a", ())), (dlcheck.DLModel, ((),)),
-    (normtest.Verdict, (True, 2, 1, 3, 4)), (fuzz.CheckReport, ((), 0, 0, 0)),
-], ids=lambda x: x.__name__ if isinstance(x, type) else str(len(x)))
-def test_wrong_field_count_rejected(cls, values):
-    with pytest.raises(TypeError, match="field values"):
+# ---------------------------------------------------------------------------
+# the generated constructors: every node class without a hand-written
+# ``__new__``, found by walking ``Node``'s subclasses once every module of
+# the package is imported, so a new class cannot skip these tests
+
+for _module in pkgutil.iter_modules(asptoc.__path__):
+    importlib.import_module(f"asptoc.{_module.name}")
+
+
+def node_classes():
+    found, stack = [], list(Node.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if cls.__module__.startswith("asptoc."):
+            found.append(cls)
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+def generated(cls):
+    """Whether ``cls``'s constructor is the one ``Node`` generated for it,
+    which is named after the class."""
+    return cls.__new__.__qualname__ == cls.__qualname__
+
+
+GENERATED = [cls for cls in node_classes() if generated(cls)]
+
+FIELD_SAMPLES = {
+    "Base": ("a",), "Aux": ("dep", "a", "b"), "LevelVar": ("a",), "ZVar": (),
+    "Var": (Base("a"),), "Not": (TRUE,), "And": ((TRUE, FALSE),), "Or": ((TRUE,),),
+    "Implies": (TRUE, FALSE), "Iff": (FALSE, TRUE), "TrueF": (), "FalseF": (),
+    "Diff": (LevelVar("a"), Z, -1), "DepGraph": (("a", "b"), ((1,), ())),
+    "SccPartition": ((frozenset("a"),),), "PositiveRule": ("a", (("b", 2),), 1, None),
+    "DLModel": ((("a", True),), (("__z", 0),)), "Verdict": (True, 2, 1, 3, 4, None),
+    "CheckReport": (({"check": "uniqueness", "status": "pass"},), 1, 1),
+}
+
+
+def field_sample(cls):
+    if cls.__name__ not in FIELD_SAMPLES:
+        pytest.fail(f"no sample field values for {cls.__qualname__}: add them to FIELD_SAMPLES")
+    values = FIELD_SAMPLES[cls.__name__]
+    assert len(values) == len(cls._fields)
+    return values
+
+
+def test_only_the_checked_constructors_are_hand_written():
+    hand_written = {cls.__name__ for cls in node_classes() if not generated(cls)}
+    assert hand_written == {"PBTerm", "PB", "WeightedLiteral", "Rule", "Program", "FormulaSet"}
+    assert {cls.__name__ for cls in GENERATED} == FIELD_SAMPLES.keys()
+
+
+# every count short of the fields, and one too many
+@pytest.mark.parametrize("cls, count", [
+    (cls, count) for cls in GENERATED for count in range(len(cls._fields) + 2)
+    if count != len(cls._fields)
+], ids=lambda x: x.__name__ if isinstance(x, type) else str(x))
+def test_wrong_field_count_rejected(cls, count):
+    values = field_sample(cls)
+    values = values[:count] if count < len(values) else values + ("extra",)
+    with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\(\) "):
         cls(*values)
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__name__)
+def test_generated_constructor_round_trips(cls):
+    node = cls(*field_sample(cls))
+    keyed = len(node) > len(cls._fields)
+    assert type(node) is cls and tuple(node[:len(cls._fields)]) == field_sample(cls)
+    rebuilt = cls(*node[:len(cls._fields)])
+    for twin in (rebuilt, copy.copy(node), copy.deepcopy(node),
+                 pickle.loads(pickle.dumps(node))):
+        assert type(twin) is cls and twin == node and not twin != node
+        if keyed:
+            assert twin.name == node.name
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__name__)
+def test_node_equals_no_tuple_and_no_other_class(cls):
+    class Twin(Node, fields=" ".join(cls._fields)):
+        __slots__ = ()
+
+    node = cls(*field_sample(cls))
+    for other in (tuple(node), tuple.__new__(Twin, node)):
+        assert node != other and other != node
+        assert not node == other and not other == node
 
 
 def test_copied_z_still_names_z():

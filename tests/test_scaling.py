@@ -31,6 +31,15 @@ def chain_source(n: int) -> str:
     return "{x0}.\n" + "".join(f"x{i} :- x{i - 1}.\n" for i in range(1, n))
 
 
+def ring_source(n: int) -> str:
+    """n rules on a ring, each with weighted convex chords to the two atoms
+    before it, ``x{i} :- 2 <= { x{i-1}=1, x{i-2}=2, not y{i} } <= 3.``: the
+    whole ring is one component, so every rule takes the ranked path, with
+    an upper bound, in either scope mode."""
+    return "".join(f"x{i} :- 2 <= {{ x{(i - 1) % n}=1, x{(i - 2) % n}=2, not y{i} }} <= 3.\n"
+                   for i in range(n))
+
+
 def seconds(work) -> float:
     start = time.process_time()
     work()
@@ -78,6 +87,25 @@ def assert_linear(sources: dict, stages, *, collector_off: bool = True) -> None:
 
 def test_translation_time_is_linear():
     assert_linear({n: chain_source(n) for n in (N, 4 * N)}, stage_seconds)
+
+
+def test_ranked_path_time_is_linear():
+    """The completion and emission of one ranked scope, with and without
+    ``vub_form``; the chain above reaches the ranked path only through
+    unit-literal bodies in global mode."""
+    programs = {n: parse_program(ring_source(n)) for n in (N, 4 * N)}
+
+    def stages(program) -> dict:
+        times = {}
+        for vub_form in (False, True):
+            sets = []
+            mode = "vub" if vub_form else "plain"
+            times[f"toc {mode}"] = seconds(
+                lambda: sets.append(toc_program(program, vub_form=vub_form)))
+            times[f"emit {mode}"] = seconds(lambda: smtlib_lines(sets[0], model=True))
+        return times
+
+    assert_linear(programs, stages)
 
 
 def test_parse_time_is_linear_on_one_line():

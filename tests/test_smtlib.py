@@ -5,14 +5,22 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asptoc.dlcheck import enumerate_dl_models
 from asptoc.formulas import (
+    FALSE,
+    TRUE,
+    And,
     Aux,
     Base,
     Diff,
     FormulaSet,
+    Iff,
+    Implies,
     LevelVar,
+    Not,
+    Or,
     PB,
     PBTerm,
     ValidationError,
@@ -31,7 +39,7 @@ from asptoc.smtlib import (
 )
 from asptoc.fuzz import CHECK_MODES, fuzz_corpus
 from asptoc.toc import toc_program
-from references import debug_text, recheck
+from references import debug_text, recheck, reference_sexpr
 from stub_solver import build_formula_set, parse_sexprs, tokenize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -160,6 +168,64 @@ class TestEmission:
         assert {"|dep:a__b:c|", "|dep:a:b__c|", "|atom:true|", "|atom:let|"} <= set(declared)
         assert not {"true", "false", "let"} & set(declared)
         assert "(aux |gap:a:b__c|)" in debug_text(toc_program(p))
+
+
+# ---------------------------------------------------------------------------
+# the emitter against its plain recursive reference, on drawn formula trees
+
+def differential_table():
+    """A symbol table with a reserved-word base atom, auxiliary atoms and
+    two ranking variables besides ``z``."""
+    fs = FormulaSet()
+    fs.declare_base("a", "b", "not")
+    fs.declare_aux(Aux("dep", "a", "b"), Aux("app", "a", 1))
+    fs.declare_level("a", 1, 3)
+    fs.declare_level("b", 1, 3)
+    return fs.symbols()
+
+
+TABLE = differential_table()
+ATOMS = st.sampled_from(
+    [Base("a"), Base("b"), Base("not"), Aux("dep", "a", "b"), Aux("app", "a", 1)])
+UNDECLARED_ATOMS = st.sampled_from([Base("c"), Base("and"), Aux("gap", "a", "b")])
+CONSTANTS = st.integers(-4, 4)
+# sums of zero to four terms, negated or not, under a lower, an upper or
+# both bounds
+SUMS = st.builds(lambda terms, bounds: PB(tuple(terms), *bounds),
+                 st.lists(st.builds(PBTerm, st.integers(1, 3), ATOMS, st.booleans()),
+                          max_size=4),
+                 st.one_of(st.tuples(CONSTANTS, st.none()), st.tuples(st.none(), CONSTANTS),
+                           st.tuples(CONSTANTS, CONSTANTS)))
+LEAVES = st.one_of(
+    ATOMS.map(Var), st.just(TRUE), st.just(FALSE), SUMS,
+    st.builds(Diff, *[st.sampled_from([Z, LevelVar("a"), LevelVar("b")])] * 2, CONSTANTS))
+FORMULAS = st.recursive(LEAVES, lambda kids: st.one_of(
+    kids.map(Not),
+    st.lists(kids, min_size=1, max_size=4).map(lambda subs: And(tuple(subs))),
+    st.lists(kids, min_size=1, max_size=4).map(lambda subs: Or(tuple(subs))),
+    st.builds(Implies, kids, kids),
+    st.builds(Iff, kids, kids)), max_leaves=16)
+
+
+@settings(max_examples=400, deadline=None)
+@given(FORMULAS)
+def test_emitter_equals_reference(formula):
+    assert to_sexpr(formula, TABLE) == reference_sexpr(formula, TABLE)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FORMULAS, st.one_of(
+    UNDECLARED_ATOMS.map(Var),
+    st.builds(lambda atom: PB((PBTerm(1, Base("a")), PBTerm(2, atom, True)), upper=2),
+              UNDECLARED_ATOMS),
+    st.builds(Diff, st.just(Z), st.just(LevelVar("c")), CONSTANTS)),
+    st.sampled_from([lambda f, bad: Not(bad), lambda f, bad: And((f, bad)),
+                     lambda f, bad: Or((bad, f)), lambda f, bad: Implies(f, bad),
+                     lambda f, bad: Iff(bad, f)]))
+def test_undeclared_symbol_is_a_key_error_in_both(formula, bad, wrap):
+    for emit in (to_sexpr, reference_sexpr):
+        with pytest.raises(KeyError):
+            emit(wrap(formula, bad), TABLE)
 
 
 def ranked_a():
