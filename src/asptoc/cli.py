@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import os
 import sys
 
@@ -21,10 +22,16 @@ from .formulas import Base, LevelVar, Not, ValidationError, Var, conj
 from .parser import ParseError, UnsupportedFeatureError, parse_program
 from .program import Program, ResourceError
 from .smtlib import (
+    WRITE_CHUNK,
     SolverInvocationError,
     SolverResponseError,
-    debug_lines,
+    assertion,
+    debug_header,
+    debug_line,
+    smtlib_header,
     smtlib_lines,
+    smtlib_tail,
+    written_set,
 )
 from .toc import toc_program
 
@@ -34,11 +41,6 @@ EXIT_UNSUPPORTED = 2
 EXIT_MISMATCH = 3
 EXIT_SOLVER = 4
 EXIT_MODEL = 5
-
-# lines joined per write: one call per line costs an encode each, and one
-# join of the whole text would hold the output twice
-WRITE_CHUNK = 1024
-
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -53,18 +55,29 @@ def _parse(path: str) -> Program:
 
 def cmd_translate(args) -> int:
     # Translation makes no reference cycles (a test in test_cli.py pins
-    # this), so the cyclic collector would only walk the growing formula
-    # set again and again: its nodes are tuples, which it never untracks.
+    # this), so the cyclic collector would only walk the program and the
+    # shared leaves again and again: their nodes are tuples, which it never
+    # untracks.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        # the program is not bound here, so it is freed before emission starts
+        if args.format == "debug":
+            line, header, tail = debug_line, debug_header, []
+        else:
+            line, header, tail = assertion, smtlib_header, smtlib_tail(model=True)
+        # the set keeps only the text of each formula, written as it is
+        # added; the program is not bound here, so it is freed once
+        # translation ends
         fs = toc_program(_parse(args.input), scope_mode=args.scope_mode,
-                         strong=not args.no_strong, vub_form=args.vub_form)
-        # the whole list is built before the first write: an emission error
-        # writes nothing
-        lines = debug_lines(fs) if args.format == "debug" else smtlib_lines(fs, model=True)
-        chunks = ("".join(lines[i:i + WRITE_CHUNK]) for i in range(0, len(lines), WRITE_CHUNK))
+                         strong=not args.no_strong, vub_form=args.vub_form,
+                         into=written_set(line))
+        # the declarations come first and are known only now, so nothing is
+        # written before translation ends: an undeclared symbol, raised as
+        # the formula reading it was added, writes nothing
+        lines = header(fs)
+        chunks = itertools.chain(
+            ("".join(lines[i:i + WRITE_CHUNK]) for i in range(0, len(lines), WRITE_CHUNK)),
+            fs.formulas.text(), tail)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.writelines(chunks)
@@ -166,7 +179,7 @@ def cmd_solve(args) -> int:
     # emitted once; each blocking assertion joins the query as one more
     # line before its (check-sat) (get-model) tail
     lines = smtlib_lines(fs, model=True)
-    table = fs.symbols()
+    table = fs.symbols
     owners = {LevelVar(owner).name: owner for owner in fs.level_bounds}
     found = 0
     while True:

@@ -253,40 +253,80 @@ def _collect(formula: Formula, atoms: set, ints: set):
             atoms.add(t.atom)
 
 
-class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
+def check_declared(formulas, symbols: dict):
+    """Reference check, one naive walk: raise ``ValidationError`` naming
+    the atoms, else the variables, that the ``(name, formula)`` pairs
+    mention and the symbol table ``symbols`` lacks."""
+    atoms: set = set()
+    ints: set = set()
+    for _, f in formulas:
+        _collect(f, atoms, ints)
+    for what, refs in (("atoms", atoms), ("variables", ints)):
+        bad = {r.name for r in refs} - symbols.keys()
+        if bad:
+            raise ValidationError(f"undeclared {what}: {sorted(bad)}")
+
+
+def _rank_symbols(owners):
+    """The symbol-table entries of the ranking variables of ``owners`` and
+    of ``z``, which is declared alongside them."""
+    names = [Z.name, *(LevelVar(owner).name for owner in owners)]
+    return zip(names, names)
+
+
+class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbols"):
     """Named formulas plus the vocabulary they may mention.
 
-    ``formulas`` is a list of ``(name, Formula)`` pairs.  ``base_atoms``
-    and ``aux_atoms`` are the set's symbol table: ordered dicts from each
-    declared atom to its SMT-LIB symbol (``_spell`` of a base atom's name,
-    an auxiliary atom's ``name``), keys in first-seen order, so a
-    declaration costs O(1) however large the set grows and names its atom
-    once.  A base atom is keyed by its name, which is also its symbol
-    unless it is in ``SMT_RESERVED``.  ``level_bounds`` maps
-    each ranking variable's owner to its range ``(lo, hi)``.  The four
+    ``formulas`` is a list of ``(name, Formula)`` pairs, or, in a set made
+    by :func:`asptoc.smtlib.written_set`, a stand-in that keeps only the
+    text of each formula, written as it is added.  ``base_atoms`` and
+    ``aux_atoms`` map each declared atom to its SMT-LIB symbol
+    (``_spell`` of a base atom's name, an auxiliary atom's ``name``), keys
+    in first-seen order, so a declaration costs O(1) however large the set
+    grows and names its atom once.  A base atom is keyed by its name,
+    which is also its symbol unless it is in ``SMT_RESERVED``.
+    ``level_bounds`` maps each ranking variable's owner to its range
+    ``(lo, hi)``.
+
+    ``symbols`` is the symbol table the emitter resolves every reference
+    through: each declared symbol, keyed by the ``name`` of its reference,
+    with ``z`` declared exactly when some ranking variable is.  It grows
+    only through ``declare_*``, with the three tables above; a set made
+    from those tables without it builds it from them.  The five
     containers grow in place; the fields themselves are fixed.
     """
 
     __slots__ = ()
 
     def __new__(cls, formulas: list | None = None, base_atoms: dict | None = None,
-                aux_atoms: dict | None = None, level_bounds: dict | None = None):
+                aux_atoms: dict | None = None, level_bounds: dict | None = None,
+                symbols: dict | None = None):
+        base_atoms = {} if base_atoms is None else base_atoms
+        aux_atoms = {} if aux_atoms is None else aux_atoms
+        level_bounds = {} if level_bounds is None else level_bounds
+        if symbols is None:
+            symbols = dict(base_atoms)
+            symbols.update((sym, sym) for sym in aux_atoms.values())
+            if level_bounds:
+                symbols.update(_rank_symbols(level_bounds))
         return tuple.__new__(cls, ([] if formulas is None else formulas,
-                                   {} if base_atoms is None else base_atoms,
-                                   {} if aux_atoms is None else aux_atoms,
-                                   {} if level_bounds is None else level_bounds))
+                                   base_atoms, aux_atoms, level_bounds, symbols))
 
     def declare_base(self, *names: str):
-        self.base_atoms.update(zip(names, map(_spell, names)))
+        spelled = list(zip(names, map(_spell, names)))
+        self.base_atoms.update(spelled)
+        self.symbols.update(spelled)
 
     def declare_aux(self, *refs: Aux):
-        aux = self.aux_atoms
+        aux, symbols = self.aux_atoms, self.symbols
         for ref in refs:
             if ref not in aux:
-                aux[ref] = ref.name
+                name = ref.name
+                aux[ref] = symbols[name] = name
 
     def declare_level(self, owner: str, lo: int, hi: int):
         self.level_bounds[owner] = (lo, hi)
+        self.symbols.update(_rank_symbols((owner,)))
 
     def add(self, name: str, formula: Formula):
         self.formulas.append((name, formula))
@@ -294,30 +334,11 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds"):
     def extend(self, pairs):
         self.formulas.extend(pairs)
 
-    def symbols(self) -> dict:
-        """Every declared symbol, keyed by the ``name`` of its reference,
-        as the emitter looks it up.  ``z`` is declared exactly when some
-        ranking variable is, as the emitter declares it."""
-        table = dict(self.base_atoms)
-        table.update((sym, sym) for sym in self.aux_atoms.values())
-        if self.level_bounds:
-            names = [Z.name, *(LevelVar(o).name for o in self.level_bounds)]
-            table.update(zip(names, names))
-        return table
-
     def validate(self):
-        """Reference check, one naive walk: every mentioned atom and
-        variable is declared (``z`` only alongside ranking variables).
-        Each is looked up as the emitter does, in ``symbols()``."""
-        table = self.symbols()
-        atoms: set = set()
-        ints: set = set()
-        for _, f in self.formulas:
-            _collect(f, atoms, ints)
-        for what, refs in (("atoms", atoms), ("variables", ints)):
-            bad = {r.name for r in refs} - table.keys()
-            if bad:
-                raise ValidationError(f"undeclared {what}: {sorted(bad)}")
+        """Every mentioned atom and variable is declared (``z`` only
+        alongside ranking variables), looked up as the emitter does, in
+        ``symbols``; see :func:`check_declared`."""
+        check_declared(self.formulas, self.symbols)
 
 
 # ---------------------------------------------------------------------------

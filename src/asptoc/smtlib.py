@@ -8,13 +8,17 @@ linear-integer-arithmetic solver can consume the output; difference atoms
 keep their subtraction shape for solvers that specialize them.  Output is
 byte-deterministic for a given formula set and option choice.
 
-The text is built once, as a list of newline-terminated strings
-(``smtlib_lines``, ``debug_lines``) that a caller writes as it is or
-joins.  Validation happens during emission, in the one walk that writes
-each formula: every atom and variable resolves through the formula set's
-symbol table (:meth:`asptoc.formulas.FormulaSet.symbols`).  A lookup miss
-means the set is invalid; only then does ``FormulaSet.validate`` run, to
-name the fault.
+The text is a list of newline-terminated strings, one per declaration
+and one per formula (``smtlib_lines``, ``debug_lines``).  ``asptoc
+translate`` uses a ``written_set`` instead, which writes each formula's
+text as the translator adds it, through the same ``assertion`` or
+``debug_line``, and keeps only the text; its declarations are rendered
+once translation ends.  Validation happens in the one walk that writes
+each formula: every atom and variable resolves through the set's symbol
+table (``FormulaSet.symbols``), which only declarations grow.  A lookup
+miss means the set is invalid; only then does
+:func:`asptoc.formulas.check_declared` walk the formulas to name the
+fault: the whole set's at emission, the one formula's in a written set.
 """
 
 from __future__ import annotations
@@ -36,7 +40,12 @@ from .formulas import (
     TrueF,
     Var,
     Z,
+    check_declared,
 )
+
+# lines joined to one string of text: one string per line costs a header
+# each, and one join of the whole text would hold it twice
+WRITE_CHUNK = 1024
 
 
 class SolverResponseError(Exception):
@@ -105,7 +114,7 @@ def _add_formulas(fs: FormulaSet, lines: list, line):
     over its symbol table, to ``lines``.  A lookup miss means the set is
     invalid; ``validate`` then raises ``ValidationError`` naming the
     fault."""
-    table = fs.symbols()
+    table = fs.symbols
     try:
         for name, formula in fs.formulas:
             lines.append(line(name, formula, table))
@@ -114,10 +123,9 @@ def _add_formulas(fs: FormulaSet, lines: list, line):
         raise
 
 
-def smtlib_lines(fs: FormulaSet, *, model: bool = False) -> list:
-    """The SMT-LIB text of the formula set as newline-terminated strings:
-    one per declaration, one per formula (see ``assertion``), then
-    ``(check-sat)`` and, with ``model``, ``(get-model)``."""
+def smtlib_header(fs: FormulaSet) -> list:
+    """The lines before the first assertion: the logic, one declaration
+    per symbol, sorted by kind, and ``z`` pinned to zero."""
     lines = ["(set-logic QF_LIA)\n"]
     for _, name in sorted(fs.base_atoms.items()):
         lines.append(f"(declare-const {name} Bool)\n")
@@ -129,10 +137,21 @@ def smtlib_lines(fs: FormulaSet, *, model: bool = False) -> list:
         for owner in sorted(fs.level_bounds):
             lines.append(f"(declare-const {LevelVar(owner).name} Int)\n")
         lines.append(f"(assert (= {Z.name} 0))\n")
+    return lines
+
+
+def smtlib_tail(*, model: bool = False) -> list:
+    """The lines after the last assertion."""
+    return ["(check-sat)\n", "(get-model)\n"] if model else ["(check-sat)\n"]
+
+
+def smtlib_lines(fs: FormulaSet, *, model: bool = False) -> list:
+    """The SMT-LIB text of the formula set as newline-terminated strings:
+    one per declaration, one per formula (see ``assertion``), then
+    ``(check-sat)`` and, with ``model``, ``(get-model)``."""
+    lines = smtlib_header(fs)
     _add_formulas(fs, lines, assertion)
-    lines.append("(check-sat)\n")
-    if model:
-        lines.append("(get-model)\n")
+    lines += smtlib_tail(model=model)
     return lines
 
 
@@ -141,9 +160,8 @@ def emit_smtlib(fs: FormulaSet, *, model: bool = False) -> str:
     return "".join(smtlib_lines(fs, model=model))
 
 
-def debug_lines(fs: FormulaSet) -> list:
-    """Golden-file format as newline-terminated strings: declarations, then
-    one named formula per line."""
+def debug_header(fs: FormulaSet) -> list:
+    """The debug format's declaration lines, sorted by kind."""
     lines = []
     for _, name in sorted(fs.base_atoms.items()):
         lines.append(f"(base {name})\n")
@@ -152,8 +170,68 @@ def debug_lines(fs: FormulaSet) -> list:
     for owner in sorted(fs.level_bounds):
         lo, hi = fs.level_bounds[owner]
         lines.append(f"(level {LevelVar(owner).name} {lo} {hi})\n")
-    _add_formulas(fs, lines, lambda name, f, table: f"(formula {name} {to_sexpr(f, table)})\n")
     return lines
+
+
+def debug_line(name: str, formula, table) -> str:
+    """One named formula as a line of the debug format."""
+    return f"(formula {name} {to_sexpr(formula, table)})\n"
+
+
+def debug_lines(fs: FormulaSet) -> list:
+    """Golden-file format as newline-terminated strings: declarations, then
+    one named formula per line."""
+    lines = debug_header(fs)
+    _add_formulas(fs, lines, debug_line)
+    return lines
+
+
+class Written:
+    """The formulas of a ``written_set``, kept as text only: each
+    ``(name, formula)`` appended is written at once as ``line(name,
+    formula, symbols)``, resolved against the symbols declared so far, and
+    the lines are joined ``WRITE_CHUNK`` to a string.  A lookup miss
+    raises ``ValidationError`` naming the formula's undeclared symbols."""
+
+    __slots__ = ("line", "symbols", "chunks", "lines")
+
+    def __init__(self, line, symbols: dict):
+        self.line = line
+        self.symbols = symbols
+        self.chunks: list = []
+        self.lines: list = []
+
+    def append(self, pair):
+        name, formula = pair
+        try:
+            text = self.line(name, formula, self.symbols)
+        except KeyError:
+            check_declared((pair,), self.symbols)
+            raise
+        lines = self.lines
+        lines.append(text)
+        if len(lines) == WRITE_CHUNK:
+            self.chunks.append("".join(lines))
+            lines.clear()
+
+    def extend(self, pairs):
+        for pair in pairs:
+            self.append(pair)
+
+    def text(self) -> list:
+        """The text written so far, as strings of at most ``WRITE_CHUNK``
+        lines."""
+        return [*self.chunks, "".join(self.lines)]
+
+
+def written_set(line) -> FormulaSet:
+    """An empty formula set that keeps no formula: each one added is
+    written as its text ``line(name, formula, symbols)`` (``assertion`` or
+    ``debug_line``) into ``formulas``, a ``Written``, so every symbol it
+    reads must be declared before it is added.  The set's declarations
+    render as for any other set."""
+    symbols: dict = {}
+    return FormulaSet(Written(line, symbols), symbols=symbols)
 
 
 _DEFINE_RE = re.compile(

@@ -216,13 +216,12 @@ def _rank(fs: FormulaSet, program: Program, scope: frozenset, base: dict,
                      for i, (rule, part) in enumerate(zip(defs[atom], parts[atom]), 1)])
 
 
-def _declared(program: Program):
-    """A formula set declaring the program's atoms in name order, and one
+def _declared(program: Program, fs: FormulaSet) -> dict:
+    """Declare the program's atoms in ``fs``, in name order, and return one
     ``Base`` per atom, read by every formula written into it."""
     names = sorted(program.atom_names)
-    fs = FormulaSet()
     fs.declare_base(*names)
-    return fs, {n: Base(n) for n in names}
+    return {n: Base(n) for n in names}
 
 
 def toc_module(program: Program, scope: frozenset, *,
@@ -232,21 +231,26 @@ def toc_module(program: Program, scope: frozenset, *,
     scope need not be a strongly connected component: the global mode
     ranks every defined atom at once, and the proposition check ranks a
     rule's head with its body."""
-    fs, base = _declared(program)
-    _rank(fs, program, scope, base, strong, vub_form)
+    fs = FormulaSet()
+    _rank(fs, program, scope, _declared(program, fs), strong, vub_form)
     return fs
 
 
 def toc_program(program: Program, *, scope_mode: str = "scc",
-                strong: bool = True, vub_form: bool = False) -> FormulaSet:
-    """Every scope's completion and the integrity constraints in one set.
+                strong: bool = True, vub_form: bool = False,
+                into: FormulaSet | None = None) -> FormulaSet:
+    """Every scope's completion and the integrity constraints in one set:
+    ``into``, an empty set, or a new one.
 
     ``scope_mode="scc"`` ranks each recursive strongly connected component
     and completes every other head, always a singleton scope, in place;
     ``"global"`` ranks the whole signature as one scope, which makes every
-    derivation stage observable on a ranking variable.
+    derivation stage observable on a ranking variable.  The translate
+    command passes a ``written_set`` of :mod:`asptoc.smtlib`, which keeps
+    the text of each formula instead of the formula.
     """
-    fs, base = _declared(program)
+    fs = FormulaSet() if into is None else into
+    base = _declared(program, fs)
     head_index = program.head_index
     for scope, ranked in scopes(program, scope_mode):
         if ranked:

@@ -1,14 +1,18 @@
 """Command-line behaviour: exit codes, reports, solver pipeline."""
 
 import errno
+import itertools
 import json
 import os
 import pathlib
+import random
+import subprocess
 import sys
 
 import pytest
 
 from asptoc.cli import main
+from asptoc.formulas import Aux, Diff, LevelVar, Var, Z
 from asptoc.fuzz import ATOM_POOL
 from references import debug_text, drop_formulas
 
@@ -44,6 +48,52 @@ def ranked_source(n):
     return "\n".join(rules)
 
 
+def tight_source(n):
+    """``n`` statements over ``b0..b<n-1>`` whose positive graph is
+    acyclic: every tenth atom a choice, every other one derived from two
+    atoms of a lower index by a weight rule with negation, and a
+    constraint after every fiftieth atom."""
+    rules = []
+    for i in range(n):
+        j, k = i // 2, (i * 7 + 3) % max(i, 1)
+        rules.append(f"{{b{i}}}." if i % 10 == 0 else
+                     f"b{i} :- 2 <= {{ b{j}=1, b{k}=2, not c{i} }}.")
+        if i % 50 == 49:
+            rules.append(f":- b{i}, b{j}, not b{k}.")
+    return "\n".join(rules)
+
+
+# the eight scope/vub/strong modes
+MODES = [["--global-scope"] * g + ["--vub-form"] * v + ["--no-strong"] * w
+         for g, v, w in itertools.product((0, 1), repeat=3)]
+
+
+def mode_id(flags):
+    return " ".join(flags) or "default"
+
+
+def mode_options(flags):
+    """``toc_program``'s keywords for the command-line ``flags``."""
+    return {"scope_mode": "global" if "--global-scope" in flags else "scc",
+            "vub_form": "--vub-form" in flags, "strong": "--no-strong" not in flags}
+
+
+def traced_peak(call):
+    """The traced peak of ``call()``.  A full collection first empties the
+    interpreter's free lists, whose reused objects tracemalloc would not
+    see, so that every peak counts every allocation."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTranslate:
     def test_smtlib_output(self, tmp_path, capsys):
         path = write(tmp_path, "a :- a.")
@@ -71,24 +121,57 @@ class TestTranslate:
         assert main(["translate", path, "--out", str(out)]) == 0
         assert "__x_a" in out.read_text()
 
-    @pytest.mark.parametrize("flags", [[], ["--global-scope", "--vub-form"], ["--no-strong"]])
+    @pytest.mark.parametrize("flags", MODES)
     def test_outputs_are_the_emitters_text(self, tmp_path, capsys, flags):
+        # the command writes each formula's text as the translator adds
+        # it; the list path renders the finished set.  Both give the same
+        # bytes, in either format; the two sinks share one writer, so the
+        # SMT-LIB text goes to --out and the debug text to stdout
+        from asptoc.fuzz import fuzz_corpus
         from asptoc.parser import parse_program
         from asptoc.smtlib import emit_smtlib
         from asptoc.toc import toc_program
 
-        src = ranked_source(20)
-        fs = toc_program(parse_program(src), strong="--no-strong" not in flags,
-                         scope_mode="global" if "--global-scope" in flags else "scc",
-                         vub_form="--vub-form" in flags)
-        assert fs.level_bounds
-        path, out = write(tmp_path, src), tmp_path / "out.smt2"
-        assert main(["translate", path, "--out", str(out), *flags]) == 0
-        assert out.read_bytes() == emit_smtlib(fs, model=True).encode("utf-8")
-        assert main(["translate", path, *flags]) == 0
-        assert capsys.readouterr().out == emit_smtlib(fs, model=True)
-        assert main(["translate", path, "--format", "debug", *flags]) == 0
-        assert capsys.readouterr().out == debug_text(fs)
+        sources = [("ranked_mix", (GOLDEN / "ranked_mix.lp").read_text()),
+                   ("ranked", ranked_source(650))]  # 2,043 rules
+        sources += [(f"fuzz{i}", src) for i, src, _ in fuzz_corpus(1, 100)]
+        out = tmp_path / "out.smt2"
+        for name, src in sources:
+            fs = toc_program(parse_program(src), **mode_options(flags))
+            assert fs.level_bounds or not name.startswith("ranked")
+            path = write(tmp_path, src)
+            assert main(["translate", path, "--out", str(out), *flags]) == 0
+            assert out.read_bytes() == emit_smtlib(fs, model=True).encode("utf-8"), name
+            assert main(["translate", path, "--format", "debug", *flags]) == 0
+            assert capsys.readouterr().out == debug_text(fs), name
+
+    @pytest.mark.parametrize("fmt", ["smtlib", "debug"])
+    @pytest.mark.parametrize("formula, message", [
+        (Var(Aux("app", "a", 9)), "undeclared atoms: ['|app:a:9|']"),
+        (Diff(LevelVar("ghost"), Z, 0), "undeclared variables: ['__x_ghost']"),
+    ], ids=["aux-atom", "ranking-variable"])
+    def test_undeclared_symbol_fails_as_it_is_written(self, tmp_path, capsys, monkeypatch,
+                                                      fmt, formula, message):
+        # a writer that adds a formula over a symbol nobody declared fails
+        # in that add, in validate's wording; nothing is written, so an
+        # existing output file keeps its bytes
+        import asptoc.toc as toc_mod
+
+        real, after_add = toc_mod._define, []
+
+        def faulty(fs, holds, supports):
+            real(fs, holds, supports)
+            fs.add("faulty", formula)
+            after_add.append(holds)
+
+        monkeypatch.setattr(toc_mod, "_define", faulty)
+        path, out = write(tmp_path, "a :- b. b :- a. {a}."), tmp_path / "out.txt"
+        out.write_bytes(b"earlier output\r\n")
+        assert main(["translate", path, "--format", fmt, "--out", str(out)]) == 2
+        assert main(["translate", path, "--format", fmt]) == 2
+        assert after_add == []
+        assert out.read_bytes() == b"earlier output\r\n"
+        assert capsys.readouterr() == ("", f"unsupported: {message}\n" * 2)
 
     def test_peak_memory_is_one_copy_of_the_output(self, tmp_path):
         # two bounds on traced peaks, each against the stage before it.
@@ -97,14 +180,8 @@ class TestTranslate:
         # output.  The parsed program and the completion's temporaries,
         # freed before emission, cover the lines' per-line headers; a
         # second, joined copy of the text adds a whole output.
-        # (b) The command adds only the chunk being written: joined, and
-        # encoded by the text layer, one byte per character of ASCII each.
-        # Joining the whole output, or keeping the program alive through
-        # emission, exceeds that.
-        import gc
-        import tracemalloc
-
-        from asptoc.cli import WRITE_CHUNK
+        # (b) The command keeps the text of each formula and no formula, so
+        # it peaks below the completion's formula list alone.
         from asptoc.parser import parse_program
         from asptoc.smtlib import smtlib_lines
         from asptoc.toc import toc_program
@@ -113,27 +190,24 @@ class TestTranslate:
         path, out = write(tmp_path, src), tmp_path / "out.smt2"
         argv = ["translate", path, "--out", str(out)]
         assert main(argv) == 0  # argparse and lazy imports outside the trace
-        lines = smtlib_lines(toc_program(parse_program(src)), model=True)
-        chunk = max(len("".join(lines[i:i + WRITE_CHUNK]))
-                    for i in range(0, len(lines), WRITE_CHUNK))
-        del lines
 
-        def peak(call):
-            # a full collection empties the interpreter's free lists, whose
-            # reused objects tracemalloc would not see, so that every peak
-            # counts every allocation
-            gc.collect()
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        toc_peak = peak(lambda: toc_program(parse_program(src)))
-        pipeline_peak = peak(lambda: smtlib_lines(toc_program(parse_program(src)), model=True))
+        toc_peak = traced_peak(lambda: toc_program(parse_program(src)))
+        pipeline_peak = traced_peak(
+            lambda: smtlib_lines(toc_program(parse_program(src)), model=True))
         assert pipeline_peak <= toc_peak + out.stat().st_size
-        assert peak(lambda: main(argv)) <= pipeline_peak + 2 * chunk
+        assert traced_peak(lambda: main(argv)) <= toc_peak
+
+    def test_peak_memory_is_a_small_multiple_of_the_output(self, tmp_path):
+        # the command holds the program, the shared leaves, the symbol
+        # tables and one copy of the text, kept in joined chunks.  On this
+        # input its traced peak read 4.5-4.7 times the output (Python
+        # 3.10-3.13); a set that keeps its (name, formula) pairs alive read
+        # 8.0, and building the whole formula list before emission 7.3
+        src = ranked_source(1000)  # 3,143 rules
+        path, out = write(tmp_path, src), tmp_path / "out.smt2"
+        argv = ["translate", path, "--out", str(out)]
+        assert main(argv) == 0
+        assert traced_peak(lambda: main(argv)) <= 5.5 * out.stat().st_size
 
     def test_translate_leaves_no_cyclic_garbage(self, tmp_path, capsys):
         # translate runs with the collector off, which is safe only while
@@ -281,6 +355,64 @@ class TestTranslate:
             assert "(declare-const |dep:a:b__c| Bool)" in out
         else:
             assert json.loads(out.splitlines()[-1])["stable_models"] == 4
+
+
+def shuffle_heads(src, rng):
+    """The statements of ``src``, one a line, with those of different heads
+    interleaved at random; each head's statements, and the constraints,
+    keep their own order."""
+    groups = {}
+    for line in src.splitlines():
+        groups.setdefault(line.split(":-")[0].strip(" {}."), []).append(line)
+    queues = [lines[::-1] for lines in groups.values()]
+    shuffled = []
+    while queues:
+        i = rng.randrange(len(queues))
+        shuffled.append(queues[i].pop())
+        if not queues[i]:
+            queues[i] = queues[-1]
+            queues.pop()
+    return "\n".join(shuffled)
+
+
+class TestDeterminism:
+    # metamorphic relations: translate bytes depend on neither hash order
+    # nor the order of the statements of different heads.  They need no
+    # oracle, so they run at a size the oracle cannot reach.
+    SOURCES = {"ranked": ranked_source(1290), "tight": tight_source(4000)}  # 4,055 and 4,080 rules
+    FLAG_SETS = [[], ["--global-scope", "--vub-form"]]
+
+    @pytest.mark.parametrize("flags", FLAG_SETS, ids=mode_id)
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_equal_bytes_under_two_hash_seeds(self, tmp_path, name, flags):
+        import asptoc
+
+        path = write(tmp_path, self.SOURCES[name])
+        src = str(pathlib.Path(asptoc.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            outputs.append(subprocess.run(
+                [sys.executable, "-m", "asptoc.cli", "translate", path, *flags],
+                env=env, check=True, capture_output=True).stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flags", FLAG_SETS, ids=mode_id)
+    @pytest.mark.parametrize("name", sorted(SOURCES))
+    def test_equal_bytes_under_shuffled_heads(self, tmp_path, name, flags):
+        source = self.SOURCES[name]
+        out = tmp_path / "out.smt2"
+        assert main(["translate", write(tmp_path, source), "--out", str(out), *flags]) == 0
+        expected = out.read_bytes()
+        rng = random.Random(name)
+        for i in range(2):
+            shuffled = shuffle_heads(source, rng)
+            assert sorted(shuffled.splitlines()) == sorted(source.splitlines())
+            assert shuffled != source
+            path = write(tmp_path, shuffled, f"shuffled{i}.lp")
+            assert main(["translate", path, "--out", str(out), *flags]) == 0
+            assert out.read_bytes() == expected
 
 
 class TestCheck:

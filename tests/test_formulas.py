@@ -163,7 +163,7 @@ class TestNaming:
         fs.declare_aux(left, right)
         fs.add("f", PB((PBTerm(1, left), PBTerm(1, right)), lower=1))
         fs.validate()
-        assert len(set(fs.symbols().values())) == len(fs.symbols())
+        assert len(set(fs.symbols.values())) == len(fs.symbols)
 
     @pytest.mark.parametrize("symbol", [
         "|app:a|", "|app:a:b|", "|foo:a:1|", "|atom:a:b|", "|a|", "||",
@@ -242,7 +242,7 @@ class TestDeclarationOrder:
                                           Aux("app", "a", 2)]
             assert all(sym == ref_name(ref) for ref, sym in fs.aux_atoms.items())
         kept.declare_level("b", 1, 3)
-        assert kept.symbols() == {"b": "b", "a": "a", "c": "c",
+        assert kept.symbols == {"b": "b", "a": "a", "c": "c",
                                   "|gap:b:a|": "|gap:b:a|",
                                   "|app:b:1|": "|app:b:1|",
                                   "|app:a:2|": "|app:a:2|",
@@ -263,7 +263,7 @@ def test_every_reference_carries_its_key(ref):
     rebuilt = type(ref)(*(getattr(ref, field) for field in ref._fields))
     for twin in (copy.copy(ref), copy.deepcopy(ref), pickle.loads(pickle.dumps(ref)), rebuilt):
         assert twin == ref and twin.name == ref.name
-    table = toc_program(parse_program(KEYED_SOURCE), vub_form=True).symbols()
+    table = toc_program(parse_program(KEYED_SOURCE), vub_form=True).symbols
     assert ref.name in table and all(type(key) is str for key in table)
 
 

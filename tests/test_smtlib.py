@@ -147,7 +147,7 @@ class TestEmission:
         fs = FormulaSet()
         fs.declare_base("a")
         fs.add("pin", Diff(Z, Z, 0))
-        assert "__z" not in fs.symbols()
+        assert "__z" not in fs.symbols
         with pytest.raises(ValidationError, match=r"undeclared variables: \['__z'\]"):
             fs.validate()
         with pytest.raises(ValidationError, match="__z"):
@@ -155,7 +155,7 @@ class TestEmission:
         with pytest.raises(ValidationError, match="__z"):
             debug_text(fs)
         fs.declare_level("a", 1, 2)
-        assert fs.symbols()["__z"] == "__z"
+        assert fs.symbols["__z"] == "__z"
         fs.validate()
         assert "(assert (<= (- __z __z) 0))" in emit_smtlib(fs).splitlines()
 
@@ -181,7 +181,7 @@ def differential_table():
     fs.declare_aux(Aux("dep", "a", "b"), Aux("app", "a", 1))
     fs.declare_level("a", 1, 3)
     fs.declare_level("b", 1, 3)
-    return fs.symbols()
+    return fs.symbols
 
 
 TABLE = differential_table()

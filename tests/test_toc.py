@@ -408,7 +408,7 @@ def abstract_forms_text():
             toc_abstract(fs, parse_program(src).rules[0], frozenset(scope), strong=strong)
             for atom in scope:  # the bare set mentions ranks it does not declare
                 fs.declare_level(atom, 1, len(scope) + 1)
-            table = fs.symbols()
+            table = fs.symbols
             lines = [f"; rule {src} scope {scope_atoms} strong {strong}"]
             lines += [f"(aux {ref_name(a)})" for a in fs.aux_atoms]
             lines += [f"(formula {n} {to_sexpr(f, table)})" for n, f in fs.formulas]
