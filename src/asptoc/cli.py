@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import itertools
 import os
 import sys
 
@@ -22,7 +21,6 @@ from .formulas import Base, LevelVar, Not, ValidationError, Var, conj
 from .parser import ParseError, UnsupportedFeatureError, parse_program
 from .program import Program, ResourceError
 from .smtlib import (
-    WRITE_CHUNK,
     SolverInvocationError,
     SolverResponseError,
     assertion,
@@ -74,15 +72,12 @@ def cmd_translate(args) -> int:
         # the declarations come first and are known only now, so nothing is
         # written before translation ends: an undeclared symbol, raised as
         # the formula reading it was added, writes nothing
-        lines = header(fs)
-        chunks = itertools.chain(
-            ("".join(lines[i:i + WRITE_CHUNK]) for i in range(0, len(lines), WRITE_CHUNK)),
-            fs.formulas.text(), tail)
+        text = fs.formulas.text(header(fs), tail)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.writelines(chunks)
+                handle.writelines(text)
         else:
-            sys.stdout.writelines(chunks)
+            sys.stdout.writelines(text)
         return EXIT_OK
     finally:
         if enabled:

@@ -8,17 +8,17 @@ linear-integer-arithmetic solver can consume the output; difference atoms
 keep their subtraction shape for solvers that specialize them.  Output is
 byte-deterministic for a given formula set and option choice.
 
-The text is a list of newline-terminated strings, one per declaration
-and one per formula (``smtlib_lines``, ``debug_lines``).  ``asptoc
+The text of a finished set is a list of newline-terminated strings, one
+per declaration and one per formula (``smtlib_lines``).  ``asptoc
 translate`` uses a ``written_set`` instead, which writes each formula's
 text as the translator adds it, through the same ``assertion`` or
-``debug_line``, and keeps only the text; its declarations are rendered
-once translation ends.  Validation happens in the one walk that writes
-each formula: every atom and variable resolves through the set's symbol
-table (``FormulaSet.symbols``), which only declarations grow.  A lookup
-miss means the set is invalid; only then does
-:func:`asptoc.formulas.check_declared` walk the formulas to name the
-fault: the whole set's at emission, the one formula's in a written set.
+``debug_line``, and keeps only the text, joined ``WRITE_CHUNK`` lines to
+a string; its declarations are rendered once translation ends.
+Validation happens in the one walk that writes each formula (``_write``):
+every atom and variable resolves through the set's symbol table
+(``FormulaSet.symbols``), which only declarations grow.  A lookup miss
+means the formula reads an undeclared symbol; only then does
+:func:`asptoc.formulas.check_declared` walk that formula to name them.
 """
 
 from __future__ import annotations
@@ -109,17 +109,16 @@ def assertion(name: str, formula, table) -> str:
     return f"; {name}\n(assert {to_sexpr(formula, table)})\n"
 
 
-def _add_formulas(fs: FormulaSet, lines: list, line):
-    """Append ``line(name, formula, table)`` for each formula of ``fs``,
-    over its symbol table, to ``lines``.  A lookup miss means the set is
-    invalid; ``validate`` then raises ``ValidationError`` naming the
-    fault."""
-    table = fs.symbols
+def _write(line, pair, table) -> str:
+    """The text ``line(name, formula, table)`` of the pair ``(name,
+    formula)``.  A lookup miss means the formula reads a symbol the table
+    lacks; it raises ``ValidationError`` in ``validate``'s wording, naming
+    the formula's undeclared symbols."""
+    name, formula = pair
     try:
-        for name, formula in fs.formulas:
-            lines.append(line(name, formula, table))
+        return line(name, formula, table)
     except KeyError:
-        fs.validate()
+        check_declared((pair,), table)
         raise
 
 
@@ -149,8 +148,9 @@ def smtlib_lines(fs: FormulaSet, *, model: bool = False) -> list:
     """The SMT-LIB text of the formula set as newline-terminated strings:
     one per declaration, one per formula (see ``assertion``), then
     ``(check-sat)`` and, with ``model``, ``(get-model)``."""
+    table = fs.symbols
     lines = smtlib_header(fs)
-    _add_formulas(fs, lines, assertion)
+    lines.extend(_write(assertion, pair, table) for pair in fs.formulas)
     lines += smtlib_tail(model=model)
     return lines
 
@@ -178,20 +178,11 @@ def debug_line(name: str, formula, table) -> str:
     return f"(formula {name} {to_sexpr(formula, table)})\n"
 
 
-def debug_lines(fs: FormulaSet) -> list:
-    """Golden-file format as newline-terminated strings: declarations, then
-    one named formula per line."""
-    lines = debug_header(fs)
-    _add_formulas(fs, lines, debug_line)
-    return lines
-
-
 class Written:
     """The formulas of a ``written_set``, kept as text only: each
-    ``(name, formula)`` appended is written at once as ``line(name,
-    formula, symbols)``, resolved against the symbols declared so far, and
-    the lines are joined ``WRITE_CHUNK`` to a string.  A lookup miss
-    raises ``ValidationError`` naming the formula's undeclared symbols."""
+    ``(name, formula)`` appended is written at once by ``_write``, as
+    ``line(name, formula, symbols)`` resolved against the symbols declared
+    so far, and the lines are joined ``WRITE_CHUNK`` to a string."""
 
     __slots__ = ("line", "symbols", "chunks", "lines")
 
@@ -202,14 +193,8 @@ class Written:
         self.lines: list = []
 
     def append(self, pair):
-        name, formula = pair
-        try:
-            text = self.line(name, formula, self.symbols)
-        except KeyError:
-            check_declared((pair,), self.symbols)
-            raise
         lines = self.lines
-        lines.append(text)
+        lines.append(_write(self.line, pair, self.symbols))
         if len(lines) == WRITE_CHUNK:
             self.chunks.append("".join(lines))
             lines.clear()
@@ -218,10 +203,15 @@ class Written:
         for pair in pairs:
             self.append(pair)
 
-    def text(self) -> list:
-        """The text written so far, as strings of at most ``WRITE_CHUNK``
-        lines."""
-        return [*self.chunks, "".join(self.lines)]
+    def text(self, header: list, tail: list):
+        """The whole text: the lines ``header``, the formulas written,
+        then the lines ``tail``, as strings of at most ``WRITE_CHUNK``
+        lines, the last with ``tail`` added.  Each header string is joined
+        as it is read, so the header is held once."""
+        for i in range(0, len(header), WRITE_CHUNK):
+            yield "".join(header[i:i + WRITE_CHUNK])
+        yield from self.chunks
+        yield "".join(self.lines + tail)
 
 
 def written_set(line) -> FormulaSet:

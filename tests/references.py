@@ -62,7 +62,7 @@ from asptoc.program import (
     program_of,
     weight_sum,
 )
-from asptoc.smtlib import debug_lines
+from asptoc.smtlib import debug_header, debug_line
 from asptoc.toc import emit_support
 
 
@@ -263,8 +263,16 @@ def render_program(program: Program) -> str:
 
 
 def debug_text(fs: FormulaSet) -> str:
-    """``debug_lines`` as one string."""
-    return "".join(debug_lines(fs))
+    """The debug format of the finished set ``fs``: its declarations, then
+    one named formula per line.  A lookup miss means the set is invalid;
+    ``validate`` then raises ``ValidationError`` naming the fault."""
+    table = fs.symbols
+    try:
+        return "".join(debug_header(fs) + [debug_line(name, f, table)
+                                           for name, f in fs.formulas])
+    except KeyError:
+        fs.validate()
+        raise
 
 
 # ---------------------------------------------------------------------------

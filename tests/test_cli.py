@@ -125,8 +125,7 @@ class TestTranslate:
     def test_outputs_are_the_emitters_text(self, tmp_path, capsys, flags):
         # the command writes each formula's text as the translator adds
         # it; the list path renders the finished set.  Both give the same
-        # bytes, in either format; the two sinks share one writer, so the
-        # SMT-LIB text goes to --out and the debug text to stdout
+        # bytes, in either format and to either sink
         from asptoc.fuzz import fuzz_corpus
         from asptoc.parser import parse_program
         from asptoc.smtlib import emit_smtlib
@@ -141,7 +140,10 @@ class TestTranslate:
             assert fs.level_bounds or not name.startswith("ranked")
             path = write(tmp_path, src)
             assert main(["translate", path, "--out", str(out), *flags]) == 0
-            assert out.read_bytes() == emit_smtlib(fs, model=True).encode("utf-8"), name
+            expected = emit_smtlib(fs, model=True)
+            assert out.read_bytes() == expected.encode("utf-8"), name
+            assert main(["translate", path, *flags]) == 0
+            assert capsys.readouterr().out == expected, name
             assert main(["translate", path, "--format", "debug", *flags]) == 0
             assert capsys.readouterr().out == debug_text(fs), name
 

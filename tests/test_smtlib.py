@@ -127,7 +127,9 @@ class TestEmission:
         Diff(LevelVar("q"), Z, 1),
     ], ids=["base", "aux", "pb-term", "level"])
     def test_invalid_set_reports_as_validate(self, formula):
-        # a symbol-table miss falls back to validate() for the message
+        # on a symbol-table miss the emitter names the formula's undeclared
+        # symbols, and the debug reference falls back to validate(); with
+        # one bad formula all three messages agree
         fs = FormulaSet()
         fs.declare_base("a")
         fs.declare_level("a", 1, 2)
