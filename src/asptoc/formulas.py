@@ -15,7 +15,7 @@ variable by one amount, so the emitter pins ``z`` to zero.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .node import Node
 
@@ -156,14 +156,60 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-def make_pb(terms: Iterable[PBTerm], lower: Optional[int] = None,
+def negate(formula: Formula) -> Formula:
+    """The negation of ``formula``, folding constants and a double
+    negation."""
+    t = type(formula)
+    if t is Not:
+        return formula.sub
+    if t is TrueF:
+        return FALSE
+    if t is FalseF:
+        return TRUE
+    return Not(formula)
+
+
+def make_pb(terms, lower: Optional[int] = None,
             upper: Optional[int] = None) -> Formula:
-    """PB constructor with empty-sum constant folding."""
-    terms = tuple(terms)
-    if not terms:
-        ok = (lower is None or lower <= 0) and (upper is None or upper >= 0)
-        return TRUE if ok else FALSE
-    return PB(terms, lower, upper)
+    """The sum of the ``(coef, var, negated)`` triples ``terms``, each
+    ``var`` the ``Var`` of its atom, bounded by ``lower`` and ``upper``,
+    as the connective it equals: a constant when the bounds decide it, the
+    conjunction of its literals when every one is needed, their
+    disjunction when any one is enough, the negated disjunction when an
+    upper bound is below every coefficient, else a ``PB`` without the
+    bounds that cannot bind.  The shape is read off the coefficients, and
+    each literal or term is built only for it."""
+    coefs = [t[0] for t in terms]
+    total = sum(coefs)
+    if lower is not None and lower <= 0:
+        lower = None
+    if upper is not None and upper >= total:
+        upper = None
+    if lower is None:
+        if upper is None:
+            return TRUE
+        if upper < 0:
+            return FALSE
+        if upper < min(coefs):
+            return negate(_connective(Or, terms))
+    elif upper is None:
+        if lower > total:
+            return FALSE
+        least = min(coefs)
+        if total - least < lower:
+            return _connective(And, terms)
+        if least >= lower:
+            return _connective(Or, terms)
+    elif lower > upper:
+        return FALSE
+    return PB(tuple([PBTerm(c, v.atom, n) for c, v, n in terms]), lower, upper)
+
+
+def _connective(cls, terms) -> Formula:
+    """The ``cls`` (``And`` or ``Or``) of the literals of the non-empty
+    ``terms``; one literal stands alone."""
+    literals = [Not(v) if n else v for _, v, n in terms]
+    return literals[0] if len(literals) == 1 else cls(tuple(literals))
 
 
 def conj(*subs: Formula) -> Formula:
@@ -217,14 +263,15 @@ def mk_bounds(x: LevelVar, holds: Var, scope_size: int):
     ]
 
 
-def mk_dep_gap(auxes, holds: Var, xa: LevelVar, xb: LevelVar):
-    """Definitions of ``auxes``, the ``dep`` (and ``gap``) atom of the edge
-    from the head ranked ``xa`` to the body atom ``holds`` reads, ranked
-    ``xb``.  dep: the body atom holds and was derived strictly before the
-    head; gap: it was derived at least two stages before."""
+def mk_dep_gap(edge, holds: Var, xa: LevelVar, xb: LevelVar):
+    """Definitions of ``edge``, the ``Var``s of the ``dep`` (and ``gap``)
+    atom of the edge from the head ranked ``xa`` to the body atom
+    ``holds`` reads, ranked ``xb``.  dep: the body atom holds and was
+    derived strictly before the head; gap: it was derived at least two
+    stages before."""
     return [(f"{aux.kind}:{aux.head}:{aux.arg}",
-             Iff(Var(aux), And((holds, Diff(xb, xa, -_STAGES[aux.kind])))))
-            for aux in auxes]
+             Iff(var, And((holds, Diff(xb, xa, -_STAGES[aux.kind])))))
+            for var in edge for aux in (var.atom,)]
 
 
 # ---------------------------------------------------------------------------

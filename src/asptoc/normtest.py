@@ -1,13 +1,13 @@
 """The subset normalization, checked against the weight path.
 
 The translator emits one form per rule, the canonical weight form.  For
-a positive in-scope rule, the completion can also be written with one
-applicability atom per bound-reaching subset of the body: the subset
-normalization, one positive rule per inclusion-minimal satisfier.  The
-proposition checks of ``asptoc fuzz --props`` translate both programs
-and compare the two formula sets: they must constrain the shared
-vocabulary identically, and wherever both hold, some subset rule must
-apply exactly when the aggregated rule does.  Each side is enumerated
+a positive in-scope rule, the completion can also be written through the
+subset normalization: one positive rule per inclusion-minimal
+bound-reaching subset of the body.  The proposition checks of ``asptoc
+fuzz --props`` translate both programs and compare the two formula sets:
+they must constrain the shared vocabulary identically.  The head is
+shared and each side keeps its completion, so some subset rule then
+applies exactly when the aggregated rule does.  Each side is enumerated
 on its own, so the two sides' applicability atoms, named alike, stay
 apart.
 
@@ -16,10 +16,9 @@ Ranking variables enter both sides only through the range bounds, the
 every formula that reads one and abstracts the ranks to
 ``gap -> dep -> atom`` for each body atom: an atom derived two stages
 before the head was derived before it, and one derived before it holds.
-Each side then goes through the model finder, and each model's
-projection onto the shared vocabulary (the base atoms and the dep/gap
-atoms of every body atom) is mapped to whether one of the side's
-applicability atoms holds; the two maps must be equal.
+Each side then goes through the model finder, and the projections of
+its models onto the shared vocabulary (the base atoms and the dep/gap
+atoms of every body atom) must be the same set on both sides.
 
 The abstraction admits (atom, dep, gap) in {FFF, TFF, TTF, TTT} per body
 atom under either head value, 2 * 4^n shared assignments.  That covers
@@ -108,12 +107,13 @@ def proposition_sides(rule: Rule):
     return side_a, side_b, k
 
 
-def _applications(side: FormulaSet, head: str, body: list[str]) -> dict:
-    """The shared assignments ``side`` holds on, each mapped to whether one
-    of its applicability atoms holds there: its rank-free formulas with
-    ``gap -> dep -> atom`` for every body atom, through the model finder.
-    An assignment is keyed by the bytes of its shared atoms' values in
-    name order, which keeps the garbage of a check small."""
+def _holding(side: FormulaSet, head: str, body: list[str], shared: list[str]) -> set:
+    """The assignments to the ``shared`` atoms that ``side`` holds on: its
+    rank-free formulas with ``gap -> dep -> atom`` for every body atom,
+    through the model finder.  An assignment is the bytes of the shared
+    atoms' values in name order, which keeps the garbage of a check
+    small.  The head's value, part of it, says whether the side's rule
+    applies: ``def:<head>`` reads no ranking variable and stays."""
     fs = FormulaSet(base_atoms=dict(side.base_atoms), aux_atoms=dict(side.aux_atoms))
     for name, formula in side.formulas:
         ints: set = set()
@@ -125,34 +125,33 @@ def _applications(side: FormulaSet, head: str, body: list[str]) -> dict:
         fs.declare_aux(dep.atom, gap.atom)
         fs.add(f"order:{head}:{b}:gap", Implies(gap, dep))
         fs.add(f"order:{head}:{b}:dep", Implies(dep, Var(Base(b))))
-    apps = {sym for aux, sym in fs.aux_atoms.items() if aux.kind == "app"}
-    applies = {}
-    for model in enumerate_dl_models(fs, max_atoms=len(fs.base_atoms) + len(fs.aux_atoms)):
-        shared = bytes(v for n, v in model.props if n not in apps)
-        applies[shared] = any(v for n, v in model.props if n in apps)
-    return applies
+    keep = set(shared)
+    return {bytes(v for n, v in model.props if n in keep)
+            for model in enumerate_dl_models(fs, max_atoms=len(fs.base_atoms)
+                                             + len(fs.aux_atoms))}
 
 
 def compare_sides(rule: Rule, side_a: FormulaSet, side_b: FormulaSet, k: int) -> Verdict:
     """PASS when the subset side ``side_a`` of ``k`` rules and the
-    aggregated side ``side_b`` hold on the same shared assignments, and on
-    each some subset rule applies exactly when the aggregated rule does.
-    A failing verdict's counterexample is the first assignment, in sorted
-    order, where they differ; it never connects, since there one side
-    fails or the two disagree on applicability."""
+    aggregated side ``side_b`` hold on the same shared assignments; the
+    head, shared, then holds exactly where some subset rule applies and
+    exactly where the aggregated rule does.  A failing verdict's
+    counterexample is the first assignment, in sorted order, that only
+    one side holds on; it never connects."""
     head = rule.head
     body = sorted(rule.pos_atoms())
     shared = sorted({head, *body, *(Aux(kind, head, b).name
                                     for b in body for kind in ("dep", "gap"))})
-    applies_a = _applications(side_a, head, body)
-    applies_b = _applications(side_b, head, body)
+    holds_a = _holding(side_a, head, body, shared)
+    holds_b = _holding(side_b, head, body, shared)
     counts = (2 * 4 ** len(body), k, len(side_a.formulas), len(side_b.formulas))
-    for key in sorted(applies_a.keys() | applies_b.keys()):
-        if applies_a.get(key) != applies_b.get(key):
-            return Verdict(False, *counts, {"assignment": dict(zip(shared, map(bool, key))),
-                                            "subset_sat": key in applies_a,
-                                            "aggregate_sat": key in applies_b,
-                                            "connecting": False})
+    differ = holds_a ^ holds_b
+    if differ:
+        key = min(differ)
+        return Verdict(False, *counts, {"assignment": dict(zip(shared, map(bool, key))),
+                                        "subset_sat": key in holds_a,
+                                        "aggregate_sat": key in holds_b,
+                                        "connecting": False})
     return Verdict(True, *counts, None)
 
 

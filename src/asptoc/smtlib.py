@@ -3,7 +3,9 @@
 Propositional atoms become Bool constants and ranking variables Int
 constants, named by the symbol naming of :mod:`asptoc.formulas`; a set with
 ranking variables also declares ``__z`` and asserts it zero.
-Pseudo-Boolean sums turn into sums of conditional terms, so any
+The translator keeps a sum only where it is a real aggregate (a sum
+that amounts to a connective arrives as that connective), and each
+pseudo-Boolean sum turns into a sum of conditional ``ite`` terms, so any
 linear-integer-arithmetic solver can consume the output; difference atoms
 keep their subtraction shape for solvers that specialize them.  Output is
 byte-deterministic for a given formula set and option choice.
@@ -81,6 +83,9 @@ def to_sexpr(formula, table) -> str:
         subs = " ".join([table[s.atom.name] if type(s) is Var else to_sexpr(s, table)
                          for s in formula.subs])
         return f"(and {subs})" if t is And else f"(or {subs})"
+    if t is Not:
+        sub = formula.sub
+        return f"(not {table[sub.atom.name] if type(sub) is Var else to_sexpr(sub, table)})"
     if t is PB:
         terms, lower, upper = formula
         parts = [f"(ite (not {table[atom.name]}) {coef} 0)" if negated
@@ -91,9 +96,6 @@ def to_sexpr(formula, table) -> str:
         if lower is None:
             return f"(<= {total} {_int(upper)})"
         return f"(and (<= {_int(lower)} {total}) (<= {total} {_int(upper)}))"
-    if t is Not:
-        sub = formula.sub
-        return f"(not {table[sub.atom.name] if type(sub) is Var else to_sexpr(sub, table)})"
     if t is Var:
         return table[formula.atom.name]
     if t is TrueF:

@@ -14,9 +14,17 @@ supported heads.
 The split collapses when one side is structurally impossible: a rule
 whose body cannot reach its bound without in-scope atoms keeps no
 external atom (the applicability atom takes the internal definition),
-and a rule without in-scope positive atoms keeps no internal one.  With
-unit weights this reproduces the plain ordered-completion shape for
-normal rules, auxiliary atoms included.
+and a rule without in-scope positive atoms keeps no internal one.
+
+Every sum is written as the connective it equals (``make_pb``), so a
+normal rule's conditions are conjunctions of literals, as in the plain
+ordered completion; only real aggregates stay sums.  An ``app``,
+``int``, ``ext`` or ``vub`` atom whose condition is then a literal or a
+constant is neither declared nor defined: that literal is read wherever
+the atom would be, so a one-atom normal body needs no applicability
+atom.  An implication with a false premise is not written, one with a
+true premise is written as its conclusion, and a head whose rules amount
+to the head itself gets no definition.
 
 Upper bounds of convex rules never participate in the ordering: they
 are checked against the unordered body (in-scope atoms taken plainly),
@@ -29,10 +37,11 @@ explicit ``vub`` atom defined completion-style; nothing else changes.
 
 Every scope writes into one formula set, which declares the program's
 atoms once, and each leaf is built once and every formula shares it: one
-``Base`` per atom, read by the flat completions, the constraints and
-every ranked scope; a ranked scope builds one ``Var`` and ``LevelVar``
-per scope atom and the ``dep``/``gap`` atoms of each edge, declared once
-and read by their definitions and by every rule's sums alike.
+``Var`` per atom, read by the flat completions, the constraints and
+every ranked scope; a ranked scope builds one ``LevelVar`` per scope
+atom and the ``dep``/``gap`` atoms of each edge with their ``Var``s,
+declared once and read by their definitions and by every rule's sums
+alike.
 """
 
 from __future__ import annotations
@@ -42,27 +51,30 @@ from .formulas import (
     Aux,
     Base,
     Diff,
+    FalseF,
     FormulaSet,
     Iff,
     Implies,
     LevelVar,
     Not,
-    PBTerm,
+    TrueF,
     Var,
     Z,
     conj,
     disj,
     make_pb,
+    negate,
     mk_bounds,
     mk_dep_gap,
 )
 from .program import Polarity, Program, Rule
 
 
-def _split_body(rule: Rule, scope: frozenset, base: dict):
-    """The rule's in-scope positive atoms with their weights, and the terms
-    of the rest of its body over the scope's ``base`` atoms: positive, then
-    double-negated, then negated.
+def _split_body(rule: Rule, scope: frozenset, holds: dict):
+    """The rule's in-scope positive atoms with their weights, and the
+    ``(coef, var, negated)`` terms of the rest of its body over the
+    ``Var``s ``holds`` maps the atoms to: positive, then double-negated,
+    then negated.
 
     Double-negated literals count like out-of-scope positives: the reduct
     fixes their truth against the candidate model, so they never order.
@@ -74,61 +86,90 @@ def _split_body(rule: Rule, scope: frozenset, base: dict):
             if atom in scope:
                 pin.append((atom, wl.weight))
             else:
-                pout.append(PBTerm(wl.weight, base[atom]))
+                pout.append((wl.weight, holds[atom], False))
         elif polarity is Polarity.DOUBLE_NEGATED:
-            dneg.append(PBTerm(wl.weight, base[atom]))
+            dneg.append((wl.weight, holds[atom], False))
         else:
-            neg.append(PBTerm(wl.weight, base[atom], True))
+            neg.append((wl.weight, holds[atom], True))
     return pin, pout + dneg + neg
 
 
-def _plain_terms(rule: Rule, base: dict):
+def _plain_terms(rule: Rule, holds: dict):
     negative = Polarity.NEGATIVE
-    return [PBTerm(wl.weight, base[wl.atom], wl.polarity is negative)
-            for wl in rule.body]
+    return [(wl.weight, holds[wl.atom], wl.polarity is negative) for wl in rule.body]
 
 
-def plain_body_formula(rule: Rule, base: dict):
-    """The rule body over the ``base`` atoms; negated literals appear
-    classically negated with the bound left at the source value."""
-    return make_pb(_plain_terms(rule, base), rule.lower, rule.upper)
+def plain_body_formula(rule: Rule, holds: dict):
+    """The rule body over the ``Var``s ``holds`` maps the atoms to;
+    negated literals appear classically negated with the bound left at
+    the source value."""
+    return make_pb(_plain_terms(rule, holds), rule.lower, rule.upper)
 
 
-def emit_support(fs: FormulaSet, x: LevelVar, i: int, weak, ext, deny,
-                 has_in: bool, ext_possible: bool) -> Var:
+def _named(fs: FormulaSet, kind: str, head: str, i: int, body):
+    """What stands for ``body`` as the atom ``kind:head:i``: ``body``
+    itself when it is a literal or a constant, else the atom's ``Var``,
+    declared."""
+    t = type(body)
+    if t is Var or t is TrueF or t is FalseF or t is Not and type(body.sub) is Var:
+        return body
+    atom = Aux(kind, head, i)
+    fs.declare_aux(atom)
+    return Var(atom)
+
+
+def _iff(fs: FormulaSet, name: str, atom, body):
+    """The definition ``atom <-> body``, unless ``atom`` is ``body``
+    itself (see ``_named``)."""
+    if atom is not body:
+        fs.add(name, Iff(atom, body))
+
+
+def _implies(fs: FormulaSet, name: str, premise, conclusion):
+    """``premise -> conclusion``: nothing when the premise is false or the
+    conclusion true, the conclusion alone when the premise is true."""
+    if type(premise) is FalseF or type(conclusion) is TrueF:
+        return
+    fs.add(name, conclusion if type(premise) is TrueF else Implies(premise, conclusion))
+
+
+def emit_support(fs: FormulaSet, x: LevelVar, i: int, weak, ext, deny, has_in: bool):
     """The support formulas of rule ``i`` of the head ranked by ``x`` in a
     ranked scope.
 
     ``weak`` is the internal support condition, ``ext`` the external one
     and ``deny`` the strong condition's denial of a fully gapped support
-    (``None`` without strong constraints).  When the bound is out of reach
-    without in-scope atoms the applicability atom takes ``weak``; without
-    in-scope positive atoms it takes ``ext`` and resets the head's rank;
-    otherwise it splits into an internal and an external atom.  Returns
-    the ``Var`` of the applicability atom.
+    (``None`` without strong constraints).  When ``ext`` is false, the
+    bound being out of reach without in-scope atoms, the applicability
+    atom takes ``weak``; without in-scope positive atoms it takes ``ext``
+    and resets the head's rank; otherwise it splits into an internal and
+    an external atom.  An atom whose condition is a literal or a constant
+    is that condition (see ``_named``).  Returns what the head's
+    definition reads for the rule: the ``Var`` of the applicability atom
+    or its condition.
     """
     head = x.owner
-    applies = Var(Aux("app", head, i))
-    fs.declare_aux(applies.atom)
-    if has_in and not ext_possible:
-        fs.add(f"app:{head}:{i}", Iff(applies, weak))
+    if type(ext) is FalseF:
+        applies = _named(fs, "app", head, i, weak)
+        _iff(fs, f"app:{head}:{i}", applies, weak)
         if deny is not None:
-            fs.add(f"strong:{head}:{i}", Implies(applies, deny))
+            _implies(fs, f"strong:{head}:{i}", applies, deny)
         return applies
     if not has_in:
-        fs.add(f"app:{head}:{i}", Iff(applies, ext))
-        resets = applies
+        applies = resets = _named(fs, "app", head, i, ext)
+        _iff(fs, f"app:{head}:{i}", applies, ext)
     else:
-        internal = Var(Aux("int", head, i))
-        external = Var(Aux("ext", head, i))
-        fs.declare_aux(internal.atom, external.atom)
-        fs.add(f"split:{head}:{i}", Iff(applies, disj(internal, external)))
-        fs.add(f"int:{head}:{i}", Iff(internal, weak))
+        internal = _named(fs, "int", head, i, weak)
+        external = _named(fs, "ext", head, i, ext)
+        either = disj(internal, external)
+        applies = _named(fs, "app", head, i, either)
+        _iff(fs, f"split:{head}:{i}", applies, either)
+        _iff(fs, f"int:{head}:{i}", internal, weak)
         if deny is not None:
-            fs.add(f"strong:{head}:{i}", Implies(internal, disj(deny, external)))
-        fs.add(f"ext:{head}:{i}", Iff(external, ext))
+            _implies(fs, f"strong:{head}:{i}", internal, disj(deny, external))
+        _iff(fs, f"ext:{head}:{i}", external, ext)
         resets = external
-    fs.add(f"reset:{head}:{i}", Implies(resets, Diff(x, Z, 1)))
+    _implies(fs, f"reset:{head}:{i}", resets, Diff(x, Z, 1))
     return applies
 
 
@@ -138,90 +179,96 @@ def _upper_check(fs: FormulaSet, head: str, i: int, terms, upper: int, vub_form:
     completion-style."""
     if not vub_form:
         return make_pb(terms, upper=upper)
-    violated = Var(Aux("vub", head, i))
-    fs.declare_aux(violated.atom)
-    fs.add(f"vub:{head}:{i}", Iff(violated, make_pb(terms, lower=upper + 1)))
-    return Not(violated)
+    exceeds = make_pb(terms, lower=upper + 1)
+    violated = _named(fs, "vub", head, i, exceeds)
+    _iff(fs, f"vub:{head}:{i}", violated, exceeds)
+    return negate(violated)
 
 
-def _ranked_rule(fs: FormulaSet, x: LevelVar, i: int, rule: Rule, parts,
-                 base: dict, edges: dict, strong: bool, vub_form: bool):
+def _ranked_rule(fs: FormulaSet, x: LevelVar, i: int, rule: Rule, scope: frozenset,
+                 holds: dict, edges: dict, strong: bool, vub_form: bool):
     """Rule ``i`` of the head ranked by ``x``; ``edges`` maps each of its
-    in-scope body atoms to the edge's declared ``dep`` (and ``gap``) atom."""
-    pin, out = parts
+    in-scope body atoms to the ``Var`` of the edge's declared ``dep`` (and
+    ``gap``) atom."""
+    pin, out = _split_body(rule, scope, holds)
     lower, upper = rule.lower, rule.upper
 
-    weak = make_pb([PBTerm(w, edges[b][0]) for b, w in pin] + out, lower=lower)
+    # without in-scope atoms both conditions are the plain body, and
+    # emit_support reads no denial
     ext = make_pb(out, lower=lower)
+    weak = make_pb([(w, edges[b][0], False) for b, w in pin] + out, lower=lower) if pin else ext
     if upper is not None:
-        plain = [PBTerm(w, base[b]) for b, w in pin] + out
+        plain = [(w, holds[b], False) for b, w in pin] + out
         bound_check = _upper_check(fs, x.owner, i, plain, upper, vub_form)
         weak, ext = conj(weak, bound_check), conj(ext, bound_check)
 
     deny = None
-    if strong:
-        gap_terms = [PBTerm(w, edges[b][1]) for b, w in pin]
-        deny = make_pb(gap_terms + out, upper=lower - 1)
-    return emit_support(fs, x, i, weak=weak, ext=ext, deny=deny, has_in=bool(pin),
-                        ext_possible=sum(t.coef for t in out) >= lower)
+    if strong and pin:
+        deny = make_pb([(w, edges[b][1], False) for b, w in pin] + out, upper=lower - 1)
+    return emit_support(fs, x, i, weak=weak, ext=ext, deny=deny, has_in=bool(pin))
 
 
-def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, base: dict,
+def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, holds: dict,
                vub_form: bool):
     """Rule ``i``'s disjunct in the Clark completion of a non-recursive
     head: its plain body, one two-bound sum unless ``vub_form`` spells the
     upper bound apart."""
     if rule.upper is None or not vub_form:
-        return plain_body_formula(rule, base)
-    terms = _plain_terms(rule, base)
+        return plain_body_formula(rule, holds)
+    terms = _plain_terms(rule, holds)
     return conj(make_pb(terms, lower=rule.lower),
                 _upper_check(fs, head, i, terms, rule.upper, vub_form))
 
 
 def _define(fs: FormulaSet, holds: Var, supports: list):
-    """The completion of the head ``holds`` reads over its rules' supports."""
-    fs.add(f"def:{holds.atom.name}", Iff(holds, disj(*supports)))
+    """The completion of the head ``holds`` reads over its rules' supports,
+    unless they amount to the head's own ``Var``, which would make it a
+    tautology."""
+    body = disj(*supports)
+    if body is not holds:
+        fs.add(f"def:{holds.atom.name}", Iff(holds, body))
 
 
-def _rank(fs: FormulaSet, program: Program, scope: frozenset, base: dict,
+def _rank(fs: FormulaSet, program: Program, scope: frozenset, holds: dict,
           strong: bool, vub_form: bool):
     """Write the ordered completion of the scope's defining rules into
-    ``fs``, reading the ``Base`` of each atom from ``base``.  Scope atoms
-    without defining rules stay free but still receive range formulas."""
+    ``fs``, reading the ``Var`` of each atom from ``holds``.  Scope atoms
+    without defining rules stay free but still receive range formulas.
+    Each rule's body is split when its head is defined."""
     atoms = sorted(scope)
     head_index = program.head_index
     defs = {a: head_index.get(a, ()) for a in atoms}
-    holds = {a: Var(base[a]) for a in atoms}
     level = {a: LevelVar(a) for a in atoms}
 
     size = len(scope)
     for atom in atoms:
         fs.declare_level(atom, 1, size + 1)
         fs.extend(mk_bounds(level[atom], holds[atom], size))
-    parts = {a: [_split_body(r, scope, base) for r in defs[a]] for a in atoms}
     kinds = ("dep", "gap") if strong else ("dep",)
+    positive = Polarity.POSITIVE
     edges = {}
     for a in atoms:
         edges[a] = {}
-        for b in sorted({b for pin, _ in parts[a] for b, _ in pin}):
-            auxes = edges[a][b] = tuple(Aux(kind, a, b) for kind in kinds)
-            fs.declare_aux(*auxes)
-            fs.extend(mk_dep_gap(auxes, holds[b], level[a], level[b]))
+        for b in sorted({wl.atom for rule in defs[a] for wl in rule.body
+                         if wl.polarity is positive and wl.atom in scope}):
+            edge = edges[a][b] = tuple(Var(Aux(kind, a, b)) for kind in kinds)
+            fs.declare_aux(*(var.atom for var in edge))
+            fs.extend(mk_dep_gap(edge, holds[b], level[a], level[b]))
 
     for atom in atoms:
         if defs[atom]:
             _define(fs, holds[atom],
-                    [_ranked_rule(fs, level[atom], i, rule, part, base, edges[atom],
+                    [_ranked_rule(fs, level[atom], i, rule, scope, holds, edges[atom],
                                   strong, vub_form)
-                     for i, (rule, part) in enumerate(zip(defs[atom], parts[atom]), 1)])
+                     for i, rule in enumerate(defs[atom], 1)])
 
 
 def _declared(program: Program, fs: FormulaSet) -> dict:
     """Declare the program's atoms in ``fs``, in name order, and return one
-    ``Base`` per atom, read by every formula written into it."""
+    ``Var`` per atom, read by every formula written into it."""
     names = sorted(program.atom_names)
     fs.declare_base(*names)
-    return {n: Base(n) for n in names}
+    return {n: Var(Base(n)) for n in names}
 
 
 def toc_module(program: Program, scope: frozenset, *,
@@ -250,17 +297,19 @@ def toc_program(program: Program, *, scope_mode: str = "scc",
     the text of each formula instead of the formula.
     """
     fs = FormulaSet() if into is None else into
-    base = _declared(program, fs)
+    holds = _declared(program, fs)
     head_index = program.head_index
     for scope, ranked in scopes(program, scope_mode):
         if ranked:
-            _rank(fs, program, scope, base, strong, vub_form)
+            _rank(fs, program, scope, holds, strong, vub_form)
         else:
             (atom,) = scope
             rules = head_index.get(atom)
             if rules:  # an input atom stays free
-                _define(fs, Var(base[atom]), [_flat_rule(fs, atom, i, rule, base, vub_form)
-                                              for i, rule in enumerate(rules, 1)])
+                _define(fs, holds[atom], [_flat_rule(fs, atom, i, rule, holds, vub_form)
+                                          for i, rule in enumerate(rules, 1)])
     for idx, rule in enumerate(program.constraints(), 1):
-        fs.add(f"constraint:{idx}", Not(plain_body_formula(rule, base)))
+        check = negate(plain_body_formula(rule, holds))
+        if type(check) is not TrueF:
+            fs.add(f"constraint:{idx}", check)
     return fs

@@ -369,6 +369,9 @@ def toc_abstract(fs: FormulaSet, rule: Rule, scope: frozenset, *,
     """Write into ``fs`` the ordered completion of one rule with its
     aggregate kept extensional.
 
+    Returns what the head's definition reads for the rule (see
+    ``toc.emit_support``).
+
     Internal support substitutes in-scope positive atoms by their ``dep``
     atoms inside the disjunction over inclusion-minimal satisfiers (the
     upward closure); the strong condition negates the same disjunction
@@ -432,9 +435,8 @@ def toc_abstract(fs: FormulaSet, rule: Rule, scope: frozenset, *,
     for j in sorted(universe):
         if in_scope_pos(j):
             fs.declare_aux(*(Aux(kind, head, slots[j].atom) for kind in kinds))
-    emit_support(fs, LevelVar(head), 1, weak, ext_def, deny,
-                 has_in=any(in_scope_pos(j) for j in universe),
-                 ext_possible=bool(ext_minimal))
+    return emit_support(fs, LevelVar(head), 1, weak, ext_def, deny,
+                        has_in=any(in_scope_pos(j) for j in universe))
 
 
 # ---------------------------------------------------------------------------

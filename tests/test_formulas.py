@@ -82,7 +82,7 @@ class TestDepGap:
                     yield {"b": b}, {"__x_a": xa, "__x_b": xb, "__z": 0}
 
     def consistent_values(self, bools, ints):
-        pairs = mk_dep_gap((Aux("dep", "a", "b"), Aux("gap", "a", "b")),
+        pairs = mk_dep_gap((Var(Aux("dep", "a", "b")), Var(Aux("gap", "a", "b"))),
                            Var(Base("b")), LevelVar("a"), LevelVar("b"))
         for dep in (False, True):
             for gap in (False, True):
@@ -116,8 +116,44 @@ class TestPB:
         assert make_pb([], lower=0, upper=-1) == FalseF()
 
     def test_non_empty_not_folded(self):
-        f = make_pb([PBTerm(1, Base("a"))], lower=5)
-        assert isinstance(f, PB)
+        # neither every term nor any one term is needed: a genuine sum
+        f = make_pb([(1, Var(Base("a")), False), (2, Var(Base("b")), False),
+                     (2, Var(Base("c")), True)], lower=3)
+        assert f == PB((PBTerm(1, Base("a")), PBTerm(2, Base("b")),
+                        PBTerm(2, Base("c"), True)), 3, None)
+
+    def test_boolean_shapes_fold(self):
+        a, b = Var(Base("a")), Var(Base("b"))
+        terms = [(2, a, False), (3, b, True)]
+        assert make_pb(terms, lower=6) == FALSE
+        assert make_pb(terms, upper=-1) == FALSE
+        assert make_pb(terms, lower=4, upper=3) == FALSE
+        assert make_pb(terms, lower=0, upper=5) == TRUE
+        assert make_pb(terms, lower=4) == And((a, Not(b)))
+        assert make_pb(terms, lower=2) == Or((a, Not(b)))
+        assert make_pb(terms, upper=1) == Not(Or((a, Not(b))))
+        assert make_pb(terms[1:], upper=2) == b
+        # a bound that cannot bind is dropped; two binding bounds stay
+        pb_terms = (PBTerm(2, Base("a")), PBTerm(3, Base("b"), True))
+        assert make_pb(terms, lower=3, upper=7) == PB(pb_terms, 3, None)
+        assert make_pb(terms, lower=3, upper=4) == PB(pb_terms, 3, 4)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 8),
+                              st.sampled_from("abcde").map(lambda n: Var(Base(n))),
+                              st.booleans()), max_size=5),
+           st.data())
+    def test_folded_sum_equals_the_sum(self, terms, data):
+        total = sum(c for c, _, _ in terms)
+        bound = st.integers(-2, total + 2)
+        lower, upper = data.draw(st.one_of(st.tuples(bound, st.none()),
+                                           st.tuples(st.none(), bound),
+                                           st.tuples(bound, bound)))
+        folded = make_pb(terms, lower, upper)
+        reference = PB(tuple(PBTerm(c, v.atom, n) for c, v, n in terms), lower, upper)
+        for bits in range(32):
+            bools = {name: bool(bits >> i & 1) for i, name in enumerate("abcde")}
+            assert eval_formula(folded, bools, {}) == eval_formula(reference, bools, {})
 
     def test_needs_a_bound(self):
         with pytest.raises(ValueError):

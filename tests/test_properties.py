@@ -1,5 +1,6 @@
 """Cross-cutting semantic properties over generated rules and programs."""
 
+import collections
 import itertools
 import pathlib
 import random
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asptoc.depgraph import build_depgraph, sccs, scopes
-from asptoc.formulas import PB, Aux, Base, Diff, LevelVar, Var
+from asptoc.formulas import PB, Aux, Base, Diff, FalseF, Iff, LevelVar, Not, TrueF, Var
 from asptoc.fuzz import CHECK_MODES, check_program, fuzz_corpus, ranked_scopes
 from asptoc.oracle import aggregate_reduct, least_model, reduct, stable_models
 from asptoc.parser import parse_program
@@ -130,8 +131,10 @@ def test_scope_topological_order_in_output():
 def test_no_pass_through_or_dead_auxiliaries(scope_mode, vub_form, strong):
     # a non-recursive head gets Clark's completion over its plain bodies:
     # its only auxiliary atom is the vub atom of an upper-bounded rule under
-    # --vub-form, which spells that bound; gap atoms exist only for the
-    # strong constraints that read them, and no formula restates a bound
+    # --vub-form, which spells that bound where the body can exceed it in
+    # more than one way (a one-literal violation is that literal); gap atoms
+    # exist only for the strong constraints that read them, and no formula
+    # restates a bound
     for _, source, program in fuzz_corpus(1, 200):
         fs = toc_program(program, scope_mode=scope_mode, strong=strong,
                          vub_form=vub_form)
@@ -139,11 +142,37 @@ def test_no_pass_through_or_dead_auxiliaries(scope_mode, vub_form, strong):
                 if not ranked for a in scope}
         guarded = {Aux("vub", a, i) for a in flat
                    for i, rule in enumerate(def_of(a, program), 1)
-                   if vub_form and rule.upper is not None}
+                   if vub_form and rule.upper is not None and len(rule.body) > 1
+                   and rule.upper < sum(wl.weight for wl in rule.body)}
         assert {r for r in fs.aux_atoms if r.head in flat} == guarded, source
         assert not any(n.startswith("ubcheck:") for n, _ in fs.formulas), source
         if not strong:
             assert not any(r.kind == "gap" for r in fs.aux_atoms), source
+
+
+@pytest.mark.parametrize("scope_mode", ["scc", "global"])
+@pytest.mark.parametrize("vub_form", [False, True])
+@pytest.mark.parametrize("strong", [True, False])
+def test_every_auxiliary_atom_is_a_real_name(scope_mode, vub_form, strong):
+    # an app, int, ext or vub atom whose condition folds to a literal or a
+    # constant is that condition: no such definition is written, every
+    # declared auxiliary atom has exactly one definition, and nothing
+    # written is a tautology
+    literal = (Var, TrueF, FalseF)
+    for _, source, program in fuzz_corpus(1, 300):
+        fs = toc_program(program, scope_mode=scope_mode, strong=strong,
+                         vub_form=vub_form)
+        defined = collections.Counter()
+        for name, f in fs.formulas:
+            # no tautology: a true formula or a definition of a head by itself
+            assert type(f) is not TrueF and not (type(f) is Iff and f.left == f.right), \
+                (source, name)
+            if type(f) is Iff and type(f.left) is Var and type(f.left.atom) is Aux:
+                defined[f.left.atom] += 1
+                if f.left.atom.kind in ("app", "int", "ext", "vub"):
+                    right = f.right.sub if type(f.right) is Not else f.right
+                    assert type(right) not in literal, (source, name)
+        assert defined == dict.fromkeys(fs.aux_atoms, 1), source
 
 
 def leaves(formula):

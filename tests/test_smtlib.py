@@ -53,7 +53,6 @@ class TestEmission:
         ints = [l for l in text.splitlines() if "Int" in l]
         assert bools == [
             "(declare-const a Bool)",
-            "(declare-const |app:a:1| Bool)",
             "(declare-const |dep:a:a| Bool)",
             "(declare-const |gap:a:a| Bool)",
         ]
@@ -279,7 +278,7 @@ class TestReadSolverModel:
         monkeypatch.setattr(asptoc.formulas, "ref_name", unnamed)
         text = "sat\n((define-fun a () Bool false))\n"
         assert read_solver_model(text, fs).prop_map == {
-            "a": False, "|app:a:1|": False, "|dep:a:a|": False, "|gap:a:a|": False}
+            "a": False, "|dep:a:a|": False, "|gap:a:a|": False}
 
     def test_unknown_symbols_warn_and_drop(self):
         fs = toc_program(parse_program("a :- a."))
@@ -290,7 +289,7 @@ class TestReadSolverModel:
         assert any("zz" in str(w.message) for w in caught)
         assert "zz" not in model.prop_map
         # omitted declared booleans default to false
-        assert model.prop_map["|app:a:1|"] is False
+        assert model.prop_map["|gap:a:a|"] is False
 
     def test_symbols_decode_to_keys(self):
         fs = toc_program(parse_program("true :- not false. false :- not true. a :- a."))

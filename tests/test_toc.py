@@ -18,7 +18,9 @@ from asptoc.formulas import (
     Implies,
     LevelVar,
     Not,
+    Or,
     PB,
+    TRUE,
     Var,
     Z,
     conj,
@@ -58,11 +60,15 @@ class TestWorkedExample:
         assert names(fs) == [
             "bounds:a:min", "bounds:a:max", "bounds:a:false",
             "dep:a:a", "gap:a:a",
-            "app:a:1", "strong:a:1", "def:a",
+            "strong:a:1", "def:a",
         ]
-        # the completion stays free of internal/external splitting
-        assert set(fs.aux_atoms) == {Aux("app", "a", 1), Aux("dep", "a", "a"),
-                                     Aux("gap", "a", "a")}
+        # a one-atom body is its own applicability condition: no app atom,
+        # and no internal/external splitting
+        assert set(fs.aux_atoms) == {Aux("dep", "a", "a"), Aux("gap", "a", "a")}
+        formulas = dict(fs.formulas)
+        assert formulas["def:a"] == Iff(Var(Base("a")), Var(Aux("dep", "a", "a")))
+        assert formulas["strong:a:1"] == Implies(Var(Aux("dep", "a", "a")),
+                                                 Not(Var(Aux("gap", "a", "a"))))
 
     def test_self_loop_golden(self):
         fs = toc_program(parse_program("a :- a."))
@@ -85,17 +91,22 @@ class TestAggregatedForms:
         p = parse_program(src)
         scope = frozenset({"a", "b1", "b2", "b3"})
         fs = toc_module(p, scope)
-        app_def = dict(fs.formulas)["app:a:1"]
-        assert isinstance(app_def, Iff)
-        pb = app_def.right
-        assert isinstance(pb, PB) and pb.lower == 1
-        assert {t.atom for t in pb.terms} == {Aux("dep", "a", f"b{i}")
-                                              for i in range(1, 4)}
-        strong = dict(fs.formulas)["strong:a:1"]
-        assert isinstance(strong, Implies)
-        assert isinstance(strong.right, PB) and strong.right.upper == 0
-        assert {t.atom for t in strong.right.terms} == {Aux("gap", "a", f"b{i}")
-                                                        for i in range(1, 4)}
+        # a sum that any one atom reaches is the disjunction of its atoms,
+        # the extensional shape of the aggregate
+        app = Var(Aux("app", "a", 1))
+        assert dict(fs.formulas)["app:a:1"] == Iff(
+            app, Or(tuple(Var(Aux("dep", "a", f"b{i}")) for i in range(1, 4))))
+        assert dict(fs.formulas)["strong:a:1"] == Implies(
+            app, Not(Or(tuple(Var(Aux("gap", "a", f"b{i}")) for i in range(1, 4)))))
+
+    def test_weighted_sum_stays_a_sum(self):
+        p = parse_program("a :- 3 <= { b1=2, b2=2, b3=1 }. "
+                          + " ".join(f"b{i} :- a." for i in range(1, 4)))
+        fs = toc_module(p, frozenset({"a", "b1", "b2", "b3"}))
+        weak = dict(fs.formulas)["app:a:1"].right
+        assert isinstance(weak, PB) and (weak.lower, weak.upper) == (3, None)
+        deny = dict(fs.formulas)["strong:a:1"].right
+        assert isinstance(deny, PB) and (deny.lower, deny.upper) == (None, 2)
 
     def test_full_bound_forces_max_plus_one(self):
         # a <- l<={b1..bn} with l = n: the head lands right after the last atom
@@ -137,7 +148,7 @@ class TestOrderedCompletionInstantiation:
         for a, b in sorted(edges):
             auxes = (Aux("dep", a, b), Aux("gap", a, b))
             fs.declare_aux(*auxes)
-            fs.extend(mk_dep_gap(auxes, Var(Base(b)), LevelVar(a), LevelVar(b)))
+            fs.extend(mk_dep_gap(tuple(map(Var, auxes)), Var(Base(b)), LevelVar(a), LevelVar(b)))
         for atom in sorted(scope):
             rules = def_of(atom, program)
             if not rules:
@@ -188,7 +199,8 @@ class TestTocProgram:
     def test_tight_program_has_no_ranking_variables(self):
         fs = toc_program(parse_program("{b1}. {b2}. a :- 1 <= { b1, b2 }."))
         assert fs.level_bounds == {}
-        assert names(fs) == ["def:b1", "def:b2", "def:a"]
+        # an unconditional choice atom is left free, as an input atom is
+        assert names(fs) == ["def:a"]
 
     def test_independent_components_union(self):
         fs = toc_program(parse_program("a :- a. c :- c."))
@@ -233,13 +245,17 @@ class TestTocProgram:
             assert {m for m, _ in stable_models(program)} == projections
 
     def test_external_implies_internal(self):
+        # the external condition, c (weight 3) reaching 2, is the literal c
         src = "a :- 2 <= { b=2, c=3 }. b :- a. {c}."
         p = parse_program(src)
         fs = toc_program(p)
+        internal = Var(Aux("int", "a", 1))
+        assert Aux("ext", "a", 1) not in fs.aux_atoms
+        assert dict(fs.formulas)["split:a:1"].right == Or((internal, Var(Base("c"))))
         for m in enumerate_dl_models(fs, max_atoms=60):
             props = m.prop_map
-            if props[ref_name(Aux("ext", "a", 1))]:
-                assert props[ref_name(Aux("int", "a", 1))]
+            if props["c"]:
+                assert props[ref_name(internal.atom)]
 
     @pytest.mark.parametrize("scope_mode", ["scc", "global"])
     def test_one_formula_set_per_translation(self, monkeypatch, scope_mode):
@@ -297,13 +313,22 @@ class TestUpperBoundEncodings:
     def test_vub_emits_guard(self):
         # the upper bound is spelled as the negated violation atom, and
         # nothing else restates it
-        fs = toc_program(parse_program("a :- 1 <= { b } <= 1. {b}."),
+        fs = toc_program(parse_program("a :- 1 <= { b, c } <= 1. {b}. {c}."),
                          vub_form=True)
         vub = Var(Aux("vub", "a", 1))
         assert list(fs.aux_atoms) == [vub.atom]
-        assert names(fs) == ["def:b", "vub:a:1", "def:a"]
+        assert names(fs) == ["vub:a:1", "def:a"]
         definition = dict(fs.formulas)["def:a"]
         assert Not(vub) in definition.right.subs
+
+    def test_one_literal_violation_is_no_atom(self):
+        # b (weight 2) exceeds 1 exactly when b holds, so the guard reads
+        # not b; an upper bound no body reaches is no guard at all
+        for src, definition in [("a :- 0 <= { b=2 } <= 1. {b}.", Not(Var(Base("b")))),
+                                ("a :- 0 <= { b, c } <= 2. {b}. {c}.", TRUE)]:
+            fs = toc_program(parse_program(src), vub_form=True)
+            assert not fs.aux_atoms and names(fs) == ["def:a"]
+            assert dict(fs.formulas)["def:a"] == Iff(Var(Base("a")), definition)
 
     @pytest.mark.parametrize("vub", [False, True])
     def test_upper_bound_judged_at_the_model(self, vub):
@@ -369,11 +394,10 @@ def assemble_abstract(program, scope, rule_index=0):
     for wlit in rule.literals(Polarity.POSITIVE):
         b = wlit.atom
         if b in scope:
-            fs.extend(mk_dep_gap((Aux("dep", rule.head, b), Aux("gap", rule.head, b)),
+            fs.extend(mk_dep_gap((Var(Aux("dep", rule.head, b)), Var(Aux("gap", rule.head, b))),
                                  Var(Base(b)), LevelVar(rule.head), LevelVar(b)))
-    toc_abstract(fs, rule, scope)
-    fs.add(f"def:{rule.head}", Iff(Var(Base(rule.head)),
-                                   Var(Aux("app", rule.head, 1))))
+    applies = toc_abstract(fs, rule, scope)
+    fs.add(f"def:{rule.head}", Iff(Var(Base(rule.head)), applies))
     return fs
 
 
@@ -425,10 +449,10 @@ class TestAbstractAggregates:
         fs = FormulaSet()
         toc_abstract(fs, p.rules[0], frozenset({"a", "b"}),
                      family={frozenset(), frozenset({0})})
-        from asptoc.formulas import TrueF
-        defs = dict(fs.formulas)
-        assert isinstance(defs["int:a:1"].right, TrueF)
-        assert isinstance(defs["ext:a:1"].right, TrueF)
+        # both supports are true, so no app, int or ext atom is needed:
+        # what is left is the rank reset of an always applicable rule
+        assert {aux.kind for aux in fs.aux_atoms} == {"dep", "gap"}
+        assert fs.formulas == [("reset:a:1", Diff(LevelVar("a"), Z, 1))]
 
     def test_non_convex_family_rejected(self):
         p = parse_program("a :- 1 <= { b, c }. b :- a. c :- a.")
