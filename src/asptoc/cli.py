@@ -27,7 +27,6 @@ from .smtlib import (
     debug_header,
     debug_line,
     smtlib_header,
-    smtlib_lines,
     smtlib_tail,
     written_set,
 )
@@ -147,39 +146,36 @@ def cmd_fuzz(args) -> int:
 
 
 def _block_model(fs, model):
-    """Add to ``fs`` the formula that excludes ``model``'s base atoms and
-    return it as its ``(name, formula)`` pair."""
+    """Add to ``fs`` the formula that excludes ``model``'s base atoms."""
     true = model.prop_map
     literals = []
     for name in fs.base_atoms:
         var = Var(Base(name))
         literals.append(var if true.get(name) else Not(var))
     fs.add(f"block:{len(fs.formulas)}", Not(conj(*literals)))
-    return fs.formulas[-1]
 
 
 def cmd_solve(args) -> int:
     import json
     import tempfile
 
-    from .smtlib import assertion, read_solver_model, run_solver
+    from .smtlib import read_solver_model, run_solver
 
     program = _parse(args.input)
     solver = args.solver or os.environ.get("TOC_SOLVER")
     if not solver:
         print("no solver configured (use --solver or TOC_SOLVER)", file=sys.stderr)
         return EXIT_SOLVER
-    fs = toc_program(program, scope_mode=args.scope_mode)
+    # the query is written as translate writes it; each blocking formula
+    # is written into the same set, one more line before the tail
+    fs = toc_program(program, scope_mode=args.scope_mode, into=written_set(assertion))
+    header, tail = smtlib_header(fs), smtlib_tail(model=True)
     visible = program.visible_atoms
-    # emitted once; each blocking assertion joins the query as one more
-    # line before its (check-sat) (get-model) tail
-    lines = smtlib_lines(fs, model=True)
-    table = fs.symbols
     owners = {LevelVar(owner).name: owner for owner in fs.level_bounds}
     found = 0
     while True:
         with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as tmp:
-            tmp.writelines(lines)
+            tmp.writelines(fs.formulas.text(header, tail))
             path = tmp.name
         try:
             response = run_solver(solver, path, args.timeout)
@@ -203,7 +199,7 @@ def cmd_solve(args) -> int:
         found += 1
         if not args.all or found >= args.limit:
             return EXIT_OK
-        lines.insert(len(lines) - 2, assertion(*_block_model(fs, model), table))
+        _block_model(fs, model)
 
 
 def _ranged(lo: int, hi=None):

@@ -326,12 +326,14 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbol
 
     ``formulas`` is a list of ``(name, Formula)`` pairs, or, in a set made
     by :func:`asptoc.smtlib.written_set`, a stand-in that keeps only the
-    text of each formula, written as it is added.  ``base_atoms`` and
-    ``aux_atoms`` map each declared atom to its SMT-LIB symbol
-    (``_spell`` of a base atom's name, an auxiliary atom's ``name``), keys
-    in first-seen order, so a declaration costs O(1) however large the set
-    grows and names its atom once.  A base atom is keyed by its name,
-    which is also its symbol unless it is in ``SMT_RESERVED``.
+    text of each formula, written as it is added (the ranking scaffolding
+    of ``add_bounds`` and ``add_dep_gap`` from templates, with no formula
+    built).  ``base_atoms`` and ``aux_atoms`` map each declared atom to
+    its SMT-LIB symbol (``_spell`` of a base atom's name, an auxiliary
+    atom's ``name``), keys in first-seen order, so a declaration costs
+    O(1) however large the set grows and names its atom once.  A base
+    atom is keyed by its name, which is also its symbol unless it is in
+    ``SMT_RESERVED``.
     ``level_bounds`` maps each ranking variable's owner to its range
     ``(lo, hi)``.
 
@@ -380,6 +382,24 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbol
 
     def extend(self, pairs):
         self.formulas.extend(pairs)
+
+    def add_bounds(self, x: LevelVar, holds: Var, scope_size: int):
+        """Add the range formulas of ``x`` (``mk_bounds``); a set that
+        keeps text writes them from its templates and builds none."""
+        formulas = self.formulas
+        if type(formulas) is list:
+            formulas.extend(mk_bounds(x, holds, scope_size))
+        else:
+            formulas.bounds(x, holds, scope_size)
+
+    def add_dep_gap(self, edge, holds: Var, xa: LevelVar, xb: LevelVar):
+        """Add the definitions of ``edge`` (``mk_dep_gap``); a set that
+        keeps text writes them from its templates and builds none."""
+        formulas = self.formulas
+        if type(formulas) is list:
+            formulas.extend(mk_dep_gap(edge, holds, xa, xb))
+        else:
+            formulas.dep_gap(edge, holds, xa, xb)
 
     def validate(self):
         """Every mentioned atom and variable is declared (``z`` only

@@ -12,15 +12,20 @@ byte-deterministic for a given formula set and option choice.
 
 The text of a finished set is a list of newline-terminated strings, one
 per declaration and one per formula (``smtlib_lines``).  ``asptoc
-translate`` uses a ``written_set`` instead, which writes each formula's
-text as the translator adds it, through the same ``assertion`` or
-``debug_line``, and keeps only the text, joined ``WRITE_CHUNK`` lines to
-a string; its declarations are rendered once translation ends.
-Validation happens in the one walk that writes each formula (``_write``):
-every atom and variable resolves through the set's symbol table
-(``FormulaSet.symbols``), which only declarations grow.  A lookup miss
-means the formula reads an undeclared symbol; only then does
-:func:`asptoc.formulas.check_declared` walk that formula to name them.
+translate`` and ``solve`` use a ``written_set`` instead, which writes
+each formula's text as the translator adds it, through the same
+``assertion`` or ``debug_line``, and keeps only the text, joined
+``WRITE_CHUNK`` formulas to a string; its declarations are rendered once
+translation ends.  The ranking scaffolding of a ranked scope is written
+there from fixed templates (``Written.bounds``, ``Written.dep_gap``),
+with no formula built; a list set builds it (``mk_bounds``,
+``mk_dep_gap``), and the tests hold the templates to ``assertion`` and
+``debug_line`` of those formulas.  Validation happens in the one walk
+that writes each formula (``_write``) or template: every atom and
+variable resolves through the set's symbol table (``FormulaSet.symbols``),
+which only declarations grow.  A lookup miss means the formula reads an
+undeclared symbol; only then does :func:`asptoc.formulas.check_declared`
+walk that formula, built for it, to name them.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from .formulas import (
     Var,
     Z,
     check_declared,
+    mk_bounds,
+    mk_dep_gap,
 )
 
 # lines joined to one string of text: one string per line costs a header
@@ -180,30 +187,96 @@ def debug_line(name: str, formula, table) -> str:
     return f"(formula {name} {to_sexpr(formula, table)})\n"
 
 
+# the text ``assertion`` and ``debug_line`` write before a formula's name,
+# between the name and the term, and after the term; the templates of
+# ``Written`` write the same around theirs
+_FRAMES = {assertion: ("; ", "\n(assert ", ")\n"), debug_line: ("(formula ", " ", ")\n")}
+
+
 class Written:
     """The formulas of a ``written_set``, kept as text only: each
     ``(name, formula)`` appended is written at once by ``_write``, as
     ``line(name, formula, symbols)`` resolved against the symbols declared
-    so far, and the lines are joined ``WRITE_CHUNK`` to a string."""
+    so far, and the lines, one per formula, are joined ``WRITE_CHUNK`` to
+    a string.
 
-    __slots__ = ("line", "symbols", "chunks", "lines")
+    The ranking scaffolding (``bounds``, ``dep_gap``) is written from
+    fixed templates in ``line``'s frame and builds no formula: each symbol
+    a template writes is looked up in ``symbols``, and the text is that of
+    the formulas ``mk_bounds`` and ``mk_dep_gap`` build, which are built
+    only on a lookup miss, to name the undeclared symbols."""
+
+    __slots__ = ("line", "frame", "symbols", "chunks", "lines")
 
     def __init__(self, line, symbols: dict):
         self.line = line
+        self.frame = _FRAMES[line]
         self.symbols = symbols
         self.chunks: list = []
         self.lines: list = []
 
+    def __len__(self):
+        """The number of formulas written."""
+        return len(self.chunks) * WRITE_CHUNK + len(self.lines)
+
+    def _flush(self):
+        """Join the first ``WRITE_CHUNK`` lines to a chunk; the few after
+        them wait for the next."""
+        lines = self.lines
+        rest = lines[WRITE_CHUNK:]
+        del lines[WRITE_CHUNK:]
+        self.chunks.append("".join(lines))
+        lines[:] = rest
+
     def append(self, pair):
         lines = self.lines
         lines.append(_write(self.line, pair, self.symbols))
-        if len(lines) == WRITE_CHUNK:
-            self.chunks.append("".join(lines))
-            lines.clear()
+        if len(lines) >= WRITE_CHUNK:
+            self._flush()
 
     def extend(self, pairs):
         for pair in pairs:
             self.append(pair)
+
+    def bounds(self, x: LevelVar, holds: Var, scope_size: int):
+        """The text of ``mk_bounds(x, holds, scope_size)``."""
+        table = self.symbols
+        try:
+            z, v, h = table[Z.name], table[x.name], table[holds.atom.name]
+        except KeyError:
+            check_declared(mk_bounds(x, holds, scope_size), table)
+            raise
+        start, mid, end = self.frame
+        cap = scope_size + 1  # positive, so -cap is written (- cap)
+        name = f"{start}bounds:{x.owner}:"
+        below = f"(<= (- {z} {v}) (- "
+        lines = self.lines
+        lines += (f"{name}min{mid}{below}1)){end}",
+                  f"{name}max{mid}(<= (- {v} {z}) {cap}){end}",
+                  f"{name}false{mid}(= (not {h}) {below}{cap}))){end}")
+        if len(lines) >= WRITE_CHUNK:
+            self._flush()
+
+    def dep_gap(self, edge, holds: Var, xa: LevelVar, xb: LevelVar):
+        """The text of ``mk_dep_gap(edge, holds, xa, xb)``: ``edge`` holds
+        the ``dep`` atom of the edge from ``xa``'s owner to ``xb``'s, then
+        its ``gap`` atom when strong, one and two stages apart."""
+        table = self.symbols
+        try:
+            h, a, b = table[holds.atom.name], table[xa.name], table[xb.name]
+            symbols = [table[var.atom.name] for var in edge]
+        except KeyError:
+            check_declared(mk_dep_gap(edge, holds, xa, xb), table)
+            raise
+        start, mid, end = self.frame
+        arc = f"{xa.owner}:{xb.owner}{mid}(= "
+        before = f" (and {h} (<= (- {b} {a}) (- "
+        lines = self.lines
+        lines.append(f"{start}dep:{arc}{symbols[0]}{before}1)))){end}")
+        if len(symbols) > 1:
+            lines.append(f"{start}gap:{arc}{symbols[1]}{before}2)))){end}")
+        if len(lines) >= WRITE_CHUNK:
+            self._flush()
 
     def text(self, header: list, tail: list):
         """The whole text: the lines ``header``, the formulas written,
@@ -220,7 +293,8 @@ def written_set(line) -> FormulaSet:
     """An empty formula set that keeps no formula: each one added is
     written as its text ``line(name, formula, symbols)`` (``assertion`` or
     ``debug_line``) into ``formulas``, a ``Written``, so every symbol it
-    reads must be declared before it is added.  The set's declarations
+    reads must be declared before it is added; its ranking scaffolding is
+    written from templates in the same format.  The set's declarations
     render as for any other set."""
     symbols: dict = {}
     return FormulaSet(Written(line, symbols), symbols=symbols)

@@ -41,7 +41,12 @@ atoms once, and each leaf is built once and every formula shares it: one
 every ranked scope; a ranked scope builds one ``LevelVar`` per scope
 atom and the ``dep``/``gap`` atoms of each edge with their ``Var``s,
 declared once and read by their definitions and by every rule's sums
-alike.
+alike.  That scaffolding, each scope atom's range formulas and each
+edge's definitions, goes to the set whole (``FormulaSet.add_bounds``,
+``add_dep_gap``): a list set builds it as formulas (``mk_bounds``,
+``mk_dep_gap``), which the model finder reads, while the written set of
+``asptoc translate`` and ``solve`` writes its text from templates and
+builds no formula for it.
 """
 
 from __future__ import annotations
@@ -64,8 +69,6 @@ from .formulas import (
     disj,
     make_pb,
     negate,
-    mk_bounds,
-    mk_dep_gap,
 )
 from .program import Polarity, Program, Rule
 
@@ -243,7 +246,7 @@ def _rank(fs: FormulaSet, program: Program, scope: frozenset, holds: dict,
     size = len(scope)
     for atom in atoms:
         fs.declare_level(atom, 1, size + 1)
-        fs.extend(mk_bounds(level[atom], holds[atom], size))
+        fs.add_bounds(level[atom], holds[atom], size)
     kinds = ("dep", "gap") if strong else ("dep",)
     positive = Polarity.POSITIVE
     edges = {}
@@ -253,7 +256,7 @@ def _rank(fs: FormulaSet, program: Program, scope: frozenset, holds: dict,
                          if wl.polarity is positive and wl.atom in scope}):
             edge = edges[a][b] = tuple(Var(Aux(kind, a, b)) for kind in kinds)
             fs.declare_aux(*(var.atom for var in edge))
-            fs.extend(mk_dep_gap(edge, holds[b], level[a], level[b]))
+            fs.add_dep_gap(edge, holds[b], level[a], level[b])
 
     for atom in atoms:
         if defs[atom]:
@@ -293,8 +296,8 @@ def toc_program(program: Program, *, scope_mode: str = "scc",
     and completes every other head, always a singleton scope, in place;
     ``"global"`` ranks the whole signature as one scope, which makes every
     derivation stage observable on a ranking variable.  The translate
-    command passes a ``written_set`` of :mod:`asptoc.smtlib`, which keeps
-    the text of each formula instead of the formula.
+    and solve commands pass a ``written_set`` of :mod:`asptoc.smtlib`,
+    which keeps the text of each formula instead of the formula.
     """
     fs = FormulaSet() if into is None else into
     holds = _declared(program, fs)

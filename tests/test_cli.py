@@ -132,7 +132,11 @@ class TestTranslate:
         from asptoc.toc import toc_program
 
         sources = [("ranked_mix", (GOLDEN / "ranked_mix.lp").read_text()),
-                   ("ranked", ranked_source(650))]  # 2,043 rules
+                   ("ranked", ranked_source(650)),  # 2,043 rules
+                   # hard names in ranked scopes: inner ``__``, and reserved
+                   # words ranked globally or in a positive cycle
+                   ("ranked_collision", COLLISION), ("reserved", RESERVED),
+                   ("ranked_reserved_cycle", "assert :- and. and :- assert. {and}.")]
         sources += [(f"fuzz{i}", src) for i, src, _ in fuzz_corpus(1, 100)]
         out = tmp_path / "out.smt2"
         for name, src in sources:
@@ -148,25 +152,33 @@ class TestTranslate:
             assert capsys.readouterr().out == debug_text(fs), name
 
     @pytest.mark.parametrize("fmt", ["smtlib", "debug"])
-    @pytest.mark.parametrize("formula, message", [
+    @pytest.mark.parametrize("fault, message", [
         (Var(Aux("app", "a", 9)), "undeclared atoms: ['|app:a:9|']"),
         (Diff(LevelVar("ghost"), Z, 0), "undeclared variables: ['__x_ghost']"),
-    ], ids=["aux-atom", "ranking-variable"])
+        ("declare_level", "undeclared variables: ['__x_a', '__z']"),
+        ("declare_aux", "undeclared atoms: ['|dep:a:b|', '|gap:a:b|']"),
+    ], ids=["aux-atom", "ranking-variable", "range-template", "edge-template"])
     def test_undeclared_symbol_fails_as_it_is_written(self, tmp_path, capsys, monkeypatch,
-                                                      fmt, formula, message):
-        # a writer that adds a formula over a symbol nobody declared fails
-        # in that add, in validate's wording; nothing is written, so an
-        # existing output file keeps its bytes
+                                                      fmt, fault, message):
+        # a writer that adds a formula over a symbol nobody declared, or a
+        # scaffolding template that reads a symbol whose declaration
+        # (FormulaSet.<fault>) does nothing, fails in that add, in
+        # validate's wording; nothing is written, so an existing output
+        # file keeps its bytes
         import asptoc.toc as toc_mod
+        from asptoc.formulas import FormulaSet
 
         real, after_add = toc_mod._define, []
 
         def faulty(fs, holds, supports):
             real(fs, holds, supports)
-            fs.add("faulty", formula)
+            fs.add("faulty", fault)
             after_add.append(holds)
 
-        monkeypatch.setattr(toc_mod, "_define", faulty)
+        if isinstance(fault, str):
+            monkeypatch.setattr(FormulaSet, fault, lambda self, *args: None)
+        else:
+            monkeypatch.setattr(toc_mod, "_define", faulty)
         path, out = write(tmp_path, "a :- b. b :- a. {a}."), tmp_path / "out.txt"
         out.write_bytes(b"earlier output\r\n")
         assert main(["translate", path, "--format", fmt, "--out", str(out)]) == 2

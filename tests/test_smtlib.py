@@ -29,13 +29,17 @@ from asptoc.formulas import (
 )
 from asptoc.parser import parse_program
 from asptoc.smtlib import (
+    WRITE_CHUNK,
     SolverInvocationError,
     SolverResponseError,
+    assertion,
+    debug_line,
     emit_smtlib,
     read_solver_model,
     run_solver,
     smtlib_lines,
     to_sexpr,
+    written_set,
 )
 from asptoc.fuzz import CHECK_MODES, fuzz_corpus
 from asptoc.toc import toc_program
@@ -169,6 +173,38 @@ class TestEmission:
         assert {"|dep:a__b:c|", "|dep:a:b__c|", "|atom:true|", "|atom:let|"} <= set(declared)
         assert not {"true", "false", "let"} & set(declared)
         assert "(aux |gap:a:b__c|)" in debug_text(toc_program(p))
+
+
+# ---------------------------------------------------------------------------
+# the written set's chunks
+
+@pytest.mark.parametrize("line", [assertion, debug_line], ids=["smtlib", "debug"])
+def test_written_chunks_hold_whole_formulas(line):
+    # the templates add three, two or one line at a time; fewer than
+    # WRITE_CHUNK lines wait after every add, and every chunk joins exactly
+    # WRITE_CHUNK formulas
+    atoms = [f"p{i}" for i in range(500)]
+    fs = written_set(line)
+    formulas = fs.formulas
+    fs.declare_base(*atoms)
+    holds = {a: Var(Base(a)) for a in atoms}
+    for a in atoms:
+        fs.declare_level(a, 1, len(atoms) + 1)
+        fs.add_bounds(LevelVar(a), holds[a], len(atoms))
+        assert len(formulas.lines) < WRITE_CHUNK
+    for i, (a, b) in enumerate(zip(atoms, atoms[1:] + atoms[:1])):
+        edge = tuple(Var(Aux(kind, a, b)) for kind in ("dep", "gap")[:1 + i % 2])
+        fs.declare_aux(*(var.atom for var in edge))
+        fs.add_dep_gap(edge, holds[b], LevelVar(a), LevelVar(b))
+        assert len(formulas.lines) < WRITE_CHUNK
+        fs.add(f"f{i}", holds[a])
+        assert len(formulas.lines) < WRITE_CHUNK
+    count = 500 * 3 + 250 * 3 + 500
+    assert len(formulas) == count
+    marker = "; " if line is assertion else "(formula "
+    per_chunk = [chunk.count("\n" + marker) + chunk.startswith(marker)
+                 for chunk in formulas.text([], [])]
+    assert per_chunk == [WRITE_CHUNK] * (count // WRITE_CHUNK) + [count % WRITE_CHUNK]
 
 
 # ---------------------------------------------------------------------------
