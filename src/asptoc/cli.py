@@ -20,16 +20,7 @@ import sys
 from .formulas import Base, LevelVar, Not, ValidationError, Var, conj
 from .parser import ParseError, UnsupportedFeatureError, parse_program
 from .program import Program, ResourceError
-from .smtlib import (
-    SolverInvocationError,
-    SolverResponseError,
-    assertion,
-    debug_header,
-    debug_line,
-    smtlib_header,
-    smtlib_tail,
-    written_set,
-)
+from .smtlib import FORMATS, SMTLIB, SolverInvocationError, SolverResponseError, written_set
 from .toc import toc_program
 
 EXIT_OK = 0
@@ -58,20 +49,16 @@ def cmd_translate(args) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        if args.format == "debug":
-            line, header, tail = debug_line, debug_header, []
-        else:
-            line, header, tail = assertion, smtlib_header, smtlib_tail(model=True)
         # the set keeps only the text of each formula, written as it is
         # added; the program is not bound here, so it is freed once
         # translation ends
         fs = toc_program(_parse(args.input), scope_mode=args.scope_mode,
                          strong=not args.no_strong, vub_form=args.vub_form,
-                         into=written_set(line))
+                         into=written_set(FORMATS[args.format]))
         # the declarations come first and are known only now, so nothing is
         # written before translation ends: an undeclared symbol, raised as
         # the formula reading it was added, writes nothing
-        text = fs.formulas.text(header(fs), tail)
+        text = fs.formulas.text(fs)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.writelines(text)
@@ -168,14 +155,14 @@ def cmd_solve(args) -> int:
         return EXIT_SOLVER
     # the query is written as translate writes it; each blocking formula
     # is written into the same set, one more line before the tail
-    fs = toc_program(program, scope_mode=args.scope_mode, into=written_set(assertion))
-    header, tail = smtlib_header(fs), smtlib_tail(model=True)
+    fs = toc_program(program, scope_mode=args.scope_mode, into=written_set(SMTLIB))
     visible = program.visible_atoms
-    owners = {LevelVar(owner).name: owner for owner in fs.level_bounds}
+    # the ranks printed are those of the visible atoms, as the model is
+    owners = {LevelVar(owner).name: owner for owner in fs.level_bounds if owner in visible}
     found = 0
     while True:
         with tempfile.NamedTemporaryFile("w", suffix=".smt2", delete=False) as tmp:
-            tmp.writelines(fs.formulas.text(header, tail))
+            tmp.writelines(fs.formulas.text(fs))
             path = tmp.name
         try:
             response = run_solver(solver, path, args.timeout)
@@ -221,11 +208,19 @@ def _pool_size() -> int:
     return len(ATOM_POOL)
 
 
+# the longest solver timeout: poll takes its timeout in milliseconds as a
+# C int, so a wait past 2,147,483 s would fail in subprocess, not here
+MAX_SECONDS = 10 ** 6
+
+
 def _seconds(text: str) -> float:
-    """An argparse type accepting a positive number of seconds."""
+    """An argparse type accepting a positive number of seconds, at most
+    ``MAX_SECONDS``."""
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"{text} is not a positive number of seconds")
+    if not value <= MAX_SECONDS:
+        raise argparse.ArgumentTypeError(f"{text} is more than {MAX_SECONDS} seconds")
     return value
 
 
@@ -246,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="emit the translation")
     p.add_argument("input", help="program file (.lp) or - for stdin")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=["smtlib", "debug"], default="smtlib")
+    p.add_argument("--format", choices=FORMATS, default="smtlib")
     p.add_argument("--no-strong", action="store_true",
                    help="drop the strong ranking constraints")
     p.add_argument("--vub-form", action="store_true",
@@ -280,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_ranged(1), default=64,
                    help="model cap for --all")
     p.add_argument("--timeout", type=_seconds, metavar="SECONDS",
-                   help="kill a solver call running longer (default: no limit)")
+                   help=f"kill a solver call running longer, at most {MAX_SECONDS} "
+                        "(default: no limit)")
     _add_scope_flag(p)
     p.set_defaults(func=cmd_solve)
     return parser

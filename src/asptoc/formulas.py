@@ -325,13 +325,15 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbol
     """Named formulas plus the vocabulary they may mention.
 
     ``formulas`` is a list of ``(name, Formula)`` pairs, or, in a set made
-    by :func:`asptoc.smtlib.written_set`, a stand-in that keeps only the
-    text of each formula, written as it is added (the ranking scaffolding
-    of ``add_bounds`` and ``add_dep_gap`` from templates, with no formula
-    built).  ``base_atoms`` and ``aux_atoms`` map each declared atom to
-    its SMT-LIB symbol (``_spell`` of a base atom's name, an auxiliary
-    atom's ``name``), keys in first-seen order, so a declaration costs
-    O(1) however large the set grows and names its atom once.  A base
+    by :func:`asptoc.smtlib.written_set`, the ``Written`` that writes all
+    formula text: it keeps only each formula's line in the set's output
+    format, written as it is added (the ranking scaffolding of
+    ``add_bounds`` and ``add_dep_gap`` from templates, with no formula
+    built), and gives the set's whole text once translation ends.
+    ``base_atoms`` and ``aux_atoms`` map each declared atom to its SMT-LIB
+    symbol (``_spell`` of a base atom's name, an auxiliary atom's
+    ``name``), keys in first-seen order, so a declaration costs O(1)
+    however large the set grows and names its atom once.  A base
     atom is keyed by its name, which is also its symbol unless it is in
     ``SMT_RESERVED``.
     ``level_bounds`` maps each ranking variable's owner to its range

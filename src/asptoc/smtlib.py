@@ -10,20 +10,23 @@ linear-integer-arithmetic solver can consume the output; difference atoms
 keep their subtraction shape for solvers that specialize them.  Output is
 byte-deterministic for a given formula set and option choice.
 
-The text of a finished set is a list of newline-terminated strings, one
-per declaration and one per formula (``smtlib_lines``).  ``asptoc
-translate`` and ``solve`` use a ``written_set`` instead, which writes
-each formula's text as the translator adds it, through the same
-``assertion`` or ``debug_line``, and keeps only the text, joined
-``WRITE_CHUNK`` formulas to a string; its declarations are rendered once
-translation ends.  The ranking scaffolding of a ranked scope is written
-there from fixed templates (``Written.bounds``, ``Written.dep_gap``),
-with no formula built; a list set builds it (``mk_bounds``,
-``mk_dep_gap``), and the tests hold the templates to ``assertion`` and
-``debug_line`` of those formulas.  Validation happens in the one walk
-that writes each formula (``_write``) or template: every atom and
-variable resolves through the set's symbol table (``FormulaSet.symbols``),
-which only declarations grow.  A lookup miss means the formula reads an
+One writer, ``Written``, writes every formula's text, in one of two
+formats (``FORMATS``): ``SMTLIB`` and ``DEBUG`` each hold the text
+around a formula's name and term, the renderer of the declarations and
+the lines after the last formula.  ``asptoc translate`` and ``solve``
+translate into a ``written_set``, whose ``Written`` writes each formula
+as the translator adds it and keeps only the text, joined
+``WRITE_CHUNK`` formulas to a string; ``emit_smtlib`` replays a finished
+list set's formulas through one.  ``Written.text`` then gives the whole
+text: the declarations, rendered from the set's tables once its formulas
+are written, the formulas, then the tail.  In a written set the ranking
+scaffolding of a ranked scope is written from fixed templates
+(``Written.bounds``, ``Written.dep_gap``), with no formula built; a list
+set builds it (``mk_bounds``, ``mk_dep_gap``), so the tests hold the
+templates to ``to_sexpr`` of those formulas.  Validation happens in the
+one walk that writes each formula or template: every atom and variable
+resolves through the set's symbol table (``FormulaSet.symbols``), which
+only declarations grow.  A lookup miss means the formula reads an
 undeclared symbol; only then does :func:`asptoc.formulas.check_declared`
 walk that formula, built for it, to name them.
 """
@@ -51,6 +54,7 @@ from .formulas import (
     mk_bounds,
     mk_dep_gap,
 )
+from .node import Node
 
 # lines joined to one string of text: one string per line costs a header
 # each, and one join of the whole text would hold it twice
@@ -112,25 +116,6 @@ def to_sexpr(formula, table) -> str:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def assertion(name: str, formula, table) -> str:
-    """One formula as a comment line naming it, then its assertion, each
-    line newline-terminated."""
-    return f"; {name}\n(assert {to_sexpr(formula, table)})\n"
-
-
-def _write(line, pair, table) -> str:
-    """The text ``line(name, formula, table)`` of the pair ``(name,
-    formula)``.  A lookup miss means the formula reads a symbol the table
-    lacks; it raises ``ValidationError`` in ``validate``'s wording, naming
-    the formula's undeclared symbols."""
-    name, formula = pair
-    try:
-        return line(name, formula, table)
-    except KeyError:
-        check_declared((pair,), table)
-        raise
-
-
 def smtlib_header(fs: FormulaSet) -> list:
     """The lines before the first assertion: the logic, one declaration
     per symbol, sorted by kind, and ``z`` pinned to zero."""
@@ -148,27 +133,6 @@ def smtlib_header(fs: FormulaSet) -> list:
     return lines
 
 
-def smtlib_tail(*, model: bool = False) -> list:
-    """The lines after the last assertion."""
-    return ["(check-sat)\n", "(get-model)\n"] if model else ["(check-sat)\n"]
-
-
-def smtlib_lines(fs: FormulaSet, *, model: bool = False) -> list:
-    """The SMT-LIB text of the formula set as newline-terminated strings:
-    one per declaration, one per formula (see ``assertion``), then
-    ``(check-sat)`` and, with ``model``, ``(get-model)``."""
-    table = fs.symbols
-    lines = smtlib_header(fs)
-    lines.extend(_write(assertion, pair, table) for pair in fs.formulas)
-    lines += smtlib_tail(model=model)
-    return lines
-
-
-def emit_smtlib(fs: FormulaSet, *, model: bool = False) -> str:
-    """Serialize the formula set; ``model`` appends ``(get-model)``."""
-    return "".join(smtlib_lines(fs, model=model))
-
-
 def debug_header(fs: FormulaSet) -> list:
     """The debug format's declaration lines, sorted by kind."""
     lines = []
@@ -182,35 +146,41 @@ def debug_header(fs: FormulaSet) -> list:
     return lines
 
 
-def debug_line(name: str, formula, table) -> str:
-    """One named formula as a line of the debug format."""
-    return f"(formula {name} {to_sexpr(formula, table)})\n"
+class Format(Node, fields="start mid end header tail"):
+    """An output format.  A formula named ``name`` is written as the line
+    ``start + name + mid + term + end``; ``header(fs)`` gives the lines of
+    the set's declarations, which come first, and ``tail`` the lines after
+    the last formula."""
+
+    __slots__ = ()
 
 
-# the text ``assertion`` and ``debug_line`` write before a formula's name,
-# between the name and the term, and after the term; the templates of
-# ``Written`` write the same around theirs
-_FRAMES = {assertion: ("; ", "\n(assert ", ")\n"), debug_line: ("(formula ", " ", ")\n")}
+SMTLIB = Format("; ", "\n(assert ", ")\n", smtlib_header, ("(check-sat)\n", "(get-model)\n"))
+DEBUG = Format("(formula ", " ", ")\n", debug_header, ())
+FORMATS = {"smtlib": SMTLIB, "debug": DEBUG}
 
 
 class Written:
     """The formulas of a ``written_set``, kept as text only: each
-    ``(name, formula)`` appended is written at once by ``_write``, as
-    ``line(name, formula, symbols)`` resolved against the symbols declared
-    so far, and the lines, one per formula, are joined ``WRITE_CHUNK`` to
-    a string.
+    ``(name, formula)`` appended is written at once as its line in
+    ``format``, its term resolved against the symbols declared so far, and
+    the lines, one per formula, are joined ``WRITE_CHUNK`` to a string.
+    A lookup miss means the formula reads a symbol the table lacks; it
+    raises ``ValidationError`` in ``validate``'s wording, naming the
+    formula's undeclared symbols.
 
     The ranking scaffolding (``bounds``, ``dep_gap``) is written from
-    fixed templates in ``line``'s frame and builds no formula: each symbol
+    fixed templates in the same frame and builds no formula: each symbol
     a template writes is looked up in ``symbols``, and the text is that of
     the formulas ``mk_bounds`` and ``mk_dep_gap`` build, which are built
     only on a lookup miss, to name the undeclared symbols."""
 
-    __slots__ = ("line", "frame", "symbols", "chunks", "lines")
+    # the format's frame is copied to slots, read once per formula
+    __slots__ = ("format", "start", "mid", "end", "symbols", "chunks", "lines")
 
-    def __init__(self, line, symbols: dict):
-        self.line = line
-        self.frame = _FRAMES[line]
+    def __init__(self, fmt: Format, symbols: dict):
+        self.format = fmt
+        self.start, self.mid, self.end = fmt.start, fmt.mid, fmt.end
         self.symbols = symbols
         self.chunks: list = []
         self.lines: list = []
@@ -229,8 +199,14 @@ class Written:
         lines[:] = rest
 
     def append(self, pair):
+        name, formula = pair
+        try:
+            line = f"{self.start}{name}{self.mid}{to_sexpr(formula, self.symbols)}{self.end}"
+        except KeyError:
+            check_declared((pair,), self.symbols)
+            raise
         lines = self.lines
-        lines.append(_write(self.line, pair, self.symbols))
+        lines.append(line)
         if len(lines) >= WRITE_CHUNK:
             self._flush()
 
@@ -246,9 +222,9 @@ class Written:
         except KeyError:
             check_declared(mk_bounds(x, holds, scope_size), table)
             raise
-        start, mid, end = self.frame
+        mid, end = self.mid, self.end
         cap = scope_size + 1  # positive, so -cap is written (- cap)
-        name = f"{start}bounds:{x.owner}:"
+        name = f"{self.start}bounds:{x.owner}:"
         below = f"(<= (- {z} {v}) (- "
         lines = self.lines
         lines += (f"{name}min{mid}{below}1)){end}",
@@ -268,8 +244,8 @@ class Written:
         except KeyError:
             check_declared(mk_dep_gap(edge, holds, xa, xb), table)
             raise
-        start, mid, end = self.frame
-        arc = f"{xa.owner}:{xb.owner}{mid}(= "
+        start, end = self.start, self.end
+        arc = f"{xa.owner}:{xb.owner}{self.mid}(= "
         before = f" (and {h} (<= (- {b} {a}) (- "
         lines = self.lines
         lines.append(f"{start}dep:{arc}{symbols[0]}{before}1)))){end}")
@@ -278,26 +254,37 @@ class Written:
         if len(lines) >= WRITE_CHUNK:
             self._flush()
 
-    def text(self, header: list, tail: list):
-        """The whole text: the lines ``header``, the formulas written,
-        then the lines ``tail``, as strings of at most ``WRITE_CHUNK``
-        lines, the last with ``tail`` added.  Each header string is joined
-        as it is read, so the header is held once."""
+    def text(self, fs: FormulaSet):
+        """The whole text of ``fs``, whose formulas these are: its
+        declarations, the formulas written, then the format's tail, as
+        strings of at most ``WRITE_CHUNK`` lines, the last with the tail
+        added.  Each header string is joined as it is read, so the header
+        is held once."""
+        header = self.format.header(fs)
         for i in range(0, len(header), WRITE_CHUNK):
             yield "".join(header[i:i + WRITE_CHUNK])
         yield from self.chunks
-        yield "".join(self.lines + tail)
+        yield "".join(self.lines + list(self.format.tail))
 
 
-def written_set(line) -> FormulaSet:
+def written_set(fmt: Format) -> FormulaSet:
     """An empty formula set that keeps no formula: each one added is
-    written as its text ``line(name, formula, symbols)`` (``assertion`` or
-    ``debug_line``) into ``formulas``, a ``Written``, so every symbol it
-    reads must be declared before it is added; its ranking scaffolding is
-    written from templates in the same format.  The set's declarations
-    render as for any other set."""
+    written as its line in ``fmt`` into ``formulas``, a ``Written``, so
+    every symbol it reads must be declared before it is added; its ranking
+    scaffolding is written from templates in the same format.
+    ``formulas.text(fs)`` gives the whole text once translation ends."""
     symbols: dict = {}
-    return FormulaSet(Written(line, symbols), symbols=symbols)
+    return FormulaSet(Written(fmt, symbols), symbols=symbols)
+
+
+def emit_smtlib(fs: FormulaSet, *, model: bool = False) -> str:
+    """The SMT-LIB text of the list set ``fs``, its formulas written in
+    order through a ``Written`` over its symbols; ``model`` keeps the
+    tail's ``(get-model)``."""
+    written = Written(SMTLIB, fs.symbols)
+    written.extend(fs.formulas)
+    text = "".join(written.text(fs))
+    return text if model else text.removesuffix("(get-model)\n")
 
 
 _DEFINE_RE = re.compile(

@@ -45,8 +45,8 @@ alike.  That scaffolding, each scope atom's range formulas and each
 edge's definitions, goes to the set whole (``FormulaSet.add_bounds``,
 ``add_dep_gap``): a list set builds it as formulas (``mk_bounds``,
 ``mk_dep_gap``), which the model finder reads, while the written set of
-``asptoc translate`` and ``solve`` writes its text from templates and
-builds no formula for it.
+``asptoc translate`` and ``solve`` writes its text from templates, in
+the set's format, and builds no formula for it.
 """
 
 from __future__ import annotations
@@ -297,7 +297,8 @@ def toc_program(program: Program, *, scope_mode: str = "scc",
     ``"global"`` ranks the whole signature as one scope, which makes every
     derivation stage observable on a ranking variable.  The translate
     and solve commands pass a ``written_set`` of :mod:`asptoc.smtlib`,
-    which keeps the text of each formula instead of the formula.
+    which keeps the text of each formula, in the format they print,
+    instead of the formula.
     """
     fs = FormulaSet() if into is None else into
     holds = _declared(program, fs)

@@ -62,7 +62,7 @@ from asptoc.program import (
     program_of,
     weight_sum,
 )
-from asptoc.smtlib import debug_header, debug_line
+from asptoc.smtlib import DEBUG, Written
 from asptoc.toc import emit_support
 
 
@@ -263,16 +263,13 @@ def render_program(program: Program) -> str:
 
 
 def debug_text(fs: FormulaSet) -> str:
-    """The debug format of the finished set ``fs``: its declarations, then
-    one named formula per line.  A lookup miss means the set is invalid;
-    ``validate`` then raises ``ValidationError`` naming the fault."""
-    table = fs.symbols
-    try:
-        return "".join(debug_header(fs) + [debug_line(name, f, table)
-                                           for name, f in fs.formulas])
-    except KeyError:
-        fs.validate()
-        raise
+    """The debug format of the finished set ``fs``: its formulas written
+    through a ``Written`` as ``emit_smtlib`` writes them, so a lookup miss
+    raises the ``ValidationError`` that names the formula's undeclared
+    symbols."""
+    written = Written(DEBUG, fs.symbols)
+    written.extend(fs.formulas)
+    return "".join(written.text(fs))
 
 
 # ---------------------------------------------------------------------------

@@ -189,15 +189,15 @@ class TestTranslate:
 
     def test_peak_memory_is_one_copy_of_the_output(self, tmp_path):
         # two bounds on traced peaks, each against the stage before it.
-        # (a) The emitter holds the text once, as its list of lines: the
-        # pipeline's peak stays within the completion's own peak plus one
-        # output.  The parsed program and the completion's temporaries,
-        # freed before emission, cover the lines' per-line headers; a
-        # second, joined copy of the text adds a whole output.
+        # (a) The writer holds the text once, as its chunks: replaying the
+        # finished set through it peaks within the completion's own peak
+        # plus one output.  The parsed program and the completion's
+        # temporaries, freed before the write, cover the declarations'
+        # lines; a second, joined copy of the text adds a whole output.
         # (b) The command keeps the text of each formula and no formula, so
         # it peaks below the completion's formula list alone.
         from asptoc.parser import parse_program
-        from asptoc.smtlib import smtlib_lines
+        from asptoc.smtlib import SMTLIB, Written
         from asptoc.toc import toc_program
 
         src = ranked_source(100)
@@ -205,9 +205,14 @@ class TestTranslate:
         argv = ["translate", path, "--out", str(out)]
         assert main(argv) == 0  # argparse and lazy imports outside the trace
 
+        def pipeline():
+            fs = toc_program(parse_program(src))
+            written = Written(SMTLIB, fs.symbols)
+            written.extend(fs.formulas)
+            return list(written.text(fs))
+
         toc_peak = traced_peak(lambda: toc_program(parse_program(src)))
-        pipeline_peak = traced_peak(
-            lambda: smtlib_lines(toc_program(parse_program(src)), model=True))
+        pipeline_peak = traced_peak(pipeline)
         assert pipeline_peak <= toc_peak + out.stat().st_size
         assert traced_peak(lambda: main(argv)) <= toc_peak
 
@@ -665,6 +670,12 @@ class TestSolve:
         found = sorted(json.loads(l)["model"]
                        for l in capsys.readouterr().out.splitlines())
         assert found == [[], ["a"]]
+        # the ranks printed are the visible atoms' too
+        path = write(tmp_path, "a :- b. b :- a. {a}. #hide b.")
+        assert main(["solve", path, "--solver", STUB, "--all"]) == 0
+        found = sorted((json.loads(l)["model"], sorted(json.loads(l)["ranks"]))
+                       for l in capsys.readouterr().out.splitlines())
+        assert found == [([], ["a"]), (["a"], ["a"])]
 
     @pytest.mark.parametrize("src", [COLLISION, RESERVED], ids=["collision", "reserved"])
     def test_all_with_hard_names(self, tmp_path, capsys, src):
@@ -756,6 +767,8 @@ class TestSolve:
         ("--timeout", "0", "0 is not a positive number of seconds"),
         ("--timeout", "-1", "-1 is not a positive number of seconds"),
         ("--timeout", "nan", "nan is not a positive number of seconds"),
+        ("--timeout", "inf", "inf is more than 1000000 seconds"),
+        ("--timeout", "1e7", "1e7 is more than 1000000 seconds"),
     ])
     def test_out_of_range_argument_rejected(self, tmp_path, capsys, flag, value, message):
         path = write(tmp_path, "a :- not b. b :- not a.")
@@ -770,6 +783,12 @@ class TestSolve:
         assert main(["solve", path, "--solver", STUB, "--all", "--limit", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["model"] in (["a"], ["b"])
+
+    def test_largest_timeout_accepted(self, tmp_path, capsys):
+        # the cap itself waits for the solver without overflowing poll
+        path = write(tmp_path, "a.")
+        assert main(["solve", path, "--solver", STUB, "--timeout", "1e6"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"model": ["a"], "ranks": {}}
 
     def test_small_timeout_accepted(self, tmp_path, capsys):
         # just above zero is legal: the solver runs and is then cut off

@@ -43,6 +43,7 @@ from asptoc.formulas import (
 )
 from asptoc.node import Node
 from asptoc.parser import parse_program
+from asptoc.smtlib import smtlib_header
 from asptoc.toc import toc_program
 from references import decode, drop_formulas, encode
 
@@ -507,6 +508,7 @@ FIELD_SAMPLES = {
     "SccPartition": ((frozenset("a"),),), "PositiveRule": ("a", (("b", 2),), 1, None),
     "DLModel": ((("a", True),), (("__z", 0),)), "Verdict": (True, 2, 1, 3, 4, None),
     "CheckReport": (({"check": "uniqueness", "status": "pass"},), 1, 1),
+    "Format": ("; ", "\n(assert ", ")\n", smtlib_header, ("(check-sat)\n",)),
 }
 
 

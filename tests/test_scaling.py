@@ -13,16 +13,20 @@ descheduled while other processes hold the CPU counts against neither size.
 import gc
 import time
 
+from asptoc import smtlib
 from asptoc.cli import main
 from asptoc.depgraph import build_depgraph, sccs
 from asptoc.parser import parse_program
-from asptoc.smtlib import smtlib_lines
+from asptoc.smtlib import emit_smtlib
 from asptoc.toc import toc_program
 
 N = 2000
 RUNS = 3
 GRAPH_REPEATS = 5
 MAX_RATIO = 8.0
+# formulas per chunk in the command test: enough chunks that a cost per
+# chunk growing with the text already written shows
+SMALL_CHUNK = 8
 
 
 def chain_source(n: int) -> str:
@@ -56,7 +60,7 @@ def stage_seconds(source: str) -> dict:
     sets = []
     toc_s = seconds(lambda: sets.extend((toc_program(program, scope_mode="scc"),
                                          toc_program(program, scope_mode="global"))))
-    emit_s = seconds(lambda: [smtlib_lines(fs, model=True) for fs in sets])
+    emit_s = seconds(lambda: [emit_smtlib(fs, model=True) for fs in sets])
     return {"parse": parse_s, "depgraph": graph_s, "toc": toc_s, "emit": emit_s}
 
 
@@ -102,7 +106,7 @@ def test_ranked_path_time_is_linear():
             mode = "vub" if vub_form else "plain"
             times[f"toc {mode}"] = seconds(
                 lambda: sets.append(toc_program(program, vub_form=vub_form)))
-            times[f"emit {mode}"] = seconds(lambda: smtlib_lines(sets[0], model=True))
+            times[f"emit {mode}"] = seconds(lambda: emit_smtlib(sets[0], model=True))
         return times
 
     assert_linear(programs, stages)
@@ -116,21 +120,33 @@ def test_parse_time_is_linear_on_one_line():
                   lambda source: {"parse": seconds(lambda: parse_program(source))})
 
 
-def test_translate_command_time_is_linear(tmp_path):
+def test_translate_command_time_is_linear(tmp_path, monkeypatch):
     """``asptoc translate`` as a whole, argument parsing and the write
     included, with the collector as the command sets it: the collector
-    stays on outside the command, and the command turns it off."""
+    stays on outside the command, and the command turns it off.  The
+    chain's scopes are all flat in scc mode; the ring is one ranked scope,
+    so its ranking scaffolding is written from the templates.
+
+    The text is joined ``SMALL_CHUNK`` formulas to a string, not
+    ``WRITE_CHUNK``, which changes no output byte: the 4N ring then fills
+    10,000 chunks, not 78, so a chunk flush whose cost grows with the
+    text already written (rejoining the chunks, say) breaks the bound."""
+    monkeypatch.setattr(smtlib, "WRITE_CHUNK", SMALL_CHUNK)
     out = str(tmp_path / "out.smt2")
     paths = {}
     for n in (N, 4 * N):
-        paths[n] = tmp_path / f"chain{n}.lp"
-        paths[n].write_text(chain_source(n))
+        paths[n] = {}
+        for family, source in (("chain", chain_source), ("ring", ring_source)):
+            paths[n][family] = tmp_path / f"{family}{n}.lp"
+            paths[n][family].write_text(source(n))
 
-    def translate(path) -> dict:
-        start = time.process_time()
-        code = main(["translate", str(path), "--out", out])
-        elapsed = time.process_time() - start
-        assert code == 0
-        return {"translate": elapsed}
+    def translate(families) -> dict:
+        times = {}
+        for family, path in families.items():
+            start = time.process_time()
+            code = main(["translate", str(path), "--out", out])
+            times[f"translate {family}"] = time.process_time() - start
+            assert code == 0
+        return times
 
     assert_linear(paths, translate, collector_off=False)

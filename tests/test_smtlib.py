@@ -29,15 +29,14 @@ from asptoc.formulas import (
 )
 from asptoc.parser import parse_program
 from asptoc.smtlib import (
+    DEBUG,
+    SMTLIB,
     WRITE_CHUNK,
     SolverInvocationError,
     SolverResponseError,
-    assertion,
-    debug_line,
     emit_smtlib,
     read_solver_model,
     run_solver,
-    smtlib_lines,
     to_sexpr,
     written_set,
 )
@@ -130,9 +129,9 @@ class TestEmission:
         Diff(LevelVar("q"), Z, 1),
     ], ids=["base", "aux", "pb-term", "level"])
     def test_invalid_set_reports_as_validate(self, formula):
-        # on a symbol-table miss the emitter names the formula's undeclared
-        # symbols, and the debug reference falls back to validate(); with
-        # one bad formula all three messages agree
+        # on a symbol-table miss the writer names the formula's undeclared
+        # symbols, in either format; with one bad formula all three
+        # messages agree
         fs = FormulaSet()
         fs.declare_base("a")
         fs.declare_level("a", 1, 2)
@@ -178,13 +177,14 @@ class TestEmission:
 # ---------------------------------------------------------------------------
 # the written set's chunks
 
-@pytest.mark.parametrize("line", [assertion, debug_line], ids=["smtlib", "debug"])
-def test_written_chunks_hold_whole_formulas(line):
+@pytest.mark.parametrize("fmt", [SMTLIB, DEBUG], ids=["smtlib", "debug"])
+def test_written_chunks_hold_whole_formulas(fmt):
     # the templates add three, two or one line at a time; fewer than
     # WRITE_CHUNK lines wait after every add, and every chunk joins exactly
-    # WRITE_CHUNK formulas
+    # WRITE_CHUNK formulas.  The text gives the declarations in strings of
+    # WRITE_CHUNK lines, then the chunks, then the rest with the tail
     atoms = [f"p{i}" for i in range(500)]
-    fs = written_set(line)
+    fs = written_set(fmt)
     formulas = fs.formulas
     fs.declare_base(*atoms)
     holds = {a: Var(Base(a)) for a in atoms}
@@ -201,9 +201,13 @@ def test_written_chunks_hold_whole_formulas(line):
         assert len(formulas.lines) < WRITE_CHUNK
     count = 500 * 3 + 250 * 3 + 500
     assert len(formulas) == count
-    marker = "; " if line is assertion else "(formula "
-    per_chunk = [chunk.count("\n" + marker) + chunk.startswith(marker)
-                 for chunk in formulas.text([], [])]
+    header = fmt.header(fs)
+    text = list(formulas.text(fs))
+    declarations = -(-len(header) // WRITE_CHUNK)
+    assert "".join(text[:declarations]) == "".join(header)
+    assert text[-1].endswith("".join(fmt.tail))
+    per_chunk = [chunk.count("\n" + fmt.start) + chunk.startswith(fmt.start)
+                 for chunk in text[declarations:]]
     assert per_chunk == [WRITE_CHUNK] * (count // WRITE_CHUNK) + [count % WRITE_CHUNK]
 
 
@@ -403,6 +407,6 @@ def test_emitted_text_reads_back_to_the_same_models(scope_mode, vub_form, strong
     for source in READ_BACK_SOURCES:
         fs = toc_program(parse_program(source), scope_mode=scope_mode,
                          strong=strong, vub_form=vub_form)
-        text = "".join(smtlib_lines(fs, model=True))
+        text = emit_smtlib(fs, model=True)
         back = build_formula_set(parse_sexprs(tokenize(text)))
         assert sorted(finder_models(back)) == sorted(finder_models(fs)), source
