@@ -174,7 +174,7 @@ def cmd_solve(args) -> int:
         try:
             model = read_solver_model(response, fs)
         except SolverResponseError as exc:
-            print(str(exc), file=sys.stderr)
+            print(f"{exc} ({response.cause})", file=sys.stderr)
             return EXIT_MODEL
         if model is None:
             if found == 0:

@@ -49,9 +49,10 @@ class Aux(Node, fields="kind head arg", key=_aux_symbol):
 _AUX_KINDS = frozenset(Aux.KINDS)
 
 AtomRef = Union[Base, Aux]
+_level_name = "__x_".__add__  # the symbol of the ranking variable of an owner
 
 
-class LevelVar(Node, fields="owner", key=lambda owner: f"__x_{owner}"):
+class LevelVar(Node, fields="owner", key=_level_name):
     __slots__ = ()
 
 
@@ -169,17 +170,16 @@ def negate(formula: Formula) -> Formula:
     return Not(formula)
 
 
-def make_pb(terms, lower: Optional[int] = None,
+def make_pb(coefs: list, lits: list, lower: Optional[int] = None,
             upper: Optional[int] = None) -> Formula:
-    """The sum of the ``(coef, var, negated)`` triples ``terms``, each
-    ``var`` the ``Var`` of its atom, bounded by ``lower`` and ``upper``,
-    as the connective it equals: a constant when the bounds decide it, the
-    conjunction of its literals when every one is needed, their
-    disjunction when any one is enough, the negated disjunction when an
-    upper bound is below every coefficient, else a ``PB`` without the
-    bounds that cannot bind.  The shape is read off the coefficients, and
-    each literal or term is built only for it."""
-    coefs = [t[0] for t in terms]
+    """The sum of the literals ``lits`` (``Var``s and their ``Not``s)
+    weighted by the parallel ``coefs``, bounded by ``lower`` and
+    ``upper``, as the connective it equals: a constant when the bounds
+    decide it, the conjunction of the literals when every one is needed,
+    their disjunction when any one is enough, the negated disjunction when
+    an upper bound is below every coefficient, else a ``PB`` without the
+    bounds that cannot bind.  Only the node of the shape read off the
+    coefficients is built."""
     total = sum(coefs)
     if lower is not None and lower <= 0:
         lower = None
@@ -191,25 +191,19 @@ def make_pb(terms, lower: Optional[int] = None,
         if upper < 0:
             return FALSE
         if upper < min(coefs):
-            return negate(_connective(Or, terms))
+            return negate(lits[0]) if len(lits) == 1 else Not(Or(tuple(lits)))
     elif upper is None:
         if lower > total:
             return FALSE
         least = min(coefs)
         if total - least < lower:
-            return _connective(And, terms)
+            return lits[0] if len(lits) == 1 else And(tuple(lits))
         if least >= lower:
-            return _connective(Or, terms)
+            return lits[0] if len(lits) == 1 else Or(tuple(lits))
     elif lower > upper:
         return FALSE
-    return PB(tuple([PBTerm(c, v.atom, n) for c, v, n in terms]), lower, upper)
-
-
-def _connective(cls, terms) -> Formula:
-    """The ``cls`` (``And`` or ``Or``) of the literals of the non-empty
-    ``terms``; one literal stands alone."""
-    literals = [Not(v) if n else v for _, v, n in terms]
-    return literals[0] if len(literals) == 1 else cls(tuple(literals))
+    return PB(tuple([PBTerm(c, lit.sub.atom, True) if type(lit) is Not else PBTerm(c, lit.atom)
+                     for c, lit in zip(coefs, lits)]), lower, upper)
 
 
 def conj(*subs: Formula) -> Formula:
@@ -274,6 +268,18 @@ def mk_dep_gap(edge, holds: Var, xa: LevelVar, xb: LevelVar):
             for var in edge for aux in (var.atom,)]
 
 
+def scaffold(level: dict, holds: dict, edges: dict):
+    """A ranked scope's scaffolding, a list of pairs per template: the
+    ``mk_bounds`` of each atom's ranking variable ``level[a]``, then the
+    ``mk_dep_gap`` of each edge ``edges[a][b]``, its ``dep`` (and ``gap``)."""
+    size = len(level)
+    for owner, x in level.items():
+        yield mk_bounds(x, holds[owner], size)
+    for a, arcs in edges.items():
+        for b, edge in arcs.items():
+            yield mk_dep_gap(edge, holds[b], level[a], level[b])
+
+
 # ---------------------------------------------------------------------------
 # formula sets
 
@@ -317,7 +323,7 @@ def check_declared(formulas, symbols: dict):
 def _rank_symbols(owners):
     """The symbol-table entries of the ranking variables of ``owners`` and
     of ``z``, which is declared alongside them."""
-    names = [Z.name, *(LevelVar(owner).name for owner in owners)]
+    names = [Z.name, *map(_level_name, owners)]
     return zip(names, names)
 
 
@@ -327,9 +333,9 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbol
     ``formulas`` is a list of ``(name, Formula)`` pairs, or, in a set made
     by :func:`asptoc.smtlib.written_set`, the ``Written`` that writes all
     formula text: it keeps only each formula's line in the set's output
-    format, written as it is added (the ranking scaffolding of
-    ``add_bounds`` and ``add_dep_gap`` from templates, with no formula
-    built), and gives the set's whole text once translation ends.
+    format, written as it is added (a ranked scope's scaffolding, added
+    whole by ``add_scaffold``, from templates, with no formula built),
+    and gives the set's whole text once translation ends.
     ``base_atoms`` and ``aux_atoms`` map each declared atom to its SMT-LIB
     symbol (``_spell`` of a base atom's name, an auxiliary atom's
     ``name``), keys in first-seen order, so a declaration costs O(1)
@@ -375,9 +381,9 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbol
                 name = ref.name
                 aux[ref] = symbols[name] = name
 
-    def declare_level(self, owner: str, lo: int, hi: int):
-        self.level_bounds[owner] = (lo, hi)
-        self.symbols.update(_rank_symbols((owner,)))
+    def declare_level(self, owners, lo: int, hi: int):
+        self.level_bounds.update(dict.fromkeys(owners, (lo, hi)))
+        self.symbols.update(_rank_symbols(owners))
 
     def add(self, name: str, formula: Formula):
         self.formulas.append((name, formula))
@@ -385,23 +391,17 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbol
     def extend(self, pairs):
         self.formulas.extend(pairs)
 
-    def add_bounds(self, x: LevelVar, holds: Var, scope_size: int):
-        """Add the range formulas of ``x`` (``mk_bounds``); a set that
-        keeps text writes them from its templates and builds none."""
+    def add_scaffold(self, level: dict, holds: dict, edges: dict):
+        """Declare a ranked scope's ranking variables and edge atoms and add
+        its :func:`scaffold`, which a set keeping text writes from templates."""
+        self.declare_level(level, 1, len(level) + 1)
+        for arcs in edges.values():  # per head: no list holds a whole scope's edges
+            self.declare_aux(*[var.atom for edge in arcs.values() for var in edge])
         formulas = self.formulas
         if type(formulas) is list:
-            formulas.extend(mk_bounds(x, holds, scope_size))
+            formulas.extend(pair for pairs in scaffold(level, holds, edges) for pair in pairs)
         else:
-            formulas.bounds(x, holds, scope_size)
-
-    def add_dep_gap(self, edge, holds: Var, xa: LevelVar, xb: LevelVar):
-        """Add the definitions of ``edge`` (``mk_dep_gap``); a set that
-        keeps text writes them from its templates and builds none."""
-        formulas = self.formulas
-        if type(formulas) is list:
-            formulas.extend(mk_dep_gap(edge, holds, xa, xb))
-        else:
-            formulas.dep_gap(edge, holds, xa, xb)
+            formulas.scaffold(level, holds, edges)
 
     def validate(self):
         """Every mentioned atom and variable is declared (``z`` only

@@ -20,9 +20,9 @@ as the translator adds it and keeps only the text, joined
 list set's formulas through one.  ``Written.text`` then gives the whole
 text: the declarations, rendered from the set's tables once its formulas
 are written, the formulas, then the tail.  In a written set the ranking
-scaffolding of a ranked scope is written from fixed templates
-(``Written.bounds``, ``Written.dep_gap``), with no formula built; a list
-set builds it (``mk_bounds``, ``mk_dep_gap``), so the tests hold the
+scaffolding of a ranked scope is written in one call from fixed
+templates (``Written.scaffold``), with no formula built; a list set
+builds it (``mk_bounds``, ``mk_dep_gap``), so the tests hold the
 templates to ``to_sexpr`` of those formulas.  Validation happens in the
 one walk that writes each formula or template: every atom and variable
 resolves through the set's symbol table (``FormulaSet.symbols``), which
@@ -51,8 +51,7 @@ from .formulas import (
     Var,
     Z,
     check_declared,
-    mk_bounds,
-    mk_dep_gap,
+    scaffold,
 )
 from .node import Node
 
@@ -169,9 +168,9 @@ class Written:
     raises ``ValidationError`` in ``validate``'s wording, naming the
     formula's undeclared symbols.
 
-    The ranking scaffolding (``bounds``, ``dep_gap``) is written from
-    fixed templates in the same frame and builds no formula: each symbol
-    a template writes is looked up in ``symbols``, and the text is that of
+    A ranked scope's scaffolding (``scaffold``) is written from fixed
+    templates in the same frame and builds no formula: each symbol a
+    template writes is looked up in ``symbols``, and the text is that of
     the formulas ``mk_bounds`` and ``mk_dep_gap`` build, which are built
     only on a lookup miss, to name the undeclared symbols."""
 
@@ -192,11 +191,8 @@ class Written:
     def _flush(self):
         """Join the first ``WRITE_CHUNK`` lines to a chunk; the few after
         them wait for the next."""
-        lines = self.lines
-        rest = lines[WRITE_CHUNK:]
-        del lines[WRITE_CHUNK:]
-        self.chunks.append("".join(lines))
-        lines[:] = rest
+        self.chunks.append("".join(self.lines[:WRITE_CHUNK]))
+        del self.lines[:WRITE_CHUNK]
 
     def append(self, pair):
         name, formula = pair
@@ -214,45 +210,39 @@ class Written:
         for pair in pairs:
             self.append(pair)
 
-    def bounds(self, x: LevelVar, holds: Var, scope_size: int):
-        """The text of ``mk_bounds(x, holds, scope_size)``."""
-        table = self.symbols
+    def scaffold(self, level: dict, holds: dict, edges: dict):
+        """The text of ``formulas.scaffold(level, holds, edges)``; on a
+        lookup miss its templates are built in order, and the first that
+        reads an undeclared symbol names them."""
+        table, lines = self.symbols, self.lines
+        start, mid, end = self.start, self.mid, self.end
+        cap = len(level) + 1  # positive, so -cap is written (- cap)
         try:
-            z, v, h = table[Z.name], table[x.name], table[holds.atom.name]
+            z = table[Z.name]
+            for owner, x in level.items():
+                v, h = table[x.name], table[holds[owner].atom.name]
+                name = f"{start}bounds:{owner}:"
+                below = f"(<= (- {z} {v}) (- "
+                lines += (f"{name}min{mid}{below}1)){end}",
+                          f"{name}max{mid}(<= (- {v} {z}) {cap}){end}",
+                          f"{name}false{mid}(= (not {h}) {below}{cap}))){end}")
+                if len(lines) >= WRITE_CHUNK:
+                    self._flush()
+            for a, arcs in edges.items():
+                xa = table[level[a].name]
+                for b, edge in arcs.items():
+                    h, xb = table[holds[b].atom.name], table[level[b].name]
+                    arc = f"{a}:{b}{mid}(= "
+                    before = f" (and {h} (<= (- {xb} {xa}) (- "
+                    lines.append(f"{start}dep:{arc}{table[edge[0].atom.name]}{before}1)))){end}")
+                    if len(edge) > 1:
+                        lines.append(f"{start}gap:{arc}{table[edge[1].atom.name]}{before}2)))){end}")
+                    if len(lines) >= WRITE_CHUNK:
+                        self._flush()
         except KeyError:
-            check_declared(mk_bounds(x, holds, scope_size), table)
+            for pairs in scaffold(level, holds, edges):
+                check_declared(pairs, table)
             raise
-        mid, end = self.mid, self.end
-        cap = scope_size + 1  # positive, so -cap is written (- cap)
-        name = f"{self.start}bounds:{x.owner}:"
-        below = f"(<= (- {z} {v}) (- "
-        lines = self.lines
-        lines += (f"{name}min{mid}{below}1)){end}",
-                  f"{name}max{mid}(<= (- {v} {z}) {cap}){end}",
-                  f"{name}false{mid}(= (not {h}) {below}{cap}))){end}")
-        if len(lines) >= WRITE_CHUNK:
-            self._flush()
-
-    def dep_gap(self, edge, holds: Var, xa: LevelVar, xb: LevelVar):
-        """The text of ``mk_dep_gap(edge, holds, xa, xb)``: ``edge`` holds
-        the ``dep`` atom of the edge from ``xa``'s owner to ``xb``'s, then
-        its ``gap`` atom when strong, one and two stages apart."""
-        table = self.symbols
-        try:
-            h, a, b = table[holds.atom.name], table[xa.name], table[xb.name]
-            symbols = [table[var.atom.name] for var in edge]
-        except KeyError:
-            check_declared(mk_dep_gap(edge, holds, xa, xb), table)
-            raise
-        start, end = self.start, self.end
-        arc = f"{xa.owner}:{xb.owner}{self.mid}(= "
-        before = f" (and {h} (<= (- {b} {a}) (- "
-        lines = self.lines
-        lines.append(f"{start}dep:{arc}{symbols[0]}{before}1)))){end}")
-        if len(symbols) > 1:
-            lines.append(f"{start}gap:{arc}{symbols[1]}{before}2)))){end}")
-        if len(lines) >= WRITE_CHUNK:
-            self._flush()
 
     def text(self, fs: FormulaSet):
         """The whole text of ``fs``, whose formulas these are: its
@@ -341,10 +331,20 @@ class SolverInvocationError(Exception):
     pass
 
 
-def run_solver(command: str, path: str, timeout: float | None = None) -> str:
-    """Run an external solver command on a file; stdout is authoritative and
-    the exit status is ignored.  A solver still running after ``timeout``
-    seconds is killed."""
+class SolverOutput(str):
+    """A solver's stdout, the only text read; ``cause`` gives its exit
+    status and last stderr line, to explain a response that is unreadable."""
+
+    def __new__(cls, stdout: str, status: int, stderr: str):
+        self = super().__new__(cls, stdout)
+        tail = stderr.rstrip().rpartition("\n")[2]
+        self.cause = f"solver exit status {status}, " + (f"stderr: {tail}" if tail else "no stderr")
+        return self
+
+
+def run_solver(command: str, path: str, timeout: float | None = None) -> SolverOutput:
+    """Run an external solver command on a file; stdout is authoritative.
+    A solver still running after ``timeout`` seconds is killed."""
     import shlex
     import subprocess
 
@@ -356,4 +356,4 @@ def run_solver(command: str, path: str, timeout: float | None = None) -> str:
     except subprocess.TimeoutExpired as exc:
         raise SolverInvocationError(
             f"solver {command!r} timed out after {timeout} s") from exc
-    return proc.stdout
+    return SolverOutput(proc.stdout, proc.returncode, proc.stderr)

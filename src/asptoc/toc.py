@@ -36,17 +36,16 @@ emission mode spells each upper-bound check as the negation of an
 explicit ``vub`` atom defined completion-style; nothing else changes.
 
 Every scope writes into one formula set, which declares the program's
-atoms once, and each leaf is built once and every formula shares it: one
-``Var`` per atom, read by the flat completions, the constraints and
-every ranked scope; a ranked scope builds one ``LevelVar`` per scope
-atom and the ``dep``/``gap`` atoms of each edge with their ``Var``s,
-declared once and read by their definitions and by every rule's sums
-alike.  That scaffolding, each scope atom's range formulas and each
-edge's definitions, goes to the set whole (``FormulaSet.add_bounds``,
-``add_dep_gap``): a list set builds it as formulas (``mk_bounds``,
-``mk_dep_gap``), which the model finder reads, while the written set of
-``asptoc translate`` and ``solve`` writes its text from templates, in
-the set's format, and builds no formula for it.
+atoms once, and each leaf is built once and every formula shares it: a
+``Var`` and its ``Not`` per atom, and per ranked scope a ``LevelVar``
+per atom and the ``dep``/``gap`` ``Var``s of each edge.  A sum is a list
+of weights and a parallel list of literals: a ranked rule's body is
+split once, and its sums concatenate the same lists.  A scope's
+scaffolding, its atoms' range formulas and its edges' definitions, is
+declared and added in one call (``FormulaSet.add_scaffold``): a list set
+builds it as formulas (``mk_bounds``, ``mk_dep_gap``), which the model
+finder reads, while the written set of ``asptoc translate`` and
+``solve`` writes its text from templates and builds no formula for it.
 """
 
 from __future__ import annotations
@@ -73,40 +72,39 @@ from .formulas import (
 from .program import Polarity, Program, Rule
 
 
-def _split_body(rule: Rule, scope: frozenset, holds: dict):
-    """The rule's in-scope positive atoms with their weights, and the
-    ``(coef, var, negated)`` terms of the rest of its body over the
-    ``Var``s ``holds`` maps the atoms to: positive, then double-negated,
-    then negated.
+def _split_body(rule: Rule, scope: frozenset, holds: dict, nots: dict):
+    """The rule's in-scope positive atoms and their weights, then the
+    weights and the literals (``holds`` or ``nots`` of the atom) of the
+    rest of its body: positive, then double-negated, then negated.
 
     Double-negated literals count like out-of-scope positives: the reduct
     fixes their truth against the candidate model, so they never order.
     """
-    pin, pout, dneg, neg = [], [], [], []
+    pin, win, coefs, lits, dneg, neg = [], [], [], [], [], []
+    positive, negative = Polarity.POSITIVE, Polarity.NEGATIVE
     for wl in rule.body:
-        atom, polarity = wl.atom, wl.polarity
-        if polarity is Polarity.POSITIVE:
-            if atom in scope:
-                pin.append((atom, wl.weight))
-            else:
-                pout.append((wl.weight, holds[atom], False))
-        elif polarity is Polarity.DOUBLE_NEGATED:
-            dneg.append((wl.weight, holds[atom], False))
+        if wl.polarity is not positive:
+            (neg if wl.polarity is negative else dneg).append(wl)
+        elif wl.atom in scope:
+            pin.append(wl.atom)
+            win.append(wl.weight)
         else:
-            neg.append((wl.weight, holds[atom], True))
-    return pin, pout + dneg + neg
+            coefs.append(wl.weight)
+            lits.append(holds[wl.atom])
+    for wl in dneg + neg:
+        coefs.append(wl.weight)
+        lits.append(nots[wl.atom] if wl.polarity is negative else holds[wl.atom])
+    return pin, win, coefs, lits
 
 
-def _plain_terms(rule: Rule, holds: dict):
+def _plain_body(rule: Rule, holds: dict, nots: dict):
+    """The weights and the literals of the rule body, in its order;
+    negated literals appear classically negated with the bound left at the
+    source value."""
     negative = Polarity.NEGATIVE
-    return [(wl.weight, holds[wl.atom], wl.polarity is negative) for wl in rule.body]
-
-
-def plain_body_formula(rule: Rule, holds: dict):
-    """The rule body over the ``Var``s ``holds`` maps the atoms to;
-    negated literals appear classically negated with the bound left at
-    the source value."""
-    return make_pb(_plain_terms(rule, holds), rule.lower, rule.upper)
+    body = rule.body
+    return ([wl.weight for wl in body],
+            [nots[wl.atom] if wl.polarity is negative else holds[wl.atom] for wl in body])
 
 
 def _named(fs: FormulaSet, kind: str, head: str, i: int, body):
@@ -176,51 +174,57 @@ def emit_support(fs: FormulaSet, x: LevelVar, i: int, weak, ext, deny, has_in: b
     return applies
 
 
-def _upper_check(fs: FormulaSet, head: str, i: int, terms, upper: int, vub_form: bool):
-    """Rule ``i``'s check that ``terms`` sum to at most ``upper``: the bound
-    itself, or with ``vub_form`` the negation of a violation atom defined
-    completion-style."""
+def _upper_check(fs: FormulaSet, head: str, i: int, coefs: list, lits: list, upper: int,
+                 vub_form: bool):
+    """Rule ``i``'s check that ``lits`` weighted by ``coefs`` sum to at
+    most ``upper``: the bound itself, or with ``vub_form`` the negation of
+    a violation atom defined completion-style."""
     if not vub_form:
-        return make_pb(terms, upper=upper)
-    exceeds = make_pb(terms, lower=upper + 1)
+        return make_pb(coefs, lits, upper=upper)
+    exceeds = make_pb(coefs, lits, lower=upper + 1)
     violated = _named(fs, "vub", head, i, exceeds)
     _iff(fs, f"vub:{head}:{i}", violated, exceeds)
     return negate(violated)
 
 
 def _ranked_rule(fs: FormulaSet, x: LevelVar, i: int, rule: Rule, scope: frozenset,
-                 holds: dict, edges: dict, strong: bool, vub_form: bool):
+                 holds: dict, nots: dict, edges: dict, strong: bool, vub_form: bool):
     """Rule ``i`` of the head ranked by ``x``; ``edges`` maps each of its
     in-scope body atoms to the ``Var`` of the edge's declared ``dep`` (and
-    ``gap``) atom."""
-    pin, out = _split_body(rule, scope, holds)
+    ``gap``) atom, which its sums read before the rest of the body."""
+    pin, win, coefs, out = _split_body(rule, scope, holds, nots)
     lower, upper = rule.lower, rule.upper
 
     # without in-scope atoms both conditions are the plain body, and
     # emit_support reads no denial
-    ext = make_pb(out, lower=lower)
-    weak = make_pb([(w, edges[b][0], False) for b, w in pin] + out, lower=lower) if pin else ext
+    ext = make_pb(coefs, out, lower=lower)
+    if pin:
+        coefs = win + coefs
+        arcs = [edges[b] for b in pin]
+        weak = make_pb(coefs, [arc[0] for arc in arcs] + out, lower=lower)
+    else:
+        weak = ext
     if upper is not None:
-        plain = [(w, holds[b], False) for b, w in pin] + out
-        bound_check = _upper_check(fs, x.owner, i, plain, upper, vub_form)
+        plain = [holds[b] for b in pin] + out
+        bound_check = _upper_check(fs, x.owner, i, coefs, plain, upper, vub_form)
         weak, ext = conj(weak, bound_check), conj(ext, bound_check)
 
     deny = None
     if strong and pin:
-        deny = make_pb([(w, edges[b][1], False) for b, w in pin] + out, upper=lower - 1)
+        deny = make_pb(coefs, [arc[1] for arc in arcs] + out, upper=lower - 1)
     return emit_support(fs, x, i, weak=weak, ext=ext, deny=deny, has_in=bool(pin))
 
 
-def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, holds: dict,
+def _flat_rule(fs: FormulaSet, head: str, i: int, rule: Rule, holds: dict, nots: dict,
                vub_form: bool):
     """Rule ``i``'s disjunct in the Clark completion of a non-recursive
     head: its plain body, one two-bound sum unless ``vub_form`` spells the
     upper bound apart."""
+    coefs, lits = _plain_body(rule, holds, nots)
     if rule.upper is None or not vub_form:
-        return plain_body_formula(rule, holds)
-    terms = _plain_terms(rule, holds)
-    return conj(make_pb(terms, lower=rule.lower),
-                _upper_check(fs, head, i, terms, rule.upper, vub_form))
+        return make_pb(coefs, lits, rule.lower, rule.upper)
+    return conj(make_pb(coefs, lits, lower=rule.lower),
+                _upper_check(fs, head, i, coefs, lits, rule.upper, vub_form))
 
 
 def _define(fs: FormulaSet, holds: Var, supports: list):
@@ -232,46 +236,41 @@ def _define(fs: FormulaSet, holds: Var, supports: list):
         fs.add(f"def:{holds.atom.name}", Iff(holds, body))
 
 
-def _rank(fs: FormulaSet, program: Program, scope: frozenset, holds: dict,
+def _rank(fs: FormulaSet, program: Program, scope: frozenset, holds: dict, nots: dict,
           strong: bool, vub_form: bool):
     """Write the ordered completion of the scope's defining rules into
-    ``fs``, reading the ``Var`` of each atom from ``holds``.  Scope atoms
-    without defining rules stay free but still receive range formulas.
-    Each rule's body is split when its head is defined."""
+    ``fs``, reading each atom's literals from ``holds`` and ``nots``.
+    Scope atoms without defining rules stay free but still receive range
+    formulas.  Each rule's body is split when its head is defined."""
     atoms = sorted(scope)
     head_index = program.head_index
-    defs = {a: head_index.get(a, ()) for a in atoms}
-    level = {a: LevelVar(a) for a in atoms}
-
-    size = len(scope)
-    for atom in atoms:
-        fs.declare_level(atom, 1, size + 1)
-        fs.add_bounds(level[atom], holds[atom], size)
-    kinds = ("dep", "gap") if strong else ("dep",)
     positive = Polarity.POSITIVE
-    edges = {}
+    level, edges = {}, {}
     for a in atoms:
-        edges[a] = {}
-        for b in sorted({wl.atom for rule in defs[a] for wl in rule.body
-                         if wl.polarity is positive and wl.atom in scope}):
-            edge = edges[a][b] = tuple(Var(Aux(kind, a, b)) for kind in kinds)
-            fs.declare_aux(*(var.atom for var in edge))
-            fs.add_dep_gap(edge, holds[b], level[a], level[b])
+        level[a] = LevelVar(a)
+        rules = head_index.get(a, ())
+        targets = sorted({wl.atom for rule in rules for wl in rule.body
+                          if wl.polarity is positive and wl.atom in scope})
+        edges[a] = {b: (Var(Aux("dep", a, b)), Var(Aux("gap", a, b))) if strong
+                    else (Var(Aux("dep", a, b)),) for b in targets}
+    fs.add_scaffold(level, holds, edges)
 
     for atom in atoms:
-        if defs[atom]:
+        rules = head_index.get(atom)
+        if rules:
             _define(fs, holds[atom],
-                    [_ranked_rule(fs, level[atom], i, rule, scope, holds, edges[atom],
+                    [_ranked_rule(fs, level[atom], i, rule, scope, holds, nots, edges[atom],
                                   strong, vub_form)
-                     for i, rule in enumerate(defs[atom], 1)])
+                     for i, rule in enumerate(rules, 1)])
 
 
-def _declared(program: Program, fs: FormulaSet) -> dict:
-    """Declare the program's atoms in ``fs``, in name order, and return one
-    ``Var`` per atom, read by every formula written into it."""
+def _declared(program: Program, fs: FormulaSet):
+    """Declare the program's atoms in ``fs``, in name order, and return
+    each one's ``Var`` and its ``Not``, read by every formula written."""
     names = sorted(program.atom_names)
     fs.declare_base(*names)
-    return {n: Var(Base(n)) for n in names}
+    holds = {n: Var(Base(n)) for n in names}
+    return holds, {n: Not(v) for n, v in holds.items()}
 
 
 def toc_module(program: Program, scope: frozenset, *,
@@ -282,7 +281,7 @@ def toc_module(program: Program, scope: frozenset, *,
     ranks every defined atom at once, and the proposition check ranks a
     rule's head with its body."""
     fs = FormulaSet()
-    _rank(fs, program, scope, _declared(program, fs), strong, vub_form)
+    _rank(fs, program, scope, *_declared(program, fs), strong, vub_form)
     return fs
 
 
@@ -301,19 +300,19 @@ def toc_program(program: Program, *, scope_mode: str = "scc",
     instead of the formula.
     """
     fs = FormulaSet() if into is None else into
-    holds = _declared(program, fs)
+    holds, nots = _declared(program, fs)
     head_index = program.head_index
     for scope, ranked in scopes(program, scope_mode):
         if ranked:
-            _rank(fs, program, scope, holds, strong, vub_form)
+            _rank(fs, program, scope, holds, nots, strong, vub_form)
         else:
             (atom,) = scope
             rules = head_index.get(atom)
             if rules:  # an input atom stays free
-                _define(fs, holds[atom], [_flat_rule(fs, atom, i, rule, holds, vub_form)
+                _define(fs, holds[atom], [_flat_rule(fs, atom, i, rule, holds, nots, vub_form)
                                           for i, rule in enumerate(rules, 1)])
     for idx, rule in enumerate(program.constraints(), 1):
-        check = negate(plain_body_formula(rule, holds))
+        check = negate(make_pb(*_plain_body(rule, holds, nots), rule.lower, rule.upper))
         if type(check) is not TrueF:
             fs.add(f"constraint:{idx}", check)
     return fs

@@ -124,7 +124,7 @@ def build_formula_set(sexprs):
                     hi = f.k if hi is None else min(hi, f.k)
                 if f.lhs == F.Z and f.rhs == var:
                     lo = max(lo, -f.k)
-        fs.declare_level(var.owner, lo, 64 if hi is None else hi)
+        fs.declare_level([var.owner], lo, 64 if hi is None else hi)
     return fs
 
 

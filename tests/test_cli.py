@@ -805,6 +805,17 @@ class TestSolve:
         path = write(tmp_path, "a.")
         assert main(["solve", path, "--solver", "echo chaos from"]) == 5
 
+    def test_crashed_solver_names_its_cause(self, tmp_path, capsys):
+        # stdout alone is read: a solver that prints nothing is an empty
+        # response (exit 5), and the message adds its exit status and the
+        # last line of its stderr
+        path = write(tmp_path, "a.")
+        crash = (f"{sys.executable} -c "
+                 "'import sys; sys.stderr.write(\"starting\\nboom\\n\"); sys.exit(3)'")
+        assert main(["solve", path, "--solver", crash]) == 5
+        assert capsys.readouterr() == (
+            "", "empty solver response (solver exit status 3, stderr: boom)\n")
+
 
 def test_startup_imports_only_the_translator():
     # the checkers, the fuzzer and the solver plumbing load on first use

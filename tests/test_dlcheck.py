@@ -151,7 +151,7 @@ def _definition_case(name):
         fs.add("def:d", Iff(Var(d), TRUE))
         fs.add("def:e", Iff(Var(e), Not(Var(d))))
     else:  # owner-not-base: q ranks but is no declared atom
-        fs.declare_level("q", 1, 3)
+        fs.declare_level(["q"], 1, 3)
         fs.add("def:d", Iff(Var(d), Diff(LevelVar("q"), Z, 1)))
         fs.add("def:e", Iff(Var(e), Diff(Z, LevelVar("q"), -3)))
         fs.add("link", Iff(Var(Base("a")), Var(d)))

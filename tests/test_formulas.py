@@ -111,33 +111,33 @@ class TestDepGap:
 
 class TestPB:
     def test_empty_sum_folds(self):
-        assert make_pb([], lower=0) == TrueF()
-        assert make_pb([], lower=1) == FalseF()
-        assert make_pb([], upper=0) == TrueF()
-        assert make_pb([], lower=0, upper=-1) == FalseF()
+        assert make_pb([], [], lower=0) == TrueF()
+        assert make_pb([], [], lower=1) == FalseF()
+        assert make_pb([], [], upper=0) == TrueF()
+        assert make_pb([], [], lower=0, upper=-1) == FalseF()
 
     def test_non_empty_not_folded(self):
         # neither every term nor any one term is needed: a genuine sum
-        f = make_pb([(1, Var(Base("a")), False), (2, Var(Base("b")), False),
-                     (2, Var(Base("c")), True)], lower=3)
+        f = make_pb([1, 2, 2], [Var(Base("a")), Var(Base("b")), Not(Var(Base("c")))],
+                    lower=3)
         assert f == PB((PBTerm(1, Base("a")), PBTerm(2, Base("b")),
                         PBTerm(2, Base("c"), True)), 3, None)
 
     def test_boolean_shapes_fold(self):
         a, b = Var(Base("a")), Var(Base("b"))
-        terms = [(2, a, False), (3, b, True)]
-        assert make_pb(terms, lower=6) == FALSE
-        assert make_pb(terms, upper=-1) == FALSE
-        assert make_pb(terms, lower=4, upper=3) == FALSE
-        assert make_pb(terms, lower=0, upper=5) == TRUE
-        assert make_pb(terms, lower=4) == And((a, Not(b)))
-        assert make_pb(terms, lower=2) == Or((a, Not(b)))
-        assert make_pb(terms, upper=1) == Not(Or((a, Not(b))))
-        assert make_pb(terms[1:], upper=2) == b
+        terms = [2, 3], [a, Not(b)]
+        assert make_pb(*terms, lower=6) == FALSE
+        assert make_pb(*terms, upper=-1) == FALSE
+        assert make_pb(*terms, lower=4, upper=3) == FALSE
+        assert make_pb(*terms, lower=0, upper=5) == TRUE
+        assert make_pb(*terms, lower=4) == And((a, Not(b)))
+        assert make_pb(*terms, lower=2) == Or((a, Not(b)))
+        assert make_pb(*terms, upper=1) == Not(Or((a, Not(b))))
+        assert make_pb([3], [Not(b)], upper=2) == b
         # a bound that cannot bind is dropped; two binding bounds stay
         pb_terms = (PBTerm(2, Base("a")), PBTerm(3, Base("b"), True))
-        assert make_pb(terms, lower=3, upper=7) == PB(pb_terms, 3, None)
-        assert make_pb(terms, lower=3, upper=4) == PB(pb_terms, 3, 4)
+        assert make_pb(*terms, lower=3, upper=7) == PB(pb_terms, 3, None)
+        assert make_pb(*terms, lower=3, upper=4) == PB(pb_terms, 3, 4)
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 8),
@@ -150,7 +150,8 @@ class TestPB:
         lower, upper = data.draw(st.one_of(st.tuples(bound, st.none()),
                                            st.tuples(st.none(), bound),
                                            st.tuples(bound, bound)))
-        folded = make_pb(terms, lower, upper)
+        folded = make_pb([c for c, _, _ in terms], [Not(v) if n else v for _, v, n in terms],
+                         lower, upper)
         reference = PB(tuple(PBTerm(c, v.atom, n) for c, v, n in terms), lower, upper)
         for bits in range(32):
             bools = {name: bool(bits >> i & 1) for i, name in enumerate("abcde")}
@@ -231,7 +232,7 @@ class TestValidation:
     def test_complete_set_passes(self):
         fs = FormulaSet()
         fs.declare_base("a")
-        fs.declare_level("a", 1, 2)
+        fs.declare_level(["a"], 1, 2)
         fs.extend(mk_bounds(LevelVar("a"), Var(Base("a")), 1))
         fs.validate()
 
@@ -278,7 +279,7 @@ class TestDeclarationOrder:
             assert list(fs.aux_atoms) == [Aux("gap", "b", "a"), Aux("app", "b", 1),
                                           Aux("app", "a", 2)]
             assert all(sym == ref_name(ref) for ref, sym in fs.aux_atoms.items())
-        kept.declare_level("b", 1, 3)
+        kept.declare_level(["b"], 1, 3)
         assert kept.symbols == {"b": "b", "a": "a", "c": "c",
                                   "|gap:b:a|": "|gap:b:a|",
                                   "|app:b:1|": "|app:b:1|",

@@ -26,6 +26,8 @@ from asptoc.formulas import (
     ValidationError,
     Var,
     Z,
+    mk_bounds,
+    mk_dep_gap,
 )
 from asptoc.parser import parse_program
 from asptoc.smtlib import (
@@ -134,7 +136,7 @@ class TestEmission:
         # messages agree
         fs = FormulaSet()
         fs.declare_base("a")
-        fs.declare_level("a", 1, 2)
+        fs.declare_level(["a"], 1, 2)
         fs.add("ok", Diff(LevelVar("a"), Z, 2))
         fs.add("bad", formula)
         with pytest.raises(ValidationError) as expected:
@@ -158,7 +160,7 @@ class TestEmission:
             emit_smtlib(fs)
         with pytest.raises(ValidationError, match="__z"):
             debug_text(fs)
-        fs.declare_level("a", 1, 2)
+        fs.declare_level(["a"], 1, 2)
         assert fs.symbols["__z"] == "__z"
         fs.validate()
         assert "(assert (<= (- __z __z) 0))" in emit_smtlib(fs).splitlines()
@@ -179,36 +181,49 @@ class TestEmission:
 
 @pytest.mark.parametrize("fmt", [SMTLIB, DEBUG], ids=["smtlib", "debug"])
 def test_written_chunks_hold_whole_formulas(fmt):
-    # the templates add three, two or one line at a time; fewer than
-    # WRITE_CHUNK lines wait after every add, and every chunk joins exactly
-    # WRITE_CHUNK formulas.  The text gives the declarations in strings of
-    # WRITE_CHUNK lines, then the chunks, then the rest with the tail
+    # one ranked scope of 500 atoms, each with two edges, whose
+    # scaffolding (1,500 range formulas, 1,000 dep and, when strong, 1,000
+    # gap definitions) is written in one add_scaffold, across several
+    # chunks.  Its text is to_sexpr of the mk_bounds/mk_dep_gap formulas a
+    # list set builds, in their order; fewer than WRITE_CHUNK lines wait
+    # after the add, and every chunk joins exactly WRITE_CHUNK formulas.
+    # The text gives the declarations in strings of WRITE_CHUNK lines, then
+    # the chunks, then the rest with the tail
     atoms = [f"p{i}" for i in range(500)]
-    fs = written_set(fmt)
-    formulas = fs.formulas
-    fs.declare_base(*atoms)
     holds = {a: Var(Base(a)) for a in atoms}
-    for a in atoms:
-        fs.declare_level(a, 1, len(atoms) + 1)
-        fs.add_bounds(LevelVar(a), holds[a], len(atoms))
+    level = {a: LevelVar(a) for a in atoms}
+    for kinds in (("dep", "gap"), ("dep",)):
+        edges = {a: {b: tuple(Var(Aux(kind, a, b)) for kind in kinds)
+                     for b in sorted({atoms[(i + 1) % 500], atoms[(i + 7) % 500]})}
+                 for i, a in enumerate(atoms)}
+        written, listed = written_set(fmt), FormulaSet()
+        for fs in (written, listed):
+            fs.declare_base(*atoms)
+            fs.add_scaffold(level, holds, edges)
+            fs.add("last", holds["p0"])
+        formulas = written.formulas
         assert len(formulas.lines) < WRITE_CHUNK
-    for i, (a, b) in enumerate(zip(atoms, atoms[1:] + atoms[:1])):
-        edge = tuple(Var(Aux(kind, a, b)) for kind in ("dep", "gap")[:1 + i % 2])
-        fs.declare_aux(*(var.atom for var in edge))
-        fs.add_dep_gap(edge, holds[b], LevelVar(a), LevelVar(b))
-        assert len(formulas.lines) < WRITE_CHUNK
-        fs.add(f"f{i}", holds[a])
-        assert len(formulas.lines) < WRITE_CHUNK
-    count = 500 * 3 + 250 * 3 + 500
-    assert len(formulas) == count
-    header = fmt.header(fs)
-    text = list(formulas.text(fs))
-    declarations = -(-len(header) // WRITE_CHUNK)
-    assert "".join(text[:declarations]) == "".join(header)
-    assert text[-1].endswith("".join(fmt.tail))
-    per_chunk = [chunk.count("\n" + fmt.start) + chunk.startswith(fmt.start)
-                 for chunk in text[declarations:]]
-    assert per_chunk == [WRITE_CHUNK] * (count // WRITE_CHUNK) + [count % WRITE_CHUNK]
+        assert listed.formulas == (
+            [pair for a in atoms for pair in mk_bounds(level[a], holds[a], 500)]
+            + [pair for a in atoms for b, edge in edges[a].items()
+               for pair in mk_dep_gap(edge, holds[b], level[a], level[b])]
+            + [("last", holds["p0"])])
+        count = len(listed.formulas)
+        assert count == 500 * 3 + 1000 * len(kinds) + 1 > 2 * WRITE_CHUNK
+        assert len(formulas) == count
+        assert written.symbols == listed.symbols
+        assert written.aux_atoms == listed.aux_atoms
+        assert written.level_bounds == listed.level_bounds == dict.fromkeys(atoms, (1, 501))
+        header = fmt.header(written)
+        text = list(formulas.text(written))
+        declarations = -(-len(header) // WRITE_CHUNK)
+        assert "".join(text[:declarations]) == "".join(header)
+        assert "".join(text[declarations:]) == "".join(
+            [f"{fmt.start}{name}{fmt.mid}{to_sexpr(f, listed.symbols)}{fmt.end}"
+             for name, f in listed.formulas] + list(fmt.tail))
+        per_chunk = [chunk.count("\n" + fmt.start) + chunk.startswith(fmt.start)
+                     for chunk in text[declarations:]]
+        assert per_chunk == [WRITE_CHUNK] * (count // WRITE_CHUNK) + [count % WRITE_CHUNK]
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +235,8 @@ def differential_table():
     fs = FormulaSet()
     fs.declare_base("a", "b", "not")
     fs.declare_aux(Aux("dep", "a", "b"), Aux("app", "a", 1))
-    fs.declare_level("a", 1, 3)
-    fs.declare_level("b", 1, 3)
+    fs.declare_level(["a"], 1, 3)
+    fs.declare_level(["b"], 1, 3)
     return fs.symbols
 
 
@@ -273,7 +288,7 @@ def ranked_a():
     """The atom ``a`` with its ranking variable declared."""
     fs = FormulaSet()
     fs.declare_base("a")
-    fs.declare_level("a", 1, 2)
+    fs.declare_level(["a"], 1, 2)
     return fs
 
 

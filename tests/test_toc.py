@@ -136,7 +136,7 @@ class TestOrderedCompletionInstantiation:
         fs.declare_base(*sorted(scope))
         size = len(scope)
         for atom in sorted(scope):
-            fs.declare_level(atom, 1, size + 1)
+            fs.declare_level([atom], 1, size + 1)
             fs.extend(mk_bounds(LevelVar(atom), Var(Base(atom)), size))
         edges = set()
         from asptoc.program import Polarity
@@ -387,7 +387,7 @@ def assemble_abstract(program, scope, rule_index=0):
     fs.declare_base(*sorted(scope))
     size = len(scope)
     for atom in sorted(scope):
-        fs.declare_level(atom, 1, size + 1)
+        fs.declare_level([atom], 1, size + 1)
         fs.extend(mk_bounds(LevelVar(atom), Var(Base(atom)), size))
     rule = program.rules[rule_index]
     from asptoc.program import Polarity
@@ -431,7 +431,7 @@ def abstract_forms_text():
             fs = FormulaSet()
             toc_abstract(fs, parse_program(src).rules[0], frozenset(scope), strong=strong)
             for atom in scope:  # the bare set mentions ranks it does not declare
-                fs.declare_level(atom, 1, len(scope) + 1)
+                fs.declare_level([atom], 1, len(scope) + 1)
             table = fs.symbols
             lines = [f"; rule {src} scope {scope_atoms} strong {strong}"]
             lines += [f"(aux {ref_name(a)})" for a in fs.aux_atoms]
