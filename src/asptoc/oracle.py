@@ -1,10 +1,29 @@
 """Ground-truth semantics by brute force.
 
-Stable models are found by guess-and-check over all interpretations: a
-candidate is stable when it equals the least model of its reduct, seeded
-with the candidate's input atoms (atoms without defining rules vary
-freely, as if defined by choice rules).  No solver shortcuts are taken;
-this module is the oracle everything else is measured against.
+A candidate interpretation I is stable when it equals the least model of
+its reduct, seeded with its input atoms (atoms without defining rules
+vary freely, as if defined by choice rules), and satisfies every
+constraint.  No solver shortcuts are taken; this module is the oracle
+everything else is measured against.
+
+Stable models are found by guess-and-check (Gelfond & Lifschitz 1988)
+over the guess set G: the input atoms, every atom a headed rule reads
+under ``not`` or ``not not``, and every body atom of a headed rule with
+an upper bound.  ``reduct`` reads I only through G.  For a rule without
+an upper bound, whether it is kept and the bound its reduct body asks
+for follow from the weight of the ``not``/``not not`` literals I
+satisfies; its positive terms are copied without being read.  A rule
+with an upper bound is kept when I satisfies its whole body, which lies
+in G, and its window is shifted by that same weight.  Constraints are
+dropped from the reduct.  The seed I & inputs lies in G too.  So the
+least model L(g) of the reduct of g = I & G, seeded with g & inputs, is
+the very computation the definition makes for I, and I is stable
+exactly when I = L(g) and I satisfies every constraint.  Hence
+``stable_models`` takes each subset g of G, computes L = L(g), and keeps
+L exactly when L & G = g (then L has the reduct and the seed of g, so L
+is its own least model) and L satisfies every constraint.  Each stable
+model M arises from exactly one g, M & G, with the stages the definition
+gives it.
 
 Reduct construction follows the standard definition, the same for
 every rule whatever its source spelling (see ``reduct``).  Rules with both
@@ -35,7 +54,6 @@ from .program import (
     Program,
     ResourceError,  # re-exported: it lives in program so the CLI skips the oracle
     Rule,
-    weight_sum,
 )
 
 
@@ -61,41 +79,51 @@ class PositiveRule(Node, fields="head terms lower window"):
         return bool(sums & mask)
 
 
+def _rule_data(rule: Rule) -> tuple:
+    """What the reduct reads of a headed rule: the rule, its positive
+    ``(atom, weight)`` terms, their total, and its negative and
+    double-negated literals as ``(atom, negated, weight)``."""
+    terms = tuple((wl.atom, wl.weight) for wl in rule.literals(Polarity.POSITIVE))
+    conditions = tuple((wl.atom, wl.polarity is Polarity.NEGATIVE, wl.weight)
+                       for wl in rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED))
+    return rule, terms, sum(w for _, w in terms), conditions
+
+
+def _reduct(data: list[tuple], interp: frozenset) -> list[PositiveRule]:
+    out = []
+    for rule, terms, total, conditions in data:
+        fixed = sum(w for a, negated, w in conditions if (a in interp) is not negated)
+        if rule.upper is None:
+            if total + fixed >= rule.lower:
+                out.append(PositiveRule(rule.head, terms, max(0, rule.lower - fixed), None))
+        elif rule.lower <= fixed + sum(w for a, w in terms if a in interp) <= rule.upper:
+            out.append(PositiveRule(rule.head, terms, 0,
+                                    (rule.lower - fixed, rule.upper - fixed)))
+    return out
+
+
 def aggregate_reduct(rule: Rule, interp: frozenset) -> PositiveRule:
     """Closure form of a both-bounds rule whose body ``interp`` satisfies."""
     if rule.upper is None:
         raise ValueError("rule carries no upper bound")
     if not rule.body_satisfied(interp):
         raise ValueError("body not satisfied; the rule is omitted from the reduct")
-    fixed = weight_sum(interp, rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED))
-    terms = tuple((wl.atom, wl.weight) for wl in rule.literals(Polarity.POSITIVE))
-    return PositiveRule(rule.head, terms, 0, (rule.lower - fixed, rule.upper - fixed))
+    return _reduct([_rule_data(rule)], interp)[0]
 
 
 def reduct(program: Program, interp: frozenset) -> list[PositiveRule]:
     """Positive program relative to ``interp``; constraints are dropped and
     checked separately.
 
-    A rule without an upper bound is kept exactly when its positive
-    weights can still reach ``lower`` minus the weight of its satisfied
-    negative and double-negated literals, and its reduct body asks for
-    that remainder.  With unit weights and ``lower`` equal to the body
-    size, this is the conjunctive reading: the rule is deleted unless
-    every negative and double-negated condition holds."""
-    out = []
-    for rule in program.rules:
-        if rule.head is None:
-            continue
-        if rule.upper is not None:
-            if rule.body_satisfied(interp):
-                out.append(aggregate_reduct(rule, interp))
-            continue
-        fixed = weight_sum(interp, rule.literals(Polarity.NEGATIVE, Polarity.DOUBLE_NEGATED))
-        terms = tuple((wl.atom, wl.weight)
-                      for wl in rule.literals(Polarity.POSITIVE))
-        if sum(w for _, w in terms) + fixed >= rule.lower:
-            out.append(PositiveRule(rule.head, terms, max(0, rule.lower - fixed), None))
-    return out
+    A rule with an upper bound is kept exactly when ``interp`` satisfies
+    its body, with the closure body of ``aggregate_reduct``.  A rule
+    without one is kept exactly when its positive weights can still reach
+    ``lower`` minus the weight of its satisfied negative and
+    double-negated literals, and its reduct body asks for that remainder.
+    With unit weights and ``lower`` equal to the body size, this is the
+    conjunctive reading: the rule is deleted unless every negative and
+    double-negated condition holds."""
+    return _reduct([_rule_data(r) for r in program.rules if r.head is not None], interp)
 
 
 def tp_step(rules: list[PositiveRule], interp: frozenset) -> frozenset:
@@ -124,7 +152,7 @@ def least_model(rules: list[PositiveRule], input_atoms: frozenset = frozenset())
     return current, ranks
 
 
-def _interpretations(atoms: tuple[str, ...]):
+def _interpretations(atoms):
     order = sorted(atoms)
     for k in range(len(order) + 1):
         for combo in itertools.combinations(order, k):
@@ -139,16 +167,22 @@ def _check_cap(program: Program, cap: int):
 
 def stable_models(program: Program, cap: int = 20):
     """All stable models, each paired with the stages ``least_model`` gives
-    its atoms (a false atom has none), sorted by atom set."""
+    its atoms (a false atom has none), sorted by atom set.  Only the
+    atoms the reduct reads are guessed (see the module docstring)."""
     _check_cap(program, cap)
     inputs = program.input_atoms()
+    data = [_rule_data(r) for r in program.rules if r.head is not None]
+    guessed = set(inputs)
+    for rule, terms, _, conditions in data:
+        guessed.update(a for a, _, _ in conditions)
+        if rule.upper is not None:
+            guessed.update(a for a, _ in terms)
+    constraints = program.constraints()
     found = []
-    for candidate in _interpretations(program.atom_names):
-        if not all(c.satisfied(candidate) for c in program.constraints()):
-            continue
-        lm, ranks = least_model(reduct(program, candidate), candidate & inputs)
-        if lm == candidate:
-            found.append((candidate, ranks))
+    for guess in _interpretations(guessed):
+        lm, ranks = least_model(_reduct(data, guess), guess & inputs)
+        if lm & guessed == guess and all(c.satisfied(lm) for c in constraints):
+            found.append((lm, ranks))
     found.sort(key=lambda pair: tuple(sorted(pair[0])))
     return found
 

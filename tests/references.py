@@ -1,16 +1,18 @@
-"""Reference semantics and forms only the tests use: supported models,
-level numberings, modules as stand-alone programs, one atom's defining
-rules, model projections, a brute-force model finder, a full
-re-evaluation of a found model, formula sets with formulas dropped by
-name, programs rendered back to source and formula sets as debug text, the
-plain recursive emitter of one formula, the extensional completion form,
-and the symbol naming with its inverse.
+"""Reference semantics and forms only the tests use: stable models over
+all interpretations, supported models, level numberings, modules as
+stand-alone programs, one atom's defining rules, model projections, a
+brute-force model finder, a full re-evaluation of a found model, formula
+sets with formulas dropped by name, programs rendered back to source and
+formula sets as debug text, the plain recursive emitter of one formula,
+the extensional completion form, and the symbol naming with its inverse.
 
 They check the oracle, the model finder and the translator from a second
 angle, and no command of asptoc needs them, so they live beside the
-tests.  The module program gives the oracle's module ranks a second
-derivation: the least model of the module's own reduct, where the oracle
-reads the scope's rules off the whole program's reduct.  The extensional
+tests.  The 2^n stable models are the oracle's guess-and-check without
+its restriction to the atoms the reduct reads.  The module program gives
+the oracle's module ranks a second derivation: the least model of the
+module's own reduct, where the oracle reads the scope's rules off the
+whole program's reduct.  The extensional
 form, :func:`toc_abstract`, feeds the translator's support skeleton with
 a family of accepted body subsets instead of a weighted sum; the tests
 check it against the weight path.
@@ -79,6 +81,23 @@ def supported_models(program: Program, cap: int = 20):
         if step == candidate:
             found.append(candidate)
     found.sort(key=lambda m: tuple(sorted(m)))
+    return found
+
+
+def naive_stable_models(program: Program, cap: int = 20):
+    """``oracle.stable_models`` by guess-and-check over all 2^n
+    interpretations: a candidate is stable when it equals the least model
+    of its reduct, seeded with its input atoms."""
+    _check_cap(program, cap)
+    inputs = program.input_atoms()
+    found = []
+    for candidate in _interpretations(program.atom_names):
+        if not all(c.satisfied(candidate) for c in program.constraints()):
+            continue
+        lm, ranks = least_model(reduct(program, candidate), candidate & inputs)
+        if lm == candidate:
+            found.append((candidate, ranks))
+    found.sort(key=lambda pair: tuple(sorted(pair[0])))
     return found
 
 

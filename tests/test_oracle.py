@@ -17,8 +17,20 @@ from asptoc.oracle import (
     tp_step,
 )
 from asptoc.parser import parse_program
-from asptoc.program import INFINITY
-from references import level_numbering, module_least_model_ranks, supported_models
+from asptoc.program import (
+    INFINITY,
+    Polarity,
+    Rule,
+    WeightedLiteral,
+    normal_rule,
+    program_of,
+)
+from references import (
+    level_numbering,
+    module_least_model_ranks,
+    naive_stable_models,
+    supported_models,
+)
 
 EXAMPLE6 = """\
 b5. b4 :- b5. b3 :- b4. b2 :- b3. b1 :- b2.
@@ -190,6 +202,53 @@ class TestStableModels:
         for model, ranks in stable_models(p):
             for atom in p.atom_names:
                 assert (ranks.get(atom, INFINITY) == INFINITY) == (atom not in model)
+
+
+class TestGuessAndCheck:
+    """``stable_models`` guesses only the atoms the reduct reads; each
+    case below makes one class of guessed atom decide a model, and every
+    result equals the 2^n enumeration of ``naive_stable_models``."""
+
+    @pytest.mark.parametrize("src, expected", [
+        # an input atom read only positively
+        ("a :- q. b :- a. #atom q.", [[], ["a", "b", "q"]]),
+        # a convex rule whose positive body atoms are derived
+        ("a :- 1 <= { b, c } <= 1. b :- p. c :- q. #atom p. #atom q.",
+         [[], ["a", "b", "p"], ["a", "c", "q"], ["b", "c", "p", "q"]]),
+        ("{a}.", [[], ["a"]]),
+        # a constraint with an upper bound over derived atoms
+        ("{p}. {q}. a :- p. b :- q. :- 1 <= { a, b } <= 1.",
+         [[], ["a", "b", "p", "q"]]),
+        # a choice rule with a body reads its head under not not
+        ("{p}. a :- p. {b} :- a.", [[], ["a", "b", "p"], ["a", "p"]]),
+        # atoms under not
+        ("a :- not b. b :- not a.", [["a"], ["b"]]),
+    ])
+    def test_hand_cases(self, src, expected):
+        program = parse_program(src)
+        found = stable_models(program)
+        assert [sorted(m) for m, _ in found] == expected
+        assert found == naive_stable_models(program)
+
+    def test_derived_atom_under_not_not(self):
+        # b :- not not a, which the parser spells only as a choice head
+        program = program_of([Rule("p", (WeightedLiteral("p", Polarity.DOUBLE_NEGATED),), 1),
+                              normal_rule("a", ["p"]),
+                              Rule("b", (WeightedLiteral("a", Polarity.DOUBLE_NEGATED),), 1)])
+        found = stable_models(program)
+        assert [sorted(m) for m, _ in found] == [[], ["a", "b", "p"]]
+        assert found == naive_stable_models(program)
+
+    def test_agrees_with_naive_on_wide_corpus(self):
+        seen = {"upper": 0, "input": 0, "models": 0}
+        for i, _, program in fuzz_corpus(11, 250, max_atoms=11, max_rules=14):
+            found = stable_models(program)
+            assert found == naive_stable_models(program), f"program {i}"
+            seen["upper"] += any(r.head is not None and r.upper is not None
+                                 for r in program.rules)
+            seen["input"] += bool(program.input_atoms())
+            seen["models"] += len(found)
+        assert min(seen.values()) > 50, seen
 
 
 class TestSupportedModels:
