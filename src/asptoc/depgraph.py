@@ -7,9 +7,18 @@ topological order (edges run from later components to earlier ones),
 with ties broken by the smallest member name.
 
 The kernel runs over integers.  Vertices are numbered once, in sorted
-name order, so a smaller number means a smaller name; Tarjan's algorithm
-and the canonical sort of the condensation work on lists of numbers, and
-names come back only in the finished components.
+name order, so a smaller number means a smaller name, and names come back
+only in the finished components.  The order comes from one of two paths,
+chosen by the input:
+
+- A tight program's graph is acyclic.  One min-heap topological pass
+  (Kahn's algorithm), smallest number first, emits every vertex; each
+  component is then a singleton, and a vertex is ready exactly when its
+  component is, with the same tie-break, so that pass is the canonical
+  order.
+- When the heap empties early, the graph has a cycle or a positive
+  self-loop.  Tarjan's algorithm finds the components, and the same heap
+  pass runs over their condensation, numbered by smallest member.
 """
 
 from __future__ import annotations
@@ -49,15 +58,12 @@ def build_depgraph(program: Program) -> DepGraph:
     return DepGraph(vertices, tuple(targets))
 
 
-def _components(targets) -> tuple[list[int], list[list[int]]]:
-    """Iterative Tarjan over vertex numbers: the component number of each
-    vertex and the members of each component.  A component is numbered
-    when its root finishes, so every edge leaving a component points to
-    one with a smaller number (sinks first)."""
+def _components(targets) -> list[list[int]]:
+    """Iterative Tarjan over vertex numbers: the members of each strongly
+    connected component."""
     n = len(targets)
     order = [-1] * n  # discovery number; -1 unvisited, n once assigned
     low = [0] * n
-    comp_of = [0] * n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
@@ -94,44 +100,59 @@ def _components(targets) -> tuple[list[int], list[list[int]]]:
                         i -= 1
                     comp = stack[i:]
                     del stack[i:]
-                    c = len(comps)
                     for w in comp:
                         order[w] = n
-                        comp_of[w] = c
                     comps.append(comp)
-    return comp_of, comps
+    return comps
+
+
+def _acyclic_order(targets) -> list[int] | None:
+    """The vertices in canonical order when the graph is acyclic: one
+    min-heap topological pass (Kahn's algorithm) that emits a vertex once
+    all its targets are emitted, smallest number first.  None when the heap
+    empties early, that is, on a cycle or a positive self-loop."""
+    remaining = list(map(len, targets))
+    dependants: list[list[int]] = [[] for _ in targets]
+    for v, vertex_targets in enumerate(targets):
+        for w in vertex_targets:
+            dependants[w].append(v)
+    heap = [v for v, r in enumerate(remaining) if not r]  # ascending, so a heap
+    order = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for d in dependants[v]:
+            remaining[d] -= 1
+            if not remaining[d]:
+                heapq.heappush(heap, d)
+    return order if len(order) == len(targets) else None
 
 
 def _ordered_components(graph: DepGraph) -> list[tuple[frozenset, list[int]]]:
     """Each component's names and vertex numbers, in canonical order: a
     component is ready once all components it depends on are emitted, and
-    ties go to the smallest member, that is, the smallest number.  Each
-    condensation edge is counted once."""
-    targets = graph.targets
-    comp_of, comps = _components(targets)
-    remaining = [0] * len(comps)
-    dependants: list[list[int]] = [[] for _ in comps]
-    for c, comp in enumerate(comps):
-        dependencies = {comp_of[w] for v in comp for w in targets[v]}
-        dependencies.discard(c)
-        remaining[c] = len(dependencies)
-        for d in dependencies:
-            dependants[d].append(c)
-    key = list(map(min, comps))
-    comp_at = dict(zip(key, range(len(comps))))
-    heap = [k for k, r in zip(key, remaining) if r == 0]
-    heapq.heapify(heap)
+    ties go to the smallest member, that is, the smallest number."""
+    order = _acyclic_order(graph.targets)
+    if order is None:
+        return _condensed_order(graph)
     name = graph.vertices.__getitem__
-    ordered = []
-    while heap:
-        c = comp_at[heapq.heappop(heap)]
-        ordered.append((frozenset(map(name, comps[c])), comps[c]))
-        for d in dependants[c]:
-            remaining[d] -= 1
-            if remaining[d] == 0:
-                heapq.heappush(heap, key[d])
-    assert len(ordered) == len(comps)
-    return ordered
+    return [(frozenset((name(v),)), [v]) for v in order]
+
+
+def _condensed_order(graph: DepGraph) -> list[tuple[frozenset, list[int]]]:
+    """:func:`_ordered_components` for a graph of any shape: the heap pass
+    over the condensation, whose vertices are Tarjan's components numbered
+    by smallest member, so that ties break as they do between vertices."""
+    targets = graph.targets
+    comps = sorted(_components(targets), key=min)
+    comp_of = [0] * len(targets)
+    for c, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = c
+    between = [{comp_of[w] for v in comp for w in targets[v]} - {c}
+               for c, comp in enumerate(comps)]
+    name = graph.vertices.__getitem__
+    return [(frozenset(map(name, comps[c])), comps[c]) for c in _acyclic_order(between)]
 
 
 def sccs(graph: DepGraph) -> SccPartition:

@@ -255,27 +255,30 @@ def _directive(toks, kinds, i, hidden: set, declared: set) -> int:
 
 
 _POLARITY = (Polarity.POSITIVE, Polarity.NEGATIVE)  # by ``negated``
+_new = tuple.__new__
 
 
 def _canonical_rule(head, choice, keys, weights, lower, upper) -> Rule:
     """The one rule builder: ``(atom, negated)`` keys form a set without
     ``weights`` and sum by key with them; a conjunction passes no
     ``lower``, which becomes its count of distinct literals."""
+    # the checked constructors only reject negative weights and bounds,
+    # which ``_integer`` has already rejected, so the nodes are built bare
     if weights is None:
-        body = [WeightedLiteral(atom, _POLARITY[negated])
+        body = [_new(WeightedLiteral, (atom, _POLARITY[negated], 1))
                 for atom, negated in dict.fromkeys(keys)]
     else:
         merged: dict[tuple[str, bool], int] = {}  # first-seen order
         for key, w in zip(keys, weights):
             merged[key] = merged.get(key, 0) + w
-        body = [WeightedLiteral(atom, _POLARITY[negated], w)
+        body = [_new(WeightedLiteral, (atom, _POLARITY[negated], w))
                 for (atom, negated), w in merged.items() if w > 0]
     if lower is None:
         lower = len(body)
     if choice:
-        body.append(WeightedLiteral(head, Polarity.DOUBLE_NEGATED))
+        body.append(_new(WeightedLiteral, (head, Polarity.DOUBLE_NEGATED, 1)))
         lower += 1
-    return Rule(head, tuple(body), lower, upper)
+    return _new(Rule, (head, tuple(body), lower, upper))
 
 
 def parse_program(text: str) -> Program:

@@ -105,20 +105,12 @@ class Program(Node, fields="rules atom_names hidden"):
     def __new__(cls, rules: tuple[Rule, ...], atom_names: tuple[str, ...],
                 hidden: Iterable[str]):
         known = set(atom_names)
-        if "" in known:
-            raise ValueError("atom name must be non-empty")
         if len(known) != len(atom_names):
             raise ValueError("duplicate atom in atom_names")
-        mentioned = {wl.atom for rule in rules for wl in rule.body}
-        mentioned.update(rule.head for rule in rules)
-        mentioned.discard(None)
-        missing = mentioned - known
+        missing = _mentioned(rules) - known
         if missing:
             raise ValueError(f"atoms missing from atom_names: {sorted(missing)}")
-        hidden = frozenset(hidden)
-        if not hidden <= known:
-            raise ValueError(f"hidden atoms missing from atom_names: {sorted(hidden - known)}")
-        return tuple.__new__(cls, (rules, atom_names, hidden))
+        return tuple.__new__(cls, (rules, atom_names, _checked_hidden(known, hidden)))
 
     @cached_property
     def head_index(self) -> dict[str, list[Rule]]:
@@ -149,13 +141,29 @@ class Program(Node, fields="rules atom_names hidden"):
 def program_of(rules: Iterable[Rule], extra_atoms: Iterable[str] = (),
                hidden: Iterable[str] = ()) -> Program:
     """Build a program over the atoms its rules mention and ``extra_atoms``,
-    in name order."""
+    in name order.  The rules' atoms are among them by construction, so
+    only the checks on the names from outside the rules are made."""
     rules = tuple(rules)
+    names = _mentioned(rules)
+    names.update(extra_atoms)
+    return tuple.__new__(Program, (rules, tuple(sorted(names)), _checked_hidden(names, hidden)))
+
+
+def _mentioned(rules: tuple[Rule, ...]) -> set[str]:
     names = {wl.atom for rule in rules for wl in rule.body}
     names.update(rule.head for rule in rules)
     names.discard(None)
-    names.update(extra_atoms)
-    return Program(rules, tuple(sorted(names)), hidden)
+    return names
+
+
+def _checked_hidden(known: set[str], hidden: Iterable[str]) -> frozenset:
+    """``hidden`` as a set, once no known name is empty and each hidden one is known."""
+    if "" in known:
+        raise ValueError("atom name must be non-empty")
+    hidden = frozenset(hidden)
+    if not hidden <= known:
+        raise ValueError(f"hidden atoms missing from atom_names: {sorted(hidden - known)}")
+    return hidden
 
 
 def weight_sum(interp: frozenset, body: Iterable[WeightedLiteral]) -> int:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from asptoc.depgraph import (
+    _acyclic_order,
     build_depgraph,
     is_recursive_scope,
     sccs,
@@ -91,20 +92,23 @@ class TestSccs:
             scopes(p, "module")
 
 
-def random_graph_program(rng, n):
+def random_graph_program(rng, n, acyclic=False):
     """A program over ``n`` atoms whose names sort apart from their numbers
     (``v10`` before ``v2``): isolated atoms, self-loops, negative literals
     that add no edge, and a density that ranges from forests to one large
-    component."""
+    component.  An ``acyclic`` one has no self-loop, and its positive edges
+    run only from a larger name to a smaller one."""
     names = [f"v{i}" for i in range(n)]
     degree = rng.choice([0.3, 0.8, 1.2, 2.5])
     rules = []
     for head in names:
         if rng.random() < 0.2:
             continue  # an input atom: isolated unless another rule reads it
+        below = [a for a in names if a < head] if acyclic else names
         for _ in range(rng.randint(1, 2)):
-            pos = [rng.choice(names) for _ in range(int(rng.expovariate(1 / degree)))]
-            if rng.random() < 0.05:
+            pos = [rng.choice(below) for _ in range(int(rng.expovariate(1 / degree)))
+                   if below]
+            if not acyclic and rng.random() < 0.05:
                 pos.append(head)
             neg = [rng.choice(names) for _ in range(rng.randint(0, 2))]
             rules.append(normal_rule(head, pos, neg))
@@ -142,10 +146,7 @@ def reference_components(program):
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_sccs_match_naive_reference(self, seed):
-        rng = random.Random(seed)
-        program = random_graph_program(rng, rng.randint(1, 300))
+    def check_against_reference(self, program):
         graph = build_depgraph(program)
         edges, expected = reference_components(program)
         assert graph.edges == edges
@@ -155,6 +156,25 @@ class TestAgainstReference:
             assert is_recursive_scope(program, comp) == (len(comp) > 1 or self_loop)
         assert scopes(program, "scc") == [
             (comp, is_recursive_scope(program, comp)) for comp in expected]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sccs_match_naive_reference(self, seed):
+        rng = random.Random(seed)
+        self.check_against_reference(random_graph_program(rng, rng.randint(1, 300)))
+
+    @pytest.mark.parametrize("extra", ["none", "self-loop", "two-cycle"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_acyclic_draws_match_naive_reference(self, seed, extra):
+        """Acyclic graphs take the heap pass alone; one added self-loop or
+        2-cycle sends the same graph through the condensation."""
+        rng = random.Random(seed)
+        program = random_graph_program(rng, rng.randint(2, 300), acyclic=True)
+        a, b = rng.sample(program.atom_names, 2)
+        added = {"none": [], "self-loop": [normal_rule(a, [a])],
+                 "two-cycle": [normal_rule(a, [b]), normal_rule(b, [a])]}[extra]
+        program = program_of([*program.rules, *added], extra_atoms=program.atom_names)
+        assert (_acyclic_order(build_depgraph(program).targets) is None) == bool(added)
+        self.check_against_reference(program)
 
 
 def compose_module_models(program):

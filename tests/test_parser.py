@@ -3,6 +3,7 @@
 import itertools
 import pathlib
 import random
+import re
 import string
 
 import pytest
@@ -19,7 +20,7 @@ from asptoc.parser import (
     _tokens,
     parse_program,
 )
-from asptoc.program import Polarity, Rule, WeightedLiteral
+from asptoc.program import Polarity, Program, Rule, WeightedLiteral
 from references import render_program
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -147,12 +148,16 @@ class TestDiagnostics:
         assert err.value.line == 2
 
     def test_negative_weight(self):
-        with pytest.raises(WeightError):
+        with pytest.raises(WeightError) as err:
             parse_program("a :- 1 <= { b=-2 }.")
+        assert str(err.value) == "1:15: negative weight -2"
 
     def test_negative_bound(self):
-        with pytest.raises(WeightError):
-            parse_program("a :- -1 <= { b }.")
+        for text, error in (("a :- -1 <= { b }.", "1:6: negative lower bound -1"),
+                            ("a :- 1 <= { b } <= -3.", "1:20: negative upper bound -3")):
+            with pytest.raises(WeightError) as err:
+                parse_program(text)
+            assert str(err.value) == error
 
     def test_disjunctive_head(self):
         with pytest.raises(UnsupportedFeatureError):
@@ -275,6 +280,29 @@ def test_tokens_are_the_scanners():
 @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=40).map("".join))
 def test_tokens_are_the_scanners_on_random_text(text):
     assert _tokens(text) == scanned(text)
+
+
+class TestCheckedConstruction:
+    """The rule builder and ``program_of`` skip the checks the parser has
+    made; what they build must equal what the checked constructors build."""
+
+    def test_parsed_nodes_equal_checked_construction(self):
+        sources = [src for _, src, _ in fuzz_corpus(1, 300)]
+        sources += [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.lp"))]
+        for src in sources:
+            program = parse_program(src)
+            for rule in program.rules:
+                body = tuple(WeightedLiteral(*wl) for wl in rule.body)
+                assert all(type(wl) is WeightedLiteral for wl in rule.body), src
+                assert type(rule) is Rule and Rule(rule.head, body, *rule[2:]) == rule, src
+            assert Program(program.rules, program.atom_names, program.hidden) == program
+            text = re.sub(r"%[^\n]*", "", src)
+            declared = {kind: {a.strip() for atoms in re.findall(rf"#{kind}([^.]*)\.", text)
+                               for a in atoms.split(",")} for kind in ("atom", "hide")}
+            mentioned = {wl.atom for rule in program.rules for wl in rule.body}
+            mentioned.update(rule.head for rule in program.rules if rule.head is not None)
+            assert program.atom_names == tuple(sorted(mentioned.union(*declared.values()))), src
+            assert program.hidden == declared["hide"], src
 
 
 class TestRoundTrip:

@@ -9,6 +9,7 @@ from asptoc.program import (
     Rule,
     WeightedLiteral,
     normal_rule,
+    program_of,
     weight_sum,
 )
 from references import def_of
@@ -169,6 +170,14 @@ class TestInvariants:
     def test_duplicate_signature_atom(self):
         with pytest.raises(ValueError, match="duplicate"):
             Program((), ("a", "a"), ("a",))
+
+    def test_program_of_checks_outside_names(self):
+        for rules, extra in (((normal_rule("a"),), [""]), ((normal_rule("a", [""]),), []),
+                             ((normal_rule(""),), [])):
+            with pytest.raises(ValueError, match="non-empty"):
+                program_of(rules, extra_atoms=extra)
+        with pytest.raises(ValueError, match="hidden"):
+            program_of([normal_rule("a")], extra_atoms=["b"], hidden=["b", "c"])
 
     def test_hidden_atoms_are_known(self):
         with pytest.raises(ValueError, match="hidden"):
