@@ -48,9 +48,10 @@ class DLModel(Node, fields="props ints"):
         return frozenset(n for n, v in self.props if v)
 
 
-def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22) -> list[DLModel]:
+def enumerate_dl_models(fs: FormulaSet, max_atoms: int | None = None) -> list[DLModel]:
     """All satisfying assignments over the declared vocabulary, in
-    enumeration order."""
+    enumeration order.  The search is not capped unless ``max_atoms`` is
+    given: then a set declaring more atoms raises ``ResourceError``."""
     # one walk per formula: the atoms and integer variables it reads, and
     # for a candidate definition those of its body alone
     walked = []
@@ -68,7 +69,7 @@ def enumerate_dl_models(fs: FormulaSet, max_atoms: int = 22) -> list[DLModel]:
 
     fs.validate()
     atom_count = len(fs.base_atoms) + len(fs.aux_atoms)
-    if atom_count > max_atoms:
+    if max_atoms is not None and atom_count > max_atoms:
         raise ResourceError(f"{atom_count} atoms exceed the cap of {max_atoms}")
 
     # definitions in dependency order: each round adds those whose body

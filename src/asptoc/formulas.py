@@ -320,13 +320,6 @@ def check_declared(formulas, symbols: dict):
             raise ValidationError(f"undeclared {what}: {sorted(bad)}")
 
 
-def _rank_symbols(owners):
-    """The symbol-table entries of the ranking variables of ``owners`` and
-    of ``z``, which is declared alongside them."""
-    names = [Z.name, *map(_level_name, owners)]
-    return zip(names, names)
-
-
 class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbols"):
     """Named formulas plus the vocabulary they may mention.
 
@@ -348,9 +341,9 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbol
     ``symbols`` is the symbol table the emitter resolves every reference
     through: each declared symbol, keyed by the ``name`` of its reference,
     with ``z`` declared exactly when some ranking variable is.  It grows
-    only through ``declare_*``, with the three tables above; a set made
-    from those tables without it builds it from them.  The five
-    containers grow in place; the fields themselves are fixed.
+    only through ``declare_*``, with the three tables above, so a caller
+    that passes the tables passes it with them.  The five containers grow
+    in place; the fields themselves are fixed.
     """
 
     __slots__ = ()
@@ -358,16 +351,11 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbol
     def __new__(cls, formulas: list | None = None, base_atoms: dict | None = None,
                 aux_atoms: dict | None = None, level_bounds: dict | None = None,
                 symbols: dict | None = None):
-        base_atoms = {} if base_atoms is None else base_atoms
-        aux_atoms = {} if aux_atoms is None else aux_atoms
-        level_bounds = {} if level_bounds is None else level_bounds
-        if symbols is None:
-            symbols = dict(base_atoms)
-            symbols.update((sym, sym) for sym in aux_atoms.values())
-            if level_bounds:
-                symbols.update(_rank_symbols(level_bounds))
         return tuple.__new__(cls, ([] if formulas is None else formulas,
-                                   base_atoms, aux_atoms, level_bounds, symbols))
+                                   {} if base_atoms is None else base_atoms,
+                                   {} if aux_atoms is None else aux_atoms,
+                                   {} if level_bounds is None else level_bounds,
+                                   {} if symbols is None else symbols))
 
     def declare_base(self, *names: str):
         spelled = list(zip(names, map(_spell, names)))
@@ -382,14 +370,14 @@ class FormulaSet(Node, fields="formulas base_atoms aux_atoms level_bounds symbol
                 aux[ref] = symbols[name] = name
 
     def declare_level(self, owners, lo: int, hi: int):
-        self.level_bounds.update(dict.fromkeys(owners, (lo, hi)))
-        self.symbols.update(_rank_symbols(owners))
+        bounds = dict.fromkeys(owners, (lo, hi))
+        if bounds:
+            self.level_bounds.update(bounds)
+            names = [Z.name, *map(_level_name, bounds)]
+            self.symbols.update(zip(names, names))
 
     def add(self, name: str, formula: Formula):
         self.formulas.append((name, formula))
-
-    def extend(self, pairs):
-        self.formulas.extend(pairs)
 
     def add_scaffold(self, level: dict, holds: dict, edges: dict):
         """Declare a ranked scope's ranking variables and edge atoms and add

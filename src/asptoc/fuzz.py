@@ -161,8 +161,7 @@ def check_program(program: Program, *, scope_mode: str = "scc",
     uniqueness and rank checks are reported as skipped."""
     stable = stable_models(program)
     fs = toc_program(program, scope_mode=scope_mode, strong=strong, vub_form=vub_form)
-    atom_count = len(fs.base_atoms) + len(fs.aux_atoms)
-    models = enumerate_dl_models(fs, max_atoms=atom_count)
+    models = enumerate_dl_models(fs)
 
     signature = frozenset(program.atom_names)
     stable_sets = sorted(tuple(sorted(m)) for m, _ in stable)

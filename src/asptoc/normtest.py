@@ -98,7 +98,7 @@ def proposition_sides(rule: Rule):
     scope = frozenset({head, *rule.pos_atoms()})
     normalized = normalize_subsets(rule)
     side_a = toc_module(normalized, scope)
-    side_b = toc_module(program_of([rule], extra_atoms=[head, *rule.pos_atoms()]), scope)
+    side_b = toc_module(program_of([rule]), scope)
     k = len(normalized.rules)
     if k == 0:
         # an unreachable bound normalizes to no rules at all; the head then
@@ -114,7 +114,9 @@ def _holding(side: FormulaSet, head: str, body: list[str], shared: list[str]) ->
     atoms' values in name order, which keeps the garbage of a check
     small.  The head's value, part of it, says whether the side's rule
     applies: ``def:<head>`` reads no ranking variable and stays."""
-    fs = FormulaSet(base_atoms=dict(side.base_atoms), aux_atoms=dict(side.aux_atoms))
+    fs = FormulaSet()
+    fs.declare_base(*side.base_atoms)
+    fs.declare_aux(*side.aux_atoms)
     for name, formula in side.formulas:
         ints: set = set()
         _collect(formula, set(), ints)
@@ -127,8 +129,7 @@ def _holding(side: FormulaSet, head: str, body: list[str], shared: list[str]) ->
         fs.add(f"order:{head}:{b}:dep", Implies(dep, Var(Base(b))))
     keep = set(shared)
     return {bytes(v for n, v in model.props if n in keep)
-            for model in enumerate_dl_models(fs, max_atoms=len(fs.base_atoms)
-                                             + len(fs.aux_atoms))}
+            for model in enumerate_dl_models(fs)}
 
 
 def compare_sides(rule: Rule, side_a: FormulaSet, side_b: FormulaSet, k: int) -> Verdict:

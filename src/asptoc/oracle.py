@@ -102,21 +102,12 @@ def _reduct(data: list[tuple], interp: frozenset) -> list[PositiveRule]:
     return out
 
 
-def aggregate_reduct(rule: Rule, interp: frozenset) -> PositiveRule:
-    """Closure form of a both-bounds rule whose body ``interp`` satisfies."""
-    if rule.upper is None:
-        raise ValueError("rule carries no upper bound")
-    if not rule.body_satisfied(interp):
-        raise ValueError("body not satisfied; the rule is omitted from the reduct")
-    return _reduct([_rule_data(rule)], interp)[0]
-
-
 def reduct(program: Program, interp: frozenset) -> list[PositiveRule]:
     """Positive program relative to ``interp``; constraints are dropped and
     checked separately.
 
     A rule with an upper bound is kept exactly when ``interp`` satisfies
-    its body, with the closure body of ``aggregate_reduct``.  A rule
+    its body, with the upward-closure body described above.  A rule
     without one is kept exactly when its positive weights can still reach
     ``lower`` minus the weight of its satisfied negative and
     double-negated literals, and its reduct body asks for that remainder.

@@ -206,10 +206,6 @@ class Written:
         if len(lines) >= WRITE_CHUNK:
             self._flush()
 
-    def extend(self, pairs):
-        for pair in pairs:
-            self.append(pair)
-
     def scaffold(self, level: dict, holds: dict, edges: dict):
         """The text of ``formulas.scaffold(level, holds, edges)``; on a
         lookup miss its templates are built in order, and the first that
@@ -272,7 +268,8 @@ def emit_smtlib(fs: FormulaSet, *, model: bool = False) -> str:
     order through a ``Written`` over its symbols; ``model`` keeps the
     tail's ``(get-model)``."""
     written = Written(SMTLIB, fs.symbols)
-    written.extend(fs.formulas)
+    for pair in fs.formulas:
+        written.append(pair)
     text = "".join(written.text(fs))
     return text if model else text.removesuffix("(get-model)\n")
 

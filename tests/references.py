@@ -1,10 +1,11 @@
-"""Reference semantics and forms only the tests use: stable models over
-all interpretations, supported models, level numberings, modules as
-stand-alone programs, one atom's defining rules, model projections, a
-brute-force model finder, a full re-evaluation of a found model, formula
-sets with formulas dropped by name, programs rendered back to source and
-formula sets as debug text, the plain recursive emitter of one formula,
-the extensional completion form, and the symbol naming with its inverse.
+"""Reference semantics and forms only the tests use: the reduct of one
+aggregate rule, stable models over all interpretations, supported
+models, level numberings, modules as stand-alone programs, one atom's
+defining rules, model projections, a brute-force model finder, a full
+re-evaluation of a found model, formula sets with formulas dropped by
+name, programs rendered back to source and formula sets as debug text,
+the plain recursive emitter of one formula, the extensional completion
+form, and the symbol naming with its inverse.
 
 They check the oracle, the model finder and the translator from a second
 angle, and no command of asptoc needs them, so they live beside the
@@ -49,7 +50,8 @@ from asptoc.oracle import (
     PositiveRule,
     _check_cap,
     _interpretations,
-    aggregate_reduct,
+    _reduct,
+    _rule_data,
     least_model,
     reduct,
     tp_step,
@@ -66,6 +68,16 @@ from asptoc.program import (
 )
 from asptoc.smtlib import DEBUG, Written
 from asptoc.toc import emit_support
+
+
+def aggregate_reduct(rule: Rule, interp: frozenset) -> PositiveRule:
+    """Closure form of a both-bounds rule whose body ``interp`` satisfies:
+    the one rule ``reduct`` keeps of it."""
+    if rule.upper is None:
+        raise ValueError("rule carries no upper bound")
+    if not rule.body_satisfied(interp):
+        raise ValueError("body not satisfied; the rule is omitted from the reduct")
+    return _reduct([_rule_data(rule)], interp)[0]
 
 
 def supported_models(program: Program, cap: int = 20):
@@ -225,7 +237,8 @@ def drop_formulas(fs: FormulaSet, prefix: str) -> FormulaSet:
     """A copy of ``fs`` without the formulas whose name starts with
     ``prefix``; the vocabulary is copied whole."""
     return FormulaSet([(n, f) for n, f in fs.formulas if not n.startswith(prefix)],
-                      dict(fs.base_atoms), dict(fs.aux_atoms), dict(fs.level_bounds))
+                      dict(fs.base_atoms), dict(fs.aux_atoms), dict(fs.level_bounds),
+                      dict(fs.symbols))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +300,8 @@ def debug_text(fs: FormulaSet) -> str:
     raises the ``ValidationError`` that names the formula's undeclared
     symbols."""
     written = Written(DEBUG, fs.symbols)
-    written.extend(fs.formulas)
+    for pair in fs.formulas:
+        written.append(pair)
     return "".join(written.text(fs))
 
 

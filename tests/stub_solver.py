@@ -132,8 +132,7 @@ def main():
     with open(sys.argv[-1], "r", encoding="utf-8") as handle:
         text = handle.read()
     fs = build_formula_set(parse_sexprs(tokenize(text)))
-    atom_count = len(fs.base_atoms) + len(fs.aux_atoms)
-    models = dlcheck.enumerate_dl_models(fs, max_atoms=max(atom_count, 22))
+    models = dlcheck.enumerate_dl_models(fs)
     if not models:
         print("unsat")
         return

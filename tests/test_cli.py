@@ -208,7 +208,8 @@ class TestTranslate:
         def pipeline():
             fs = toc_program(parse_program(src))
             written = Written(SMTLIB, fs.symbols)
-            written.extend(fs.formulas)
+            for pair in fs.formulas:
+                written.append(pair)
             return list(written.text(fs))
 
         toc_peak = traced_peak(lambda: toc_program(parse_program(src)))

@@ -21,6 +21,7 @@ from asptoc.formulas import (
     Z,
 )
 from asptoc.fuzz import CHECK_MODES, fuzz_corpus
+from asptoc.oracle import stable_models
 from asptoc.parser import parse_program
 from asptoc.program import ResourceError
 from asptoc.toc import toc_module, toc_program
@@ -114,6 +115,23 @@ class TestGuards:
         fs = toc_program(parse_program("{a}. {b}. {c}."))
         with pytest.raises(ResourceError):
             enumerate_dl_models(fs, max_atoms=2)
+
+    def test_no_cap_unless_asked(self):
+        # a 7-atom fuzz program whose translation declares 29 atoms, past
+        # the 22 the finder once capped at by default
+        program = parse_program("g :- g, not f. {g}. a :- 8 <= { a=3, b=4, not d=2, not f=3 }. "
+                                "a :- f, c, g. b :- c, g, b. :- not e. :- c, g. "
+                                "b :- 9 <= { c=4, e=2, d=1, not b=3 } <= 9. {c} :- c, a. {b}.")
+        fs = toc_program(program)
+        count = len(fs.base_atoms) + len(fs.aux_atoms)
+        assert count > 22
+        models = enumerate_dl_models(fs)
+        projections = sorted(sorted(m.true_atoms() & set(program.atom_names)) for m in models)
+        assert len(models) == 16
+        assert projections == sorted(sorted(m) for m, _ in stable_models(program))
+        assert enumerate_dl_models(fs, max_atoms=count) == models
+        with pytest.raises(ResourceError, match=f"{count} atoms exceed the cap of {count - 1}"):
+            enumerate_dl_models(fs, max_atoms=count - 1)
 
     def test_unbounded_level_variable(self):
         fs = FormulaSet()

@@ -34,6 +34,7 @@ from asptoc.formulas import (
     Var,
     Z,
     ZVar,
+    _spell,
     eval_formula,
     make_pb,
     mk_bounds,
@@ -233,7 +234,8 @@ class TestValidation:
         fs = FormulaSet()
         fs.declare_base("a")
         fs.declare_level(["a"], 1, 2)
-        fs.extend(mk_bounds(LevelVar("a"), Var(Base("a")), 1))
+        for pair in mk_bounds(LevelVar("a"), Var(Base("a")), 1):
+            fs.add(*pair)
         fs.validate()
 
     def test_without_drops_by_prefix(self):
@@ -366,6 +368,38 @@ def test_codec_is_injective(refs):
 def test_aux_symbols_spell_no_atom_or_variable(aux, name):
     assert encode(aux) not in {name, encode(Base(name)), var_name(LevelVar(name)),
                                var_name(Z)}
+
+
+declarations = st.lists(st.one_of(
+    st.tuples(st.just("base"), st.lists(atom_names, max_size=3)),
+    st.tuples(st.just("aux"), st.lists(aux_refs, max_size=3)),
+    st.tuples(st.just("level"), st.lists(atom_names, max_size=3)),
+), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(declarations)
+def test_symbols_are_the_table_the_declarations_imply(calls):
+    # the symbol table is built only by declare_*: after any sequence of
+    # them it holds exactly what the three tables imply, ``z`` included
+    # exactly when some owner is ranked
+    fs = FormulaSet()
+    declared = {"base": set(), "aux": set(), "level": set()}
+    for kind, args in calls:
+        if kind == "base":
+            fs.declare_base(*args)
+        elif kind == "aux":
+            fs.declare_aux(*args)
+        else:
+            fs.declare_level(args, 1, len(args) + 1)
+        declared[kind].update(args)
+    assert (set(fs.base_atoms), set(fs.aux_atoms), set(fs.level_bounds)) == \
+        (declared["base"], declared["aux"], declared["level"])
+    implied = {name: _spell(name) for name in fs.base_atoms}
+    implied.update((aux.name, aux.name) for aux in fs.aux_atoms)
+    if fs.level_bounds:
+        implied.update((v.name, v.name) for v in (Z, *map(LevelVar, fs.level_bounds)))
+    assert fs.symbols == implied
 
 
 def ir_samples():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from asptoc import normtest
 from asptoc.dlcheck import enumerate_dl_models
 from asptoc.normtest import check_proposition, compare_sides, proposition_sides
 from asptoc.parser import parse_program
@@ -40,6 +41,25 @@ class TestPropositionPass:
     def test_unreachable_bound_still_agrees(self):
         verdict = check_proposition(rule_of("a :- 19 <= { b1=2, b2=3 }."), 3)
         assert verdict.passed and verdict.subset_rules == 0
+
+    def test_rank_free_copies_declare_no_ranking_variable(self, monkeypatch):
+        # each side is ranked, and the copy the finder searches drops every
+        # formula that reads a rank, so it declares no __x_* and no __z
+        searched = []
+
+        def finder(fs):
+            searched.append(fs)
+            return enumerate_dl_models(fs)
+
+        monkeypatch.setattr(normtest, "enumerate_dl_models", finder)
+        rule = rule_of("a :- 2 <= { b1, b2, b3 }.")
+        side_a, side_b, _ = proposition_sides(rule)
+        assert side_a.level_bounds and side_b.level_bounds
+        assert check_proposition(rule, 3).passed
+        assert len(searched) == 2
+        for fs in searched:
+            assert not fs.level_bounds
+            assert not [n for n in fs.symbols if n == "__z" or n.startswith("__x_")]
 
 
 class TestValidation:
@@ -106,7 +126,7 @@ def sides_agree(side_a, side_b):
     whether side B's one rule does.  Each side's projection of the join
     must be all of its models."""
     def models(fs):
-        return set(enumerate_dl_models(fs, max_atoms=len(fs.base_atoms) + len(fs.aux_atoms)))
+        return set(enumerate_dl_models(fs))
 
     def shared(m):
         return tuple(p for p in m.props if not p[0].startswith("|app:")), m.ints

@@ -9,7 +9,6 @@ from asptoc.fuzz import fuzz_corpus, ranked_scopes
 from asptoc.oracle import (
     PositiveRule,
     ResourceError,
-    aggregate_reduct,
     least_model,
     module_ranking,
     reduct,
@@ -26,6 +25,7 @@ from asptoc.program import (
     program_of,
 )
 from references import (
+    aggregate_reduct,
     level_numbering,
     module_least_model_ranks,
     naive_stable_models,

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from asptoc.depgraph import build_depgraph, sccs, scopes
 from asptoc.formulas import PB, Aux, Base, Diff, FalseF, Iff, LevelVar, Not, TrueF, Var
 from asptoc.fuzz import CHECK_MODES, check_program, fuzz_corpus, ranked_scopes
-from asptoc.oracle import aggregate_reduct, least_model, reduct, stable_models
+from asptoc.oracle import least_model, reduct, stable_models
 from asptoc.parser import parse_program
 from asptoc.program import Polarity
 from asptoc.smtlib import emit_smtlib
 from asptoc.toc import toc_module, toc_program
-from references import def_of
+from references import aggregate_reduct, def_of
 
 
 def interps(atoms):

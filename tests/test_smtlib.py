@@ -408,10 +408,6 @@ e :- 2 <= { e=1, b=1, c=2, d=1 } <= 3.
 READ_BACK_SOURCES = [CONVEX, *(src for _, src, _ in fuzz_corpus(1, 24))]
 
 
-def finder_models(fs):
-    return enumerate_dl_models(fs, max_atoms=len(fs.base_atoms) + len(fs.aux_atoms))
-
-
 @pytest.mark.parametrize("strong", [True, False], ids=["strong", "weak"])
 @pytest.mark.parametrize("scope_mode, vub_form", CHECK_MODES,
                          ids=["scc", "global", "scc-vub", "global-vub"])
@@ -424,4 +420,4 @@ def test_emitted_text_reads_back_to_the_same_models(scope_mode, vub_form, strong
                          strong=strong, vub_form=vub_form)
         text = emit_smtlib(fs, model=True)
         back = build_formula_set(parse_sexprs(tokenize(text)))
-        assert sorted(finder_models(back)) == sorted(finder_models(fs)), source
+        assert sorted(enumerate_dl_models(back)) == sorted(enumerate_dl_models(fs)), source

@@ -44,7 +44,7 @@ def names(fs):
 
 
 def models_projected(fs, keep):
-    models = enumerate_dl_models(fs, max_atoms=len(fs.base_atoms) + len(fs.aux_atoms))
+    models = enumerate_dl_models(fs)
     out = set()
     for m in models:
         props = tuple(sorted((k, v) for k, v in m.props if k in keep))
@@ -137,7 +137,8 @@ class TestOrderedCompletionInstantiation:
         size = len(scope)
         for atom in sorted(scope):
             fs.declare_level([atom], 1, size + 1)
-            fs.extend(mk_bounds(LevelVar(atom), Var(Base(atom)), size))
+            for pair in mk_bounds(LevelVar(atom), Var(Base(atom)), size):
+                fs.add(*pair)
         edges = set()
         from asptoc.program import Polarity
         for atom in sorted(scope):
@@ -148,7 +149,8 @@ class TestOrderedCompletionInstantiation:
         for a, b in sorted(edges):
             auxes = (Aux("dep", a, b), Aux("gap", a, b))
             fs.declare_aux(*auxes)
-            fs.extend(mk_dep_gap(tuple(map(Var, auxes)), Var(Base(b)), LevelVar(a), LevelVar(b)))
+            for pair in mk_dep_gap(tuple(map(Var, auxes)), Var(Base(b)), LevelVar(a), LevelVar(b)):
+                fs.add(*pair)
         for atom in sorted(scope):
             rules = def_of(atom, program)
             if not rules:
@@ -388,14 +390,16 @@ def assemble_abstract(program, scope, rule_index=0):
     size = len(scope)
     for atom in sorted(scope):
         fs.declare_level([atom], 1, size + 1)
-        fs.extend(mk_bounds(LevelVar(atom), Var(Base(atom)), size))
+        for pair in mk_bounds(LevelVar(atom), Var(Base(atom)), size):
+            fs.add(*pair)
     rule = program.rules[rule_index]
     from asptoc.program import Polarity
     for wlit in rule.literals(Polarity.POSITIVE):
         b = wlit.atom
         if b in scope:
-            fs.extend(mk_dep_gap((Var(Aux("dep", rule.head, b)), Var(Aux("gap", rule.head, b))),
-                                 Var(Base(b)), LevelVar(rule.head), LevelVar(b)))
+            edge = (Var(Aux("dep", rule.head, b)), Var(Aux("gap", rule.head, b)))
+            for pair in mk_dep_gap(edge, Var(Base(b)), LevelVar(rule.head), LevelVar(b)):
+                fs.add(*pair)
     applies = toc_abstract(fs, rule, scope)
     fs.add(f"def:{rule.head}", Iff(Var(Base(rule.head)), applies))
     return fs
